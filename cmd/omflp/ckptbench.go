@@ -38,9 +38,9 @@ import (
 //
 // Two wall-clock columns are reported but deliberately NOT gated, both
 // bottlenecked by the same O(history) serialized-state growth tracked in
-// ROADMAP.md rather than by the checkpoint format: restore (the
-// event-driven PD serve loop replays arrivals faster than JSON state
-// decodes, so a v1 full replay can beat a v2 base-state load) and encode_ms
+// ROADMAP.md rather than by the checkpoint format: restore (a v2 base-state
+// load decodes state that grows with the history, as a v1 full replay
+// serves it, so their ratio depends on serve and decode speed) and encode_ms
 // (the wire encoding WriteFile adds per tick — JSON marshal plus the flate
 // of every base state, which scales with state size). The flat replay and
 // capture counters of gates (a)/(b) are the invariants that survive

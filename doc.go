@@ -66,18 +66,21 @@
 // is therefore a base state snapshot plus the append-only arrival-log
 // segment served since; Config.SealEvery (CLI: -checkpoint-seal-every)
 // re-bases a tenant once its tail exceeds N arrivals, so Restore loads the
-// state and replays O(SealEvery) arrivals instead of O(history) — at 1e5
-// arrivals a v2 restore is two orders of magnitude faster than the v1 full
-// replay (BENCH_checkpoint.json, regenerated by "omflp ckpt-bench", records
-// capture/restore time and raw + compressed bytes for both formats and
-// gates on v2's replay work staying flat). On disk, base states are
-// flate-compressed (flagged in the checkpoint header as compression:
-// "flate", stored per tenant as base_state_z), cutting the state-bytes
-// overhead v2 carries below even v1's raw size; uncompressed v2 and legacy
-// v1 documents remain restorable, and the next Checkpoint call migrates v1
-// to v2. Without Config.RecordArrivals
-// the engine checkpoints by marshaling state at capture time — no arrival
-// history at all, nothing replayed on restore.
+// state and replays O(SealEvery) arrivals instead of O(history). PD and
+// RAND, the algorithms the engine serves, encode their state in one
+// compact binary layout (varints and raw float64 bits); base states in the
+// JSON layout that preceded it are refused with an error naming their
+// schema. At 1e5 PD arrivals a v2 restore takes 38 ms against 121 ms for
+// the v1 full replay, about three times faster (BENCH_checkpoint.json,
+// regenerated by "omflp ckpt-bench", records capture/restore time and raw +
+// compressed bytes for both formats and gates on v2's replay work staying
+// flat). On disk, base states are flate-compressed (flagged in the
+// checkpoint header as compression: "flate", stored per tenant as
+// base_state_z), cutting the state-bytes overhead v2 carries below even
+// v1's raw size; uncompressed v2 and legacy v1 documents remain
+// restorable, and the next Checkpoint call migrates v1 to v2. Without
+// Config.RecordArrivals the engine checkpoints by marshaling state at
+// capture time — no arrival history at all, nothing replayed on restore.
 //
 // Clustering. One process tops out at cores × arrivals/s, so omflp serve
 // also runs as a multi-node cluster (see internal/cluster): worker nodes

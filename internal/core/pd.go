@@ -101,6 +101,10 @@ type PDOMFLP struct {
 	distHistory map[int][]analysisRecord //omflp:nostate — diagnostic only; MarshalState refuses TraceAnalysis instances
 	// facBoundary[i] = number of facilities after arrival i (for ServeLog).
 	facBoundary []int
+	// dualSum is DualTotal's running Σ a_re, added row by row in arrival
+	// order by both serve loops and recomputed the same way on
+	// UnmarshalState, so it is bit-identical to summing the rows afresh.
+	dualSum float64
 }
 
 type pdCredit struct {
@@ -477,6 +481,9 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 	aRow := make([]float64, k)
 	copy(aRow, a)
 	pd.duals = append(pd.duals, aRow)
+	for _, v := range aRow {
+		pd.dualSum += v
+	}
 
 	var links []int
 	if largeServed >= 0 {
@@ -758,6 +765,9 @@ func (pd *PDOMFLP) serveReference(r instance.Request) {
 	pd.points = append(pd.points, p)
 	pd.demandIDs = append(pd.demandIDs, ids)
 	pd.duals = append(pd.duals, a)
+	for _, v := range a {
+		pd.dualSum += v
+	}
 
 	var links []int
 	if largeServed >= 0 {
@@ -994,16 +1004,8 @@ func (pd *PDOMFLP) refreshCreditsForLarge(m int) {
 
 // DualTotal returns Σ_r Σ_{e∈s_r} a_re, the dual objective the analysis
 // compares against 3·cost(ALG) (Corollary 8) and γ-scales for feasibility
-// (Corollary 17).
-func (pd *PDOMFLP) DualTotal() float64 {
-	var sum float64
-	for _, row := range pd.duals {
-		for _, v := range row {
-			sum += v
-		}
-	}
-	return sum
-}
+// (Corollary 17). O(1): the serve loops keep the sum running.
+func (pd *PDOMFLP) DualTotal() float64 { return pd.dualSum }
 
 // Duals exposes the frozen dual variables: per served request, the demanded
 // commodity IDs and the aligned dual values. Callers must not mutate.

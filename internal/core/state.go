@@ -13,101 +13,116 @@ import (
 
 // This file implements online.StateCodec for the core algorithms: the
 // complete serving state of PD-OMFLP, RAND-OMFLP and the heavy-aware
-// extension, serialized as JSON. The paper's algorithms are online — each
-// arrival freezes a small, well-defined increment of state (duals and
-// credits for PD, coin-flip position and open facilities for RAND) — so the
-// state is exactly recoverable without replaying the arrival history, which
-// is what the engine's checkpoint format v2 builds on.
+// extension. The paper's algorithms are online — each arrival freezes a
+// small, well-defined increment of state (duals and credits for PD,
+// coin-flip position and open facilities for RAND) — so the state is
+// exactly recoverable without replaying the arrival history, which is what
+// the engine's checkpoint format v2 builds on.
+//
+// PD-OMFLP and RAND-OMFLP, the algorithms the engine serves and seals every
+// SealEvery arrivals, share the compact binary layout of codec.go; floats
+// are stored as their IEEE-754 bits, so every value survives the round trip
+// exactly. The heavy-aware extension's state is a JSON document that
+// carries its inner PD-OMFLP state as opaque bytes next to the JSON states
+// of its single-commodity OFL instances.
 //
 // Derived caches are deliberately NOT serialized: the facility-index nearest
-// caches, the cost-table distance rows, PD's live-credit commodity list and
-// per-arrival scratch buffers, and RAND's per-point budget caches are pure
-// functions of the serialized state (or pure scratch) and rebuild lazily
-// with the same tie-breaking (earliest-opened facility wins), so a restored
-// instance serves any suffix bit-identically to the original.
-//
-// All floats survive the round trip exactly: encoding/json emits the
-// shortest representation that parses back to the same float64, and every
-// serialized quantity is finite (the internal "infinity" sentinel is the
-// finite 1e308).
+// caches, the cost-table distance rows, PD's live-credit commodity list,
+// running dual sum and per-arrival scratch buffers, and RAND's per-point
+// budget caches are pure functions of the serialized state (or pure
+// scratch) and rebuild with the same tie-breaking (earliest-opened facility
+// wins), so a restored instance serves any suffix bit-identically to the
+// original.
 
-// stateSchema versions the serialized state layouts below; bump on any
-// incompatible change.
-const stateSchema = 1
-
-// facilityState is one open facility as serialized state. Small facilities
-// offer the single commodity E; large facilities (Large true) offer the full
-// universe. The explicit flag matters: in a universe of size 1 a large
-// facility's configuration equals the singleton's, so the configuration
-// alone cannot distinguish them.
-type facilityState struct {
-	Point int  `json:"p"`
-	E     int  `json:"e,omitempty"`
-	Large bool `json:"l,omitempty"`
-}
-
-// creditState is one recorded bid credit: the request's point and its
-// current (possibly lowered) credit value.
-type creditState struct {
-	Point  int     `json:"p"`
-	Credit float64 `json:"c"`
-}
-
-// pdState is PD-OMFLP's serialized state.
-type pdState struct {
-	Schema     int `json:"schema"`
-	Universe   int `json:"universe"`
-	Candidates int `json:"candidates"`
-
-	Points      []int       `json:"points"`
-	DemandIDs   [][]int     `json:"demand_ids"`
-	Duals       [][]float64 `json:"duals"`
-	FacBoundary []int       `json:"fac_boundary"`
-
-	CreditSmall [][]creditState `json:"credit_small"`
-	CreditLarge []creditState   `json:"credit_large"`
-	// Bid accumulators; omitted when the instance runs in naive reference
-	// mode (they are then recomputed per arrival, never maintained).
-	BidSmall [][]float64 `json:"bid_small,omitempty"`
-	BidLarge []float64   `json:"bid_large,omitempty"`
-
-	Facilities []facilityState `json:"facilities"`
-	Assign     [][]int         `json:"assign"`
-}
+// stateSchema versions the serialized state layouts: the schema byte that
+// opens the binary PD and RAND layouts and the schema field of the
+// heavy-aware document. Schema 1 was the JSON layout of all three.
+const stateSchema = 2
 
 // MarshalState implements online.StateCodec. It refuses instances running
 // with TraceAnalysis: the Lemma 14 analysis history is diagnostic-only and
 // deliberately outside the serving-state contract.
+//
+// Layout after the schema byte, universe and candidate count (uvarints
+// unless marked f64):
+//
+//	facilities     count, then (point, kind) each; see encodeFacilities
+//	arrivals n, demanded commodities D, assignment links L (totals)
+//	n × arrival    point; k, then k × (commodity, strictly ascending; f64
+//	               dual); facilities it opened; link count, then each
+//	               link's facility index; f64 large credit
+//	small credits  per commodity e ascending, f64 credit of each arrival
+//	               demanding e, in arrival order
+//	bid rows       f64 × candidates: the large row, then the row of every
+//	               commodity with credits, e ascending
+//
+// Credit points are not stored: credit j of a ledger belongs to the j-th
+// arrival that recorded into it.
 func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 	if pd.opts.TraceAnalysis {
 		return nil, fmt.Errorf("core: PD-OMFLP state marshal does not support TraceAnalysis")
 	}
-	st := pdState{
-		Schema:      stateSchema,
-		Universe:    pd.u,
-		Candidates:  len(pd.ct.cands),
-		Points:      pd.points,
-		DemandIDs:   pd.demandIDs,
-		Duals:       pd.duals,
-		FacBoundary: pd.facBoundary,
-		CreditSmall: make([][]creditState, pd.u),
-		CreditLarge: creditsToState(pd.creditLarge),
-		Facilities:  facilitiesToState(pd.fx),
-		Assign:      pd.fx.sol.Assign,
+	bidSmall, bidLarge := pd.bidSmall, pd.bidLarge
+	if pd.naiveBids {
+		// Reference instances keep no accumulators; write the rows their
+		// per-arrival recomputation reads, summed in credit order exactly
+		// as addBid would have accumulated them.
+		bidSmall = make([][]float64, pd.u)
+		for e, credits := range pd.creditSmall {
+			if len(credits) > 0 {
+				bidSmall[e] = pd.naiveBidsOver(credits)
+			}
+		}
+		bidLarge = pd.naiveLargeBids()
 	}
-	for e := range pd.creditSmall {
-		st.CreditSmall[e] = creditsToState(pd.creditSmall[e])
+	demanded, links := 0, 0
+	for i, ids := range pd.demandIDs {
+		demanded += len(ids)
+		links += len(pd.fx.sol.Assign[i])
 	}
-	if !pd.naiveBids {
-		st.BidSmall = pd.bidSmall
-		st.BidLarge = pd.bidLarge
-	}
-	return json.Marshal(&st)
+	return encodeState(func(w *stateWriter) {
+		w.uint(stateSchema)
+		w.uint(pd.u)
+		w.uint(len(pd.ct.cands))
+		encodeFacilities(w, pd.fx)
+		w.uint(len(pd.points))
+		w.uint(demanded)
+		w.uint(links)
+		opened := 0
+		for i, p := range pd.points {
+			w.uint(p)
+			w.uint(len(pd.demandIDs[i]))
+			for j, e := range pd.demandIDs[i] {
+				w.uint(e)
+				w.float(pd.duals[i][j])
+			}
+			w.uint(pd.facBoundary[i] - opened)
+			opened = pd.facBoundary[i]
+			w.uint(len(pd.fx.sol.Assign[i]))
+			for _, f := range pd.fx.sol.Assign[i] {
+				w.uint(f)
+			}
+			w.float(pd.creditLarge[i].credit)
+		}
+		for _, credits := range pd.creditSmall {
+			for _, cr := range credits {
+				w.float(cr.credit)
+			}
+		}
+		w.floats(bidLarge)
+		for e, credits := range pd.creditSmall {
+			if len(credits) > 0 {
+				w.floats(bidSmall[e])
+			}
+		}
+	}), nil
 }
 
 // UnmarshalState implements online.StateCodec; see the interface contract —
 // the receiver must be freshly constructed with the parameters of the
-// instance that was marshaled.
+// instance that was marshaled. The whole document is decoded and checked
+// before the receiver changes: lengths are bounded by the bytes left, and
+// points, commodities and facility indices are range-checked.
 func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	if pd.opts.TraceAnalysis {
 		return fmt.Errorf("core: PD-OMFLP state restore does not support TraceAnalysis")
@@ -115,107 +130,173 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	if len(pd.points) != 0 || len(pd.fx.sol.Facilities) != 0 {
 		return fmt.Errorf("core: PD-OMFLP state restore needs a fresh instance")
 	}
-	var st pdState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: PD-OMFLP state: %v", err)
+	r := &stateReader{alg: "PD-OMFLP", data: data}
+	r.header(pd.u, len(pd.ct.cands))
+	facs := decodeFacilities(r, pd.space.Len(), pd.u)
+	n, demanded, links := r.uint(), r.uint(), r.uint()
+	// Minimum encoded sizes: 12 bytes per arrival (point, k, opened, link
+	// count, large credit), 17 per demanded commodity (id, dual, small
+	// credit), 1 per link.
+	if rem := len(r.data); r.err == nil &&
+		(n > rem/12 || demanded > rem/17 || links > rem || 12*n+17*demanded+links > rem) {
+		r.fail("%d arrivals, %d demands and %d links cannot fit in %d bytes", n, demanded, links, rem)
 	}
-	if err := checkStateHeader("PD-OMFLP", st.Schema, st.Universe, pd.u, st.Candidates, len(pd.ct.cands)); err != nil {
+	if r.err != nil {
+		return r.err
+	}
+
+	points := make([]int, n)
+	facBoundary := make([]int, n)
+	demandIDs := make([][]int, n)
+	duals := make([][]float64, n)
+	assign := make([][]int, n)
+	creditLarge := make([]pdCredit, n)
+	idFlat := make([]int, demanded)
+	dualFlat := make([]float64, demanded)
+	linkFlat := make([]int, links)
+	perE := make([]int, pd.u)
+	opened, d, l := 0, 0, 0
+	for i := 0; i < n && r.err == nil; i++ {
+		points[i] = r.below(pd.space.Len(), "point")
+		k := r.below(demanded-d+1, "demanded commodity count")
+		ids, ds := idFlat[d:d+k:d+k], dualFlat[d:d+k:d+k]
+		for j := range ids {
+			ids[j] = r.below(pd.u, "commodity")
+			if j > 0 && ids[j] <= ids[j-1] && r.err == nil {
+				r.fail("arrival %d demands commodities out of order", i)
+			}
+			ds[j] = r.float()
+			perE[ids[j]]++
+		}
+		demandIDs[i], duals[i] = ids, ds
+		d += k
+		// An arrival opens one facility per demanded commodity, or one
+		// large facility.
+		opened += r.below(min(max(k, 1), len(facs)-opened)+1, "opened facility count")
+		facBoundary[i] = opened
+		if m := r.below(links-l+1, "link count"); m > 0 {
+			row := linkFlat[l : l+m : l+m]
+			for j := range row {
+				row[j] = r.below(opened, "assigned facility")
+			}
+			assign[i] = row
+			l += m
+		}
+		creditLarge[i] = pdCredit{point: points[i], credit: r.float()}
+	}
+	if r.err == nil && (opened != len(facs) || d != demanded || l != links) {
+		r.fail("arrivals open %d of %d facilities and carry %d of %d demands and %d of %d links",
+			opened, len(facs), d, demanded, l, links)
+	}
+	if r.err != nil {
+		return r.err
+	}
+
+	creditSmall := make([][]pdCredit, pd.u)
+	live := 0
+	for e, c := range perE {
+		if c > 0 {
+			creditSmall[e] = make([]pdCredit, 0, c)
+			live++
+		}
+	}
+	for i, ids := range demandIDs {
+		for _, e := range ids {
+			creditSmall[e] = append(creditSmall[e], pdCredit{point: points[i]})
+		}
+	}
+	for _, credits := range creditSmall {
+		for j := range credits {
+			credits[j].credit = r.float()
+		}
+	}
+	cands := len(pd.ct.cands)
+	if r.err == nil && len(r.data) != 8*cands*(1+live) {
+		r.fail("%d bytes of bid rows, want %d", len(r.data), 8*cands*(1+live))
+	}
+	if r.err != nil {
+		return r.err
+	}
+	bidLarge := make([]float64, cands)
+	r.floats(bidLarge)
+	bidSmall := make([][]float64, pd.u)
+	for e, credits := range creditSmall {
+		if len(credits) > 0 {
+			bidSmall[e] = make([]float64, cands)
+			r.floats(bidSmall[e])
+		}
+	}
+	if err := r.end(); err != nil {
 		return err
 	}
-	if len(st.CreditSmall) != pd.u {
-		return fmt.Errorf("core: PD-OMFLP state has %d credit rows for universe %d", len(st.CreditSmall), pd.u)
+
+	restoreFacilities(pd.fx, facs)
+	if n > 0 { // an empty state leaves the fresh instance's nil slices
+		pd.fx.sol.Assign = assign
+		pd.points = points
+		pd.demandIDs = demandIDs
+		pd.duals = duals
+		pd.facBoundary = facBoundary
+		pd.creditLarge = creditLarge
 	}
-	if err := restoreFacilities(pd.fx, st.Facilities); err != nil {
-		return err
-	}
-	pd.fx.sol.Assign = st.Assign
-	pd.points = st.Points
-	pd.demandIDs = st.DemandIDs
-	pd.duals = st.Duals
-	pd.facBoundary = st.FacBoundary
-	for e := range pd.creditSmall {
-		pd.creditSmall[e] = creditsFromState(st.CreditSmall[e])
-		if len(pd.creditSmall[e]) > 0 {
+	pd.creditSmall = creditSmall
+	for e, credits := range creditSmall {
+		if len(credits) > 0 {
 			// liveSmall is derived state (the commodities with credits);
 			// ascending order here vs first-credit order on a live instance
 			// is fine — refresh sweeps treat rows independently.
 			pd.liveSmall = append(pd.liveSmall, e)
 		}
 	}
-	pd.creditLarge = creditsFromState(st.CreditLarge)
+	// Summed row by row in arrival order, as the serve loops add them, so
+	// DualTotal stays bit-identical across the round trip.
+	for _, row := range duals {
+		for _, v := range row {
+			pd.dualSum += v
+		}
+	}
 	// The threshold cache is derived from the bid rows; drop any stale one
 	// so serveEvent rebuilds it against the restored state.
 	pd.thr = nil
-	if pd.naiveBids {
-		return nil // reference mode recomputes bids per arrival
-	}
-	if st.BidLarge != nil {
-		// State from an incremental instance: adopt the exact accumulator
-		// values (bit-identical continuation).
-		if len(st.BidSmall) != pd.u || len(st.BidLarge) != len(pd.ct.cands) {
-			return fmt.Errorf("core: PD-OMFLP state bid rows do not match universe/candidates")
-		}
-		for e, row := range st.BidSmall {
-			if row != nil && len(row) != len(pd.ct.cands) {
-				return fmt.Errorf("core: PD-OMFLP state bid row %d has %d entries, want %d", e, len(row), len(pd.ct.cands))
-			}
-			pd.bidSmall[e] = row
-		}
-		pd.bidLarge = st.BidLarge
-		return nil
-	}
-	// State from a naive reference instance: rebuild the accumulators from
-	// the (current) credit values.
-	for e, credits := range pd.creditSmall {
-		for _, cr := range credits {
-			pd.addBidRestored(e, cr)
-		}
-	}
-	for _, cr := range pd.creditLarge {
-		pd.addBid(pd.bidLarge, cr.point, cr.credit, nil)
+	if !pd.naiveBids {
+		// Reference instances recompute bids per arrival: their rows are
+		// checked above but not kept.
+		pd.bidSmall = bidSmall
+		pd.bidLarge = bidLarge
 	}
 	return nil
 }
 
-// addBidRestored folds one restored small credit into commodity e's bid row,
-// allocating the row on first use exactly like addCreditSmall.
-func (pd *PDOMFLP) addBidRestored(e int, cr pdCredit) {
-	row := pd.bidSmall[e]
-	if row == nil {
-		row = make([]float64, len(pd.ct.cands))
-		pd.bidSmall[e] = row
-	}
-	pd.addBid(row, cr.point, cr.credit, nil)
-}
-
-// randState is RAND-OMFLP's serialized state. The rng position is recorded
+// MarshalState implements online.StateCodec. The rng position is recorded
 // as the number of coin flips drawn: a freshly constructed instance with the
-// same seed fast-forwards its generator by Draws to resume the identical
-// random stream (O(Draws) at a few ns per draw — cheap next to replaying
+// same seed fast-forwards its generator by that count to resume the
+// identical random stream (a few ns per draw — cheap next to replaying
 // arrivals, and the only way to serialize math/rand's opaque source).
-type randState struct {
-	Schema     int `json:"schema"`
-	Universe   int `json:"universe"`
-	Candidates int `json:"candidates"`
-
-	Facilities []facilityState `json:"facilities"`
-	Assign     [][]int         `json:"assign"`
-	Served     int             `json:"served"`
-	Draws      int64           `json:"draws"`
-}
-
-// MarshalState implements online.StateCodec.
+//
+// Layout after the schema byte, universe and candidate count (uvarints):
+// facilities (see encodeFacilities); served arrivals n and assignment links
+// L (total); n × (link count, then each link's facility index); draws.
 func (ra *RandOMFLP) MarshalState() ([]byte, error) {
-	st := randState{
-		Schema:     stateSchema,
-		Universe:   ra.u,
-		Candidates: ra.nCands,
-		Facilities: facilitiesToState(ra.fx),
-		Assign:     ra.fx.sol.Assign,
-		Served:     len(ra.fx.sol.Assign),
-		Draws:      ra.draws,
+	assign := ra.fx.sol.Assign
+	links := 0
+	for _, row := range assign {
+		links += len(row)
 	}
-	return json.Marshal(&st)
+	return encodeState(func(w *stateWriter) {
+		w.uint(stateSchema)
+		w.uint(ra.u)
+		w.uint(ra.nCands)
+		encodeFacilities(w, ra.fx)
+		w.uint(len(assign))
+		w.uint(links)
+		for _, row := range assign {
+			w.uint(len(row))
+			for _, f := range row {
+				w.uint(f)
+			}
+		}
+		w.uint(int(ra.draws))
+	}), nil
 }
 
 // UnmarshalState implements online.StateCodec; the receiver must be freshly
@@ -224,31 +305,61 @@ func (ra *RandOMFLP) UnmarshalState(data []byte) error {
 	if len(ra.fx.sol.Facilities) != 0 || len(ra.fx.sol.Assign) != 0 || ra.draws != 0 {
 		return fmt.Errorf("core: RAND-OMFLP state restore needs a fresh instance")
 	}
-	var st randState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: RAND-OMFLP state: %v", err)
+	r := &stateReader{alg: "RAND-OMFLP", data: data}
+	r.header(ra.u, ra.nCands)
+	facs := decodeFacilities(r, ra.space.Len(), ra.u)
+	n, links := r.uint(), r.uint()
+	if rem := len(r.data); r.err == nil && (n > rem || links > rem || n+links > rem) {
+		r.fail("%d arrivals and %d links cannot fit in %d bytes", n, links, rem)
 	}
-	if err := checkStateHeader("RAND-OMFLP", st.Schema, st.Universe, ra.u, st.Candidates, ra.nCands); err != nil {
-		return err
+	if r.err != nil {
+		return r.err
 	}
-	if st.Served != len(st.Assign) {
-		return fmt.Errorf("core: RAND-OMFLP state served %d requests but carries %d assignments", st.Served, len(st.Assign))
-	}
-	if err := restoreFacilities(ra.fx, st.Facilities); err != nil {
-		return err
-	}
-	ra.fx.sol.Assign = st.Assign
-	for _, f := range st.Facilities {
-		if f.Large {
-			ra.largeOpen[f.Point] = true
-		} else {
-			ra.smallOpen[[2]int{f.E, f.Point}] = true
+	assign := make([][]int, n)
+	linkFlat := make([]int, links)
+	l := 0
+	for i := 0; i < n && r.err == nil; i++ {
+		if m := r.below(links-l+1, "link count"); m > 0 {
+			row := linkFlat[l : l+m : l+m]
+			for j := range row {
+				row[j] = r.below(len(facs), "assigned facility")
+			}
+			assign[i] = row
+			l += m
 		}
 	}
-	for i := int64(0); i < st.Draws; i++ {
+	if r.err == nil && l != links {
+		r.fail("arrivals carry %d of %d links", l, links)
+	}
+	// An arrival flips at most one coin per cost class of each commodity
+	// and of the full configuration.
+	flips := len(ra.largeClasses.values)
+	for _, tc := range ra.smallClasses {
+		flips += len(tc.values)
+	}
+	draws := r.uint()
+	if r.err == nil && draws > n*flips {
+		r.fail("%d coin flips exceed %d per arrival over %d arrivals", draws, flips, n)
+	}
+	if err := r.end(); err != nil {
+		return err
+	}
+
+	restoreFacilities(ra.fx, facs)
+	if n > 0 { // an empty state leaves the fresh instance's nil slice
+		ra.fx.sol.Assign = assign
+	}
+	for _, f := range facs {
+		if f.kind == 0 {
+			ra.largeOpen[f.point] = true
+		} else {
+			ra.smallOpen[[2]int{f.kind - 1, f.point}] = true
+		}
+	}
+	for i := 0; i < draws; i++ {
 		ra.rng.Float64()
 	}
-	ra.draws = st.Draws
+	ra.draws = int64(draws)
 	return nil
 }
 
@@ -260,7 +371,8 @@ type heavyState struct {
 	Schema   int `json:"schema"`
 	Universe int `json:"universe"`
 
-	Inner json.RawMessage `json:"inner"`
+	// Inner is the inner PD-OMFLP's binary state (base64 in the document).
+	Inner []byte          `json:"inner"`
 	Heavy []heavySubState `json:"heavy,omitempty"`
 
 	Facilities    []heavyFacilityState `json:"facilities"`
@@ -365,71 +477,55 @@ func (ha *HeavyAware) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// facilitiesToState serializes a facility index's open facilities in opening
-// order with explicit small/large kinds.
-func facilitiesToState(fx *facilityIndex) []facilityState {
-	large := make(map[int]bool, len(fx.large))
-	for _, idx := range fx.large {
-		large[idx] = true
-	}
-	out := make([]facilityState, len(fx.sol.Facilities))
-	for i, f := range fx.sol.Facilities {
-		if large[i] {
-			out[i] = facilityState{Point: f.Point, Large: true}
-		} else {
-			out[i] = facilityState{Point: f.Point, E: f.Config.IDs()[0]}
-		}
-	}
-	return out
+// facilityState is one open facility as decoded state: kind 0 is a large
+// facility offering the full universe, kind 1+e a small one offering
+// commodity e. The explicit kind matters: in a universe of size 1 a large
+// facility's configuration equals the singleton's, so the configuration
+// alone cannot distinguish them.
+type facilityState struct {
+	point, kind int
 }
 
-// restoreFacilities replays the serialized opening sequence through a fresh
+// encodeFacilities writes a facility index's open facilities in opening
+// order: the count, then (point, kind) per facility.
+func encodeFacilities(w *stateWriter, fx *facilityIndex) {
+	w.uint(len(fx.sol.Facilities))
+	large := fx.large // ascending facility indices
+	for i, f := range fx.sol.Facilities {
+		w.uint(f.Point)
+		if len(large) > 0 && large[0] == i {
+			w.uint(0)
+			large = large[1:]
+		} else {
+			w.uint(1 + f.Config.Min())
+		}
+	}
+}
+
+// decodeFacilities reads what encodeFacilities wrote, range-checking points
+// and commodities.
+func decodeFacilities(r *stateReader, points, universe int) []facilityState {
+	facs := make([]facilityState, r.count(2, "facilities"))
+	for i := range facs {
+		facs[i] = facilityState{point: r.below(points, "facility point"), kind: r.below(universe+1, "facility kind")}
+	}
+	return facs
+}
+
+// restoreFacilities replays the decoded opening sequence through a fresh
 // facility index, rebuilding the per-commodity lists (and leaving the
 // nearest caches to refill lazily with identical tie-breaking).
-func restoreFacilities(fx *facilityIndex, facs []facilityState) error {
+func restoreFacilities(fx *facilityIndex, facs []facilityState) {
+	if len(facs) > 0 {
+		fx.sol.Facilities = make([]instance.Facility, 0, len(facs))
+	}
 	for _, f := range facs {
-		if f.Point < 0 || f.Point >= fx.space.Len() {
-			return fmt.Errorf("core: state facility at point %d outside space of %d points", f.Point, fx.space.Len())
+		if f.kind == 0 {
+			fx.openLarge(f.point)
+		} else {
+			fx.openSmall(f.kind-1, f.point)
 		}
-		if f.Large {
-			fx.openLarge(f.Point)
-			continue
-		}
-		if f.E < 0 || f.E >= fx.u {
-			return fmt.Errorf("core: state facility for commodity %d outside universe of %d", f.E, fx.u)
-		}
-		fx.openSmall(f.E, f.Point)
 	}
-	return nil
-}
-
-func creditsToState(credits []pdCredit) []creditState {
-	out := make([]creditState, len(credits))
-	for i, cr := range credits {
-		out[i] = creditState{Point: cr.point, Credit: cr.credit}
-	}
-	return out
-}
-
-func creditsFromState(credits []creditState) []pdCredit {
-	out := make([]pdCredit, len(credits))
-	for i, cr := range credits {
-		out[i] = pdCredit{point: cr.Point, credit: cr.Credit}
-	}
-	return out
-}
-
-func checkStateHeader(alg string, schema, universe, wantU, cands, wantCands int) error {
-	if schema != stateSchema {
-		return fmt.Errorf("core: %s state schema %d, want %d", alg, schema, stateSchema)
-	}
-	if universe != wantU {
-		return fmt.Errorf("core: %s state universe %d, want %d", alg, universe, wantU)
-	}
-	if cands != wantCands {
-		return fmt.Errorf("core: %s state has %d candidates, want %d", alg, cands, wantCands)
-	}
-	return nil
 }
 
 // Interface conformance (compile-time): the core algorithms and the ofl

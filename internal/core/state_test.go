@@ -1,8 +1,11 @@
 package core
 
 import (
+	"math"
 	"math/rand"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/commodity"
@@ -280,4 +283,83 @@ func TestStateSingletonUniverse(t *testing.T) {
 	assertSuffixIdentical(t, rig, 15,
 		NewRandOMFLP(space, costs, Options{}, rand.New(rand.NewSource(4))),
 		func() online.Algorithm { return NewRandOMFLP(space, costs, Options{}, rand.New(rand.NewSource(4))) })
+}
+
+// TestPDDualTotalIsRowSum: DualTotal is a running sum, so it must stay
+// bit-identical to summing the frozen dual rows afresh in arrival order — on
+// both serve loops, and after a restore.
+func TestPDDualTotalIsRowSum(t *testing.T) {
+	rowSum := func(pd *PDOMFLP) float64 {
+		_, duals, _ := pd.Duals()
+		var sum float64
+		for _, row := range duals {
+			for _, v := range row {
+				sum += v
+			}
+		}
+		return sum
+	}
+	rig := newStateRig(9, 120)
+	for _, tc := range []struct {
+		name string
+		mk   func() *PDOMFLP
+	}{
+		{"event", func() *PDOMFLP { return NewPDOMFLP(rig.space, rig.costs, Options{}) }},
+		{"reference", func() *PDOMFLP { return NewPDReference(rig.space, rig.costs, Options{}) }},
+	} {
+		pd := tc.mk()
+		for i, r := range rig.requests {
+			pd.Serve(r)
+			if got, want := math.Float64bits(pd.DualTotal()), math.Float64bits(rowSum(pd)); got != want {
+				t.Fatalf("%s: after arrival %d DualTotal bits %#x, row sum bits %#x", tc.name, i, got, want)
+			}
+		}
+		blob, err := pd.MarshalState()
+		if err != nil {
+			t.Fatal(err)
+		}
+		back := tc.mk()
+		if err := back.UnmarshalState(blob); err != nil {
+			t.Fatal(err)
+		}
+		if got, want := math.Float64bits(back.DualTotal()), math.Float64bits(rowSum(pd)); got != want {
+			t.Fatalf("%s: restored DualTotal bits %#x, row sum bits %#x", tc.name, got, want)
+		}
+	}
+}
+
+// TestStateRejectsSchema1JSON: a PD state in the JSON layout that preceded
+// the binary codec (testdata/pd_state_schema1.json, marshaled from
+// newStateRig(2, 10) by that build) fails with an error naming the old
+// schema rather than misparsing.
+func TestStateRejectsSchema1JSON(t *testing.T) {
+	blob, err := os.ReadFile("testdata/pd_state_schema1.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rig := newStateRig(2, 10)
+	err = NewPDOMFLP(rig.space, rig.costs, Options{}).UnmarshalState(blob)
+	if err == nil || !strings.Contains(err.Error(), "schema 1") {
+		t.Fatalf("restore of a schema-1 JSON state: err = %v, want one naming schema 1", err)
+	}
+}
+
+// TestStateMarshalIsOneAllocation: the engine seals a tenant's state every
+// SealEvery arrivals, so the encoders size their output exactly and
+// allocate nothing else.
+func TestStateMarshalIsOneAllocation(t *testing.T) {
+	rig := newStateRig(3, 200)
+	pd := NewPDOMFLP(rig.space, rig.costs, Options{})
+	ra := NewRandOMFLP(rig.space, rig.costs, Options{}, rand.New(rand.NewSource(3)))
+	for _, r := range rig.requests {
+		pd.Serve(r)
+		ra.Serve(r)
+	}
+	for _, sc := range []online.StateCodec{pd, ra} {
+		var blob []byte
+		allocs := testing.AllocsPerRun(10, func() { blob, _ = sc.MarshalState() })
+		if allocs != 1 || len(blob) != cap(blob) {
+			t.Errorf("%T: marshal made %v allocations for %d bytes (cap %d), want 1 exactly sized", sc, allocs, len(blob), cap(blob))
+		}
+	}
 }

@@ -4,11 +4,13 @@ import (
 	"bytes"
 	"compress/flate"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"os"
 	"path/filepath"
 	"sort"
+	"strings"
 	"sync"
 
 	"repro/internal/commodity"
@@ -42,20 +44,20 @@ type Checkpoint struct {
 	Version   int    `json:"version"`
 	Algorithm string `json:"algorithm"`
 	Seed      int64  `json:"seed"`
-	// Compression flags how tenant base states are encoded: "" for inline
-	// JSON in base_state, CompressionFlate for flate-compressed bytes in
-	// base_state_z. WriteFile compresses; ReadCheckpointFile and Restore
-	// transparently decompress, so uncompressed v2 (and v1) checkpoints
-	// remain restorable.
+	// Compression flags how tenant base states are stored: "" for the raw
+	// state bytes in base_state, CompressionFlate for flate-compressed
+	// bytes in base_state_z (both base64 in the JSON document). WriteFile
+	// compresses; ReadCheckpointFile and Restore transparently decompress,
+	// so uncompressed v2 (and v1) checkpoints remain restorable.
 	Compression string             `json:"compression,omitempty"`
 	Tenants     []TenantCheckpoint `json:"tenants"`
 }
 
 // CompressionFlate marks base states stored flate-compressed (RFC 1951) in
 // the base_state_z field. The base states are the bulk of a v2 checkpoint —
-// per-request duals and credit ledgers serialize to highly redundant JSON —
-// so compressing just them recovers most of the size v2 pays over v1 while
-// the arrival tails stay greppable.
+// PD's per-request duals and credit ledgers, whose indices and repeated
+// values compress well even in the binary state layout — so compressing
+// just them shrinks the document while the arrival tails stay greppable.
 const CompressionFlate = "flate"
 
 // TenantCheckpoint is one tenant's restorable record.
@@ -65,9 +67,10 @@ type TenantCheckpoint struct {
 
 	// BaseState is the tenant algorithm's serialized state at BaseServed
 	// arrivals (online.StateCodec), with the cost accounting frozen at
-	// that moment. Absent (v1 checkpoints, or never-sealed v2 tenants)
-	// the tenant restores from genesis.
-	BaseState json.RawMessage `json:"base_state,omitempty"`
+	// that moment: opaque bytes whose layout the algorithm owns. Absent
+	// (v1 checkpoints, or never-sealed v2 tenants) the tenant restores
+	// from genesis.
+	BaseState []byte `json:"base_state,omitempty"`
 	// BaseStateZ is BaseState flate-compressed (checkpoints with the
 	// Compression header set); exactly one of the two is present.
 	BaseStateZ       []byte  `json:"base_state_z,omitempty"`
@@ -449,8 +452,8 @@ func (ck *Checkpoint) Compressed() (*Checkpoint, error) {
 
 // Decompress normalizes the checkpoint in place: compressed base states are
 // inflated back into BaseState and the Compression header cleared, so every
-// consumer downstream sees the inline-JSON layout regardless of how the
-// artifact was encoded. Uncompressed checkpoints are left untouched.
+// consumer downstream sees raw state bytes regardless of how the artifact
+// was encoded. Uncompressed checkpoints are left untouched.
 func (ck *Checkpoint) Decompress() error {
 	out, err := ck.decompressed()
 	if err != nil {
@@ -559,6 +562,10 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 	}
 	var ck Checkpoint
 	if err := json.Unmarshal(data, &ck); err != nil {
+		var te *json.UnmarshalTypeError
+		if errors.As(err, &te) && te.Value == "object" && strings.HasSuffix(te.Field, "base_state") {
+			return nil, fmt.Errorf("engine: checkpoint %s: a tenant base_state is an inline JSON object, the schema-1 JSON state layout this build no longer reads (only v1 arrival-history checkpoints of that build still restore)", path)
+		}
 		return nil, fmt.Errorf("engine: checkpoint %s: %v", path, err)
 	}
 	if err := ck.Decompress(); err != nil {

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -629,4 +630,26 @@ func TestCheckpointCompression(t *testing.T) {
 		t.Fatal(err)
 	}
 	verify("uncompressed-v2", &plain)
+}
+
+// TestCheckpointSchema1StatesRefused: checkpoints written before the binary
+// state codec carry JSON base states — inline objects in uncompressed
+// documents, flate-compressed JSON in WriteFile artifacts (both fixtures
+// were captured by that build with SealEvery 8). Either must fail with an
+// error naming the old schema, never panic or misparse.
+func TestCheckpointSchema1StatesRefused(t *testing.T) {
+	_, err := ReadCheckpointFile("testdata/checkpoint_schema1_inline.json")
+	if err == nil || !strings.Contains(err.Error(), "schema-1") {
+		t.Errorf("inline JSON base_state: err = %v, want one naming the schema-1 layout", err)
+	}
+
+	ck, err := ReadCheckpointFile("testdata/checkpoint_schema1_flate.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	e := New(Config{Algorithm: "pd", Shards: 1, Seed: 7, RecordArrivals: true})
+	defer e.Close()
+	if _, err := e.Restore(ck); err == nil || !strings.Contains(err.Error(), "schema 1") {
+		t.Errorf("flate-compressed JSON base state: err = %v, want one naming schema 1", err)
+	}
 }

@@ -887,8 +887,9 @@ type SnapshotFacility struct {
 }
 
 // snapshot must run on the tenant's shard goroutine. With compact set the
-// per-arrival assignment history is skipped entirely (never copied), so the
-// cost of a compact snapshot is O(facilities) regardless of stream length.
+// per-arrival assignment history is skipped entirely (never copied) and the
+// dual total is read from PD's running sum, so the cost of a compact
+// snapshot is O(facilities) regardless of stream length.
 func (t *tenant) snapshot(algName string, compact bool) *TenantSnapshot {
 	sol := t.alg.Solution()
 	snap := &TenantSnapshot{
