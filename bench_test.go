@@ -8,8 +8,10 @@ package omflp
 
 import (
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/commodity"
@@ -145,6 +147,62 @@ func BenchmarkPDUniverseScaling(b *testing.B) {
 			}
 		})
 	}
+}
+
+// BenchmarkPDDeepHistory serves one PD tenant through a long history in the
+// shape of the serving benchmark's `deep` workload (|S| = 32, 200 points
+// uniform in the unit square, an explicit distance matrix, f(k) = 1.5·k^0.6,
+// 1–4 Zipf-popular commodities per arrival), so `go test -bench` reproduces
+// that workload's core ledger row without the serving stack. It reports
+// ns/arrival and allocs/arrival.
+func BenchmarkPDDeepHistory(b *testing.B) {
+	const u, points, arrivals = 32, 200, 65536
+	rng := rand.New(rand.NewSource(1))
+	xs, ys := make([]float64, points), make([]float64, points)
+	for i := range xs {
+		xs[i], ys[i] = rng.Float64(), rng.Float64()
+	}
+	d := make([][]float64, points)
+	for i := range d {
+		d[i] = make([]float64, points)
+		for j := range d[i] {
+			d[i][j] = math.Hypot(xs[i]-xs[j], ys[i]-ys[j])
+		}
+	}
+	bySize := make([]float64, u+1)
+	for k := 1; k <= u; k++ {
+		bySize[k] = 1.5 * math.Pow(float64(k), 0.6)
+	}
+	costs, err := cost.NewTable(bySize)
+	if err != nil {
+		b.Fatal(err)
+	}
+	space := metric.NewMatrix(d)
+	zipf := rand.NewZipf(rng, 1.2, 1, u-1)
+	reqs := make([]instance.Request, arrivals)
+	for i := range reqs {
+		var ids []int
+		for k := 1 + rng.Intn(4); len(ids) < k; {
+			if c := int(zipf.Uint64()); !slices.Contains(ids, c) {
+				ids = append(ids, c)
+			}
+		}
+		reqs[i] = instance.Request{Point: rng.Intn(points), Demands: commodity.New(ids...)}
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pd := core.NewPDOMFLP(space, costs, core.Options{})
+		for _, r := range reqs {
+			pd.Serve(r)
+		}
+	}
+	b.StopTimer()
+	runtime.ReadMemStats(&after)
+	served := float64(b.N) * arrivals
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/served, "ns/arrival")
+	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/served, "allocs/arrival")
 }
 
 // BenchmarkRandOnlineThroughput: RAND-OMFLP across n.

@@ -158,27 +158,36 @@
 // one arrival, everything the four tightness constraints read — nearest
 // facility distances, the incremental bid accumulators, candidate opening
 // costs — is static until the event loop ends, so Serve hoists the
-// candidate scans out of the loop: one O(k·|candidates|) pass per arrival
-// precomputes, per demanded commodity, the minimum Constraint (3) threshold
-// (and the Constraint (4) analogue), after which every raise event costs
-// O(k) over four scalars per commodity; the exact pre-refactor candidate
-// scan runs only once per commodity at freeze time to resolve the
-// nearest-tight-candidate tie-break, so solutions stay byte-identical (a
-// conservative rounding margin decides when the scalar prefilter must
-// defer to the exact scan). The bid sums themselves are maintained
-// incrementally — per (commodity, candidate) accumulators updated when a
-// credit is added or lowered. Credit-ledger sweeps after a facility opens
-// read (candidate, point) distances through the shared cost-table cache,
-// skip commodities that never recorded a credit, and are skipped entirely
-// when a request connects to an already-open large facility (provably a
-// no-op: credits are invariantly bounded by their distance to every
-// already-open facility). Per-arrival working memory lives in reusable
-// scratch buffers, so the hot path allocates only what it retains (the
-// frozen dual row and the assignment links). The pre-refactor loop is kept
-// verbatim behind core.NewPDLoopReference, and the naive
-// rebuild-bids-from-history loop behind core.NewPDReference, as
-// differential oracles; the perf experiment times all three (BENCH_pd.json,
-// BENCH_algos.json) and CI gates on the event-driven loop beating the
+// candidate scans out of the loop: per demanded commodity it computes the
+// minimum Constraint (3) threshold (and the Constraint (4) analogue) once
+// per arrival, after which every raise event costs O(k) over four scalars
+// per commodity; the exact pre-refactor candidate scan runs only once per
+// commodity at freeze time to resolve the nearest-tight-candidate
+// tie-break, so solutions stay byte-identical (a conservative rounding
+// margin decides when the scalar prefilter must defer to the exact scan).
+// The cost table keeps, beside each point's candidate distance row, the
+// candidate indices ordered by that distance, and the per-arrival
+// thresholds come from two bounded scans per bid row over that order:
+// nearest-first until no farther candidate can lower the minimum,
+// farthest-first until no nearer one can raise the magnitude bound, each
+// cut off by a per-row bound on the bid terms. Rounding is monotone, so
+// the scans return exactly the element a full scan returns (the invariants
+// build checks every one against it). The bid sums themselves are
+// maintained incrementally — per (commodity, candidate) accumulators
+// updated when a credit is added or lowered, visiting only the candidates
+// nearer to the credit's point than the credit, nearest-first. Credit-ledger
+// sweeps after a facility opens read the new facility's distance column
+// once instead of a distance row per credit, skip commodities that never
+// recorded a credit, and are skipped entirely when a request connects to
+// an already-open large facility (provably a no-op: credits are
+// invariantly bounded by their distance to every already-open facility).
+// Per-arrival working memory lives in reusable scratch buffers, so the hot
+// path allocates only what it retains (the frozen dual row and the
+// assignment links). The pre-refactor loop is kept verbatim behind
+// core.NewPDLoopReference, and the naive rebuild-bids-from-history loop
+// behind core.NewPDReference, as differential oracles; the perf experiment
+// times all three, each as the median of repeated passes (BENCH_pd.json,
+// BENCH_algos.json), and CI gates on the event-driven loop beating the
 // incremental baseline. Nearest-facility queries and RAND-OMFLP's class-
 // distance budget minima are answered from per-point incremental caches, so
 // serve throughput no longer degrades linearly in the number of open

@@ -11,6 +11,9 @@
 package core
 
 import (
+	"cmp"
+	"slices"
+
 	"repro/internal/commodity"
 	"repro/internal/cost"
 	"repro/internal/instance"
@@ -175,19 +178,28 @@ const infinity = 1e308
 // shared by both algorithms. It also caches, per point of the space, the
 // distances from every candidate to that point: the dCand vector of the
 // PD Serve loop and the per-credit distance lookups of the incremental bid
-// accumulators both read the same rows, so each (candidate, point) distance
-// is computed at most once over the whole run.
+// accumulators both read the same rows, so each row is computed once over
+// the whole run (credit refreshes read a column instead; see column).
+// Beside each row it keeps the candidate indices ordered by that distance
+// (ties by index), so PD's bid updates and threshold scans visit candidates
+// nearest-first and stop as soon as no farther candidate can matter.
 type costTable struct {
 	space    metric.Space
 	cands    []int
 	single   [][]float64 // [e][candIdx]
 	full     []float64   // [candIdx]
 	distRows [][]float64 // [point][candIdx], filled lazily by distTo
+	byDist   [][]int32   // [point]: candIdx by ascending distRows[point], filled with the row
 }
 
 func buildCostTable(space metric.Space, costs cost.Model, cands []int) *costTable {
 	u := costs.Universe()
-	t := &costTable{space: space, cands: cands, distRows: make([][]float64, space.Len())}
+	t := &costTable{
+		space:    space,
+		cands:    cands,
+		distRows: make([][]float64, space.Len()),
+		byDist:   make([][]int32, space.Len()),
+	}
 	t.single = make([][]float64, u)
 	fullSet := commodity.Full(u)
 	for e := 0; e < u; e++ {
@@ -205,16 +217,43 @@ func buildCostTable(space metric.Space, costs cost.Model, cands []int) *costTabl
 	return t
 }
 
-// distTo returns the distances from every candidate to point p, computing
-// and caching the row on first use.
-func (t *costTable) distTo(p int) []float64 {
+// distTo returns the distances from every candidate to point p and the
+// candidate indices ordered by them, nearest first (ties by index),
+// computing and caching both on first use.
+func (t *costTable) distTo(p int) ([]float64, []int32) {
 	if row := t.distRows[p]; row != nil {
-		return row
+		return row, t.byDist[p]
 	}
 	row := make([]float64, len(t.cands))
+	order := make([]int32, len(t.cands))
 	for ci, m := range t.cands {
 		row[ci] = t.space.Distance(m, p)
+		order[ci] = int32(ci)
 	}
+	slices.SortFunc(order, func(a, b int32) int {
+		if c := cmp.Compare(row[a], row[b]); c != 0 {
+			return c
+		}
+		return cmp.Compare(a, b)
+	})
 	t.distRows[p] = row
-	return row
+	t.byDist[p] = order
+	return row, order
+}
+
+// column returns the distances from candidate ci to every point of the
+// space, written into buf (grown as needed). They come from the same
+// Distance(cands[ci], q) calls that fill the rows, so column(ci)[q] equals
+// the row distTo(q) holds at ci, bit for bit.
+func (t *costTable) column(ci int, buf []float64) []float64 {
+	n := t.space.Len()
+	if cap(buf) < n {
+		buf = make([]float64, n)
+	}
+	col := buf[:n]
+	m := t.cands[ci]
+	for q := range col {
+		col[q] = t.space.Distance(m, q)
+	}
+	return col
 }

@@ -74,8 +74,9 @@ func TestCreditInvariantViolationPanics(t *testing.T) {
 
 // TestBidConsistencyViolationPanics corrupts an incremental bid accumulator
 // and checks that the next arrival trips the differential assertion. The
-// threshold cache is invalidated first so its (earlier) oracle check sees a
-// self-consistent — if corrupt — row and defers to the bid assertion.
+// row's scan bound is recomputed first so the bounded threshold scan's
+// (earlier) oracle check sees a self-consistent — if corrupt — row and
+// defers to the bid assertion.
 func TestBidConsistencyViolationPanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	u := 2
@@ -83,24 +84,26 @@ func TestBidConsistencyViolationPanics(t *testing.T) {
 	pd := NewPDOMFLP(space, cost.PowerLaw(u, 1, 1.5), Options{})
 	serveRandom(pd, rng, space, u, 20)
 	pd.bidLarge[0] += 0.5
-	pd.thr.large.invalidate()
+	pd.boundLarge = rowBound(pd.ct.full, pd.bidLarge)
 	mustPanic(t, "invariant violation: large bid row", func() {
 		pd.Serve(instance.Request{Point: 0, Demands: commodity.New(0)})
 	})
 }
 
-// TestThresholdCacheDivergencePanics corrupts a bid accumulator without
-// telling the threshold cache and checks that the cache's oracle
-// cross-check — which fires before the bid assertion — catches the stale
-// cached minima on the next arrival.
+// TestThresholdCacheDivergencePanics corrupts the large bid of the
+// candidate farthest from the next arrival by a large amount without
+// widening the row's scan bound, so the nearest-first bounded scan stops
+// before it, and checks that the oracle cross-check — which fires before
+// the bid assertion — catches the divergent minimum.
 func TestThresholdCacheDivergencePanics(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	u := 2
 	space := metric.RandomLine(rng, 5, 10)
 	pd := NewPDOMFLP(space, cost.PowerLaw(u, 1, 1.5), Options{})
 	serveRandom(pd, rng, space, u, 20)
-	pd.bidLarge[0] += 0.5
-	mustPanic(t, "threshold cache diverged", func() {
+	_, byDist := pd.ct.distTo(0)
+	pd.bidLarge[byDist[len(byDist)-1]] += 1e6
+	mustPanic(t, "bounded threshold scan diverged", func() {
 		pd.Serve(instance.Request{Point: 0, Demands: commodity.New(0)})
 	})
 }

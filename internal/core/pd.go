@@ -91,12 +91,13 @@ type PDOMFLP struct {
 	// what it retains (the dual row and the assignment links). Pure
 	// scratch: excluded from MarshalState, never read across arrivals.
 	scratch pdScratch //omflp:nostate — per-arrival scratch, never read across arrivals
-	// thr caches the event loop's threshold minima (t3/m3, t4/m4) per
-	// (bid row, point), maintained incrementally as bids change instead of
-	// rescanning every candidate each arrival; see pdThrCache. Derived
-	// state: built lazily by serveEvent, dropped on UnmarshalState, nil on
-	// reference instances.
-	thr *pdThrCache //omflp:nostate — derived cache, rebuilt lazily from the bid rows
+	// boundSmall[e] and boundLarge bound the threshold terms of the bid rows
+	// (bidSmall[e], or zeroBids while e has no credits, and bidLarge) so
+	// the event loop's threshold scans can stop early; see pdBound. Derived
+	// from the rows: folded in by addBid, recomputed after a lowering
+	// refresh and on UnmarshalState.
+	boundSmall []pdBound
+	boundLarge pdBound
 	// distHistory backs the Lemma 14 analysis extraction (TraceAnalysis).
 	distHistory map[int][]analysisRecord //omflp:nostate — diagnostic only; MarshalState refuses TraceAnalysis instances
 	// facBoundary[i] = number of facilities after arrival i (for ServeLog).
@@ -125,6 +126,7 @@ type pdScratch struct {
 	temps  []pdTemp
 	opened []int
 	links  []int
+	col    []float64 // distances from a newly opened facility to every point
 }
 
 // reset readies the scratch for an arrival with k demanded commodities. The
@@ -164,7 +166,7 @@ func NewPDOMFLP(space metric.Space, costs cost.Model, opts Options) *PDOMFLP {
 	if len(cands) == 0 {
 		panic("core: PD-OMFLP needs at least one candidate point")
 	}
-	return &PDOMFLP{
+	pd := &PDOMFLP{
 		space:       space,
 		costs:       costs,
 		u:           u,
@@ -175,7 +177,22 @@ func NewPDOMFLP(space metric.Space, costs cost.Model, opts Options) *PDOMFLP {
 		bidSmall:    make([][]float64, u),
 		bidLarge:    make([]float64, len(cands)),
 		zeroBids:    make([]float64, len(cands)),
+		boundSmall:  make([]pdBound, u),
 	}
+	pd.resetBounds()
+	return pd
+}
+
+// resetBounds recomputes every bid row's scan bound from the rows.
+func (pd *PDOMFLP) resetBounds() {
+	for e := range pd.boundSmall {
+		row := pd.bidSmall[e]
+		if row == nil {
+			row = pd.zeroBids
+		}
+		pd.boundSmall[e] = rowBound(pd.ct.single[e], row)
+	}
+	pd.boundLarge = rowBound(pd.ct.full, pd.bidLarge)
 }
 
 // NewPDReference constructs PD-OMFLP with the original per-arrival
@@ -313,42 +330,37 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 		}
 	}
 	bid4 := pd.bidLarge
-	dCand := pd.ct.distTo(p)
+	dCand, byDist := pd.ct.distTo(p)
 
-	// Hoisted candidate thresholds — incrementally maintained across
-	// arrivals by pd.thr (ROADMAP item 5a): each query folds only the
-	// candidates whose bids changed since this (row, point) pair was last
-	// computed, falling back to the full pdScanThresholds oracle scan when
-	// stale. t3[i] keeps the exact association order of the reference
-	// delta expression (single − bids + dCand), so t3[i] − a is
-	// bit-identical to the reference's per-candidate minimum (rounding is
-	// monotone; see pdThrCache for why the fold is byte-exact too).
+	// Hoisted candidate thresholds, one bounded scan pair per bid row (see
+	// pdBound): nearest-first for the minimum, farthest-first for the
+	// magnitude, each stopping once no remaining candidate can change it.
+	// t3[i] keeps the exact association order of the reference delta
+	// expression (single − bids + dCand), so t3[i] − a is bit-identical to
+	// the reference's per-candidate minimum (rounding is monotone).
 	// m3[i]/m4 bound the magnitudes feeding the pdMarginEps safety margin
 	// of the freeze prefilter.
-	if pd.thr == nil {
-		pd.thr = newPDThrCache(pd.u, pd.space.Len())
-	}
 	t3, m3 := s.t3, s.m3
 	for i, e := range ids {
-		t3[i], m3[i] = pd.thr.small[e].query(pd.ct.single[e], bid3[i], dCand, p, pd.thr.nPts)
+		t3[i], m3[i] = pd.boundSmall[e].scan(pd.ct.single[e], bid3[i], dCand, byDist)
 	}
 	t4, m4 := math.Inf(1), 0.0
 	if !pd.opts.DisablePrediction {
-		t4, m4 = pd.thr.large.query(pd.ct.full, bid4, dCand, p, pd.thr.nPts)
+		t4, m4 = pd.boundLarge.scan(pd.ct.full, bid4, dCand, byDist)
 	}
 	if invariantsEnabled {
-		// Differential oracle: every cached threshold must be bit-equal to
-		// the full per-arrival scan it replaces.
+		// Differential oracle: every bounded scan must be bit-equal to the
+		// full scan over every candidate.
 		for i, e := range ids {
 			t, m := pdScanThresholds(pd.ct.single[e], bid3[i], dCand)
-			if t != t3[i] || m != m3[i] { //omflp:floatexact — cache contract is bit-equality with the oracle scan
-				panic("core: PD-OMFLP threshold cache diverged from the oracle scan (t3/m3)")
+			if t != t3[i] || m != m3[i] { //omflp:floatexact — the bounded scan's contract is bit-equality with the oracle scan
+				panic("core: PD-OMFLP bounded threshold scan diverged from the oracle scan (t3/m3)")
 			}
 		}
 		if !pd.opts.DisablePrediction {
 			t, m := pdScanThresholds(pd.ct.full, bid4, dCand)
-			if t != t4 || m != m4 { //omflp:floatexact — cache contract is bit-equality with the oracle scan
-				panic("core: PD-OMFLP threshold cache diverged from the oracle scan (t4/m4)")
+			if t != t4 || m != m4 { //omflp:floatexact — the bounded scan's contract is bit-equality with the oracle scan
+				panic("core: PD-OMFLP bounded threshold scan diverged from the oracle scan (t4/m4)")
 			}
 		}
 	}
@@ -491,7 +503,8 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 		links = []int{largeServed}
 		if largeCi >= 0 {
 			// Constraint (4): a genuinely new facility — sweep the credits.
-			pd.refreshLargeAt(largeCi)
+			s.col = pd.ct.column(largeCi, s.col)
+			pd.refreshLargeAt(s.col)
 		}
 		// Constraint (2) needs no sweep: every credit is recorded as
 		// min{dual, d(F, ·)} against the then-open facilities and only ever
@@ -533,7 +546,8 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 			copy(links, linkBuf)
 		}
 		for _, tmp := range temps {
-			pd.refreshSmallAt(tmp.e, tmp.ci)
+			s.col = pd.ct.column(tmp.ci, s.col)
+			pd.refreshSmallAt(tmp.e, s.col)
 		}
 		s.opened, s.links = opened[:0], linkBuf[:0]
 	}
@@ -629,7 +643,7 @@ func (pd *PDOMFLP) serveReference(r instance.Request) {
 		}
 		bid4 = pd.bidLarge
 	}
-	dCand := pd.ct.distTo(p)
+	dCand, _ := pd.ct.distTo(p)
 
 	a := make([]float64, k)
 	frozen := make([]bool, k)
@@ -818,19 +832,19 @@ func (pd *PDOMFLP) serveReference(r instance.Request) {
 }
 
 // addBid folds one credit's contribution (credit − d(m_ci, p))_+ into a bid
-// row; the single place the bid formula is written for accumulation. When
-// the threshold cache is active, thr records each candidate whose bid
-// actually moved (bids only rise here, so cached minima stay foldable);
-// reference instances pass nil.
-func (pd *PDOMFLP) addBid(row []float64, p int, credit float64, thr *pdThrRow) {
-	dRow := pd.ct.distTo(p)
-	for ci := range row {
-		if b := credit - dRow[ci]; b > 0 {
-			row[ci] += b
-			if thr != nil {
-				thr.note(ci, len(row))
-			}
+// row; the single place the bid formula is written for accumulation. Only
+// candidates nearer to p than the credit contribute (for finite floats,
+// credit − d > 0 exactly when d < credit), so it walks p's candidates
+// nearest-first and stops at the first one at or beyond the credit. Each
+// raised entry is folded into the row's scan bound against its costs base.
+func (pd *PDOMFLP) addBid(row, base []float64, bound *pdBound, p int, credit float64) {
+	dRow, byDist := pd.ct.distTo(p)
+	for _, ci := range byDist {
+		if dRow[ci] >= credit {
+			break
 		}
+		row[ci] += credit - dRow[ci]
+		bound.fold(base[ci], row[ci])
 	}
 }
 
@@ -849,7 +863,7 @@ func (pd *PDOMFLP) addCreditSmall(e, p int, credit float64) {
 		row = make([]float64, len(pd.ct.cands))
 		pd.bidSmall[e] = row
 	}
-	pd.addBid(row, p, credit, pd.thrSmallLog(e))
+	pd.addBid(row, pd.ct.single[e], &pd.boundSmall[e], p, credit)
 }
 
 // addCreditLarge records a new large-facility credit and folds its
@@ -859,18 +873,21 @@ func (pd *PDOMFLP) addCreditLarge(p int, credit float64) {
 	if pd.naiveBids {
 		return
 	}
-	pd.addBid(pd.bidLarge, p, credit, pd.thrLargeLog())
+	pd.addBid(pd.bidLarge, pd.ct.full, &pd.boundLarge, p, credit)
 }
 
 // lowerBid subtracts from row the contribution change of a credit at point p
-// lowered from oldCredit to newCredit (oldCredit > newCredit ≥ 0).
+// lowered from oldCredit to newCredit (oldCredit > newCredit ≥ 0). Like
+// addBid it visits only the candidates nearer to p than the old credit. It
+// leaves the row's scan bound to the event path's refreshes, which
+// recompute it once their sweep is done.
 func (pd *PDOMFLP) lowerBid(row []float64, p int, oldCredit, newCredit float64) {
-	dRow := pd.ct.distTo(p)
-	for ci := range row {
-		ob := oldCredit - dRow[ci]
-		if ob <= 0 {
-			continue
+	dRow, byDist := pd.ct.distTo(p)
+	for _, ci := range byDist {
+		if dRow[ci] >= oldCredit {
+			break
 		}
+		ob := oldCredit - dRow[ci]
 		nb := newCredit - dRow[ci]
 		if nb < 0 {
 			nb = 0
@@ -906,44 +923,39 @@ func (pd *PDOMFLP) naiveLargeBids() []float64 {
 }
 
 // refreshSmallAt lowers the small-facility credits of commodity e after a
-// new facility for e opened at candidate index ci — the event-driven
-// counterpart of refreshCreditsForSmall. It reads the (candidate, point)
-// distances through the costTable rows, which cache exactly
-// Distance(cands[ci], point), so every distance in the sweep is computed at
-// most once over the whole run instead of once per sweep; values are
-// byte-identical to the reference's direct calls.
-func (pd *PDOMFLP) refreshSmallAt(e, ci int) {
+// new facility for e opened — the event-driven counterpart of
+// refreshCreditsForSmall. col is the new facility's distance column
+// (costTable.column), read once per credit instead of a distance row per
+// credit; its values are byte-identical to the reference's direct calls.
+func (pd *PDOMFLP) refreshSmallAt(e int, col []float64) {
 	credits := pd.creditSmall[e]
+	// Event-path only, so the incremental rows are always maintained.
+	row := pd.bidSmall[e]
 	lowered := false
 	for j := range credits {
-		d := pd.ct.distTo(credits[j].point)[ci]
+		d := col[credits[j].point]
 		if d >= credits[j].credit {
 			continue
 		}
-		// Event-path only, so the incremental rows are always maintained.
-		pd.lowerBid(pd.bidSmall[e], credits[j].point, credits[j].credit, d)
+		pd.lowerBid(row, credits[j].point, credits[j].credit, d)
 		credits[j].credit = d
 		lowered = true
 	}
 	if lowered {
-		// Lowered bids can raise thresholds, which the monotone fold cannot
-		// track: stale the cached minima for this row.
-		if r := pd.thrSmallLog(e); r != nil {
-			r.invalidate()
-		}
+		pd.boundSmall[e] = rowBound(pd.ct.single[e], row)
 	}
 }
 
-// refreshLargeAt lowers credits after a new large facility opened at
-// candidate index ci: the facility offers every commodity, so both the
+// refreshLargeAt lowers credits after a new large facility opened, given
+// its distance column: the facility offers every commodity, so both the
 // large credits and every live commodity's small credits shrink. Iterating
 // liveSmall instead of all u rows skips commodities that never recorded a
 // credit (rows are independent, so the order difference vs the reference's
 // ascending sweep cannot change any value).
-func (pd *PDOMFLP) refreshLargeAt(ci int) {
+func (pd *PDOMFLP) refreshLargeAt(col []float64) {
 	lowered := false
 	for j := range pd.creditLarge {
-		d := pd.ct.distTo(pd.creditLarge[j].point)[ci]
+		d := col[pd.creditLarge[j].point]
 		if d >= pd.creditLarge[j].credit {
 			continue
 		}
@@ -952,12 +964,10 @@ func (pd *PDOMFLP) refreshLargeAt(ci int) {
 		lowered = true
 	}
 	if lowered {
-		if r := pd.thrLargeLog(); r != nil {
-			r.invalidate()
-		}
+		pd.boundLarge = rowBound(pd.ct.full, pd.bidLarge)
 	}
 	for _, e := range pd.liveSmall {
-		pd.refreshSmallAt(e, ci)
+		pd.refreshSmallAt(e, col)
 	}
 }
 

@@ -2,131 +2,87 @@ package core
 
 import "math"
 
-// pdThrCache maintains the event loop's per-arrival threshold minima
-// incrementally across arrivals (ROADMAP item 5a). serveEvent needs, per
-// demanded commodity e and arrival point p,
+// serveEvent needs, per demanded commodity e and arrival point p, the
+// threshold minimum and its magnitude bound
 //
 //	t3 = min_ci (single[e][ci] − bids_e[ci] + dCand_p[ci])
 //	m3 = max_ci (|single[e][ci]| + |bids_e[ci]| + dCand_p[ci])
 //
-// (and the Constraint (4) analogue t4/m4 over the large bid row). The
-// candidate costs and distance rows are static; only the bid rows move. So
-// instead of rescanning all candidates every arrival, each bid row keeps an
-// append-only log of the candidate indices whose bid value changed, and
-// each (row, point) pair caches its last computed (t, m) plus a cursor into
-// that log. A query folds only the candidates logged since its cursor:
-// O(changed) instead of O(|cands|) on mostly-idle candidate sets.
+// (and the Constraint (4) analogue t4/m4 over the large bid row). Rather
+// than visiting every candidate, each bid row keeps a pdBound — a lower
+// bound wmin on its terms single − bids and an upper bound amax on
+// |single| + |bids| — and the scans walk the candidates in p's distance
+// order: nearest-first for t until wmin + d ≥ t, farthest-first for m until
+// amax + d ≤ m. No candidate past either stop can change the result.
 //
-// Byte-exactness. The fold is bit-identical to a fresh full scan — not
-// merely close — because min/max selection returns an element of its input
-// set (no accumulation, so no association-dependent rounding) and the two
-// update directions are monotone in floating point:
-//
-//   - addBid only raises bids, and x − bids + y is non-increasing in bids
-//     under round-to-nearest, so every logged candidate's threshold moved
-//     down (and its magnitude term up). min(cachedMin, changed-current)
-//     therefore equals the full min over current values: if the argmin is
-//     unlogged its value is bit-unchanged and already ≤-dominated the
-//     cached min; if logged, its current value is folded directly.
-//   - lowerBid can raise thresholds, which breaks the fold, so it bumps the
-//     row's epoch instead: every cached entry goes stale and the next query
-//     per point falls back to the full scan — the exact per-arrival
-//     precompute this cache replaces, kept verbatim in pdScanThresholds as
-//     the differential oracle (the invariants build cross-checks every
-//     query against it; see serveEvent).
-//
-// The cache is pure derived state: rebuilt lazily after UnmarshalState,
-// never serialized, and never read by the reference loops (naive-bids and
-// refLoop instances keep addBid's log parameter nil).
-type pdThrCache struct {
-	nPts  int
-	small []pdThrRow // [e]; per-point entries allocated on first query
-	large pdThrRow
+// Byte-exactness. Each scan returns exactly the element pdScanThresholds
+// returns: min/max select an element of their input (no accumulation), and
+// floating-point addition is monotone in each argument under
+// round-to-nearest, so a skipped candidate's term satisfies
+// fl(w + d) ≥ fl(wmin + d) ≥ fl(wmin + d_stop) ≥ t (and the mirror image
+// for m). The bounds only have to stay valid, not tight: addBid folds every
+// raised entry in (bids only rise there, so the folded min/max are valid),
+// and a refresh that lowered any credit recomputes its row's bound:
+// lowering can turn a rounding residue of a bid negative and raise |bid|,
+// and a bound left loose makes every later scan of the row visit more.
+// pdScanThresholds is kept verbatim as the oracle: the invariants build
+// compares every scan against it bit for bit (see serveEvent).
+type pdBound struct {
+	wmin float64 // ≤ base[ci] − bids[ci] for every candidate ci
+	amax float64 // ≥ |base[ci]| + |bids[ci]| for every candidate ci
 }
 
-// pdThrRow is the cache's view of one bid row: the change log, the epoch
-// (bumped whenever the monotone-fold story breaks — a lowerBid or a log
-// compaction), and the per-point cached minima.
-type pdThrRow struct {
-	log   []int32
-	epoch uint64
-	at    []pdThrEntry // [point]; nil until the row's first query
-}
-
-// pdThrEntry is one point's cached (t, m) with the log cursor and epoch it
-// was computed at. The zero value (epoch 0) never matches a live row epoch
-// (rows start at epoch 1), so untouched entries always full-scan first.
-type pdThrEntry struct {
-	t, m   float64
-	cursor int32
-	epoch  uint64
-}
-
-// pdThrMaxLogFactor bounds the change log at maxLogFactor·|cands| entries;
-// past it the log is compacted (epoch bump), trading full rescans for
-// bounded memory. Points that query often carry high cursors and rarely
-// hit the bound; points that query rarely would have folded a log longer
-// than a scan anyway.
-const pdThrMaxLogFactor = 4
-
-func newPDThrCache(u, nPts int) *pdThrCache {
-	c := &pdThrCache{nPts: nPts, small: make([]pdThrRow, u)}
-	for e := range c.small {
-		c.small[e].epoch = 1
+// rowBound computes the tight bound of one bid row against its candidate
+// costs.
+func rowBound(base, bids []float64) pdBound {
+	b := pdBound{wmin: math.Inf(1)}
+	for ci := range base {
+		b.fold(base[ci], bids[ci])
 	}
-	c.large.epoch = 1
-	return c
+	return b
 }
 
-// query returns (t, m) for this row at point p against the current base
-// (static candidate costs), bids, and dCand vectors, folding the log tail
-// or falling back to the oracle scan when stale or when folding would cost
-// at least a scan.
-func (r *pdThrRow) query(base, bids, dCand []float64, p, nPts int) (float64, float64) {
-	if r.at == nil {
-		r.at = make([]pdThrEntry, nPts)
+// fold widens the bound to cover one (cost, bid) entry; the terms are
+// written exactly as the scans compute them.
+func (b *pdBound) fold(base, bid float64) {
+	if w := base - bid; w < b.wmin {
+		b.wmin = w
 	}
-	en := &r.at[p]
-	if en.epoch != r.epoch || len(r.log)-int(en.cursor) >= len(base) {
-		t, m := pdScanThresholds(base, bids, dCand)
-		*en = pdThrEntry{t: t, m: m, cursor: int32(len(r.log)), epoch: r.epoch}
-		return t, m
+	if a := math.Abs(base) + math.Abs(bid); a > b.amax {
+		b.amax = a
 	}
-	if int(en.cursor) < len(r.log) {
-		t, m := en.t, en.m
-		for _, ci := range r.log[en.cursor:] {
-			if thr := base[ci] - bids[ci] + dCand[ci]; thr < t {
-				t = thr
-			}
-			if mm := math.Abs(base[ci]) + math.Abs(bids[ci]) + dCand[ci]; mm > m {
-				m = mm
-			}
+}
+
+// scan returns pdScanThresholds(base, bids, dCand) bit for bit, visiting
+// the candidates in byDist order (dCand ascending) only until the bound
+// shows that no remaining candidate can lower t or raise m.
+func (b pdBound) scan(base, bids, dCand []float64, byDist []int32) (t, m float64) {
+	t, m = math.Inf(1), 0
+	for _, ci := range byDist {
+		d := dCand[ci]
+		if b.wmin+d >= t {
+			break
 		}
-		en.t, en.m, en.cursor = t, m, int32(len(r.log))
+		if thr := base[ci] - bids[ci] + d; thr < t {
+			t = thr
+		}
 	}
-	return en.t, en.m
-}
-
-// note appends a changed candidate index (addBid raised its bid) and
-// compacts the log at the size bound.
-func (r *pdThrRow) note(ci int, nCands int) {
-	r.log = append(r.log, int32(ci))
-	if len(r.log) >= pdThrMaxLogFactor*nCands {
-		r.invalidate()
+	for i := len(byDist) - 1; i >= 0; i-- {
+		ci := byDist[i]
+		d := dCand[ci]
+		if b.amax+d <= m {
+			break
+		}
+		if mm := math.Abs(base[ci]) + math.Abs(bids[ci]) + d; mm > m {
+			m = mm
+		}
 	}
+	return t, m
 }
 
-// invalidate marks every cached entry stale: the next query per point runs
-// the full oracle scan.
-func (r *pdThrRow) invalidate() {
-	r.epoch++
-	r.log = r.log[:0]
-}
-
-// pdScanThresholds is the per-arrival threshold precompute of the
-// event-driven loop, verbatim: the O(|cands|) scan the cache's incremental
-// folds replace and are validated against (differential oracle). t keeps
-// the exact association order of the reference delta expression
+// pdScanThresholds is the full O(|cands|) threshold scan, verbatim: the
+// differential oracle the bounded scans are validated against. t keeps the
+// exact association order of the reference delta expression
 // (base − bids + dCand), so t − a stays bit-identical to the reference's
 // per-candidate minimum.
 func pdScanThresholds(base, bids, dCand []float64) (t, m float64) {
@@ -140,21 +96,4 @@ func pdScanThresholds(base, bids, dCand []float64) (t, m float64) {
 		}
 	}
 	return t, m
-}
-
-// thrSmallLog returns the change log of commodity e's small bid row, or nil
-// when the cache is inactive (reference instances never build one).
-func (pd *PDOMFLP) thrSmallLog(e int) *pdThrRow {
-	if pd.thr == nil {
-		return nil
-	}
-	return &pd.thr.small[e]
-}
-
-// thrLargeLog is the Constraint (4) analogue of thrSmallLog.
-func (pd *PDOMFLP) thrLargeLog() *pdThrRow {
-	if pd.thr == nil {
-		return nil
-	}
-	return &pd.thr.large
 }

@@ -27,12 +27,12 @@ import (
 // of its single-commodity OFL instances.
 //
 // Derived caches are deliberately NOT serialized: the facility-index nearest
-// caches, the cost-table distance rows, PD's live-credit commodity list,
-// running dual sum and per-arrival scratch buffers, and RAND's per-point
-// budget caches are pure functions of the serialized state (or pure
-// scratch) and rebuild with the same tie-breaking (earliest-opened facility
-// wins), so a restored instance serves any suffix bit-identically to the
-// original.
+// caches, the cost-table distance rows and their distance-ordered candidate
+// lists, PD's live-credit commodity list, bid-row scan bounds, running dual
+// sum and per-arrival scratch buffers, and RAND's per-point budget caches
+// are pure functions of the serialized state (or pure scratch) and rebuild
+// with the same tie-breaking (earliest-opened facility wins), so a restored
+// instance serves any suffix bit-identically to the original.
 
 // stateSchema versions the serialized state layouts: the schema byte that
 // opens the binary PD and RAND layouts and the schema field of the
@@ -255,15 +255,14 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 			pd.dualSum += v
 		}
 	}
-	// The threshold cache is derived from the bid rows; drop any stale one
-	// so serveEvent rebuilds it against the restored state.
-	pd.thr = nil
 	if !pd.naiveBids {
 		// Reference instances recompute bids per arrival: their rows are
 		// checked above but not kept.
 		pd.bidSmall = bidSmall
 		pd.bidLarge = bidLarge
 	}
+	// The threshold scans' bounds are derived from the bid rows.
+	pd.resetBounds()
 	return nil
 }
 

@@ -371,6 +371,9 @@ func (e *Engine) restoreTenant(tc *TenantCheckpoint) (baseLoaded bool, err error
 	if err != nil {
 		return false, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
 	}
+	if err := metric.CheckMatrix(tc.Distances); err != nil {
+		return false, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
+	}
 	origin := tc.TenantOrigin
 	if err := e.createTenant(tc.Tenant, metric.NewMatrix(tc.Distances), table, &origin); err != nil {
 		return false, err

@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"testing"
 
 	"repro/internal/cost"
@@ -153,5 +154,29 @@ func TestTransferValidation(t *testing.T) {
 	// must succeed on the source (clean deregistration).
 	if err := src.CreateTenant("a", space, costs); err != nil {
 		t.Errorf("re-create after extract failed: %v", err)
+	}
+}
+
+// TestInjectRejectsInvalidMatrix: restoreTenant, behind both checkpoint
+// restore and /inject, refuses a transfer whose distance matrix is not a
+// metric, before any tenant exists.
+func TestInjectRejectsInvalidMatrix(t *testing.T) {
+	src := New(Config{Algorithm: "pd", Shards: 1, Seed: 3})
+	defer src.Close()
+	if err := src.CreateTenant("a", metric.NewLine([]float64{0, 1, 2}), cost.PowerLaw(2, 1, 2)); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := src.ExtractTenant("a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	tf.Distances[0][1], tf.Distances[1][0] = -1, -1
+	dst := New(Config{Algorithm: "pd", Shards: 1, Seed: 3})
+	defer dst.Close()
+	if err := dst.InjectTenant(tf); err == nil || !strings.Contains(err.Error(), "negative") {
+		t.Fatalf("inject of a negative matrix: err = %v, want a rejection", err)
+	}
+	if _, err := dst.Snapshot("a"); !errors.Is(err, ErrUnknownTenant) {
+		t.Errorf("snapshot after rejected inject: err = %v, want ErrUnknownTenant", err)
 	}
 }

@@ -57,15 +57,8 @@ func (e *Engine) ApplyTraced(op Op, rec *obs.OpRecord) error {
 		if err != nil {
 			return fmt.Errorf("engine: create %q: %v", op.Tenant, err)
 		}
-		n := len(op.Distances)
-		if n == 0 {
-			return fmt.Errorf("engine: create %q: empty distance matrix", op.Tenant)
-		}
-		for i, row := range op.Distances {
-			if len(row) != n {
-				return fmt.Errorf("engine: create %q: distance row %d has %d entries, want %d",
-					op.Tenant, i, len(row), n)
-			}
+		if err := metric.CheckMatrix(op.Distances); err != nil {
+			return fmt.Errorf("engine: create %q: %v", op.Tenant, err)
 		}
 		return e.createTenant(op.Tenant, metric.NewMatrix(op.Distances), table, &TenantOrigin{
 			Universe:   op.Universe,

@@ -3,10 +3,13 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
+	"math"
 	"strings"
 	"testing"
 
 	"repro/internal/commodity"
+	"repro/internal/instance"
 )
 
 const opStream = `
@@ -57,6 +60,9 @@ func TestReplayOpsErrors(t *testing.T) {
 		{"demand outside universe", opStream + `{"op":"arrive","tenant":"a","point":0,"demands":[9]}`},
 		{"short cost table", `{"op":"create","tenant":"a","universe":3,"distances":[[0]],"cost_by_size":[0,1]}`},
 		{"ragged matrix", `{"op":"create","tenant":"a","universe":1,"distances":[[0,1],[1]],"cost_by_size":[0,1]}`},
+		{"negative distance", `{"op":"create","tenant":"a","universe":2,"distances":[[0,-1],[-1,0]],"cost_by_size":[0,1,1.5]}`},
+		{"non-zero diagonal", `{"op":"create","tenant":"a","universe":2,"distances":[[5,1],[1,0]],"cost_by_size":[0,1,1.5]}`},
+		{"asymmetric matrix", `{"op":"create","tenant":"a","universe":1,"distances":[[0,1],[2,0]],"cost_by_size":[0,1]}`},
 		{"no matrix", `{"op":"create","tenant":"a","universe":1,"cost_by_size":[0,1]}`},
 	}
 	for _, tc := range cases {
@@ -65,6 +71,24 @@ func TestReplayOpsErrors(t *testing.T) {
 			t.Errorf("%s: no error", tc.name)
 		}
 		e.Close()
+	}
+}
+
+// TestCreateRejectsNonFiniteDistances covers the matrix entries JSON cannot
+// spell: a create op built in Go with an infinite or NaN distance is
+// refused before any tenant exists.
+func TestCreateRejectsNonFiniteDistances(t *testing.T) {
+	e := New(Config{Shards: 1})
+	defer e.Close()
+	for _, v := range []float64{math.Inf(1), math.NaN()} {
+		err := e.Apply(Op{Op: "create", Tenant: "a", Universe: 1,
+			Distances: [][]float64{{0, v}, {v, 0}}, CostBySize: []float64{0, 1}})
+		if err == nil || !strings.Contains(err.Error(), "not finite") {
+			t.Errorf("distance %v: err = %v, want a not-finite rejection", v, err)
+		}
+	}
+	if err := e.Serve("a", instance.Request{Point: 0, Demands: commodity.New(0)}); !errors.Is(err, ErrUnknownTenant) {
+		t.Errorf("serve after rejected creates: err = %v, want ErrUnknownTenant", err)
 	}
 }
 

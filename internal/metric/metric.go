@@ -25,13 +25,16 @@ type Space interface {
 	Name() string
 }
 
+// checkEps is the relative slack Check and CheckMatrix allow on symmetry
+// and Check on the triangle inequality, for floating-point spaces.
+const checkEps = 1e-9
+
 // Check verifies the metric axioms exhaustively in O(n^3). It is intended for
 // tests and small spaces; it returns a descriptive error for the first
-// violated axiom. Non-negativity and symmetry tolerate no error; the triangle
-// inequality allows a tiny relative slack for floating-point spaces.
+// violated axiom. Non-negativity tolerates no error; symmetry and the
+// triangle inequality allow a tiny relative slack for floating-point spaces.
 func Check(s Space) error {
 	n := s.Len()
-	const eps = 1e-9
 	for i := 0; i < n; i++ {
 		if d := s.Distance(i, i); d != 0 {
 			return fmt.Errorf("metric: d(%d,%d) = %g, want 0", i, i, d)
@@ -41,7 +44,7 @@ func Check(s Space) error {
 			if d < 0 || math.IsNaN(d) {
 				return fmt.Errorf("metric: d(%d,%d) = %g is negative or NaN", i, j, d)
 			}
-			if back := s.Distance(j, i); math.Abs(d-back) > eps*(1+d) {
+			if back := s.Distance(j, i); math.Abs(d-back) > checkEps*(1+d) {
 				return fmt.Errorf("metric: asymmetry d(%d,%d)=%g d(%d,%d)=%g", i, j, d, j, i, back)
 			}
 		}
@@ -50,7 +53,7 @@ func Check(s Space) error {
 		for j := 0; j < n; j++ {
 			dij := s.Distance(i, j)
 			for k := 0; k < n; k++ {
-				if via := s.Distance(i, k) + s.Distance(k, j); dij > via+eps*(1+via) {
+				if via := s.Distance(i, k) + s.Distance(k, j); dij > via+checkEps*(1+via) {
 					return fmt.Errorf("metric: triangle violated d(%d,%d)=%g > d(%d,%d)+d(%d,%d)=%g",
 						i, j, dij, i, k, k, j, via)
 				}
@@ -199,8 +202,46 @@ func (s *Star) Distance(i, j int) float64 {
 	return s.arm[i-1] + s.arm[j-1]
 }
 
+// CheckMatrix verifies, in O(n²), the metric axioms of an explicit distance
+// matrix that need no triangle check: the matrix is square and non-empty,
+// every entry is finite and non-negative, the diagonal is zero, and
+// d[i][j] and d[j][i] agree within Check's tolerance. Entry points that
+// accept a raw matrix run it; the O(n³) triangle inequality stays in Check.
+func CheckMatrix(d [][]float64) error {
+	n := len(d)
+	if n == 0 {
+		return fmt.Errorf("metric: empty distance matrix")
+	}
+	for i, row := range d {
+		if len(row) != n {
+			return fmt.Errorf("metric: distance row %d has %d entries, want %d", i, len(row), n)
+		}
+	}
+	for i, row := range d {
+		for j, v := range row {
+			switch {
+			case math.IsNaN(v) || math.IsInf(v, 0):
+				return fmt.Errorf("metric: d(%d,%d) = %g is not finite", i, j, v)
+			case v < 0:
+				return fmt.Errorf("metric: d(%d,%d) = %g is negative", i, j, v)
+			case i == j && v != 0:
+				return fmt.Errorf("metric: d(%d,%d) = %g, want 0", i, j, v)
+			}
+			if j >= i {
+				continue
+			}
+			// Row j < i was validated already, so back is finite.
+			if back := d[j][i]; math.Abs(v-back) > checkEps*(1+v) {
+				return fmt.Errorf("metric: asymmetry d(%d,%d)=%g d(%d,%d)=%g", i, j, v, j, i, back)
+			}
+		}
+	}
+	return nil
+}
+
 // Matrix is an explicit distance matrix. NewMatrix validates nothing beyond
-// shape; use Check in tests to assert metric axioms.
+// shape; CheckMatrix validates a raw matrix's entries and Check asserts
+// every metric axiom.
 type Matrix struct {
 	d [][]float64
 }

@@ -3,6 +3,7 @@ package metric
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -120,6 +121,40 @@ func TestCheckDetectsViolations(t *testing.T) {
 	})
 	if err := Check(tri); err == nil {
 		t.Error("Check accepted a triangle violation")
+	}
+}
+
+// TestCheckMatrix: the O(n²) entry check refuses each kind of bad entry
+// with an error naming it, tolerates asymmetry within Check's slack, and
+// leaves the triangle inequality to Check.
+func TestCheckMatrix(t *testing.T) {
+	bad := []struct {
+		name string
+		d    [][]float64
+		want string
+	}{
+		{"empty", nil, "empty"},
+		{"ragged", [][]float64{{0, 1}, {1}}, "row 1"},
+		{"negative", [][]float64{{0, -1}, {-1, 0}}, "negative"},
+		{"infinite", [][]float64{{0, math.Inf(1)}, {math.Inf(1), 0}}, "not finite"},
+		{"NaN", [][]float64{{0, 1}, {math.NaN(), 0}}, "not finite"},
+		{"diagonal", [][]float64{{5, 1}, {1, 0}}, "want 0"},
+		{"asymmetric", [][]float64{{0, 1}, {2, 0}}, "asymmetry"},
+	}
+	for _, tc := range bad {
+		if err := CheckMatrix(tc.d); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+	}
+	ok := [][][]float64{
+		{{0}},
+		{{0, 1}, {1 + 1e-12, 0}},
+		{{0, 10, 1}, {10, 0, 1}, {1, 1, 0}}, // triangle violation: Check's job
+	}
+	for _, d := range ok {
+		if err := CheckMatrix(d); err != nil {
+			t.Errorf("CheckMatrix(%v) = %v, want nil", d, err)
+		}
 	}
 }
 

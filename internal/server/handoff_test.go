@@ -71,6 +71,9 @@ func TestNodeExtractInjectEndpoints(t *testing.T) {
 	httpJSON(t, "POST", dstBase+"/v1/tenants/a/arrive", Arrival{Point: 1, Demands: []int{0}}, http.StatusOK)
 	httpJSON(t, "POST", srcBase+"/v1/tenants/a/arrive", Arrival{Point: 1, Demands: []int{0}}, http.StatusNotFound)
 
+	// An arrive ack means admitted, not served. The snapshot runs on the
+	// tenant's shard after that arrival, so /v1/node then counts it.
+	httpJSON(t, "GET", dstBase+"/v1/tenants/a/snapshot", nil, http.StatusOK)
 	if err := json.Unmarshal(httpJSON(t, "GET", dstBase+"/v1/node", nil, http.StatusOK), &info); err != nil {
 		t.Fatal(err)
 	}

@@ -325,6 +325,19 @@ func TestHTTPEndpoints(t *testing.T) {
 // TestCheckpointRestartContinuity: a server restarted on the same checkpoint
 // dir resumes its tenants — snapshots after restart equal snapshots before
 // shutdown, and serving continues without divergence.
+// TestHTTPCreateRejectsNonMetric: a create whose matrix is not a metric
+// (negative distances, a non-zero diagonal) is a 400 and leaves no tenant
+// behind — before, such a tenant served arrivals into a negative cost.
+func TestHTTPCreateRejectsNonMetric(t *testing.T) {
+	s := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 1}})
+	base := "http://" + s.HTTPAddr()
+	for _, d := range [][][]float64{{{0, -1}, {-1, 0}}, {{5, 1}, {1, 0}}} {
+		create := createBody{Universe: 2, Distances: d, CostBySize: []float64{0, 1, 1.5}}
+		httpJSON(t, "POST", base+"/v1/tenants/a", create, http.StatusBadRequest)
+		httpJSON(t, "GET", base+"/v1/tenants/a/snapshot", nil, http.StatusNotFound)
+	}
+}
+
 func TestCheckpointRestartContinuity(t *testing.T) {
 	dir := t.TempDir()
 	tr := testTrace(47, 50, 5, 9)
