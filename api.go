@@ -69,7 +69,7 @@ type (
 	// v2): per tenant, the serializable substrate, a base snapshot of the
 	// algorithm's serialized state, and the arrival-log segment served
 	// since the base. Restore loads the state and replays only the
-	// segment; legacy v1 checkpoints (full arrival history) stay readable.
+	// segment. WriteFile stores it as one binary document.
 	Checkpoint = engine.Checkpoint
 	// RestoreStats reports what a checkpoint restore did: tenants rebuilt,
 	// total arrivals represented, arrivals actually replayed (the tail
@@ -83,8 +83,9 @@ type (
 )
 
 // Checkpoint format versions: CheckpointVersion is the v2 format Checkpoint
-// writes (base states + tail segments); CheckpointVersionV1 the legacy
-// full-replay format, still accepted by Restore.
+// captures (base states + tail segments); CheckpointVersionV1 the
+// full-history capture of CheckpointV1, which Restore and the binary
+// document still accept.
 const (
 	CheckpointVersion   = engine.CheckpointVersion
 	CheckpointVersionV1 = engine.CheckpointVersionV1
@@ -118,8 +119,10 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	return server.New(cfg)
 }
 
-// ReadCheckpoint reads a checkpoint file written by the serving layer (or
-// Checkpoint.WriteFile); replay it onto a fresh engine with Engine.Restore.
+// ReadCheckpoint reads the binary checkpoint document the serving layer
+// (or Checkpoint.WriteFile) writes; replay it onto a fresh engine with
+// Engine.Restore. JSON documents of earlier builds are refused with an
+// error that names them.
 var ReadCheckpoint = engine.ReadCheckpointFile
 
 // Cluster serving: a Router fronts N worker Servers with the same HTTP API

@@ -21,9 +21,9 @@ import (
 // versions: for each history length it runs the same trace through two
 // engines — one sealing-disabled (v1 capture: full arrival history) and one
 // sealing at -seal-every (v2 capture: base state + tail segment) — then
-// times a restore of each checkpoint into a fresh engine (v2 through the
-// flate-compressed wire format) and verifies every restored snapshot
-// against the source engine's, byte for byte.
+// times a restore of each checkpoint into a fresh engine (v2 read back from
+// the binary document WriteFile writes) and verifies every restored
+// snapshot against the source engine's, byte for byte.
 //
 // The gates encode what v2 buys over v1. (a) Restore replay work is flat in
 // history: a v2 restore replays at most -seal-every arrivals at every
@@ -31,9 +31,10 @@ import (
 // everything. (b) Capture (state assembly) cost is flat in history: at the
 // deepest history a v2 Checkpoint() call (cached base bytes + bounded tail)
 // must beat the v1 capture, which re-marshals the full arrival history
-// every time. (c) The compressed v2 artifact must be smaller on disk than
-// even v1's raw document at every length, so base-state compression has
-// provably paid for the state bytes v2 carries. Failing any gate exits
+// every time. (c) The v2 file WriteFile writes must be smaller on disk than
+// even v1's raw JSON document at every length, so the binary document and
+// base-state compression have provably paid for the state bytes v2
+// carries. Failing any gate exits
 // non-zero, which is what the CI step relies on.
 //
 // Two wall-clock columns are reported but deliberately NOT gated, both
@@ -41,8 +42,8 @@ import (
 // ROADMAP.md rather than by the checkpoint format: restore (a v2 base-state
 // load decodes state that grows with the history, as a v1 full replay
 // serves it, so their ratio depends on serve and decode speed) and encode_ms
-// (the wire encoding WriteFile adds per tick — JSON marshal plus the flate
-// of every base state, which scales with state size). The flat replay and
+// (what WriteFile adds per tick — the binary encoding, the flate of every
+// base state, which scales with state size, and the file write). The flat replay and
 // capture counters of gates (a)/(b) are the invariants that survive
 // serve-speed changes.
 func cmdCkptBench(args []string) (retErr error) {
@@ -185,15 +186,14 @@ type ckptBenchRow struct {
 }
 
 type ckptBenchSide struct {
+	// Bytes is the checkpoint marshaled as JSON, base states raw (base64).
 	Bytes int `json:"bytes"`
-	// BytesFlate is the on-disk size with base states flate-compressed —
-	// what Checkpoint.WriteFile actually writes. For v1 (no base states)
-	// it tracks Bytes; for v2 it shows how much of the base-state overhead
-	// compression buys back.
+	// BytesFlate is the size of the file Checkpoint.WriteFile writes: the
+	// binary document with flate-compressed base states.
 	BytesFlate int     `json:"bytes_flate"`
 	CaptureMs  float64 `json:"capture_ms"`
-	// EncodeMs times the wire encoding WriteFile performs on top of the
-	// capture (JSON marshal + base-state flate). Reported, not gated: the
+	// EncodeMs times the WriteFile call on top of the capture (binary
+	// encoding, base-state flate, write and sync). Reported, not gated: the
 	// deflate of O(history) base states scales with state size — the same
 	// bounded-state ROADMAP item the restore wall clock hits.
 	EncodeMs  float64 `json:"encode_ms"`
@@ -288,54 +288,56 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 	if err != nil {
 		return row, err
 	}
-	b1, zdataV1, encMsV1, err := encodeBoth(ckV1)
+	dir, err := os.MkdirTemp("", "ckpt-bench-*")
 	if err != nil {
 		return row, err
 	}
-	b2, zdataV2, encMsV2, err := encodeBoth(ckV2)
+	defer os.RemoveAll(dir)
+	b1, z1, encMsV1, err := encodeBoth(ckV1, filepath.Join(dir, "v1.ckpt"))
 	if err != nil {
 		return row, err
 	}
-	// The v2 restore goes through the compressed wire format (flate base
-	// states, re-decoded), so the gate also proves the compression round
-	// trip — not just the in-memory checkpoint.
-	var zV2 engine.Checkpoint
-	if err := json.Unmarshal(zdataV2, &zV2); err != nil {
+	pathV2 := filepath.Join(dir, "v2.ckpt")
+	b2, z2, encMsV2, err := encodeBoth(ckV2, pathV2)
+	if err != nil {
 		return row, err
 	}
-	statsV2, restoreMsV2, err := restore(&zV2)
+	// The v2 restore reads the document WriteFile wrote, so the gate also
+	// proves the on-disk round trip — not just the in-memory checkpoint.
+	fromFile, err := engine.ReadCheckpointFile(pathV2)
+	if err != nil {
+		return row, err
+	}
+	statsV2, restoreMsV2, err := restore(fromFile)
 	if err != nil {
 		return row, err
 	}
 
-	row.V1 = ckptBenchSide{Bytes: b1, BytesFlate: len(zdataV1), CaptureMs: msV1, EncodeMs: encMsV1,
+	row.V1 = ckptBenchSide{Bytes: b1, BytesFlate: z1, CaptureMs: msV1, EncodeMs: encMsV1,
 		RestoreMs: restoreMsV1, Replayed: statsV1.Replayed, TailArrivals: ckV1.TailArrivals()}
-	row.V2 = ckptBenchSide{Bytes: b2, BytesFlate: len(zdataV2), CaptureMs: msV2, EncodeMs: encMsV2,
+	row.V2 = ckptBenchSide{Bytes: b2, BytesFlate: z2, CaptureMs: msV2, EncodeMs: encMsV2,
 		RestoreMs: restoreMsV2, Replayed: statsV2.Replayed, TailArrivals: ckV2.TailArrivals()}
 	return row, nil
 }
 
-// encodeBoth marshals the checkpoint once raw (the in-memory document) and
-// once in the WriteFile wire format (flate-compressed base states),
-// returning the raw size, the compressed bytes, and the wall-clock cost of
-// the wire encoding alone (the marshal+flate work a daemon adds on top of
-// capture when it writes the tick's checkpoint).
-func encodeBoth(ck *engine.Checkpoint) (rawLen int, zdata []byte, encodeMs float64, err error) {
+// encodeBoth sizes the checkpoint as a raw JSON document (base states
+// uncompressed, the in-memory shape) and writes it to path with WriteFile
+// (the binary document, base states flate-compressed), returning both sizes
+// and the wall-clock cost of the WriteFile call: the encoding plus the
+// write and sync a daemon adds on top of capture when it writes the tick's
+// checkpoint.
+func encodeBoth(ck *engine.Checkpoint, path string) (rawLen, fileLen int, encodeMs float64, err error) {
 	data, err := json.Marshal(ck)
 	if err != nil {
-		return 0, nil, 0, err
+		return 0, 0, 0, err
 	}
 	start := time.Now()
-	zck, err := ck.Compressed()
+	fileLen, err = ck.WriteFile(path)
 	if err != nil {
-		return 0, nil, 0, err
-	}
-	zdata, err = json.Marshal(zck)
-	if err != nil {
-		return 0, nil, 0, err
+		return 0, 0, 0, err
 	}
 	encodeMs = float64(time.Since(start).Microseconds()) / 1e3
-	return len(data), zdata, encodeMs, nil
+	return len(data), fileLen, encodeMs, nil
 }
 
 func snapshotBytes(e *engine.Engine) ([]byte, error) {
@@ -344,4 +346,21 @@ func snapshotBytes(e *engine.Engine) ([]byte, error) {
 		return nil, err
 	}
 	return json.Marshal(snaps)
+}
+
+// cmdCkptInspect prints a checkpoint document's header and, per tenant, the
+// arrivals folded into its base state, the state's raw and compressed
+// bytes, and the tail a restore replays — as indented JSON on stdout. It
+// answers "why is this tenant's state this large?" without a profiler.
+func cmdCkptInspect(args []string) error {
+	if len(args) != 1 {
+		return fmt.Errorf("ckpt-inspect: want exactly one checkpoint file")
+	}
+	info, err := engine.InspectCheckpointFile(args[0])
+	if err != nil {
+		return err
+	}
+	enc := json.NewEncoder(os.Stdout)
+	enc.SetIndent("", "  ")
+	return enc.Encode(info)
 }

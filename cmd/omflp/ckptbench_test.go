@@ -5,6 +5,9 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"repro/internal/engine"
+	"repro/internal/workload"
 )
 
 // TestCkptBenchSmall drives the checkpoint benchmark end to end at small
@@ -64,5 +67,55 @@ func TestCkptBenchBadFlags(t *testing.T) {
 	}
 	if err := run([]string{"ckpt-bench", "-seal-every", "0"}); err == nil {
 		t.Error("-seal-every 0 accepted")
+	}
+}
+
+// TestCkptInspect: ckpt-inspect prints a checkpoint document's header and
+// per-tenant sizes as JSON, agreeing with the checkpoint that was written.
+func TestCkptInspect(t *testing.T) {
+	e := engine.New(engine.Config{Algorithm: "pd", Shards: 2, Seed: 3, RecordArrivals: true, SealEvery: 5})
+	f, err := os.Open(smokeTrace)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := workload.ReadJSON(f)
+	f.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := e.ReplayTrace(tr, 3); err != nil {
+		t.Fatal(err)
+	}
+	ck, err := e.Checkpoint()
+	e.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "engine.ckpt")
+	n, err := ck.WriteFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var info engine.CheckpointInfo
+	if err := json.Unmarshal(captureStdout(t, func() error { return run([]string{"ckpt-inspect", path}) }), &info); err != nil {
+		t.Fatal(err)
+	}
+	if info.Version != engine.CheckpointVersion || info.Algorithm != "pd" || info.Seed != 3 ||
+		info.Compression != "flate" || info.Bytes != n || len(info.Tenants) != 3 {
+		t.Fatalf("inspect header %+v", info)
+	}
+	for i, ti := range info.Tenants {
+		tc := ck.Tenants[i]
+		if ti.Tenant != tc.Tenant || ti.BaseServed != tc.BaseServed || ti.BaseBytes != len(tc.BaseState) ||
+			ti.BaseBytesZ == 0 || ti.Tail != len(tc.Arrivals) || ti.Tail >= 5 {
+			t.Errorf("inspect tenant %+v, checkpoint has %s: %d served, %d state bytes, %d tail",
+				ti, tc.Tenant, tc.BaseServed, len(tc.BaseState), len(tc.Arrivals))
+		}
+	}
+	if err := run([]string{"ckpt-inspect"}); err == nil {
+		t.Error("ckpt-inspect without a file succeeded")
+	}
+	if err := run([]string{"ckpt-inspect", filepath.Join("testdata", "serve_smoke_trace.json")}); err == nil {
+		t.Error("ckpt-inspect of a JSON file succeeded")
 	}
 }

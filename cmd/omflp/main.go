@@ -19,6 +19,7 @@
 //	              [-dist uniform|zipf|bundled] [-rate N] [-ops-out FILE]
 //	              [-tenants N] [-arrivals N] [-conc N] [-bench-out DIR] [-bench-key K]
 //	omflp ckpt-bench [-histories N,N,...] [-seal-every N] [-out DIR]
+//	omflp ckpt-inspect FILE                   (summarize a checkpoint document)
 //
 // run/all, serve and loadgen accept -cpuprofile/-memprofile FILE to write
 // pprof profiles of the run.
@@ -99,6 +100,8 @@ func run(args []string) error {
 		return cmdLoadgen(args[1:])
 	case "ckpt-bench":
 		return cmdCkptBench(args[1:])
+	case "ckpt-inspect":
+		return cmdCkptInspect(args[1:])
 	case "explain":
 		return cmdExplain(args[1:])
 	case "check":
@@ -136,6 +139,7 @@ func usage() {
                                                  drive a serve daemon and measure throughput
   omflp ckpt-bench [-histories N,N] [-seal-every N] [-algos pd,rand] [-out DIR]
                                                  benchmark v1 vs v2 checkpoint restores
+  omflp ckpt-inspect FILE                        print a checkpoint's header and per-tenant sizes
   omflp explain -trace FILE                      narrate PD-OMFLP's decisions on a trace
   omflp check -trace FILE                        validate a trace's metric and cost assumptions
 
@@ -163,23 +167,26 @@ With -listen-http/-listen-tcp, serve runs as a network daemon instead:
   POST /v1/checkpoint             force a checkpoint now
 The TCP listener ingests length-prefixed frames (4-byte big-endian length +
 one JSON op) and acks each stream once on half-close. -checkpoint-dir DIR
-persists engine state to DIR/engine.ckpt.json (atomic rename) every
+persists engine state to DIR/engine.ckpt (atomic rename) every
 -checkpoint-every; a restarted daemon restores it and resumes every tenant
 with no cost divergence. Checkpoints use format v2: a base snapshot of each
 tenant's serialized algorithm state plus the arrival segment served since —
 -checkpoint-seal-every N re-bases a tenant once its tail exceeds N arrivals
 (default 4096, negative = never), so a restore replays at most N arrivals
-per tenant instead of the full history. Legacy v1 checkpoints restore too.
+per tenant instead of the full history. The file is a binary document
+(ckpt-inspect FILE prints its header and per-tenant sizes); the JSON
+engine.ckpt.json of earlier builds is refused, and a daemon whose
+-checkpoint-dir holds only that file will not start.
 SIGINT/SIGTERM drains, checkpoints and exits.
 
 loadgen's synthetic workload takes -dist uniform|zipf|bundled (zipf skews
 commodity popularity with exponent -zipf-s; bundled demands all of S every
 request) and -rate R sends on an open-loop schedule of R arrivals/s across
 all workers (0 = closed loop). ckpt-bench writes BENCH_checkpoint.json
-(capture/restore time + raw and flate-compressed bytes per history length,
-v1 vs v2) and fails if a v2 restore replays more than -seal-every arrivals,
-a deep v2 capture loses to v1's full-history marshal, or the compressed v2
-artifact is not smaller than v1's raw document.
+(capture/restore time, raw JSON bytes and the bytes WriteFile writes per
+history length, v1 vs v2) and fails if a v2 restore replays more than
+-seal-every arrivals, a deep v2 capture loses to v1's full-history marshal,
+or the v2 file is not smaller than v1's raw JSON document.
 
 Quickstart:
   omflp serve -listen-http 127.0.0.1:8080 -checkpoint-dir /tmp/omflp &

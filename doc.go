@@ -46,7 +46,7 @@
 // batched arrivals), GET /v1/tenants/{id}/snapshot (?compact=1), GET
 // /v1/snapshots, GET /v1/metrics, GET /healthz, POST /v1/checkpoint — and a
 // length-prefixed TCP framing of the same op protocol share one engine.
-// Engine state checkpoints to <dir>/engine.ckpt.json (atomic rename) on a
+// Engine state checkpoints to <dir>/engine.ckpt (atomic rename) on a
 // configurable interval and on graceful shutdown; a restarted daemon
 // restores the checkpoint and resumes every tenant with no cost divergence.
 // /v1/metrics reports the engine aggregates, a per-shard breakdown (mailbox
@@ -70,15 +70,22 @@
 // RAND, the algorithms the engine serves, encode their state in one
 // compact binary layout (varints and raw float64 bits); base states in the
 // JSON layout that preceded it are refused with an error naming their
-// schema. At 1e5 PD arrivals a v2 restore takes 38 ms against 121 ms for
-// the v1 full replay, about three times faster (BENCH_checkpoint.json,
-// regenerated by "omflp ckpt-bench", records capture/restore time and raw +
-// compressed bytes for both formats and gates on v2's replay work staying
-// flat). On disk, base states are flate-compressed (flagged in the
-// checkpoint header as compression: "flate", stored per tenant as
-// base_state_z), cutting the state-bytes overhead v2 carries below even
-// v1's raw size; uncompressed v2 and legacy v1 documents remain
-// restorable, and the next Checkpoint call migrates v1 to v2. Without
+// schema. BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
+// records capture/restore time and raw + on-disk bytes for v1 and v2 at
+// 1e3 and 1e5 arrivals, and gates on v2's replay work staying flat.
+//
+// On disk a checkpoint is one binary document (engine.ckpt; see
+// internal/engine): a magic and version header, then per tenant its name,
+// its substrate as raw float64 bits, its base state flate-compressed with
+// the raw length beside it, and its tail as varints. Restore rebuilds one
+// tenant at a time and hands each tail to the tenant's shard as one batch,
+// so the shards replay while the next tenant is decoded, and it refuses a
+// record whose serve counters contradict its base state. "omflp
+// ckpt-inspect FILE" prints a document's header and per-tenant sizes. The
+// JSON document of earlier builds (engine.ckpt.json, with base_state_z
+// fields under compression: "flate") is refused with an error that names
+// it, and a checkpoint directory that holds only such a file stops the
+// daemon from starting instead of letting it start empty. Without
 // Config.RecordArrivals the engine checkpoints by marshaling state at
 // capture time — no arrival history at all, nothing replayed on restore.
 //

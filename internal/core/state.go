@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"sort"
 
+	"repro/internal/codec"
 	"repro/internal/commodity"
 	"repro/internal/instance"
 	"repro/internal/ofl"
@@ -20,8 +21,8 @@ import (
 // the engine's checkpoint format v2 builds on.
 //
 // PD-OMFLP and RAND-OMFLP, the algorithms the engine serves and seals every
-// SealEvery arrivals, share the compact binary layout of codec.go; floats
-// are stored as their IEEE-754 bits, so every value survives the round trip
+// SealEvery arrivals, share the compact binary layout of internal/codec;
+// floats are stored as their IEEE-754 bits, so every value survives the round trip
 // exactly. The heavy-aware extension's state is a JSON document that
 // carries its inner PD-OMFLP state as opaque bytes next to the JSON states
 // of its single-commodity OFL instances.
@@ -38,6 +39,27 @@ import (
 // opens the binary PD and RAND layouts and the schema field of the
 // heavy-aware document. Schema 1 was the JSON layout of all three.
 const stateSchema = 2
+
+// readHeader checks the schema byte and the dimensions every binary state
+// starts with. A leading '{' is a JSON document — the layout before the
+// binary codec.
+func readHeader(r *codec.Reader, universe, cands int) {
+	if p := r.Peek(); len(p) > 0 && p[0] == '{' {
+		r.Fail("JSON document of schema 1, the layout before binary schema %d; this build cannot read it", stateSchema)
+		return
+	}
+	if s := r.Uint(); s != stateSchema && r.Err() == nil {
+		r.Fail("schema %d, want %d", s, stateSchema)
+		return
+	}
+	if u := r.Uint(); u != universe && r.Err() == nil {
+		r.Fail("universe %d, want %d", u, universe)
+		return
+	}
+	if c := r.Uint(); c != cands && r.Err() == nil {
+		r.Fail("%d candidates, want %d", c, cands)
+	}
+}
 
 // MarshalState implements online.StateCodec. It refuses instances running
 // with TraceAnalysis: the Lemma 14 analysis history is diagnostic-only and
@@ -80,39 +102,39 @@ func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 		demanded += len(ids)
 		links += len(pd.fx.sol.Assign[i])
 	}
-	return encodeState(func(w *stateWriter) {
-		w.uint(stateSchema)
-		w.uint(pd.u)
-		w.uint(len(pd.ct.cands))
+	return codec.Encode(func(w *codec.Writer) {
+		w.Uint(stateSchema)
+		w.Uint(pd.u)
+		w.Uint(len(pd.ct.cands))
 		encodeFacilities(w, pd.fx)
-		w.uint(len(pd.points))
-		w.uint(demanded)
-		w.uint(links)
+		w.Uint(len(pd.points))
+		w.Uint(demanded)
+		w.Uint(links)
 		opened := 0
 		for i, p := range pd.points {
-			w.uint(p)
-			w.uint(len(pd.demandIDs[i]))
+			w.Uint(p)
+			w.Uint(len(pd.demandIDs[i]))
 			for j, e := range pd.demandIDs[i] {
-				w.uint(e)
-				w.float(pd.duals[i][j])
+				w.Uint(e)
+				w.Float(pd.duals[i][j])
 			}
-			w.uint(pd.facBoundary[i] - opened)
+			w.Uint(pd.facBoundary[i] - opened)
 			opened = pd.facBoundary[i]
-			w.uint(len(pd.fx.sol.Assign[i]))
+			w.Uint(len(pd.fx.sol.Assign[i]))
 			for _, f := range pd.fx.sol.Assign[i] {
-				w.uint(f)
+				w.Uint(f)
 			}
-			w.float(pd.creditLarge[i].credit)
+			w.Float(pd.creditLarge[i].credit)
 		}
 		for _, credits := range pd.creditSmall {
 			for _, cr := range credits {
-				w.float(cr.credit)
+				w.Float(cr.credit)
 			}
 		}
-		w.floats(bidLarge)
+		w.Floats(bidLarge)
 		for e, credits := range pd.creditSmall {
 			if len(credits) > 0 {
-				w.floats(bidSmall[e])
+				w.Floats(bidSmall[e])
 			}
 		}
 	}), nil
@@ -130,19 +152,19 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	if len(pd.points) != 0 || len(pd.fx.sol.Facilities) != 0 {
 		return fmt.Errorf("core: PD-OMFLP state restore needs a fresh instance")
 	}
-	r := &stateReader{alg: "PD-OMFLP", data: data}
-	r.header(pd.u, len(pd.ct.cands))
+	r := codec.NewReader("core: PD-OMFLP state", data)
+	readHeader(r, pd.u, len(pd.ct.cands))
 	facs := decodeFacilities(r, pd.space.Len(), pd.u)
-	n, demanded, links := r.uint(), r.uint(), r.uint()
+	n, demanded, links := r.Uint(), r.Uint(), r.Uint()
 	// Minimum encoded sizes: 12 bytes per arrival (point, k, opened, link
 	// count, large credit), 17 per demanded commodity (id, dual, small
 	// credit), 1 per link.
-	if rem := len(r.data); r.err == nil &&
+	if rem := r.Len(); r.Err() == nil &&
 		(n > rem/12 || demanded > rem/17 || links > rem || 12*n+17*demanded+links > rem) {
-		r.fail("%d arrivals, %d demands and %d links cannot fit in %d bytes", n, demanded, links, rem)
+		r.Fail("%d arrivals, %d demands and %d links cannot fit in %d bytes", n, demanded, links, rem)
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 
 	points := make([]int, n)
@@ -156,40 +178,40 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	linkFlat := make([]int, links)
 	perE := make([]int, pd.u)
 	opened, d, l := 0, 0, 0
-	for i := 0; i < n && r.err == nil; i++ {
-		points[i] = r.below(pd.space.Len(), "point")
-		k := r.below(demanded-d+1, "demanded commodity count")
+	for i := 0; i < n && r.Err() == nil; i++ {
+		points[i] = r.Below(pd.space.Len(), "point")
+		k := r.Below(demanded-d+1, "demanded commodity count")
 		ids, ds := idFlat[d:d+k:d+k], dualFlat[d:d+k:d+k]
 		for j := range ids {
-			ids[j] = r.below(pd.u, "commodity")
-			if j > 0 && ids[j] <= ids[j-1] && r.err == nil {
-				r.fail("arrival %d demands commodities out of order", i)
+			ids[j] = r.Below(pd.u, "commodity")
+			if j > 0 && ids[j] <= ids[j-1] && r.Err() == nil {
+				r.Fail("arrival %d demands commodities out of order", i)
 			}
-			ds[j] = r.float()
+			ds[j] = r.Float()
 			perE[ids[j]]++
 		}
 		demandIDs[i], duals[i] = ids, ds
 		d += k
 		// An arrival opens one facility per demanded commodity, or one
 		// large facility.
-		opened += r.below(min(max(k, 1), len(facs)-opened)+1, "opened facility count")
+		opened += r.Below(min(max(k, 1), len(facs)-opened)+1, "opened facility count")
 		facBoundary[i] = opened
-		if m := r.below(links-l+1, "link count"); m > 0 {
+		if m := r.Below(links-l+1, "link count"); m > 0 {
 			row := linkFlat[l : l+m : l+m]
 			for j := range row {
-				row[j] = r.below(opened, "assigned facility")
+				row[j] = r.Below(opened, "assigned facility")
 			}
 			assign[i] = row
 			l += m
 		}
-		creditLarge[i] = pdCredit{point: points[i], credit: r.float()}
+		creditLarge[i] = pdCredit{point: points[i], credit: r.Float()}
 	}
-	if r.err == nil && (opened != len(facs) || d != demanded || l != links) {
-		r.fail("arrivals open %d of %d facilities and carry %d of %d demands and %d of %d links",
+	if r.Err() == nil && (opened != len(facs) || d != demanded || l != links) {
+		r.Fail("arrivals open %d of %d facilities and carry %d of %d demands and %d of %d links",
 			opened, len(facs), d, demanded, l, links)
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 
 	creditSmall := make([][]pdCredit, pd.u)
@@ -207,26 +229,26 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	}
 	for _, credits := range creditSmall {
 		for j := range credits {
-			credits[j].credit = r.float()
+			credits[j].credit = r.Float()
 		}
 	}
 	cands := len(pd.ct.cands)
-	if r.err == nil && len(r.data) != 8*cands*(1+live) {
-		r.fail("%d bytes of bid rows, want %d", len(r.data), 8*cands*(1+live))
+	if r.Err() == nil && r.Len() != 8*cands*(1+live) {
+		r.Fail("%d bytes of bid rows, want %d", r.Len(), 8*cands*(1+live))
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 	bidLarge := make([]float64, cands)
-	r.floats(bidLarge)
+	r.Floats(bidLarge)
 	bidSmall := make([][]float64, pd.u)
 	for e, credits := range creditSmall {
 		if len(credits) > 0 {
 			bidSmall[e] = make([]float64, cands)
-			r.floats(bidSmall[e])
+			r.Floats(bidSmall[e])
 		}
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 
@@ -281,20 +303,20 @@ func (ra *RandOMFLP) MarshalState() ([]byte, error) {
 	for _, row := range assign {
 		links += len(row)
 	}
-	return encodeState(func(w *stateWriter) {
-		w.uint(stateSchema)
-		w.uint(ra.u)
-		w.uint(ra.nCands)
+	return codec.Encode(func(w *codec.Writer) {
+		w.Uint(stateSchema)
+		w.Uint(ra.u)
+		w.Uint(ra.nCands)
 		encodeFacilities(w, ra.fx)
-		w.uint(len(assign))
-		w.uint(links)
+		w.Uint(len(assign))
+		w.Uint(links)
 		for _, row := range assign {
-			w.uint(len(row))
+			w.Uint(len(row))
 			for _, f := range row {
-				w.uint(f)
+				w.Uint(f)
 			}
 		}
-		w.uint(int(ra.draws))
+		w.Uint(int(ra.draws))
 	}), nil
 }
 
@@ -304,31 +326,31 @@ func (ra *RandOMFLP) UnmarshalState(data []byte) error {
 	if len(ra.fx.sol.Facilities) != 0 || len(ra.fx.sol.Assign) != 0 || ra.draws != 0 {
 		return fmt.Errorf("core: RAND-OMFLP state restore needs a fresh instance")
 	}
-	r := &stateReader{alg: "RAND-OMFLP", data: data}
-	r.header(ra.u, ra.nCands)
+	r := codec.NewReader("core: RAND-OMFLP state", data)
+	readHeader(r, ra.u, ra.nCands)
 	facs := decodeFacilities(r, ra.space.Len(), ra.u)
-	n, links := r.uint(), r.uint()
-	if rem := len(r.data); r.err == nil && (n > rem || links > rem || n+links > rem) {
-		r.fail("%d arrivals and %d links cannot fit in %d bytes", n, links, rem)
+	n, links := r.Uint(), r.Uint()
+	if rem := r.Len(); r.Err() == nil && (n > rem || links > rem || n+links > rem) {
+		r.Fail("%d arrivals and %d links cannot fit in %d bytes", n, links, rem)
 	}
-	if r.err != nil {
-		return r.err
+	if r.Err() != nil {
+		return r.Err()
 	}
 	assign := make([][]int, n)
 	linkFlat := make([]int, links)
 	l := 0
-	for i := 0; i < n && r.err == nil; i++ {
-		if m := r.below(links-l+1, "link count"); m > 0 {
+	for i := 0; i < n && r.Err() == nil; i++ {
+		if m := r.Below(links-l+1, "link count"); m > 0 {
 			row := linkFlat[l : l+m : l+m]
 			for j := range row {
-				row[j] = r.below(len(facs), "assigned facility")
+				row[j] = r.Below(len(facs), "assigned facility")
 			}
 			assign[i] = row
 			l += m
 		}
 	}
-	if r.err == nil && l != links {
-		r.fail("arrivals carry %d of %d links", l, links)
+	if r.Err() == nil && l != links {
+		r.Fail("arrivals carry %d of %d links", l, links)
 	}
 	// An arrival flips at most one coin per cost class of each commodity
 	// and of the full configuration.
@@ -336,11 +358,11 @@ func (ra *RandOMFLP) UnmarshalState(data []byte) error {
 	for _, tc := range ra.smallClasses {
 		flips += len(tc.values)
 	}
-	draws := r.uint()
-	if r.err == nil && draws > n*flips {
-		r.fail("%d coin flips exceed %d per arrival over %d arrivals", draws, flips, n)
+	draws := r.Uint()
+	if r.Err() == nil && draws > n*flips {
+		r.Fail("%d coin flips exceed %d per arrival over %d arrivals", draws, flips, n)
 	}
-	if err := r.end(); err != nil {
+	if err := r.End(); err != nil {
 		return err
 	}
 
@@ -487,26 +509,26 @@ type facilityState struct {
 
 // encodeFacilities writes a facility index's open facilities in opening
 // order: the count, then (point, kind) per facility.
-func encodeFacilities(w *stateWriter, fx *facilityIndex) {
-	w.uint(len(fx.sol.Facilities))
+func encodeFacilities(w *codec.Writer, fx *facilityIndex) {
+	w.Uint(len(fx.sol.Facilities))
 	large := fx.large // ascending facility indices
 	for i, f := range fx.sol.Facilities {
-		w.uint(f.Point)
+		w.Uint(f.Point)
 		if len(large) > 0 && large[0] == i {
-			w.uint(0)
+			w.Uint(0)
 			large = large[1:]
 		} else {
-			w.uint(1 + f.Config.Min())
+			w.Uint(1 + f.Config.Min())
 		}
 	}
 }
 
 // decodeFacilities reads what encodeFacilities wrote, range-checking points
 // and commodities.
-func decodeFacilities(r *stateReader, points, universe int) []facilityState {
-	facs := make([]facilityState, r.count(2, "facilities"))
+func decodeFacilities(r *codec.Reader, points, universe int) []facilityState {
+	facs := make([]facilityState, r.Count(2, "facilities"))
 	for i := range facs {
-		facs[i] = facilityState{point: r.below(points, "facility point"), kind: r.below(universe+1, "facility kind")}
+		facs[i] = facilityState{point: r.Below(points, "facility point"), kind: r.Below(universe+1, "facility kind")}
 	}
 	return facs
 }

@@ -1,16 +1,10 @@
 package engine
 
 import (
-	"bytes"
-	"compress/flate"
-	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
+	"math"
 	"os"
-	"path/filepath"
 	"sort"
-	"strings"
 	"sync"
 
 	"repro/internal/commodity"
@@ -40,25 +34,14 @@ const (
 // name — never from timing or shard layout — so re-creating each tenant,
 // loading its base state and replaying its tail reproduces its state
 // byte-for-byte: snapshot(before crash) == snapshot(restore + replay).
+// WriteFile and ReadCheckpointFile store it as one binary document
+// (ckptfile.go).
 type Checkpoint struct {
-	Version   int    `json:"version"`
-	Algorithm string `json:"algorithm"`
-	Seed      int64  `json:"seed"`
-	// Compression flags how tenant base states are stored: "" for the raw
-	// state bytes in base_state, CompressionFlate for flate-compressed
-	// bytes in base_state_z (both base64 in the JSON document). WriteFile
-	// compresses; ReadCheckpointFile and Restore transparently decompress,
-	// so uncompressed v2 (and v1) checkpoints remain restorable.
-	Compression string             `json:"compression,omitempty"`
-	Tenants     []TenantCheckpoint `json:"tenants"`
+	Version   int                `json:"version"`
+	Algorithm string             `json:"algorithm"`
+	Seed      int64              `json:"seed"`
+	Tenants   []TenantCheckpoint `json:"tenants"`
 }
-
-// CompressionFlate marks base states stored flate-compressed (RFC 1951) in
-// the base_state_z field. The base states are the bulk of a v2 checkpoint —
-// PD's per-request duals and credit ledgers, whose indices and repeated
-// values compress well even in the binary state layout — so compressing
-// just them shrinks the document while the arrival tails stay greppable.
-const CompressionFlate = "flate"
 
 // TenantCheckpoint is one tenant's restorable record.
 type TenantCheckpoint struct {
@@ -71,9 +54,11 @@ type TenantCheckpoint struct {
 	// (v1 checkpoints, or never-sealed v2 tenants) the tenant restores
 	// from genesis.
 	BaseState []byte `json:"base_state,omitempty"`
-	// BaseStateZ is BaseState flate-compressed (checkpoints with the
-	// Compression header set); exactly one of the two is present.
-	BaseStateZ       []byte  `json:"base_state_z,omitempty"`
+	// BaseServed, BaseConstruction and BaseAssignment are the serve
+	// counters frozen with the base state. Restore checks them against the
+	// decoded state: the served count against its assignments, the
+	// construction cost against its facilities priced through the cost
+	// table in opening order.
 	BaseServed       int     `json:"base_served,omitempty"`
 	BaseConstruction float64 `json:"base_construction,omitempty"`
 	BaseAssignment   float64 `json:"base_assignment,omitempty"`
@@ -314,37 +299,74 @@ type RestoreStats struct {
 // the normal serve path — O(segment) serve work per tenant, not O(history).
 // The engine's algorithm and seed must match the checkpoint's — restoring
 // under different ones would silently change every tenant's decisions — and
-// none of the checkpointed tenants may already exist. Restore returns once
-// all tail arrivals are admitted; snapshots (which serialize behind the
-// replay on each shard) see the restored state.
+// none of the checkpointed tenants may already exist.
+//
+// Tenants are rebuilt one at a time on the calling goroutine, and each
+// tail is handed to the tenant's shard as one batch, so the shards replay
+// while the caller rebuilds the next tenant. Restore returns once all tail
+// arrivals are admitted; snapshots (which serialize behind the replay on
+// each shard) see the restored state, and Drain waits for it.
 func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
+	i := 0
+	return e.restore(ck, func() (*TenantCheckpoint, error) {
+		if i == len(ck.Tenants) {
+			return nil, nil
+		}
+		i++
+		return &ck.Tenants[i-1], nil
+	})
+}
+
+// RestoreFile is Restore of the checkpoint document at path, decoded one
+// tenant record at a time: each tenant is rebuilt and its tail handed to
+// its shard before the next record is decoded, so decoding overlaps the
+// replay and the decoded document is never held whole.
+func (e *Engine) RestoreFile(path string) (RestoreStats, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return RestoreStats{}, err
+	}
+	d, hdr, err := newDocReader("engine: checkpoint "+path, data)
+	if err != nil {
+		return RestoreStats{}, err
+	}
+	return e.restore(hdr, func() (*TenantCheckpoint, error) {
+		if d.read == d.tenants {
+			return nil, d.r.End()
+		}
+		var tc TenantCheckpoint
+		if _, err := d.next(&tc); err != nil {
+			return nil, err
+		}
+		return &tc, nil
+	})
+}
+
+// restore checks a checkpoint's header against the engine, then restores
+// the tenant records next returns until it returns none.
+func (e *Engine) restore(hdr *Checkpoint, next func() (*TenantCheckpoint, error)) (RestoreStats, error) {
 	var stats RestoreStats
-	switch ck.Version {
+	switch hdr.Version {
 	case CheckpointVersionV1, CheckpointVersion:
 	default:
 		return stats, fmt.Errorf("engine: checkpoint version %d, want %d or %d",
-			ck.Version, CheckpointVersionV1, CheckpointVersion)
+			hdr.Version, CheckpointVersionV1, CheckpointVersion)
 	}
-	// Normalize compressed base states so callers may hand Restore a raw
-	// unmarshaled artifact without going through ReadCheckpointFile; the
-	// caller's document is left untouched.
-	ck, err := ck.decompressed()
-	if err != nil {
-		return stats, err
-	}
-	if got, want := e.cfg.algoName(), ck.Algorithm; got != want {
+	if got, want := e.cfg.algoName(), hdr.Algorithm; got != want {
 		return stats, fmt.Errorf("engine: checkpoint was taken with algorithm %q, engine runs %q", want, got)
 	}
-	if e.cfg.Seed != ck.Seed {
-		return stats, fmt.Errorf("engine: checkpoint was taken with seed %d, engine runs seed %d", ck.Seed, e.cfg.Seed)
+	if e.cfg.Seed != hdr.Seed {
+		return stats, fmt.Errorf("engine: checkpoint was taken with seed %d, engine runs seed %d", hdr.Seed, e.cfg.Seed)
 	}
-	for i := range ck.Tenants {
-		tc := &ck.Tenants[i]
-		baseLoaded, err := e.restoreTenant(tc)
-		if err != nil {
+	for {
+		tc, err := next()
+		if err != nil || tc == nil {
 			return stats, err
 		}
-		if baseLoaded {
+		if err := e.restoreTenant(tc); err != nil {
+			return stats, err
+		}
+		if len(tc.BaseState) > 0 {
 			stats.BasesLoaded++
 			stats.StateBytes += int64(len(tc.BaseState))
 		}
@@ -352,227 +374,111 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 		stats.Arrivals += tc.BaseServed + len(tc.Arrivals)
 		stats.Replayed += len(tc.Arrivals)
 	}
-	return stats, nil
 }
 
-// restoreTenant rebuilds one checkpointed tenant on the engine: it is
-// re-created on its serialized substrate, its base state (if any) is loaded
-// through online.StateCodec, and the tail segment is replayed through the
-// normal serve path. Shared by Restore and InjectTenant — the mechanism that
-// makes kill -9 safe is the same one that makes tenants movable while live.
-// It returns whether a base state was loaded; replayed arrivals are admitted
-// but not necessarily served on return.
-func (e *Engine) restoreTenant(tc *TenantCheckpoint) (baseLoaded bool, err error) {
-	if len(tc.CostBySize) != tc.Universe+1 {
-		return false, fmt.Errorf("engine: restore %q: cost table has %d entries for universe %d",
-			tc.Tenant, len(tc.CostBySize), tc.Universe)
-	}
-	table, err := cost.NewTable(tc.CostBySize)
+// restoreTenant rebuilds one checkpointed tenant on the engine. The record
+// is checked and the tenant built in full — substrate, base state, serve
+// counters, tail — before it is registered, so a refused record leaves no
+// tenant behind. The tail is then enqueued as one batch on the tenant's
+// shard; restoreTenant returns once it is admitted, not served. Shared by
+// Restore and InjectTenant — the mechanism that makes kill -9 safe is the
+// same one that makes tenants movable while live.
+func (e *Engine) restoreTenant(tc *TenantCheckpoint) error {
+	t, tail, err := e.buildTenant(tc)
 	if err != nil {
-		return false, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
+		return fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
 	}
-	if err := metric.CheckMatrix(tc.Distances); err != nil {
-		return false, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
-	}
-	origin := tc.TenantOrigin
-	if err := e.createTenant(tc.Tenant, metric.NewMatrix(tc.Distances), table, &origin); err != nil {
-		return false, err
-	}
-	if len(tc.BaseState) > 0 {
-		if err := e.loadBase(tc); err != nil {
-			return false, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
-		}
-		baseLoaded = true
-	}
-	for _, a := range tc.Arrivals {
-		err := e.Serve(tc.Tenant, instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)})
-		if err != nil {
-			return baseLoaded, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
-		}
-	}
-	return baseLoaded, nil
-}
-
-// loadBase installs a checkpointed base state into a freshly created tenant:
-// the algorithm state is unmarshaled and the serve counters are set to their
-// sealed values, all on the shard goroutine so it serializes before any
-// replayed arrivals.
-func (e *Engine) loadBase(tc *TenantCheckpoint) error {
-	e.mu.Lock()
-	t := e.tenants[tc.Tenant]
-	e.mu.Unlock()
-	var rerr error
-	t.shard.control(func() {
-		sc, ok := t.alg.(online.StateCodec)
-		if !ok {
-			rerr = fmt.Errorf("checkpoint has a base state but algorithm %q cannot load one", t.alg.Name())
-			return
-		}
-		if err := sc.UnmarshalState(tc.BaseState); err != nil {
-			rerr = err
-			return
-		}
-		t.served = tc.BaseServed
-		t.admitted.Store(int64(tc.BaseServed))
-		t.construction = tc.BaseConstruction
-		t.assignment = tc.BaseAssignment
-		t.facCursor = len(t.alg.Solution().Facilities)
-		t.baseState = tc.BaseState
-		t.baseServed = tc.BaseServed
-		t.baseConstruction = tc.BaseConstruction
-		t.baseAssignment = tc.BaseAssignment
-	})
-	return rerr
-}
-
-// Compressed returns a copy of the checkpoint with every tenant base state
-// flate-compressed into BaseStateZ and the Compression header set. Tenant
-// records without a base state (v1 checkpoints, never-sealed tenants) pass
-// through unchanged; an already-compressed checkpoint is returned as is.
-// The copy shares the arrival segments and origins with the receiver.
-func (ck *Checkpoint) Compressed() (*Checkpoint, error) {
-	if ck.Compression == CompressionFlate {
-		return ck, nil
-	}
-	if ck.Compression != "" {
-		return nil, fmt.Errorf("engine: checkpoint has unknown compression %q", ck.Compression)
-	}
-	out := *ck
-	out.Compression = CompressionFlate
-	out.Tenants = make([]TenantCheckpoint, len(ck.Tenants))
-	for i, tc := range ck.Tenants {
-		if len(tc.BaseState) > 0 {
-			z, err := deflate(tc.BaseState)
-			if err != nil {
-				return nil, fmt.Errorf("engine: compress %q base state: %v", tc.Tenant, err)
-			}
-			tc.BaseStateZ, tc.BaseState = z, nil
-		}
-		out.Tenants[i] = tc
-	}
-	return &out, nil
-}
-
-// Decompress normalizes the checkpoint in place: compressed base states are
-// inflated back into BaseState and the Compression header cleared, so every
-// consumer downstream sees raw state bytes regardless of how the artifact
-// was encoded. Uncompressed checkpoints are left untouched.
-func (ck *Checkpoint) Decompress() error {
-	out, err := ck.decompressed()
-	if err != nil {
+	if err := e.register(t); err != nil {
 		return err
 	}
-	if out != ck {
-		*ck = *out
+	if len(tail) > 0 {
+		t.shard.ops <- shardOp{tn: t, batch: tail}
+		t.admitted.Add(int64(len(tail)))
 	}
 	return nil
 }
 
-// decompressed is the non-mutating form of Decompress: it returns the
-// receiver itself when already uncompressed, otherwise a normalized copy
-// with every base state inflated (sharing arrival segments and origins).
-// Restore goes through it so a caller's compressed document — possibly
-// shared across engines — is never written to.
-func (ck *Checkpoint) decompressed() (*Checkpoint, error) {
-	switch ck.Compression {
-	case "":
-		return ck, nil
-	case CompressionFlate:
-	default:
-		return nil, fmt.Errorf("engine: checkpoint has unknown compression %q", ck.Compression)
+// buildTenant runs every check a record must pass — the cost table, the
+// metric, the base state and its counters, each tail arrival's admission
+// rules — and returns the unregistered tenant with its tail as batch items.
+func (e *Engine) buildTenant(tc *TenantCheckpoint) (*tenant, []BatchItem, error) {
+	if len(tc.CostBySize) != tc.Universe+1 {
+		return nil, nil, fmt.Errorf("cost table has %d entries for universe %d", len(tc.CostBySize), tc.Universe)
 	}
-	out := *ck
-	out.Compression = ""
-	out.Tenants = make([]TenantCheckpoint, len(ck.Tenants))
-	for i, tc := range ck.Tenants {
-		if len(tc.BaseStateZ) > 0 {
-			data, err := inflate(tc.BaseStateZ)
-			if err != nil {
-				return nil, fmt.Errorf("engine: decompress %q base state: %v", tc.Tenant, err)
+	table, err := cost.NewTable(tc.CostBySize)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := metric.CheckMatrix(tc.Distances); err != nil {
+		return nil, nil, err
+	}
+	origin := tc.TenantOrigin
+	t, err := e.newTenant(tc.Tenant, metric.NewMatrix(tc.Distances), table, &origin)
+	if err != nil {
+		return nil, nil, err
+	}
+	if err := t.loadBase(tc); err != nil {
+		return nil, nil, err
+	}
+	tail := make([]BatchItem, len(tc.Arrivals))
+	for i, a := range tc.Arrivals {
+		for _, id := range a.Demands {
+			if id < 0 || id >= tc.Universe {
+				return nil, nil, fmt.Errorf("tail arrival %d demands commodity %d outside universe of %d", i, id, tc.Universe)
 			}
-			tc.BaseState, tc.BaseStateZ = data, nil
 		}
-		out.Tenants[i] = tc
-	}
-	return &out, nil
-}
-
-func deflate(data []byte) ([]byte, error) {
-	var buf bytes.Buffer
-	w, err := flate.NewWriter(&buf, flate.DefaultCompression)
-	if err != nil {
-		return nil, err
-	}
-	if _, err := w.Write(data); err != nil {
-		return nil, err
-	}
-	if err := w.Close(); err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-func inflate(z []byte) ([]byte, error) {
-	r := flate.NewReader(bytes.NewReader(z))
-	defer r.Close()
-	return io.ReadAll(r)
-}
-
-// WriteFile writes the checkpoint to path atomically: the JSON document goes
-// to a temporary file in the same directory, is synced, and is renamed over
-// path — a crash mid-write never corrupts the previous checkpoint. Base
-// states are flate-compressed on the way out (flagged in the header; see
-// Compressed). It returns the encoded size in bytes.
-func (ck *Checkpoint) WriteFile(path string) (int, error) {
-	zck, err := ck.Compressed()
-	if err != nil {
-		return 0, err
-	}
-	data, err := json.Marshal(zck)
-	if err != nil {
-		return 0, err
-	}
-	dir := filepath.Dir(path)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return 0, err
-	}
-	tmp, err := os.CreateTemp(dir, filepath.Base(path)+".tmp-*")
-	if err != nil {
-		return 0, err
-	}
-	defer os.Remove(tmp.Name()) // no-op after a successful rename
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return 0, err
-	}
-	if err := tmp.Close(); err != nil {
-		return 0, err
-	}
-	return len(data), os.Rename(tmp.Name(), path)
-}
-
-// ReadCheckpointFile reads a checkpoint written by WriteFile (either format
-// version, compressed or not) and returns it in normalized, decompressed
-// form.
-func ReadCheckpointFile(path string) (*Checkpoint, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	var ck Checkpoint
-	if err := json.Unmarshal(data, &ck); err != nil {
-		var te *json.UnmarshalTypeError
-		if errors.As(err, &te) && te.Value == "object" && strings.HasSuffix(te.Field, "base_state") {
-			return nil, fmt.Errorf("engine: checkpoint %s: a tenant base_state is an inline JSON object, the schema-1 JSON state layout this build no longer reads (only v1 arrival-history checkpoints of that build still restore)", path)
+		tail[i].Req = instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
+		if err := t.validate(tail[i].Req); err != nil {
+			return nil, nil, fmt.Errorf("tail arrival %d: %v", i, err)
 		}
-		return nil, fmt.Errorf("engine: checkpoint %s: %v", path, err)
 	}
-	if err := ck.Decompress(); err != nil {
-		return nil, fmt.Errorf("engine: checkpoint %s: %v", path, err)
+	return t, tail, nil
+}
+
+// loadBase installs a record's base state into a tenant that is not yet
+// registered, refusing counters the state contradicts: the served count
+// must equal the state's assignment count, the construction cost must be
+// bitwise the state's facilities priced through the tenant's cost table in
+// opening order (the order serve accumulates them in), and the assignment
+// cost must be finite and non-negative. A record without a base state
+// restores from genesis, so it may claim no base arrivals.
+func (t *tenant) loadBase(tc *TenantCheckpoint) error {
+	if len(tc.BaseState) == 0 {
+		if tc.BaseServed != 0 {
+			return fmt.Errorf("record claims %d base arrivals but carries no base state", tc.BaseServed)
+		}
+		return nil
 	}
-	return &ck, nil
+	sc, ok := t.alg.(online.StateCodec)
+	if !ok {
+		return fmt.Errorf("checkpoint has a base state but algorithm %q cannot load one", t.alg.Name())
+	}
+	if err := sc.UnmarshalState(tc.BaseState); err != nil {
+		return err
+	}
+	sol := t.alg.Solution()
+	if tc.BaseServed != len(sol.Assign) {
+		return fmt.Errorf("record claims %d base arrivals, its base state holds %d", tc.BaseServed, len(sol.Assign))
+	}
+	construction := 0.0
+	for _, f := range sol.Facilities {
+		construction += t.costs.Cost(f.Point, f.Config)
+	}
+	if math.Float64bits(construction) != math.Float64bits(tc.BaseConstruction) {
+		return fmt.Errorf("record claims construction cost %v, its base state's %d facilities cost %v",
+			tc.BaseConstruction, len(sol.Facilities), construction)
+	}
+	if !(tc.BaseAssignment >= 0) || math.IsInf(tc.BaseAssignment, 0) {
+		return fmt.Errorf("record claims assignment cost %v, want finite and non-negative", tc.BaseAssignment)
+	}
+	t.served = tc.BaseServed
+	t.admitted.Store(int64(tc.BaseServed))
+	t.construction = tc.BaseConstruction
+	t.assignment = tc.BaseAssignment
+	t.facCursor = len(sol.Facilities)
+	t.baseState = tc.BaseState
+	t.baseServed = tc.BaseServed
+	t.baseConstruction = tc.BaseConstruction
+	t.baseAssignment = tc.BaseAssignment
+	return nil
 }

@@ -3,8 +3,10 @@ package engine
 import (
 	"bytes"
 	"encoding/json"
+	"math"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -159,7 +161,7 @@ func TestCheckpointFileAtomicRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "ckpt", "engine.ckpt.json")
+	path := filepath.Join(t.TempDir(), "ckpt", "engine.ckpt")
 	if _, err := ck.WriteFile(path); err != nil {
 		t.Fatal(err)
 	}
@@ -174,8 +176,8 @@ func TestCheckpointFileAtomicRoundTrip(t *testing.T) {
 	if got.Version != CheckpointVersion || got.Algorithm != "pd" || got.Seed != 3 {
 		t.Errorf("checkpoint header = %+v", got)
 	}
-	if got.Arrivals() != ck.Arrivals() || len(got.Tenants) != len(ck.Tenants) {
-		t.Errorf("read back %d arrivals/%d tenants, want %d/%d",
+	if !reflect.DeepEqual(got, ck) {
+		t.Errorf("read back a different checkpoint: %d arrivals/%d tenants, want %d/%d",
 			got.Arrivals(), len(got.Tenants), ck.Arrivals(), len(ck.Tenants))
 	}
 	// No stray temp files left behind.
@@ -526,11 +528,10 @@ func TestCheckpointV1SealedRefused(t *testing.T) {
 	}
 }
 
-// TestCheckpointCompression pins the flate encoding of v2 base states: the
-// artifact WriteFile produces must be flagged, smaller than the raw
-// marshal, and restore byte-identically both through ReadCheckpointFile and
-// when a still-compressed checkpoint is handed straight to Restore.
-// Uncompressed v2 documents (pre-compression writers) must keep restoring.
+// TestCheckpointCompression pins the document WriteFile writes: base
+// states are flate-compressed, the file is smaller than the checkpoint's
+// JSON marshal, WriteFile leaves the receiver alone, and the document reads
+// back into the same checkpoint, which restores byte-identically.
 func TestCheckpointCompression(t *testing.T) {
 	tr := fixedTrace(42, 200, 6, 12)
 	cfg := Config{Algorithm: "pd", Shards: 2, Seed: 7, RecordArrivals: true, SealEvery: 10}
@@ -552,53 +553,32 @@ func TestCheckpointCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	path := filepath.Join(t.TempDir(), "engine.ckpt.json")
+	before := append([]byte(nil), raw...)
+	path := filepath.Join(t.TempDir(), "engine.ckpt")
 	n, err := ck.WriteFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if ck.Compression != "" {
-		t.Fatalf("WriteFile mutated the receiver: compression %q", ck.Compression)
+	if after, _ := json.Marshal(ck); !bytes.Equal(after, before) {
+		t.Fatal("WriteFile mutated the receiver")
 	}
 	if n >= len(raw) {
-		t.Errorf("compressed artifact is %d bytes, raw marshal %d — flate bought nothing", n, len(raw))
+		t.Errorf("document is %d bytes, JSON marshal %d — the binary document bought nothing", n, len(raw))
 	}
-	onDisk, err := os.ReadFile(path)
+	info, err := InspectCheckpointFile(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	var flagged Checkpoint
-	if err := json.Unmarshal(onDisk, &flagged); err != nil {
-		t.Fatal(err)
+	if info.Bytes != n || info.Version != CheckpointVersion || len(info.Tenants) != 2 {
+		t.Fatalf("inspect %+v, want %d bytes, version %d, 2 tenants", info, n, CheckpointVersion)
 	}
-	if flagged.Compression != CompressionFlate {
-		t.Fatalf("on-disk compression flag %q, want %q", flagged.Compression, CompressionFlate)
-	}
-	for i := range flagged.Tenants {
-		tc := &flagged.Tenants[i]
-		if len(tc.BaseState) != 0 || len(tc.BaseStateZ) == 0 {
-			t.Fatalf("tenant %s on disk: base_state %d bytes, base_state_z %d bytes",
-				tc.Tenant, len(tc.BaseState), len(tc.BaseStateZ))
+	for i, ti := range info.Tenants {
+		tc := &ck.Tenants[i]
+		if ti.Tenant != tc.Tenant || ti.BaseServed != tc.BaseServed || ti.BaseBytes != len(tc.BaseState) || ti.Tail != len(tc.Arrivals) {
+			t.Errorf("inspect tenant %+v disagrees with the checkpoint", ti)
 		}
-	}
-
-	verify := func(label string, ck *Checkpoint) {
-		t.Helper()
-		restored := New(Config{Algorithm: "pd", Shards: 3, Seed: 7, RecordArrivals: true, SealEvery: 10})
-		defer restored.Close()
-		stats, err := restored.Restore(ck)
-		if err != nil {
-			t.Fatalf("%s: %v", label, err)
-		}
-		if stats.BasesLoaded != 2 || stats.StateBytes == 0 {
-			t.Errorf("%s: restore stats %+v, want 2 decompressed bases", label, stats)
-		}
-		got, err := restored.SnapshotAll()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, got)) {
-			t.Errorf("%s: restored snapshots differ from pre-checkpoint snapshots", label)
+		if ti.BaseBytesZ == 0 || ti.BaseBytesZ >= ti.BaseBytes {
+			t.Errorf("tenant %s: base state %d bytes stored as %d compressed", ti.Tenant, ti.BaseBytes, ti.BaseBytesZ)
 		}
 	}
 
@@ -606,50 +586,152 @@ func TestCheckpointCompression(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if fromFile.Compression != "" {
-		t.Errorf("ReadCheckpointFile left compression %q", fromFile.Compression)
+	if !reflect.DeepEqual(fromFile, ck) {
+		t.Fatal("the document read back differs from the checkpoint written")
 	}
-	verify("read-file", fromFile)
-	verify("restore-compressed-directly", &flagged)
-	// Restore must not mutate the caller's document: a compressed artifact
-	// can be shared across engines (e.g. replicas restoring from one file).
-	if flagged.Compression != CompressionFlate {
-		t.Errorf("Restore cleared the input's compression flag (%q)", flagged.Compression)
-	}
-	for i := range flagged.Tenants {
-		tc := &flagged.Tenants[i]
-		if len(tc.BaseStateZ) == 0 || len(tc.BaseState) != 0 {
-			t.Errorf("Restore mutated input tenant %s: base_state %d bytes, base_state_z %d bytes",
-				tc.Tenant, len(tc.BaseState), len(tc.BaseStateZ))
-		}
-	}
-
-	// An uncompressed v2 document — what a pre-compression writer produced.
-	var plain Checkpoint
-	if err := json.Unmarshal(raw, &plain); err != nil {
-		t.Fatal(err)
-	}
-	verify("uncompressed-v2", &plain)
-}
-
-// TestCheckpointSchema1StatesRefused: checkpoints written before the binary
-// state codec carry JSON base states — inline objects in uncompressed
-// documents, flate-compressed JSON in WriteFile artifacts (both fixtures
-// were captured by that build with SealEvery 8). Either must fail with an
-// error naming the old schema, never panic or misparse.
-func TestCheckpointSchema1StatesRefused(t *testing.T) {
-	_, err := ReadCheckpointFile("testdata/checkpoint_schema1_inline.json")
-	if err == nil || !strings.Contains(err.Error(), "schema-1") {
-		t.Errorf("inline JSON base_state: err = %v, want one naming the schema-1 layout", err)
-	}
-
-	ck, err := ReadCheckpointFile("testdata/checkpoint_schema1_flate.json")
+	restored := New(Config{Algorithm: "pd", Shards: 3, Seed: 7, RecordArrivals: true, SealEvery: 10})
+	defer restored.Close()
+	stats, err := restored.Restore(fromFile)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := New(Config{Algorithm: "pd", Shards: 1, Seed: 7, RecordArrivals: true})
-	defer e.Close()
-	if _, err := e.Restore(ck); err == nil || !strings.Contains(err.Error(), "schema 1") {
-		t.Errorf("flate-compressed JSON base state: err = %v, want one naming schema 1", err)
+	if stats.BasesLoaded != 2 || stats.StateBytes == 0 {
+		t.Errorf("restore stats %+v, want 2 bases loaded", stats)
+	}
+	got, err := restored.SnapshotAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, got)) {
+		t.Error("restored snapshots differ from pre-checkpoint snapshots")
+	}
+
+	// RestoreFile decodes and restores record by record, to the same state.
+	streamed := New(Config{Algorithm: "pd", Shards: 1, Seed: 7, RecordArrivals: true, SealEvery: 10})
+	defer streamed.Close()
+	fstats, err := streamed.RestoreFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fstats != stats {
+		t.Errorf("RestoreFile stats %+v, Restore's %+v", fstats, stats)
+	}
+	if got, err = streamed.SnapshotAll(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, got)) {
+		t.Error("RestoreFile snapshots differ from pre-checkpoint snapshots")
+	}
+	// A document with trailing bytes is refused, after its records.
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(path, append(data, 0), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := mustEngine(t, cfg).RestoreFile(path); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("RestoreFile of a document with a trailing byte: err = %v", err)
+	}
+}
+
+// TestCheckpointBoundedInflation: a document whose base states would
+// inflate past maxInflate times its length is written with the states
+// Huffman-coded instead of deflated, so the reader's bound never refuses
+// what WriteFile wrote.
+func TestCheckpointBoundedInflation(t *testing.T) {
+	ck := &Checkpoint{Version: CheckpointVersion, Algorithm: "pd", Seed: 1, Tenants: []TenantCheckpoint{{
+		Tenant:       "zeros",
+		TenantOrigin: TenantOrigin{Universe: 1, Distances: [][]float64{{0}}, CostBySize: []float64{0, 1}},
+		BaseState:    make([]byte, 1<<20),
+		BaseServed:   3,
+		Arrivals:     []ArrivalRecord{{Point: 0, Demands: []int{0}}},
+	}}}
+	path := filepath.Join(t.TempDir(), "engine.ckpt")
+	n, err := ck.WriteFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n >= 1<<20 || maxInflate*n < 1<<20 {
+		t.Errorf("a 1 MiB state of zeros made a %d-byte document, want under 1 MiB and at least 1/%d of it", n, maxInflate)
+	}
+	got, err := ReadCheckpointFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(got, ck) {
+		t.Error("stored document read back differently")
+	}
+}
+
+// TestCheckpointSchema1StatesRefused: checkpoints written before the binary
+// state codec are JSON documents — with inline JSON base states, or with
+// flate-compressed ones (both fixtures were captured by that build with
+// SealEvery 8) — and so is the last JSON-era document, whose base states
+// are already binary (checkpoint_json_v2.json). Each must fail with an
+// error naming the JSON format, never panic or misparse.
+func TestCheckpointSchema1StatesRefused(t *testing.T) {
+	for _, fixture := range []string{"checkpoint_schema1_inline.json", "checkpoint_schema1_flate.json", "checkpoint_json_v2.json"} {
+		_, err := ReadCheckpointFile(filepath.Join("testdata", fixture))
+		if err == nil || !strings.Contains(err.Error(), "JSON checkpoint document") {
+			t.Errorf("%s: err = %v, want one naming the JSON checkpoint document", fixture, err)
+		}
+	}
+}
+
+// TestRestoreRefusesBaseCounters: a record's serve counters must agree with
+// its base state — the served count with the state's assignments, the
+// construction cost bitwise with its facilities priced in opening order —
+// and the assignment cost must be finite and non-negative. A contradicting
+// record is refused whole: no tenant is left behind, and the untouched
+// checkpoint still restores.
+func TestRestoreRefusesBaseCounters(t *testing.T) {
+	for _, algo := range []string{"pd", "rand"} {
+		cfg := Config{Algorithm: algo, Shards: 2, Seed: 7, RecordArrivals: true, SealEvery: 8}
+		e := New(cfg)
+		if _, err := e.ReplayTrace(fixedTrace(12, 42, 5, 10), 1); err != nil {
+			t.Fatal(err)
+		}
+		ck, err := e.Checkpoint()
+		if err != nil {
+			t.Fatal(err)
+		}
+		e.Close()
+		if tc := ck.Tenants[0]; len(tc.BaseState) == 0 || tc.BaseServed == 0 {
+			t.Fatalf("%s: tenant not sealed (base %d bytes, %d served)", algo, len(tc.BaseState), tc.BaseServed)
+		}
+		tamper := map[string]func(tc *TenantCheckpoint){
+			"served+1000":         func(tc *TenantCheckpoint) { tc.BaseServed += 1000 },
+			"served-1":            func(tc *TenantCheckpoint) { tc.BaseServed-- },
+			"construction=-5":     func(tc *TenantCheckpoint) { tc.BaseConstruction = -5 },
+			"construction+ulp":    func(tc *TenantCheckpoint) { tc.BaseConstruction = math.Nextafter(tc.BaseConstruction, math.Inf(1)) },
+			"assignment<0":        func(tc *TenantCheckpoint) { tc.BaseAssignment = -1 },
+			"assignment=NaN":      func(tc *TenantCheckpoint) { tc.BaseAssignment = math.NaN() },
+			"assignment=+Inf":     func(tc *TenantCheckpoint) { tc.BaseAssignment = math.Inf(1) },
+			"served without base": func(tc *TenantCheckpoint) { tc.BaseState = nil },
+			"demand outside universe": func(tc *TenantCheckpoint) {
+				tc.Arrivals = append(tc.Arrivals, ArrivalRecord{Point: 0, Demands: []int{tc.Universe}})
+			},
+			"negative demand": func(tc *TenantCheckpoint) {
+				tc.Arrivals = append(tc.Arrivals, ArrivalRecord{Point: 0, Demands: []int{-1}})
+			},
+		}
+		for name, edit := range tamper {
+			bad := *ck
+			bad.Tenants = []TenantCheckpoint{ck.Tenants[0]}
+			tc := &bad.Tenants[0]
+			tc.Arrivals = append([]ArrivalRecord(nil), tc.Arrivals...)
+			edit(tc)
+			fresh := mustEngine(t, cfg)
+			if _, err := fresh.Restore(&bad); err == nil {
+				t.Errorf("%s/%s: tampered record restored", algo, name)
+			}
+			if n := fresh.TenantCount(); n != 0 {
+				t.Errorf("%s/%s: refused restore left %d tenants behind", algo, name, n)
+			}
+		}
+		if _, err := mustEngine(t, cfg).Restore(ck); err != nil {
+			t.Errorf("%s: untouched checkpoint: %v", algo, err)
+		}
 	}
 }

@@ -482,38 +482,53 @@ func (e *Engine) CreateTenant(id string, space metric.Space, costs cost.Model) e
 }
 
 // createTenant is CreateTenant with an optional serializable origin (known
-// when the tenant arrives through the op protocol or a checkpoint restore).
+// when the tenant arrives through the op protocol).
 func (e *Engine) createTenant(id string, space metric.Space, costs cost.Model, origin *TenantOrigin) error {
+	t, err := e.newTenant(id, space, costs, origin)
+	if err != nil {
+		return err
+	}
+	return e.register(t)
+}
+
+// newTenant constructs a tenant and its algorithm instance, seeded from the
+// engine seed and the name, without registering it: until register
+// publishes it, the caller owns it outright.
+func (e *Engine) newTenant(id string, space metric.Space, costs cost.Model, origin *TenantOrigin) (*tenant, error) {
 	if id == "" {
-		return fmt.Errorf("engine: tenant name must be non-empty")
+		return nil, fmt.Errorf("engine: tenant name must be non-empty")
 	}
 	if space == nil || costs == nil {
-		return fmt.Errorf("engine: tenant %q needs a space and a cost model", id)
+		return nil, fmt.Errorf("engine: tenant %q needs a space and a cost model", id)
 	}
-	alg := e.factory.New(space, costs, workload.NamedSeed(e.cfg.Seed, id))
+	return &tenant{
+		id:        id,
+		space:     space,
+		costs:     costs,
+		universe:  commodity.Full(costs.Universe()),
+		alg:       e.factory.New(space, costs, workload.NamedSeed(e.cfg.Seed, id)),
+		record:    e.cfg.RecordArrivals,
+		sealEvery: e.cfg.SealEvery,
+		origin:    origin,
+		logger:    e.logger,
+	}, nil
+}
+
+// register pins a constructed tenant to a shard and publishes it; arrivals
+// may be served as soon as register returns.
+func (e *Engine) register(t *tenant) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return fmt.Errorf("engine: %w", ErrClosed)
 	}
-	if _, dup := e.tenants[id]; dup {
-		return fmt.Errorf("engine: tenant %q: %w", id, ErrDuplicateTenant)
+	if _, dup := e.tenants[t.id]; dup {
+		return fmt.Errorf("engine: tenant %q: %w", t.id, ErrDuplicateTenant)
 	}
-	idx := e.shardIndexFor(id)
+	idx := e.shardIndexFor(t.id)
 	e.loads[idx]++
-	e.tenants[id] = &tenant{
-		id:        id,
-		shard:     e.shards[idx],
-		shardIdx:  idx,
-		space:     space,
-		costs:     costs,
-		universe:  commodity.Full(costs.Universe()),
-		alg:       alg,
-		record:    e.cfg.RecordArrivals,
-		sealEvery: e.cfg.SealEvery,
-		origin:    origin,
-		logger:    e.logger,
-	}
+	t.shard, t.shardIdx = e.shards[idx], idx
+	e.tenants[t.id] = t
 	return nil
 }
 

@@ -103,6 +103,5 @@ func (e *Engine) InjectTenant(tr *TenantTransfer) error {
 		return fmt.Errorf("engine: transfer of %q was captured with seed %d, engine runs seed %d",
 			tr.Tenant, tr.Seed, e.cfg.Seed)
 	}
-	_, err := e.restoreTenant(&tr.TenantCheckpoint)
-	return err
+	return e.restoreTenant(&tr.TenantCheckpoint)
 }

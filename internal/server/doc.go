@@ -98,16 +98,19 @@
 // # Checkpoints
 //
 // With Config.CheckpointDir set, the server writes engine checkpoints to
-// <dir>/engine.ckpt.json every CheckpointEvery (atomic temp-file + rename, so
-// a crash mid-write preserves the previous checkpoint), once more during
+// <dir>/engine.ckpt every CheckpointEvery (atomic temp-file + rename, so a
+// crash mid-write preserves the previous checkpoint), once more during
 // graceful shutdown, and restores from that file on startup — a restarted
 // server resumes every tenant from its last checkpoint with no cost
 // divergence. Checkpoints use the engine's format v2: each tenant's record
 // is a base snapshot of its serialized algorithm state plus the arrival
 // segment served since (Engine.Config.SealEvery bounds the segment), so a
 // restore loads state and replays O(segment) arrivals rather than the full
-// history; legacy v1 checkpoints restore too. /v1/metrics reports the
-// checkpoint pipeline's health — write size and latency, and the restore's
-// duration, replay count and state bytes — alongside the engine's
+// history. The file is the engine's binary checkpoint document; New
+// refuses a JSON document, and a directory holding only the engine.ckpt.json
+// of an earlier build, with an error that names it rather than start
+// empty. /v1/metrics reports the checkpoint pipeline's health — write size
+// and latency, and the restore's duration (reading the file, restoring and
+// replaying), replay count and state bytes — alongside the engine's
 // per-shard load breakdown.
 package server

@@ -88,6 +88,49 @@ func TestNodeExtractInjectEndpoints(t *testing.T) {
 	httpJSON(t, "POST", "http://"+alien.HTTPAddr()+"/v1/tenants/a/inject", json.RawMessage(wire), http.StatusBadRequest)
 }
 
+// TestInjectRefusesTamperedTransfer: an inject whose base counters
+// contradict its base state (a served count 1000 too high, a negative
+// construction cost) or whose tail demands a commodity outside the universe
+// is a 400 that leaves no tenant behind — the untouched transfer then
+// injects cleanly instead of hitting a 409.
+func TestInjectRefusesTamperedTransfer(t *testing.T) {
+	cfg := engine.Config{Algorithm: "pd", Shards: 1, Seed: 5}
+	src := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: cfg})
+	dst := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: cfg})
+	srcBase := "http://" + src.HTTPAddr()
+	dstBase := "http://" + dst.HTTPAddr()
+	create := createBody{Universe: 3, Distances: [][]float64{{0, 1}, {1, 0}}, CostBySize: []float64{0, 1, 1.5, 1.8}}
+	httpJSON(t, "POST", srcBase+"/v1/tenants/a", create, http.StatusCreated)
+	for _, a := range []Arrival{{Point: 0, Demands: []int{0, 2}}, {Point: 1, Demands: []int{1}}} {
+		httpJSON(t, "POST", srcBase+"/v1/tenants/a/arrive", a, http.StatusOK)
+	}
+	var tf engine.TenantTransfer
+	if err := json.Unmarshal(httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=2", nil, http.StatusOK), &tf); err != nil {
+		t.Fatal(err)
+	}
+	if tf.BaseServed != 2 || len(tf.BaseState) == 0 {
+		t.Fatalf("transfer carries %d base arrivals and %d state bytes, want a sealed base of 2", tf.BaseServed, len(tf.BaseState))
+	}
+	for name, edit := range map[string]func(*engine.TenantTransfer){
+		"served+1000":     func(tr *engine.TenantTransfer) { tr.BaseServed += 1000 },
+		"construction-5":  func(tr *engine.TenantTransfer) { tr.BaseConstruction = -5 },
+		"negative demand": func(tr *engine.TenantTransfer) { tr.Arrivals = []engine.ArrivalRecord{{Point: 0, Demands: []int{-1}}} },
+	} {
+		bad := tf
+		edit(&bad)
+		httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", bad, http.StatusBadRequest)
+		httpJSON(t, "GET", dstBase+"/v1/tenants/a/snapshot", nil, http.StatusNotFound)
+		var info NodeInfo
+		if err := json.Unmarshal(httpJSON(t, "GET", dstBase+"/v1/node", nil, http.StatusOK), &info); err != nil {
+			t.Fatal(err)
+		}
+		if info.Tenants != 0 {
+			t.Fatalf("%s: refused inject left %d tenants behind", name, info.Tenants)
+		}
+	}
+	httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", tf, http.StatusOK)
+}
+
 // TestTCPResultCodes: the framed-op protocol reports machine-readable
 // sentinel codes so a router can distinguish unknown-tenant from transport
 // failures without parsing error prose.

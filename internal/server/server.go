@@ -15,8 +15,14 @@ import (
 	"repro/internal/obs"
 )
 
-// CheckpointFile is the checkpoint's file name inside Config.CheckpointDir.
-const CheckpointFile = "engine.ckpt.json"
+// CheckpointFile is the checkpoint's file name inside Config.CheckpointDir:
+// the engine's binary checkpoint document (engine.ReadCheckpointFile).
+const CheckpointFile = "engine.ckpt"
+
+// legacyCheckpointFile is where builds before the binary document kept
+// their JSON checkpoint. New refuses a directory that holds only that file
+// rather than start empty over tenants it cannot read.
+const legacyCheckpointFile = "engine.ckpt.json"
 
 // Config configures a Server.
 type Config struct {
@@ -26,7 +32,9 @@ type Config struct {
 	// TCPAddr is the framed-op TCP listen address; empty disables it.
 	TCPAddr string
 	// CheckpointDir enables checkpointing: snapshots of engine state land
-	// in <dir>/engine.ckpt.json and are restored from there on New.
+	// in <dir>/engine.ckpt (CheckpointFile, a binary document) and are
+	// restored from there on New. A directory holding only a JSON-era
+	// engine.ckpt.json makes New fail: this build cannot read it.
 	CheckpointDir string
 	// CheckpointEvery is the checkpoint interval; <= 0 means 15s. Only
 	// meaningful with CheckpointDir set.
@@ -93,7 +101,7 @@ type Server struct {
 	ckptCount int64
 	ckptLast  ckptRecord
 	restored  engine.RestoreStats // what New's restore did
-	restoreMs float64             // wall time of that restore (load + replay + drain)
+	restoreMs float64             // wall time of that restore (read + restore + drain)
 
 	shutdownOnce sync.Once
 	shutdownErr  error
@@ -142,33 +150,41 @@ func New(cfg Config) (*Server, error) {
 		conns:  map[net.Conn]struct{}{},
 	}
 	if cfg.CheckpointDir != "" {
-		path := s.checkpointPath()
-		if _, err := os.Stat(path); err == nil {
-			ck, err := engine.ReadCheckpointFile(path)
-			if err != nil {
-				eng.Close()
-				return nil, err
-			}
-			start := time.Now()
-			stats, err := eng.Restore(ck)
-			if err != nil {
-				eng.Close()
-				return nil, fmt.Errorf("server: restoring %s: %v", path, err)
-			}
-			// Restore returns on admission; drain so the reported restore
-			// time covers serving the tail, not just enqueueing it.
-			eng.Drain()
-			s.restored = stats
-			s.restoreMs = float64(time.Since(start).Microseconds()) / 1e3
-			logger.Info("checkpoint restored",
-				"path", path, "arrivals", stats.Arrivals, "replayed", stats.Replayed,
-				"state_bytes", stats.StateBytes, "ms", s.restoreMs)
-		} else if !os.IsNotExist(err) {
+		if err := s.restore(); err != nil {
 			eng.Close()
 			return nil, err
 		}
 	}
 	return s, nil
+}
+
+// restore restores the checkpoint in the configured directory, if there is
+// one. The reported duration covers reading the file, restoring it and
+// draining the replayed tails.
+func (s *Server) restore() error {
+	path := s.checkpointPath()
+	if _, err := os.Stat(path); os.IsNotExist(err) {
+		legacy := filepath.Join(s.cfg.CheckpointDir, legacyCheckpointFile)
+		if _, err := os.Stat(legacy); err == nil {
+			return fmt.Errorf("server: %s holds only %s, a JSON checkpoint document of an earlier build; this build reads only the binary %s and will not start empty over it",
+				s.cfg.CheckpointDir, legacyCheckpointFile, CheckpointFile)
+		}
+		return nil
+	} else if err != nil {
+		return err
+	}
+	start := time.Now()
+	stats, err := s.eng.RestoreFile(path)
+	if err != nil {
+		return fmt.Errorf("server: restoring %s: %v", path, err)
+	}
+	s.eng.Drain()
+	s.restored = stats
+	s.restoreMs = float64(time.Since(start).Microseconds()) / 1e3
+	s.logger.Info("checkpoint restored",
+		"path", path, "arrivals", stats.Arrivals, "replayed", stats.Replayed,
+		"state_bytes", stats.StateBytes, "ms", s.restoreMs)
+	return nil
 }
 
 // Engine exposes the shared engine (for in-process callers and tests).
@@ -271,8 +287,8 @@ func (s *Server) TCPAddr() string {
 }
 
 // Checkpoint captures and atomically persists a checkpoint now (format v2:
-// per-tenant base states + tail segments). Errors when checkpointing is not
-// configured.
+// per-tenant base states + tail segments, written as the binary document).
+// Errors when checkpointing is not configured.
 func (s *Server) Checkpoint() error {
 	if s.cfg.CheckpointDir == "" {
 		return fmt.Errorf("server: checkpointing not configured")

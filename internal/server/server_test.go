@@ -10,6 +10,8 @@ import (
 	"math/rand"
 	"net"
 	"net/http"
+	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -549,5 +551,30 @@ func TestMetricsCheckpointAndPerShard(t *testing.T) {
 	}
 	if m2.Checkpoint.RestoredArrivals != 40 || m2.Checkpoint.RestoredStateBytes <= 0 {
 		t.Errorf("restarted metrics restore section %+v", m2.Checkpoint)
+	}
+}
+
+// TestNewRefusesLegacyCheckpointDir: a checkpoint directory of a build
+// before the binary document holds only engine.ckpt.json. New must fail
+// naming it rather than start empty and drop every tenant in it; a JSON
+// document under the new name is refused as JSON.
+func TestNewRefusesLegacyCheckpointDir(t *testing.T) {
+	legacy, err := os.ReadFile(filepath.Join("..", "engine", "testdata", "checkpoint_json_v2.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cfg := Config{Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 7}}
+	for file, want := range map[string]string{"engine.ckpt.json": "engine.ckpt.json", CheckpointFile: "JSON checkpoint document"} {
+		cfg.CheckpointDir = t.TempDir()
+		if err := os.WriteFile(filepath.Join(cfg.CheckpointDir, file), legacy, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := New(cfg)
+		if err == nil {
+			s.Engine().Close()
+			t.Errorf("%s: New started over a JSON-era checkpoint", file)
+		} else if !strings.Contains(err.Error(), want) {
+			t.Errorf("%s: err = %v, want one naming %q", file, err, want)
+		}
 	}
 }
