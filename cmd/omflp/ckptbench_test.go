@@ -101,13 +101,13 @@ func TestCkptInspect(t *testing.T) {
 		t.Fatal(err)
 	}
 	if info.Version != engine.CheckpointVersion || info.Algorithm != "pd" || info.Seed != 3 ||
-		info.Compression != "flate" || info.Bytes != n || len(info.Tenants) != 3 {
+		info.Bytes != n || len(info.Tenants) != 3 {
 		t.Fatalf("inspect header %+v", info)
 	}
 	for i, ti := range info.Tenants {
 		tc := ck.Tenants[i]
 		if ti.Tenant != tc.Tenant || ti.BaseServed != tc.BaseServed || ti.BaseBytes != len(tc.BaseState) ||
-			ti.BaseBytesZ == 0 || ti.Tail != len(tc.Arrivals) || ti.Tail >= 5 {
+			ti.BaseBytesZ == 0 || ti.BaseBytesZ >= ti.BaseBytes || ti.Tail != len(tc.Arrivals) || ti.Tail >= 5 {
 			t.Errorf("inspect tenant %+v, checkpoint has %s: %d served, %d state bytes, %d tail",
 				ti, tc.Tenant, tc.BaseServed, len(tc.BaseState), len(tc.Arrivals))
 		}

@@ -400,12 +400,16 @@ func serveDaemon(cfg daemonConfig) error {
 	if cfg.ckptDir == "" {
 		return nil
 	}
+	ck, err := engine.ReadCheckpointFile(cfg.ckptDir + "/" + server.CheckpointFile)
+	if err != nil {
+		return err
+	}
 	replay, err := engine.NewChecked(cfg.engine)
 	if err != nil {
 		return err
 	}
 	defer replay.Close()
-	if _, err := replay.RestoreFile(cfg.ckptDir + "/" + server.CheckpointFile); err != nil {
+	if _, err := replay.Restore(ck); err != nil {
 		return err
 	}
 	return emitSnapshots(replay, cfg.snapOut, cfg.compact)

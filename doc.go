@@ -77,17 +77,18 @@
 // On disk a checkpoint is one binary document (engine.ckpt; see
 // internal/engine): a magic and version header, then per tenant its name,
 // its substrate as raw float64 bits, its base state flate-compressed with
-// the raw length beside it, and its tail as varints. Restore rebuilds one
-// tenant at a time and hands each tail to the tenant's shard as one batch,
-// so the shards replay while the next tenant is decoded, and it refuses a
-// record whose serve counters contradict its base state. "omflp
-// ckpt-inspect FILE" prints a document's header and per-tenant sizes. The
-// JSON document of earlier builds (engine.ckpt.json, with base_state_z
-// fields under compression: "flate") is refused with an error that names
-// it, and a checkpoint directory that holds only such a file stops the
-// daemon from starting instead of letting it start empty. Without
-// Config.RecordArrivals the engine checkpoints by marshaling state at
-// capture time — no arrival history at all, nothing replayed on restore.
+// the raw length beside it, and its tail as varints. Restore checks and
+// builds one tenant at a time and hands its tail to the tenant's shard in
+// batches, so the shards replay while the caller builds the next batch or
+// tenant, and it refuses a record whose serve counters contradict its base
+// state. "omflp ckpt-inspect FILE" prints a document's header and
+// per-tenant sizes. The JSON document of earlier builds (engine.ckpt.json,
+// with base_state_z fields under compression: "flate") is refused with an
+// error that names it, and a checkpoint directory that holds only such a
+// file stops the daemon from starting instead of letting it start empty.
+// Without Config.RecordArrivals the engine checkpoints by marshaling state
+// at capture time — no arrival history at all, nothing replayed on
+// restore.
 //
 // Clustering. One process tops out at cores × arrivals/s, so omflp serve
 // also runs as a multi-node cluster (see internal/cluster): worker nodes

@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"os"
 	"sort"
 	"sync"
 
@@ -302,67 +301,27 @@ type RestoreStats struct {
 // none of the checkpointed tenants may already exist.
 //
 // Tenants are rebuilt one at a time on the calling goroutine, and each
-// tail is handed to the tenant's shard as one batch, so the shards replay
-// while the caller rebuilds the next tenant. Restore returns once all tail
-// arrivals are admitted; snapshots (which serialize behind the replay on
-// each shard) see the restored state, and Drain waits for it.
+// tail is handed to the tenant's shard in batches of up to replayBatch
+// arrivals, so the shards replay while the caller builds the next batch or
+// tenant. Restore returns once all tail arrivals are admitted; snapshots
+// (which serialize behind the replay on each shard) see the restored
+// state, and Drain waits for it.
 func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
-	i := 0
-	return e.restore(ck, func() (*TenantCheckpoint, error) {
-		if i == len(ck.Tenants) {
-			return nil, nil
-		}
-		i++
-		return &ck.Tenants[i-1], nil
-	})
-}
-
-// RestoreFile is Restore of the checkpoint document at path, decoded one
-// tenant record at a time: each tenant is rebuilt and its tail handed to
-// its shard before the next record is decoded, so decoding overlaps the
-// replay and the decoded document is never held whole.
-func (e *Engine) RestoreFile(path string) (RestoreStats, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return RestoreStats{}, err
-	}
-	d, hdr, err := newDocReader("engine: checkpoint "+path, data)
-	if err != nil {
-		return RestoreStats{}, err
-	}
-	return e.restore(hdr, func() (*TenantCheckpoint, error) {
-		if d.read == d.tenants {
-			return nil, d.r.End()
-		}
-		var tc TenantCheckpoint
-		if _, err := d.next(&tc); err != nil {
-			return nil, err
-		}
-		return &tc, nil
-	})
-}
-
-// restore checks a checkpoint's header against the engine, then restores
-// the tenant records next returns until it returns none.
-func (e *Engine) restore(hdr *Checkpoint, next func() (*TenantCheckpoint, error)) (RestoreStats, error) {
 	var stats RestoreStats
-	switch hdr.Version {
+	switch ck.Version {
 	case CheckpointVersionV1, CheckpointVersion:
 	default:
 		return stats, fmt.Errorf("engine: checkpoint version %d, want %d or %d",
-			hdr.Version, CheckpointVersionV1, CheckpointVersion)
+			ck.Version, CheckpointVersionV1, CheckpointVersion)
 	}
-	if got, want := e.cfg.algoName(), hdr.Algorithm; got != want {
+	if got, want := e.cfg.algoName(), ck.Algorithm; got != want {
 		return stats, fmt.Errorf("engine: checkpoint was taken with algorithm %q, engine runs %q", want, got)
 	}
-	if e.cfg.Seed != hdr.Seed {
-		return stats, fmt.Errorf("engine: checkpoint was taken with seed %d, engine runs seed %d", hdr.Seed, e.cfg.Seed)
+	if e.cfg.Seed != ck.Seed {
+		return stats, fmt.Errorf("engine: checkpoint was taken with seed %d, engine runs seed %d", ck.Seed, e.cfg.Seed)
 	}
-	for {
-		tc, err := next()
-		if err != nil || tc == nil {
-			return stats, err
-		}
+	for i := range ck.Tenants {
+		tc := &ck.Tenants[i]
 		if err := e.restoreTenant(tc); err != nil {
 			return stats, err
 		}
@@ -374,65 +333,89 @@ func (e *Engine) restore(hdr *Checkpoint, next func() (*TenantCheckpoint, error)
 		stats.Arrivals += tc.BaseServed + len(tc.Arrivals)
 		stats.Replayed += len(tc.Arrivals)
 	}
+	return stats, nil
 }
 
+// replayBatch is the most tail arrivals restoreTenant hands a shard in one
+// mailbox op: large enough to amortize the channel hop, small enough that
+// the shard starts replaying a long tail while the rest is still built.
+const replayBatch = 256
+
 // restoreTenant rebuilds one checkpointed tenant on the engine. The record
-// is checked and the tenant built in full — substrate, base state, serve
-// counters, tail — before it is registered, so a refused record leaves no
-// tenant behind. The tail is then enqueued as one batch on the tenant's
-// shard; restoreTenant returns once it is admitted, not served. Shared by
-// Restore and InjectTenant — the mechanism that makes kill -9 safe is the
-// same one that makes tenants movable while live.
+// is checked in full — substrate, base state, serve counters, every tail
+// arrival — and the tenant built before it is registered, so a refused
+// record leaves no tenant behind. The tail is then enqueued in batches on
+// the tenant's shard; restoreTenant returns once it is admitted, not
+// served. Shared by Restore and InjectTenant — the mechanism that makes
+// kill -9 safe is the same one that makes tenants movable while live.
 func (e *Engine) restoreTenant(tc *TenantCheckpoint) error {
-	t, tail, err := e.buildTenant(tc)
+	t, err := e.buildTenant(tc)
 	if err != nil {
 		return fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
 	}
 	if err := e.register(t); err != nil {
 		return err
 	}
-	if len(tail) > 0 {
-		t.shard.ops <- shardOp{tn: t, batch: tail}
-		t.admitted.Add(int64(len(tail)))
+	for tail := tc.Arrivals; len(tail) > 0; {
+		batch := make([]BatchItem, min(len(tail), replayBatch))
+		for i, a := range tail[:len(batch)] {
+			batch[i].Req = instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
+		}
+		t.shard.ops <- shardOp{tn: t, batch: batch}
+		t.admitted.Add(int64(len(batch)))
+		tail = tail[len(batch):]
 	}
 	return nil
 }
 
 // buildTenant runs every check a record must pass — the cost table, the
 // metric, the base state and its counters, each tail arrival's admission
-// rules — and returns the unregistered tenant with its tail as batch items.
-func (e *Engine) buildTenant(tc *TenantCheckpoint) (*tenant, []BatchItem, error) {
+// rules — and returns the unregistered tenant.
+func (e *Engine) buildTenant(tc *TenantCheckpoint) (*tenant, error) {
 	if len(tc.CostBySize) != tc.Universe+1 {
-		return nil, nil, fmt.Errorf("cost table has %d entries for universe %d", len(tc.CostBySize), tc.Universe)
+		return nil, fmt.Errorf("cost table has %d entries for universe %d", len(tc.CostBySize), tc.Universe)
 	}
 	table, err := cost.NewTable(tc.CostBySize)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := metric.CheckMatrix(tc.Distances); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	origin := tc.TenantOrigin
 	t, err := e.newTenant(tc.Tenant, metric.NewMatrix(tc.Distances), table, &origin)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	if err := t.loadBase(tc); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	tail := make([]BatchItem, len(tc.Arrivals))
 	for i, a := range tc.Arrivals {
-		for _, id := range a.Demands {
-			if id < 0 || id >= tc.Universe {
-				return nil, nil, fmt.Errorf("tail arrival %d demands commodity %d outside universe of %d", i, id, tc.Universe)
-			}
-		}
-		tail[i].Req = instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
-		if err := t.validate(tail[i].Req); err != nil {
-			return nil, nil, fmt.Errorf("tail arrival %d: %v", i, err)
+		if err := t.validateRecord(a); err != nil {
+			return nil, fmt.Errorf("tail arrival %d: %v", i, err)
 		}
 	}
-	return t, tail, nil
+	return t, nil
+}
+
+// validateRecord is validate on an arrival record, before its request is
+// built: the point must lie in the space and the demands must be non-empty
+// and inside the universe, so the request built from a record that passes
+// passes validate.
+func (t *tenant) validateRecord(a ArrivalRecord) error {
+	if a.Point < 0 || a.Point >= t.space.Len() {
+		return fmt.Errorf("point %d outside space of %d points", a.Point, t.space.Len())
+	}
+	if len(a.Demands) == 0 {
+		return fmt.Errorf("request demands nothing")
+	}
+	u := t.costs.Universe()
+	for _, id := range a.Demands {
+		if id < 0 || id >= u {
+			return fmt.Errorf("demands commodity %d outside universe of %d", id, u)
+		}
+	}
+	return nil
 }
 
 // loadBase installs a record's base state into a tenant that is not yet

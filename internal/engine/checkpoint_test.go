@@ -510,6 +510,48 @@ func TestCheckpointV1Migration(t *testing.T) {
 	}
 }
 
+// TestRestoreLongTail: a tail longer than replayBatch reaches its shard in
+// several batches, every arrival is admitted in order, and the restore is
+// byte-identical.
+func TestRestoreLongTail(t *testing.T) {
+	const n = 2*replayBatch + 37
+	cfg := Config{Algorithm: "pd", Shards: 2, Seed: 4, RecordArrivals: true, SealEvery: -1}
+	src := New(cfg)
+	if _, err := src.ReplayTrace(fixedTrace(61, n, 5, 10), 1); err != nil {
+		t.Fatal(err)
+	}
+	want, err := src.SnapshotAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck, err := src.Checkpoint()
+	src.Close()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(ck.Tenants) != 1 || ck.TailArrivals() != n {
+		t.Fatalf("checkpoint holds %d tenants, %d tail arrivals; want 1 and %d", len(ck.Tenants), ck.TailArrivals(), n)
+	}
+	dst := mustEngine(t, cfg)
+	stats, err := dst.Restore(ck)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if stats.Replayed != n {
+		t.Errorf("replayed %d, want %d", stats.Replayed, n)
+	}
+	if at, err := dst.AdmittedCount(ck.Tenants[0].Tenant); err != nil || at != n {
+		t.Errorf("admitted %d (err %v), want %d", at, err, n)
+	}
+	got, err := dst.SnapshotAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, got)) {
+		t.Error("restored snapshots differ from the source engine's")
+	}
+}
+
 // TestCheckpointV1SealedRefused: once part of the history is sealed into a
 // base, the legacy capture must refuse (its history is incomplete) while
 // the v2 capture keeps working.
@@ -606,22 +648,6 @@ func TestCheckpointCompression(t *testing.T) {
 		t.Error("restored snapshots differ from pre-checkpoint snapshots")
 	}
 
-	// RestoreFile decodes and restores record by record, to the same state.
-	streamed := New(Config{Algorithm: "pd", Shards: 1, Seed: 7, RecordArrivals: true, SealEvery: 10})
-	defer streamed.Close()
-	fstats, err := streamed.RestoreFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fstats != stats {
-		t.Errorf("RestoreFile stats %+v, Restore's %+v", fstats, stats)
-	}
-	if got, err = streamed.SnapshotAll(); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, got)) {
-		t.Error("RestoreFile snapshots differ from pre-checkpoint snapshots")
-	}
 	// A document with trailing bytes is refused, after its records.
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -630,8 +656,8 @@ func TestCheckpointCompression(t *testing.T) {
 	if err := os.WriteFile(path, append(data, 0), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := mustEngine(t, cfg).RestoreFile(path); err == nil || !strings.Contains(err.Error(), "trailing") {
-		t.Errorf("RestoreFile of a document with a trailing byte: err = %v", err)
+	if _, err := ReadCheckpointFile(path); err == nil || !strings.Contains(err.Error(), "trailing") {
+		t.Errorf("ReadCheckpointFile of a document with a trailing byte: err = %v", err)
 	}
 }
 
@@ -714,6 +740,12 @@ func TestRestoreRefusesBaseCounters(t *testing.T) {
 			},
 			"negative demand": func(tc *TenantCheckpoint) {
 				tc.Arrivals = append(tc.Arrivals, ArrivalRecord{Point: 0, Demands: []int{-1}})
+			},
+			"no demands": func(tc *TenantCheckpoint) {
+				tc.Arrivals = append(tc.Arrivals, ArrivalRecord{Point: 0})
+			},
+			"point outside space": func(tc *TenantCheckpoint) {
+				tc.Arrivals = append(tc.Arrivals, ArrivalRecord{Point: len(tc.Distances), Demands: []int{0}})
 			},
 		}
 		for name, edit := range tamper {

@@ -45,8 +45,8 @@ const checkpointMagic = "\x89OMFLPCK"
 // |S| ≥ 2 about 13-31× and RAND states under 11×; a document that would
 // exceed the bound — long PD histories over one commodity compress 45-84× —
 // is written with its base states Huffman-coded without string matching
-// (flate.HuffmanOnly: at least one bit per byte, so at most 8×), trading
-// disk for a reader that cannot be bombed.
+// (flate.HuffmanOnly: at least one bit per byte, so at most 8×, always
+// inside the bound), trading disk for a reader that cannot be bombed.
 const maxInflate = 40
 
 // minTenantBytes is the smallest encoded tenant record: one byte for each
@@ -99,14 +99,12 @@ func ReadCheckpointFile(path string) (*Checkpoint, error) {
 
 // CheckpointInfo summarizes a checkpoint document without restoring it: the
 // header, and per tenant the sizes that make the document large.
-// Compression names how the document stores base states.
 type CheckpointInfo struct {
-	Compression string       `json:"compression"`
-	Version     int          `json:"version"`
-	Algorithm   string       `json:"algorithm"`
-	Seed        int64        `json:"seed"`
-	Bytes       int          `json:"bytes"`
-	Tenants     []TenantInfo `json:"tenants"`
+	Version   int          `json:"version"`
+	Algorithm string       `json:"algorithm"`
+	Seed      int64        `json:"seed"`
+	Bytes     int          `json:"bytes"`
+	Tenants   []TenantInfo `json:"tenants"`
 }
 
 // TenantInfo is one tenant's line of a CheckpointInfo: arrivals folded into
@@ -132,8 +130,8 @@ func InspectCheckpointFile(path string) (*CheckpointInfo, error) {
 	if err != nil {
 		return nil, err
 	}
-	info := &CheckpointInfo{Compression: "flate", Version: ck.Version,
-		Algorithm: ck.Algorithm, Seed: ck.Seed, Bytes: len(data), Tenants: make([]TenantInfo, len(ck.Tenants))}
+	info := &CheckpointInfo{Version: ck.Version, Algorithm: ck.Algorithm, Seed: ck.Seed,
+		Bytes: len(data), Tenants: make([]TenantInfo, len(ck.Tenants))}
 	for i, tc := range ck.Tenants {
 		info.Tenants[i] = TenantInfo{Tenant: tc.Tenant, BaseServed: tc.BaseServed,
 			BaseBytes: len(tc.BaseState), BaseBytesZ: zLen[i], Tail: len(tc.Arrivals)}
@@ -143,7 +141,7 @@ func InspectCheckpointFile(path string) (*CheckpointInfo, error) {
 
 // encode returns the checkpoint's document, base states deflated at the
 // default level — or Huffman-only, when that would inflate past
-// maxInflate; stored blocks are the last resort.
+// maxInflate.
 func (ck *Checkpoint) encode() ([]byte, error) {
 	if err := ck.checkEncodable(); err != nil {
 		return nil, err
@@ -153,7 +151,7 @@ func (ck *Checkpoint) encode() ([]byte, error) {
 		raw += len(ck.Tenants[i].BaseState)
 	}
 	var data []byte
-	for _, level := range []int{flate.DefaultCompression, flate.HuffmanOnly, flate.NoCompression} {
+	for _, level := range []int{flate.DefaultCompression, flate.HuffmanOnly} {
 		zs, err := deflateBases(ck.Tenants, level)
 		if err != nil {
 			return nil, err
@@ -282,48 +280,14 @@ func encodeCheckpoint(ck *Checkpoint, zs [][]byte) []byte {
 	})
 }
 
-// decodeCheckpoint reads a whole checkpoint document; what prefixes its
-// errors. onBase, when set, sees each tenant's compressed base state.
+// decodeCheckpoint reads a checkpoint document; what prefixes its errors.
+// onBase, when set, sees each tenant's compressed base state.
 func decodeCheckpoint(what string, data []byte, onBase func(tenant int, z []byte)) (*Checkpoint, error) {
-	d, ck, err := newDocReader(what, data)
-	if err != nil {
-		return nil, err
-	}
-	ck.Tenants = make([]TenantCheckpoint, d.tenants)
-	for i := range ck.Tenants {
-		z, err := d.next(&ck.Tenants[i])
-		if err != nil {
-			return nil, err
-		}
-		if onBase != nil && z != nil {
-			onBase(i, z)
-		}
-	}
-	if err := d.r.End(); err != nil {
-		return nil, err
-	}
-	return ck, nil
-}
-
-// docReader reads a checkpoint document one tenant record at a time, with
-// one reused flate reader. budget is what base states may still inflate to.
-type docReader struct {
-	r       *codec.Reader
-	tenants int // records in the document
-	read    int // records read so far
-	budget  int
-	src     bytes.Reader
-	zr      io.ReadCloser
-}
-
-// newDocReader checks the magic and reads the header: the returned
-// checkpoint carries it, without tenants.
-func newDocReader(what string, data []byte) (*docReader, *Checkpoint, error) {
 	if t := bytes.TrimLeft(data, " \t\r\n"); len(t) > 0 && t[0] == '{' {
-		return nil, nil, fmt.Errorf("%s: a JSON checkpoint document, the format before the binary document; this build cannot read it", what)
+		return nil, fmt.Errorf("%s: a JSON checkpoint document, the format before the binary document; this build cannot read it", what)
 	}
 	if !bytes.HasPrefix(data, []byte(checkpointMagic)) {
-		return nil, nil, fmt.Errorf("%s: not a checkpoint document (bad magic)", what)
+		return nil, fmt.Errorf("%s: not a checkpoint document (bad magic)", what)
 	}
 	r := codec.NewReader(what, data[len(checkpointMagic):])
 	ck := &Checkpoint{Version: r.Uint()}
@@ -333,21 +297,33 @@ func newDocReader(what string, data []byte) (*docReader, *Checkpoint, error) {
 	ck.Algorithm = r.String()
 	ck.Seed = int64(r.Fixed64())
 	n := r.Count(minTenantBytes, "tenant records")
-	if r.Err() != nil {
-		return nil, nil, r.Err()
+	if err := r.Err(); err != nil {
+		return nil, err
 	}
-	return &docReader{r: r, tenants: n, budget: maxInflate * len(data)}, ck, nil
+	ck.Tenants = make([]TenantCheckpoint, n)
+	d := &docReader{r: r, budget: maxInflate * len(data)}
+	for i := range ck.Tenants {
+		z := d.tenant(&ck.Tenants[i])
+		if err := r.Err(); err != nil {
+			return nil, fmt.Errorf("%v (tenant record %d)", err, i)
+		}
+		if onBase != nil && z != nil {
+			onBase(i, z)
+		}
+	}
+	if err := r.End(); err != nil {
+		return nil, err
+	}
+	return ck, nil
 }
 
-// next decodes the next tenant record into tc and returns its compressed
-// base state (nil without one).
-func (d *docReader) next(tc *TenantCheckpoint) ([]byte, error) {
-	z := d.tenant(tc)
-	if err := d.r.Err(); err != nil {
-		return nil, fmt.Errorf("%v (tenant record %d)", err, d.read)
-	}
-	d.read++
-	return z, nil
+// docReader decodes a document's tenant records with one reused flate
+// reader. budget is what base states may still inflate to.
+type docReader struct {
+	r      *codec.Reader
+	budget int
+	src    bytes.Reader
+	zr     io.ReadCloser
 }
 
 // tenant decodes one tenant record into tc and returns its compressed base

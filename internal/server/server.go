@@ -174,10 +174,16 @@ func (s *Server) restore() error {
 		return err
 	}
 	start := time.Now()
-	stats, err := s.eng.RestoreFile(path)
+	ck, err := engine.ReadCheckpointFile(path)
+	if err != nil {
+		return err
+	}
+	stats, err := s.eng.Restore(ck)
 	if err != nil {
 		return fmt.Errorf("server: restoring %s: %v", path, err)
 	}
+	// Restore returns on admission; drain so the reported time covers
+	// serving the tails, not just enqueueing them.
 	s.eng.Drain()
 	s.restored = stats
 	s.restoreMs = float64(time.Since(start).Microseconds()) / 1e3
