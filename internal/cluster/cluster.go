@@ -28,14 +28,21 @@
 // reads the ledger under the write lock and the source node waits until the
 // tenant's served count reaches it before capturing state.
 //
-// # Live migration
+// # Moving tenants
 //
-// Migrate moves one tenant with no arrival loss and no reordering: mark the
-// route migrating (new arrivals buffer in the router), flush in-flight
-// frames, extract on the source once served equals the ledger, checkpoint
-// the source (so a later restart does not resurrect the moved tenant),
-// inject on the target, checkpoint the target, replay the buffered tail,
-// and flip the route once the buffer drains. Snapshots on the target are
+// Migrate moves one tenant live with no arrival loss and no reordering,
+// and a follower reseed copies one, by the same move: quiesce (mark the
+// route moving, so new arrivals buffer in the router; read the exact
+// ledger cut; flush in-flight frames to the owner), capture (extract on
+// the source once served equals the cut, then checkpoint the source so a
+// restart does not resurrect the tenant; a reseed exports instead),
+// install (inject on the target and checkpoint it; a reseed first clears
+// any stale replica), drain (replay the buffer, each batch to the owner
+// leg, whose admitted count advances the ledger, then to the follower leg,
+// whose failure only drops the follower) and settle (once the buffer is
+// observed empty under the write lock, flip the route or activate the
+// follower). A capture or install failure aborts: the drain goes back to
+// the source, whose state never left. Snapshots on the target are
 // byte-identical to what the source would have produced.
 //
 // # Failure model
@@ -236,9 +243,10 @@ type Router struct {
 	promotions   atomic.Int64 // routes flipped owner→follower
 	replDegrades atomic.Int64 // followers dropped after replication errors
 
-	// migFault, when non-nil, is consulted at each migration phase
-	// ("extract", "inject", "replay", "flip") and aborts the phase when it
-	// returns an error. Fault-injection tests only; nil in production.
+	// migFault, when non-nil, is consulted at each phase of a tenant move
+	// (see checkMigFault) and fails the phase when it returns an error.
+	// Fault-injection tests only; nil in production. The health loop's
+	// reseeds read it, so a test sets it before Start.
 	migFault func(phase string) error
 
 	httpLn   net.Listener

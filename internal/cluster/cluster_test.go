@@ -64,6 +64,14 @@ func startWorker(t *testing.T, seed int64, ckptDir string) *server.Server {
 
 func startRouter(t *testing.T, cfg Config) *Router {
 	t.Helper()
+	return startFaultRouter(t, cfg, nil)
+}
+
+// startFaultRouter starts a router whose move phases consult fault (see
+// checkMigFault). The hook is set before Start because the health loop's
+// reseeds read it.
+func startFaultRouter(t *testing.T, cfg Config, fault func(phase string) error) *Router {
+	t.Helper()
 	if cfg.HTTPAddr == "" {
 		cfg.HTTPAddr = "127.0.0.1:0"
 	}
@@ -74,6 +82,7 @@ func startRouter(t *testing.T, cfg Config) *Router {
 	if err != nil {
 		t.Fatal(err)
 	}
+	r.migFault = fault
 	if err := r.Start(); err != nil {
 		t.Fatal(err)
 	}

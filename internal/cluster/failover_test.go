@@ -291,22 +291,27 @@ func TestReplicationWorkerLoss(t *testing.T) {
 }
 
 // TestMigrationFaultInjection drives the migration coordinator into every
-// injected failure phase and asserts the documented outcome: extract and
-// inject faults abort cleanly back to the source, a flip fault lands the
-// route on the target anyway (state lives there), and an inject+reinject
-// double fault drops the route rather than leaving it split. In every
-// surviving case the tenant's final snapshot is byte-identical — no
-// arrival is lost or double-served by a faulted migration.
+// injected failure phase, with arrivals buffered between quiesce and capture
+// so every outcome has a tail to drain, and asserts the documented outcome:
+// extract and inject faults abort cleanly back to the source, a replay
+// fault lands the route on the target with the buffered tail dropped, a
+// flip fault lands the route on the target anyway (state lives there), and
+// an inject+reinject double fault drops the route rather than leaving it
+// split. In every case that keeps the tail, the tenant's final snapshot is
+// byte-identical — no arrival is lost or double-served by a faulted
+// migration.
 func TestMigrationFaultInjection(t *testing.T) {
-	const arrivals, cut = 40, 20
+	const arrivals, cut, moving = 40, 20, 5
 	cases := []struct {
 		name    string
 		fail    map[string]bool
 		flipped bool // route ends on the target despite the error
 		dropped bool // route is gone (tenant needs manual restore)
+		lost    bool // the failed owner leg dropped the buffered tail
 	}{
 		{name: "extract-fault-aborts", fail: map[string]bool{"extract": true}},
 		{name: "inject-fault-aborts", fail: map[string]bool{"inject": true}},
+		{name: "replay-fault-flips-and-drops-tail", fail: map[string]bool{"replay": true}, flipped: true, lost: true},
 		{name: "flip-fault-flips-anyway", fail: map[string]bool{"flip": true}, flipped: true},
 		{name: "double-fault-drops-route", fail: map[string]bool{"inject": true, "reinject": true}, dropped: true},
 	}
@@ -315,24 +320,31 @@ func TestMigrationFaultInjection(t *testing.T) {
 			want := referenceArtifact(t, 61, 1, arrivals)
 			w1 := startWorker(t, 61, "")
 			w2 := startWorker(t, 61, "")
-			r := startRouter(t, Config{Nodes: []string{w1.HTTPAddr(), w2.HTTPAddr()}})
-			base := "http://" + r.HTTPAddr()
 			id := tenantName(0)
+			var base string
+			// The hook runs on this goroutine, inside Migrate. Arrivals
+			// posted from the "extract" phase land after quiesce and buffer
+			// in the router.
+			r := startFaultRouter(t, Config{Nodes: []string{w1.HTTPAddr(), w2.HTTPAddr()}}, func(phase string) error {
+				if phase == "extract" {
+					for i := cut; i < cut+moving; i++ {
+						httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+					}
+				}
+				if tc.fail[phase] {
+					return fmt.Errorf("injected %s fault", phase)
+				}
+				return nil
+			})
+			base = "http://" + r.HTTPAddr()
 			httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
 			for i := 0; i < cut; i++ {
 				httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
 			}
 
-			r.migFault = func(phase string) error {
-				if tc.fail[phase] {
-					return fmt.Errorf("injected %s fault", phase)
-				}
-				return nil
-			}
 			if _, err := r.Migrate(id, w2.HTTPAddr()); err == nil {
 				t.Fatal("migration with an injected fault reported success")
 			}
-			r.migFault = nil
 			if n := r.migrations.Load(); n != 0 {
 				t.Errorf("failed migration counted as complete (%d)", n)
 			}
@@ -359,9 +371,6 @@ func TestMigrationFaultInjection(t *testing.T) {
 			if migrating {
 				t.Fatal("route left in the migrating state")
 			}
-			if count != cut {
-				t.Errorf("ledger reads %d after the faulted migration, want %d", count, cut)
-			}
 			wantNode := 0
 			if tc.flipped {
 				wantNode = 1
@@ -369,13 +378,196 @@ func TestMigrationFaultInjection(t *testing.T) {
 			if node != wantNode {
 				t.Errorf("route on node %d, want %d", node, wantNode)
 			}
+			if tc.lost {
+				// The ledger names exactly what the target admitted.
+				if admitted := admittedOn(t, w2.HTTPAddr(), id); count != admitted || count != cut {
+					t.Errorf("ledger %d, target admitted %d, want both %d", count, admitted, cut)
+				}
+				return
+			}
+			if count != cut+moving {
+				t.Errorf("ledger reads %d after the faulted migration, want %d", count, cut+moving)
+			}
 
-			for i := cut; i < arrivals; i++ {
+			for i := cut + moving; i < arrivals; i++ {
 				httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
 			}
 			got := httpJSON(t, "GET", base+"/v1/snapshots", nil, http.StatusOK)
 			if !bytes.Equal(got, want) {
 				t.Error("snapshots after the faulted migration differ from the single-node artifact")
+			}
+		})
+	}
+}
+
+// admittedOn reads a worker's admitted count for tenant.
+func admittedOn(t *testing.T, worker, tenant string) int64 {
+	t.Helper()
+	var doc struct {
+		Admitted int64 `json:"admitted"`
+	}
+	if err := json.Unmarshal(httpJSON(t, "GET", "http://"+worker+"/v1/tenants/"+tenant+"/served", nil, http.StatusOK), &doc); err != nil {
+		t.Fatal(err)
+	}
+	return doc.Admitted
+}
+
+// postKeyed posts arrivals [lo, hi) as one batch keyed at stream position
+// lo and returns the router's (accepted, deduped) counts.
+func postKeyed(t *testing.T, base, tenant string, lo, hi int) (int, int) {
+	t.Helper()
+	batch := make([]server.Arrival, 0, hi-lo)
+	for i := lo; i < hi; i++ {
+		batch = append(batch, testArrival(i))
+	}
+	body, status := tryJSON(t, "POST", base+"/v1/tenants/"+tenant+"/arrive",
+		map[string]interface{}{"arrivals": batch}, map[string]string{server.IdemHeader: strconv.Itoa(lo)})
+	if status != http.StatusOK {
+		t.Fatalf("keyed arrive [%d, %d): status %d — body %s", lo, hi, status, body)
+	}
+	var out struct {
+		Accepted int `json:"accepted"`
+		Deduped  int `json:"deduped"`
+	}
+	if err := json.Unmarshal(body, &out); err != nil {
+		t.Fatal(err)
+	}
+	return out.Accepted, out.Deduped
+}
+
+// TestKeyedRetryDuringDrain: a keyed retry that lands while the drain is
+// replaying its batch — taken from the buffer, not yet admitted into the
+// ledger — is trimmed as already accounted, never served a second time.
+func TestKeyedRetryDuringDrain(t *testing.T) {
+	const cut = 10
+	w1 := startWorker(t, 81, "")
+	w2 := startWorker(t, 81, "")
+	id := tenantName(0)
+	var base string
+	retried := false
+	r := startFaultRouter(t, Config{Nodes: []string{w1.HTTPAddr(), w2.HTTPAddr()}}, func(phase string) error {
+		switch {
+		case phase == "extract":
+			postKeyed(t, base, id, cut, cut+1) // buffers at position cut
+		case phase == "replay" && !retried:
+			retried = true
+			if acc, dd := postKeyed(t, base, id, cut, cut+1); acc != 1 || dd != 1 {
+				t.Errorf("keyed retry mid-drain: accepted %d, deduped %d; want 1, 1", acc, dd)
+			}
+		}
+		return nil
+	})
+	base = "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	postKeyed(t, base, id, 0, cut)
+
+	res, err := r.Migrate(id, w2.HTTPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !retried || res.Replayed != 1 {
+		t.Errorf("migration replayed %d buffered arrivals (retry sent: %v), want 1", res.Replayed, retried)
+	}
+	if admitted := admittedOn(t, w2.HTTPAddr(), id); admitted != cut+1 {
+		t.Errorf("target admitted %d arrivals for %d positions", admitted, cut+1)
+	}
+	if m := r.Metrics(); m.Served != cut+1 {
+		t.Errorf("ledger accounts %d arrivals, want %d", m.Served, cut+1)
+	}
+}
+
+// TestReseedFaults drives a follower reseed into each failure phase —
+// capture (export), install (inject), the owner leg and the follower leg of
+// the drain — with keyed arrivals buffered during the move, one of them
+// landing mid-drain after the first batch was taken. Whatever fails, the
+// owner must end up admitting every acked arrival exactly once: a dropped
+// owner leg rolls the keyed positions back, so the client's retry refills
+// exactly the dropped ones. Only a reseed that completes leaves the route
+// replicated, with a follower byte-identical to its owner.
+func TestReseedFaults(t *testing.T) {
+	const arrivals, cut, tail = 40, 20, 5
+	cases := []struct {
+		name       string
+		fail       string // phase whose hook returns an error
+		sabotage   bool   // the follower loses its replica mid-drain
+		replicated bool
+		lost       bool // the failed owner leg dropped the buffered tail
+	}{
+		{name: "clean", replicated: true},
+		{name: "export-fault", fail: "export"},
+		{name: "inject-fault", fail: "inject"},
+		{name: "owner-leg-fault", fail: "replay", lost: true},
+		{name: "follower-leg-fails", sabotage: true},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			want := referenceArtifact(t, 91, 1, arrivals)
+			w1 := startWorker(t, 91, "")
+			w2 := startWorker(t, 91, "")
+			id := tenantName(0)
+			var base string
+			replaying := false
+			// No health tick fires: the test runs the one reseed itself,
+			// and the hook runs on its goroutine.
+			cfg := Config{Nodes: []string{w1.HTTPAddr(), w2.HTTPAddr()}, Replicate: true, HealthEvery: time.Hour}
+			r := startFaultRouter(t, cfg, func(phase string) error {
+				switch {
+				case phase == "export":
+					if acc, dd := postKeyed(t, base, id, cut, cut+tail-1); acc != tail-1 || dd != 0 {
+						t.Errorf("buffered arrivals: accepted %d, deduped %d; want %d, 0", acc, dd, tail-1)
+					}
+				case phase == "replay" && !replaying:
+					replaying = true
+					if tc.sabotage {
+						httpJSON(t, "POST", "http://"+w2.HTTPAddr()+"/v1/tenants/"+id+"/extract", nil, http.StatusOK)
+					}
+					postKeyed(t, base, id, cut+tail-1, cut+tail)
+				}
+				if phase == tc.fail {
+					return fmt.Errorf("injected %s fault", phase)
+				}
+				return nil
+			})
+			base = "http://" + r.HTTPAddr()
+			httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+			postKeyed(t, base, id, 0, cut)
+			r.degradeFollower(id, 1, fmt.Errorf("test degrade"))
+
+			r.reseedFollower(id)
+			r.mu.RLock()
+			follower, count, migrating := r.routes[id].follower, r.routes[id].count.Load(), r.routes[id].mig != nil
+			r.mu.RUnlock()
+			if migrating {
+				t.Fatal("route left moving after the reseed")
+			}
+			if wantF := map[bool]int{true: 1, false: -1}[tc.replicated]; follower != wantF {
+				t.Errorf("route follower %d after the reseed, want %d", follower, wantF)
+			}
+			if admitted := admittedOn(t, w1.HTTPAddr(), id); admitted != count {
+				t.Errorf("ledger %d, owner admitted %d", count, admitted)
+			}
+
+			// The client resends the buffered tail under its key: trimmed
+			// when it was kept, refilled when the owner leg dropped it.
+			acc, dd := postKeyed(t, base, id, cut, cut+tail)
+			if wantDD := map[bool]int{true: 0, false: tail}[tc.lost]; acc != tail || dd != wantDD {
+				t.Errorf("resent tail: accepted %d, deduped %d; want %d, %d", acc, dd, tail, wantDD)
+			}
+			postKeyed(t, base, id, cut+tail, arrivals)
+			if admitted := admittedOn(t, w1.HTTPAddr(), id); admitted != arrivals {
+				t.Errorf("owner admitted %d arrivals, want %d", admitted, arrivals)
+			}
+			got := httpJSON(t, "GET", base+"/v1/snapshots", nil, http.StatusOK)
+			if !bytes.Equal(got, want) {
+				t.Error("snapshots after the faulted reseed differ from the single-node artifact")
+			}
+			if tc.replicated {
+				snap := "/v1/tenants/" + id + "/snapshot"
+				owner := httpJSON(t, "GET", "http://"+w1.HTTPAddr()+snap, nil, http.StatusOK)
+				replica := httpJSON(t, "GET", "http://"+w2.HTTPAddr()+snap, nil, http.StatusOK)
+				if !bytes.Equal(owner, replica) {
+					t.Error("reseeded follower's snapshot differs from its owner's")
+				}
 			}
 		})
 	}

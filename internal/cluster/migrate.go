@@ -6,18 +6,24 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/server"
 )
 
-// migration buffers arrivals for a tenant whose route is mid-move. Sessions
-// append under Router.mu.RLock + buf's own lock; the coordinator drains
-// under buf's lock alone and flips the route once the buffer is observed
-// empty under the write lock (at which point no appender can be in flight).
+// migration buffers arrivals for a tenant whose route is moving — a
+// migration, its abort, or a follower reseed. Sessions append under
+// Router.mu.RLock + mu; drain takes batches under mu alone and settles the
+// route once the buffer is observed empty under the write lock (at which
+// point no appender can be in flight).
 type migration struct {
 	mu  sync.Mutex
 	buf []server.Arrival
+	// taken counts the arrivals drain has taken from buf and not yet
+	// admitted into the ledger. Their positions stay spoken for until then,
+	// so a keyed retry that lands mid-drain is trimmed, not served twice.
+	taken int
 }
 
 func (m *migration) add(batch ...server.Arrival) {
@@ -30,8 +36,19 @@ func (m *migration) take() []server.Arrival {
 	m.mu.Lock()
 	b := m.buf
 	m.buf = nil
+	m.taken += len(b)
 	m.mu.Unlock()
 	return b
+}
+
+// admit moves the taken arrivals out of the buffer's count and n of them —
+// the ones the owner leg admitted — into the ledger, in one step as seen by
+// position.
+func (m *migration) admit(count *atomic.Int64, n int) {
+	m.mu.Lock()
+	count.Add(int64(n))
+	m.taken = 0
+	m.mu.Unlock()
 }
 
 func (m *migration) buffered() int {
@@ -41,9 +58,17 @@ func (m *migration) buffered() int {
 	return n
 }
 
-// checkMigFault consults the fault-injection hook for a migration phase
-// ("extract", "inject", "reinject", "replay", "flip"). Always nil outside
-// fault-injection tests.
+// position is the stream position the next arrival for the moving route
+// takes: the ledger plus every arrival buffered or taken but not admitted.
+func (m *migration) position(count *atomic.Int64) int64 {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	return count.Load() + int64(len(m.buf)+m.taken)
+}
+
+// checkMigFault consults the fault-injection hook for a move phase
+// ("extract" or "export", "inject", "reinject", "replay", "flip"). Always
+// nil outside fault-injection tests.
 func (r *Router) checkMigFault(phase string) error {
 	if r.migFault == nil {
 		return nil
@@ -95,36 +120,25 @@ func (r *Router) Migrate(tenant, target string) (*MigrateResult, error) {
 		return nil, err
 	}
 
-	// Quiesce: mark the route migrating and read the arrival ledger under
-	// the write lock — from here arrivals buffer, and the ledger is exact
-	// (no forward is in flight while the lock is held).
-	r.mu.Lock()
-	rt := r.routes[tenant]
-	if rt == nil {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("cluster: tenant %q has no route", tenant)
+	var src *node
+	follower := -1
+	rt, mig, served, err := r.quiesce(tenant, func(rt *route) error {
+		src, follower = r.nodes[rt.node], rt.follower
+		if src == tgt {
+			return fmt.Errorf("cluster: tenant %q already lives on %s", tenant, tgt.addr)
+		}
+		if follower == tgt.idx {
+			return fmt.Errorf("cluster: tenant %q's follower lives on %s; migrating onto it would collide with the replica", tenant, tgt.addr)
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, err
 	}
-	if rt.mig != nil {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("cluster: tenant %q is already migrating", tenant)
-	}
-	src := r.nodes[rt.node]
-	if src == tgt {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("cluster: tenant %q already lives on %s", tenant, tgt.addr)
-	}
-	if rt.follower == tgt.idx {
-		r.mu.Unlock()
-		return nil, fmt.Errorf("cluster: tenant %q's follower lives on %s; migrating onto it would collide with the replica", tenant, tgt.addr)
-	}
-	mig := &migration{}
-	rt.mig = mig
-	served := rt.count.Load()
-	r.mu.Unlock()
 	r.logger.Info("migration quiesced",
 		"tenant", tenant, "from", src.addr, "to", tgt.addr, "served", served)
 
-	res, err := r.runMigration(rt, mig, tenant, src, tgt, served)
+	res, err := r.runMigration(rt, mig, tenant, src, tgt, follower, served)
 	if err != nil {
 		r.logger.Error("migration failed",
 			"tenant", tenant, "from", src.addr, "to", tgt.addr, "err", err)
@@ -137,22 +151,28 @@ func (r *Router) Migrate(tenant, target string) (*MigrateResult, error) {
 	return res, nil
 }
 
-func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt *node, served int64) (*MigrateResult, error) {
-	// Frames counted in the ledger may still sit in session write buffers;
-	// flush every registered connection to the source so the node can see
-	// all of them, then extract with served=N — the source waits until the
-	// tenant has served exactly N arrivals before capturing.
-	r.flushNodeUpstreams(src.idx)
+// runMigration captures the quiesced tenant on src, installs it on tgt and
+// drains the buffered arrivals to tgt, whose settle flips the route. A
+// capture or install failure aborts instead: the buffered arrivals drain
+// back to src, whose state never left (or was put back), and the route
+// stays there.
+func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt *node, follower int, served int64) (*MigrateResult, error) {
+	abort := func(cause error) (*MigrateResult, error) {
+		if _, err := r.drain(rt, mig, tenant, src, follower, func(int) {}); err != nil {
+			r.logger.Error("migration abort lost buffered arrivals", "tenant", tenant, "err", err)
+		}
+		return nil, cause
+	}
+	// The source waits until the tenant has served exactly `served`
+	// arrivals before capturing.
 	var transfer []byte
 	err := r.checkMigFault("extract")
 	if err == nil {
 		err = r.postRaw(src.base+"/v1/tenants/"+tenant+"/extract?served="+fmt.Sprint(served), nil, &transfer)
 	}
 	if err != nil {
-		r.abortMigration(rt, mig, src, tenant)
-		return nil, fmt.Errorf("cluster: extracting %q from %s: %v", tenant, src.addr, err)
+		return abort(fmt.Errorf("cluster: extracting %q from %s: %v", tenant, src.addr, err))
 	}
-
 	r.logger.Info("migration extracted", "tenant", tenant, "from", src.addr, "bytes", len(transfer))
 
 	// Persist the source without the tenant so a restart there cannot
@@ -176,154 +196,129 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 			rerr = r.postJSON(src.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
 		}
 		if rerr != nil {
-			r.dropRoute(rt, mig, tenant)
+			r.dropRoute(rt, tenant)
 			return nil, fmt.Errorf("cluster: inject of %q failed on target %s (%v) AND source %s (%v); tenant needs manual restore from checkpoint",
 				tenant, tgt.addr, err, src.addr, rerr)
 		}
-		r.abortMigration(rt, mig, src, tenant)
-		return nil, fmt.Errorf("cluster: injecting %q into %s: %v", tenant, tgt.addr, err)
+		return abort(fmt.Errorf("cluster: injecting %q into %s: %v", tenant, tgt.addr, err))
 	}
 	r.logger.Info("migration injected", "tenant", tenant, "to", tgt.addr)
 	if err := r.postJSON(tgt.base+"/v1/checkpoint", nil, nil); err != nil {
 		r.logger.Warn("post-inject checkpoint failed", "node", tgt.addr, "err", err)
 	}
 
-	replayed, err := r.drainAndFlip(rt, mig, tenant, tgt, served)
+	// The flip lands even when the drain fails: the tenant's state lives on
+	// tgt now, and leaving the route moving would buffer arrivals with no
+	// one left to replay them.
+	replayed, err := r.drain(rt, mig, tenant, tgt, follower, func(follower int) {
+		rt.node = tgt.idx
+		r.rlog.append(routeEvent{Op: "flip", Tenant: tenant, Node: tgt.addr,
+			Follower: r.nodeAddr(follower), Count: rt.count.Load(), Epoch: rt.epoch})
+	})
 	if err != nil {
 		return nil, err
 	}
 	return &MigrateResult{Tenant: tenant, From: src.addr, To: tgt.addr, Served: served, Replayed: replayed}, nil
 }
 
-// drainAndFlip replays buffered arrivals to dst (and to the tenant's
-// follower, whose replica must see the identical stream) until the buffer
-// is observed empty under the write lock, then atomically points the route
-// at dst with the ledger advanced by the replay. The replay rides the
-// binary wire when the node listens on TCP — one BATCH stream instead of an
-// HTTP POST per drained buffer — falling back to HTTP.
-func (r *Router) drainAndFlip(rt *route, mig *migration, tenant string, dst *node, served int64) (int, error) {
-	replayed := 0
-	for {
-		batch := mig.take()
-		if len(batch) > 0 {
-			err := r.checkMigFault("replay")
-			n := 0
-			if err == nil {
-				n, err = r.replayArrivals(dst, tenant, batch)
-			}
-			replayed += n
-			if err != nil {
-				// Arrivals batch[n:] are lost — the same window a node
-				// crash loses. Flip anyway: the tenant's state lives on
-				// dst, and leaving the route migrating forever would
-				// buffer arrivals with no one left to replay them.
-				r.finishFlip(rt, mig, tenant, dst.idx, served+int64(replayed))
-				return replayed, fmt.Errorf("cluster: replaying %d buffered arrivals of %q to %s: %v",
-					len(batch)-n, tenant, dst.addr, err)
-			}
-			r.replayToFollower(rt, tenant, batch)
-			continue
-		}
-		if err := r.checkMigFault("flip"); err != nil {
-			// A fault between replay and flip models a coordinator crash at
-			// the worst moment: the state lives on dst, so flip anyway and
-			// surface the error — the invariant under test is that no
-			// arrival is double-served and the route is never split.
-			r.finishFlip(rt, mig, tenant, dst.idx, served+int64(replayed))
-			return replayed, fmt.Errorf("cluster: flipping %q to %s: %v", tenant, dst.addr, err)
-		}
-		// Buffer looked empty; confirm under the write lock, where no
-		// appender can be mid-flight, and flip.
-		r.mu.Lock()
-		mig.mu.Lock()
-		empty := len(mig.buf) == 0
-		mig.mu.Unlock()
-		if empty {
-			rt.node = dst.idx
-			rt.count.Store(served + int64(replayed))
-			rt.mig = nil
-			follower, epoch := rt.follower, rt.epoch
-			r.mu.Unlock()
-			r.rlog.append(routeEvent{Op: "flip", Tenant: tenant, Node: dst.addr,
-				Follower: r.nodeAddr(follower), Count: served + int64(replayed), Epoch: epoch})
-			return replayed, nil
-		}
-		r.mu.Unlock()
-	}
-}
-
-// replayToFollower forwards a replayed batch to the tenant's follower (if
-// any) so the replica's stream stays identical to the owner's. A failure
-// degrades the follower rather than the migration.
-func (r *Router) replayToFollower(rt *route, tenant string, batch []server.Arrival) {
-	r.mu.RLock()
-	fidx := rt.follower
-	r.mu.RUnlock()
-	if fidx < 0 {
-		return
-	}
-	if _, err := r.replayArrivals(r.nodes[fidx], tenant, batch); err != nil {
-		r.degradeFollower(tenant, fidx, err)
-	}
-}
-
-func (r *Router) finishFlip(rt *route, mig *migration, tenant string, nodeIdx int, count int64) {
+// quiesce starts a move: under the write lock it marks the tenant's route
+// moving — from here its arrivals buffer in the returned migration — and
+// reads the ledger, which is exact there because no forward is in flight.
+// check runs under the same lock and may refuse the move. Frames the
+// ledger counts may still sit in session write buffers, so every
+// connection to the owner is flushed before quiesce returns: the owner can
+// then reach the cut.
+func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *migration, int64, error) {
 	r.mu.Lock()
-	rt.node = nodeIdx
-	rt.count.Store(count)
-	rt.mig = nil
-	follower, epoch := rt.follower, rt.epoch
+	rt := r.routes[tenant]
+	var err error
+	switch {
+	case rt == nil:
+		err = fmt.Errorf("cluster: tenant %q has no route", tenant)
+	case rt.mig != nil:
+		err = fmt.Errorf("cluster: tenant %q is already moving", tenant)
+	default:
+		err = check(rt)
+	}
+	if err != nil {
+		r.mu.Unlock()
+		return nil, nil, 0, err
+	}
+	mig := &migration{}
+	rt.mig = mig
+	cut, owner := rt.count.Load(), rt.node
 	r.mu.Unlock()
-	r.rlog.append(routeEvent{Op: "flip", Tenant: tenant, Node: r.nodeAddr(nodeIdx),
-		Follower: r.nodeAddr(follower), Count: count, Epoch: epoch})
-	// Anything still buffered is dropped; take it so appenders' memory is
-	// released. New arrivals forward normally once mig is cleared.
-	mig.take()
+	r.flushNodeUpstreams(owner)
+	return rt, mig, cut, nil
 }
 
-// abortMigration undoes the quiesce: buffered arrivals replay to the
-// source (whose state never left) and the route unmarks. Used when the
-// move fails before the tenant landed anywhere else.
-func (r *Router) abortMigration(rt *route, mig *migration, src *node, tenant string) {
+// drain is the one loop that replays a moving route's buffered arrivals.
+// Each batch goes to the owner leg, whose admitted count advances the
+// ledger, then to the follower leg (-1 = none), whose failure only drops
+// the follower. Once the buffer is observed empty under the write lock,
+// where no appender can be in flight, the route stops moving and settle
+// runs under that lock with the surviving follower.
+//
+// An owner-leg failure, or a "flip" fault, ends the drain there: settle
+// still runs, and the arrivals not replayed are dropped — the same window
+// a node crash loses — and counted in the error. After an owner-leg
+// failure the follower is dropped too, since the owner's admitted count,
+// and so the follower's match, is no longer known.
+func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, follower int, settle func(follower int)) (int, error) {
+	replayed, lost := 0, 0
 	for {
-		batch := mig.take()
-		if len(batch) > 0 {
-			n, err := r.replayArrivals(src, tenant, batch)
+		var err error
+		if batch := mig.take(); len(batch) == 0 {
+			err = r.checkMigFault("flip")
+		} else {
+			n := 0
+			if err = r.checkMigFault("replay"); err == nil {
+				n, err = r.replayArrivals(owner, tenant, batch)
+			}
 			r.mu.RLock()
-			rt.count.Add(int64(n))
+			mig.admit(&rt.count, n)
 			r.mu.RUnlock()
-			if err != nil {
-				r.logger.Error("migration abort lost buffered arrivals",
-					"tenant", tenant, "lost", len(batch)-n, "err", err)
-			} else {
-				r.replayToFollower(rt, tenant, batch)
+			replayed += n
+			ferr := err
+			if ferr == nil && follower >= 0 {
+				_, ferr = r.replayArrivals(r.nodes[follower], tenant, batch)
+			}
+			if ferr != nil && follower >= 0 {
+				r.degradeFollower(tenant, follower, ferr)
+				follower = -1
+			}
+			if err == nil {
 				continue
 			}
+			lost = len(batch) - n
 		}
 		r.mu.Lock()
-		mig.mu.Lock()
-		empty := len(mig.buf) == 0
-		mig.mu.Unlock()
-		if empty {
-			rt.mig = nil
+		if err == nil && mig.buffered() > 0 {
 			r.mu.Unlock()
-			return
+			continue
 		}
+		lost += mig.buffered()
+		rt.mig = nil
+		settle(follower)
 		r.mu.Unlock()
+		if err != nil {
+			return replayed, fmt.Errorf("cluster: draining %q to %s: %v (%d buffered arrivals dropped)",
+				tenant, owner.addr, err, lost)
+		}
+		return replayed, nil
 	}
 }
 
 // dropRoute removes a tenant whose state was lost mid-migration so later
 // requests fail fast with no-route instead of hitting a node that has
-// never heard of it.
-func (r *Router) dropRoute(rt *route, mig *migration, tenant string) {
+// never heard of it. Arrivals still buffered go with the route.
+func (r *Router) dropRoute(rt *route, tenant string) {
 	r.mu.Lock()
 	if cur := r.routes[tenant]; cur == rt {
 		delete(r.routes, tenant)
 	}
 	r.mu.Unlock()
 	r.rlog.append(routeEvent{Op: "drop", Tenant: tenant})
-	mig.take()
 }
 
 // replayArrivals delivers a batch to a node outside the normal forwarding

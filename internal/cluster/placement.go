@@ -182,7 +182,7 @@ func (r *Router) forwardArrivalsAt(id string, batch []server.Arrival, traceID ui
 	if clientStart >= 0 {
 		pos := rt.count.Load()
 		if m := rt.mig; m != nil {
-			pos += int64(m.buffered())
+			pos = m.position(&rt.count)
 		}
 		if clientStart > pos {
 			r.mu.RUnlock()

@@ -18,16 +18,26 @@ import (
 //     window a single-node crash loses.
 //   - A follower that misses a batch the owner admitted has diverged and is
 //     degraded immediately (rt.follower = -1, journaled); it is never
-//     promoted. The health loop reseeds a fresh follower from the owner's
-//     exported state.
+//     promoted. The health loop reseeds a fresh follower from the owner
+//     with the move a migration makes — quiesce, capture, install, drain,
+//     settle (migrate.go) — with export in place of extract.
+//   - A follower-leg failure never costs the owner an arrival: the drain
+//     keeps replaying to the owner and only drops the follower.
+//   - Idempotency keys stay exact through a move: a batch the drain has
+//     taken keeps its stream positions until the owner's admitted count
+//     is in the ledger, so a keyed retry landing mid-drain is trimmed.
 //   - Promotion bumps the route's epoch. A promoted route never re-adopts
 //     another claimant during snapshot re-sync: the old owner rejoining
 //     with stale state is a ghost, not a candidate (health.go).
 
 // degradeFollower drops a tenant's follower after a replication failure:
 // the replica missed part of the stream and can no longer be promoted.
-// No-op if the follower changed since the caller observed fidx.
+// The failure is logged either way, but the route is left alone if its
+// follower is no longer fidx (it changed since the caller observed it, or
+// fidx is a reseed's follower that never went live).
 func (r *Router) degradeFollower(tenant string, fidx int, cause error) {
+	r.logger.Warn("follower degraded",
+		"tenant", tenant, "follower", r.nodeAddr(fidx), "err", cause)
 	r.mu.Lock()
 	rt := r.routes[tenant]
 	if rt == nil || rt.follower != fidx {
@@ -38,8 +48,6 @@ func (r *Router) degradeFollower(tenant string, fidx int, cause error) {
 	r.mu.Unlock()
 	r.replDegrades.Add(1)
 	r.rlog.append(routeEvent{Op: "follower", Tenant: tenant, Follower: ""})
-	r.logger.Warn("follower degraded",
-		"tenant", tenant, "follower", r.nodeAddr(fidx), "err", cause)
 }
 
 // failoverNode promotes every route owned by a node just declared down to
@@ -94,13 +102,16 @@ func (r *Router) failoverNode(n *node) {
 	}
 }
 
-// reseedFollower brings an unreplicated tenant back to owner+follower: the
-// route is quiesced exactly like a migration (arrivals buffer), the owner's
-// state exported at the precise ledger cut, injected into a freshly placed
-// follower node, and the buffered tail replayed to both before the follower
-// goes live. The quiesce is what makes the replica's stream gapless — an
-// export taken while forwards kept flowing would miss everything between
-// the cut and the follower's first dual-write.
+// reseedFollower brings an unreplicated tenant back to owner+follower with
+// the move a migration makes, export in place of extract: quiesce the
+// route, capture the owner's state at the exact ledger cut, install it on a
+// freshly placed follower node, drain the buffered tail to both, and settle
+// by activating the follower. The quiesce is what makes the replica's
+// stream gapless — an export taken while forwards kept flowing would miss
+// everything between the cut and the follower's first dual-write. When the
+// capture or install fails the drain goes to the owner alone, and a failed
+// follower leg drops the follower; either way the owner admits every
+// buffered arrival and the tenant stays unreplicated for a later attempt.
 func (r *Router) reseedFollower(tenant string) {
 	if !r.cfg.Replicate {
 		return
@@ -108,89 +119,53 @@ func (r *Router) reseedFollower(tenant string) {
 	r.migMu.Lock()
 	defer r.migMu.Unlock()
 
-	r.mu.Lock()
-	rt := r.routes[tenant]
-	if rt == nil || rt.follower >= 0 || rt.mig != nil || !rt.synced {
-		r.mu.Unlock()
-		return
-	}
-	fidx, err := r.place(tenant, rt.node)
+	var owner, fnode *node
+	rt, mig, cut, err := r.quiesce(tenant, func(rt *route) error {
+		if rt.follower >= 0 || !rt.synced {
+			return fmt.Errorf("cluster: tenant %q needs no reseed", tenant)
+		}
+		fidx, err := r.place(tenant, rt.node)
+		if err != nil {
+			return err // no second healthy node; stay unreplicated
+		}
+		owner, fnode = r.nodes[rt.node], r.nodes[fidx]
+		return nil
+	})
 	if err != nil {
-		r.mu.Unlock()
-		return // no second healthy node; stay unreplicated
+		return
 	}
-	owner := r.nodes[rt.node]
-	fnode := r.nodes[fidx]
-	mig := &migration{}
-	rt.mig = mig
-	cut := rt.count.Load()
-	r.mu.Unlock()
-
-	r.flushNodeUpstreams(owner.idx)
 	var transfer []byte
-	if err := r.getRaw(owner.base+"/v1/tenants/"+tenant+"/export?served="+fmt.Sprint(cut), &transfer); err != nil {
-		r.logger.Warn("follower reseed export failed", "tenant", tenant, "owner", owner.addr, "err", err)
-		r.abortMigration(rt, mig, owner, tenant)
-		return
+	err = r.checkMigFault("export")
+	if err == nil {
+		err = r.getRaw(owner.base+"/v1/tenants/"+tenant+"/export?served="+fmt.Sprint(cut), &transfer)
 	}
-	// A stale replica from an earlier degrade may still live on the chosen
-	// node; extract-and-discard clears it so the inject starts clean.
-	var discard []byte
-	r.postRaw(fnode.base+"/v1/tenants/"+tenant+"/extract", nil, &discard) //nolint:errcheck // 404 = nothing stale
-	if err := r.postJSON(fnode.base+"/v1/tenants/"+tenant+"/inject", transfer, nil); err != nil {
-		r.logger.Warn("follower reseed inject failed", "tenant", tenant, "follower", fnode.addr, "err", err)
-		r.abortMigration(rt, mig, owner, tenant)
-		return
-	}
-
-	// Drain the buffered tail to both instances, then activate the
-	// follower once the buffer is observed empty under the write lock.
-	replayed := 0
-	for {
-		batch := mig.take()
-		if len(batch) > 0 {
-			n, err := r.replayArrivals(owner, tenant, batch)
-			r.mu.RLock()
-			rt.count.Add(int64(n))
-			r.mu.RUnlock()
-			replayed += n
-			if err != nil {
-				r.logger.Error("follower reseed lost buffered arrivals",
-					"tenant", tenant, "lost", len(batch)-n, "err", err)
-				r.finishReseed(rt, mig, -1)
-				return
-			}
-			if _, ferr := r.replayArrivals(fnode, tenant, batch); ferr != nil {
-				r.logger.Warn("follower reseed replay failed", "tenant", tenant, "follower", fnode.addr, "err", ferr)
-				r.finishReseed(rt, mig, -1)
-				return
-			}
-			continue
+	if err == nil {
+		// A stale replica from an earlier degrade may still live on the
+		// chosen node; extract-and-discard clears it so the inject starts
+		// clean.
+		var discard []byte
+		r.postRaw(fnode.base+"/v1/tenants/"+tenant+"/extract", nil, &discard) //nolint:errcheck // 404 = nothing stale
+		if err = r.checkMigFault("inject"); err == nil {
+			err = r.postJSON(fnode.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
 		}
-		r.mu.Lock()
-		mig.mu.Lock()
-		empty := len(mig.buf) == 0
-		mig.mu.Unlock()
-		if empty {
-			rt.follower = fidx
-			rt.mig = nil
-			r.mu.Unlock()
-			break
-		}
-		r.mu.Unlock()
 	}
-	r.rlog.append(routeEvent{Op: "follower", Tenant: tenant, Follower: fnode.addr})
-	r.logger.Info("follower reseeded",
-		"tenant", tenant, "owner", owner.addr, "follower", fnode.addr,
-		"cut", cut, "replayed", replayed)
-}
-
-// finishReseed unmarks a failed reseed's quiesce. fidx >= 0 would activate
-// the follower; -1 leaves the tenant unreplicated for a later attempt.
-func (r *Router) finishReseed(rt *route, mig *migration, fidx int) {
-	r.mu.Lock()
-	rt.follower = fidx
-	rt.mig = nil
-	r.mu.Unlock()
-	mig.take()
+	follower := fnode.idx
+	if err != nil {
+		r.logger.Warn("follower reseed failed", "tenant", tenant, "follower", fnode.addr, "err", err)
+		follower = -1
+	}
+	replayed, err := r.drain(rt, mig, tenant, owner, follower, func(f int) {
+		rt.follower, follower = f, f
+		if f >= 0 {
+			r.rlog.append(routeEvent{Op: "follower", Tenant: tenant, Follower: fnode.addr})
+		}
+	})
+	if err != nil {
+		r.logger.Error("follower reseed lost buffered arrivals", "tenant", tenant, "err", err)
+	}
+	if follower >= 0 {
+		r.logger.Info("follower reseeded",
+			"tenant", tenant, "owner", owner.addr, "follower", fnode.addr,
+			"cut", cut, "replayed", replayed)
+	}
 }
