@@ -159,7 +159,7 @@ value under a fixed seed; metrics (arrivals/s, p50/p99 serve latency, queue
 depth) go to stderr. The op-stream format is documented in internal/engine.
 
 With -listen-http/-listen-tcp, serve runs as a network daemon instead:
-  POST /v1/tenants/{id}           create a tenant (universe, distances, cost_by_size)
+  POST /v1/tenants/{id}           create a tenant (universe <= 65536, distances, cost_by_size)
   POST /v1/tenants/{id}/arrive    one arrival {"point":p,"demands":[..]} or a batch {"arrivals":[...]}
   GET  /v1/tenants/{id}/snapshot  consistent snapshot (?compact=1 drops assignment history)
   GET  /v1/snapshots              all tenants — same artifact as the stdin path

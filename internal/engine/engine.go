@@ -475,8 +475,9 @@ func (e *Engine) shardIndexFor(id string) int {
 }
 
 // CreateTenant registers a new tenant serving requests on the given space
-// and cost model. The tenant's algorithm instance is constructed here with a
-// name-derived seed; arrivals may be served as soon as CreateTenant returns.
+// and cost model, whose universe may not exceed MaxUniverse. The tenant's
+// algorithm instance is constructed here with a name-derived seed; arrivals
+// may be served as soon as CreateTenant returns.
 func (e *Engine) CreateTenant(id string, space metric.Space, costs cost.Model) error {
 	return e.createTenant(id, space, costs, nil)
 }
@@ -500,6 +501,9 @@ func (e *Engine) newTenant(id string, space metric.Space, costs cost.Model, orig
 	}
 	if space == nil || costs == nil {
 		return nil, fmt.Errorf("engine: tenant %q needs a space and a cost model", id)
+	}
+	if u := costs.Universe(); u > MaxUniverse {
+		return nil, fmt.Errorf("engine: tenant %q: universe %d above MaxUniverse %d", id, u, MaxUniverse)
 	}
 	return &tenant{
 		id:        id,
@@ -574,6 +578,29 @@ func (e *Engine) ServeTraced(tenantID string, r instance.Request, rec *obs.OpRec
 		rec.MarkAdmitted()
 	}
 	return nil
+}
+
+// MaxUniverse bounds a tenant's commodity universe |S|: create, restore and
+// inject refuse a larger one, and NewRequest refuses a demand id at or
+// above it. It sits far above every universe the repo's workloads create
+// (the largest is 32), and it keeps a malformed id from growing a demand
+// bitset word by word toward the id.
+const MaxUniverse = 1 << 16
+
+// NewRequest builds the request for one arrival whose point and demand ids
+// came from outside the program: the HTTP, TCP and op-stream arrive paths
+// all build theirs here (restored tails are checked by validateRecord). It
+// refuses a negative id and any id at or above MaxUniverse before the
+// demand set exists (commodity.New panics on the first and allocates up to
+// the id on the second). validate then checks the request against the
+// tenant's own space and universe.
+func NewRequest(point int, demands []int) (instance.Request, error) {
+	for _, id := range demands {
+		if id < 0 || id >= MaxUniverse {
+			return instance.Request{}, fmt.Errorf("engine: demand id %d outside [0, %d)", id, MaxUniverse)
+		}
+	}
+	return instance.Request{Point: point, Demands: commodity.New(demands...)}, nil
 }
 
 // validate checks one request against the tenant's admission rules — the

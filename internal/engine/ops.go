@@ -7,9 +7,7 @@ import (
 	"io"
 	"strings"
 
-	"repro/internal/commodity"
 	"repro/internal/cost"
-	"repro/internal/instance"
 	"repro/internal/metric"
 	"repro/internal/obs"
 	"repro/internal/workload"
@@ -23,8 +21,9 @@ import (
 //
 // "create" registers a tenant on a matrix metric with a size-dependent cost
 // table — the same fields a gentrace file trace carries, so any trace can be
-// rewritten as an op stream. "arrive" serves one request. Lines are
-// processed in order; per-tenant arrival order is serving order.
+// rewritten as an op stream; the universe may not exceed MaxUniverse.
+// "arrive" serves one request, its demand ids checked by NewRequest. Lines
+// are processed in order; per-tenant arrival order is serving order.
 type Op struct {
 	Op     string `json:"op"`
 	Tenant string `json:"tenant"`
@@ -69,10 +68,11 @@ func (e *Engine) ApplyTraced(op Op, rec *obs.OpRecord) error {
 		if len(op.Demands) == 0 {
 			return fmt.Errorf("engine: arrive for %q demands nothing", op.Tenant)
 		}
-		return e.ServeTraced(op.Tenant, instance.Request{
-			Point:   op.Point,
-			Demands: commodity.New(op.Demands...),
-		}, rec)
+		req, err := NewRequest(op.Point, op.Demands)
+		if err != nil {
+			return err
+		}
+		return e.ServeTraced(op.Tenant, req, rec)
 	default:
 		return fmt.Errorf("engine: unknown op %q", op.Op)
 	}

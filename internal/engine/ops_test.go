@@ -74,6 +74,53 @@ func TestReplayOpsErrors(t *testing.T) {
 	}
 }
 
+// TestApplyRefusesBadDemandIDs: an op-stream arrival naming a demand id
+// below zero or at or above MaxUniverse is refused before any demand set is
+// built, and the next valid arrival is served. A universe above
+// MaxUniverse is refused by create, restore and inject alike.
+func TestApplyRefusesBadDemandIDs(t *testing.T) {
+	e := New(Config{Shards: 1, Seed: 1})
+	defer e.Close()
+	if _, err := e.ReplayOps(strings.NewReader(opStream)); err != nil {
+		t.Fatal(err)
+	}
+	for _, id := range []int{-1, math.MinInt64, MaxUniverse} {
+		before, _ := e.AdmittedCount("a")
+		err := e.Apply(Op{Op: "arrive", Tenant: "a", Point: 0, Demands: []int{id}})
+		if err == nil || !strings.Contains(err.Error(), "demand id") {
+			t.Errorf("demand id %d: err = %v, want a refusal", id, err)
+		}
+		if err := e.Apply(Op{Op: "arrive", Tenant: "a", Point: 1, Demands: []int{0, 1}}); err != nil {
+			t.Fatalf("valid arrival after refusing demand id %d: %v", id, err)
+		}
+		if after, _ := e.AdmittedCount("a"); after != before+1 {
+			t.Errorf("demand id %d: admitted %d arrivals, want 1", id, after-before)
+		}
+	}
+
+	costs := make([]float64, MaxUniverse+2)
+	for k := 1; k < len(costs); k++ {
+		costs[k] = 1
+	}
+	origin := TenantOrigin{Universe: MaxUniverse + 1, Distances: [][]float64{{0}}, CostBySize: costs}
+	err := e.Apply(Op{Op: "create", Tenant: "big", Universe: origin.Universe, Distances: origin.Distances, CostBySize: costs})
+	if err == nil || !strings.Contains(err.Error(), "MaxUniverse") {
+		t.Errorf("create above MaxUniverse: err = %v", err)
+	}
+	rec := TenantCheckpoint{Tenant: "big", TenantOrigin: origin}
+	_, err = e.Restore(&Checkpoint{Version: CheckpointVersion, Algorithm: "pd", Seed: 1, Tenants: []TenantCheckpoint{rec}})
+	if err == nil || !strings.Contains(err.Error(), "MaxUniverse") {
+		t.Errorf("restore above MaxUniverse: err = %v", err)
+	}
+	err = e.InjectTenant(&TenantTransfer{Algorithm: "pd", Seed: 1, TenantCheckpoint: rec})
+	if err == nil || !strings.Contains(err.Error(), "MaxUniverse") {
+		t.Errorf("inject above MaxUniverse: err = %v", err)
+	}
+	if n := e.TenantCount(); n != 2 {
+		t.Errorf("%d tenants after the refusals, want 2", n)
+	}
+}
+
 // TestCreateRejectsNonFiniteDistances covers the matrix entries JSON cannot
 // spell: a create op built in Go with an infinite or NaN distance is
 // refused before any tenant exists.

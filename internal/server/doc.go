@@ -5,7 +5,7 @@
 //
 // # Endpoints
 //
-//	POST /v1/tenants/{id}           create a tenant (universe, distances, cost_by_size)
+//	POST /v1/tenants/{id}           create a tenant (universe ≤ engine.MaxUniverse, distances, cost_by_size)
 //	POST /v1/tenants/{id}/arrive    serve one arrival or a batch ({"arrivals":[...]})
 //	GET  /v1/tenants/{id}/snapshot  consistent tenant snapshot (?compact=1 drops history)
 //	GET  /v1/snapshots              all tenants, the serve CLI's snapshot artifact
@@ -93,7 +93,12 @@
 // Decode failures classify under errors.Is-matchable sentinels — ErrWireMagic,
 // ErrWireVersion, ErrWireOp, ErrWireTruncated, ErrWireRef, ErrWireWindow —
 // and fail the stream cleanly: the client still gets a result frame carrying
-// the sentinel text, and the listener keeps serving other connections.
+// the sentinel text, and the listener keeps serving other connections. A
+// demand id below zero or at or above engine.MaxUniverse is refused the
+// same way on every arrival path (engine.NewRequest), after the arrivals
+// ahead of it; a windowed stream first acks its slot with code 3
+// (WireAckInvalid). Over HTTP such an arrival is a 400 and nothing in its
+// batch is served.
 //
 // # Checkpoints
 //

@@ -11,9 +11,7 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/commodity"
 	"repro/internal/engine"
-	"repro/internal/instance"
 	"repro/internal/obs"
 )
 
@@ -205,9 +203,13 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	id := r.PathValue("id")
 	items := sc.items[:0]
 	for _, a := range batch {
-		items = append(items, engine.BatchItem{
-			Req: instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)},
-		})
+		req, err := engine.NewRequest(a.Point, a.Demands)
+		if err != nil {
+			arrivePool.Put(sc)
+			writeErr(w, http.StatusBadRequest, err)
+			return
+		}
+		items = append(items, engine.BatchItem{Req: req})
 	}
 	sc.items = items
 	// Sampling: a wire trace id (from the router) forces a record for the

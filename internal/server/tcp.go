@@ -12,9 +12,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"repro/internal/commodity"
 	"repro/internal/engine"
-	"repro/internal/instance"
 	"repro/internal/obs"
 )
 
@@ -162,7 +160,7 @@ var (
 // anything unexpected (field order, escapes, other ops); callers then fall
 // back to the general decoder, so this is a pure fast path, never a
 // behavior change. demands is appended to ids (pass a reusable scratch;
-// commodity.New copies values into a bitset).
+// engine.NewRequest copies values into a bitset).
 func FastArrive(b []byte, ids []int) (tenant string, point int, demands []int, ok bool) {
 	if !bytes.HasPrefix(b, arrivePrefix) {
 		return "", 0, nil, false
@@ -254,9 +252,11 @@ type connOp struct {
 	rec      *obs.OpRecord
 }
 
-// ackSpan is one completed engine batch awaiting ack emission.
+// ackSpan is one completed engine batch, or one arrival refused before it
+// reached the engine, awaiting ack emission with its result code.
 type ackSpan struct {
 	count   int
+	code    byte
 	serveNs []int64
 }
 
@@ -298,14 +298,19 @@ func newTCPAcker(bw *bufio.Writer, wantNs bool) *tcpAcker {
 // must not block on the network, so it only files the span and nudges the
 // acker goroutine.
 func (a *tcpAcker) complete(first uint64, served int, serveNs []int64) {
+	a.file(first, ackSpan{count: served, serveNs: serveNs})
+	a.wg.Done()
+}
+
+// file queues one span for emission and nudges the acker goroutine.
+func (a *tcpAcker) file(first uint64, sp ackSpan) {
 	a.mu.Lock()
-	a.spans[first] = ackSpan{count: served, serveNs: serveNs}
+	a.spans[first] = sp
 	a.mu.Unlock()
 	select {
 	case a.notify <- struct{}{}:
 	default:
 	}
-	a.wg.Done()
 }
 
 // close waits for every outstanding batch to complete, flushes the final
@@ -342,7 +347,7 @@ func (a *tcpAcker) emit(payload, codes *[]byte) {
 	for {
 		a.mu.Lock()
 		first := a.frontier
-		total := 0
+		c := (*codes)[:0]
 		var ns []int64
 		for {
 			sp, ok := a.spans[a.frontier]
@@ -351,20 +356,18 @@ func (a *tcpAcker) emit(payload, codes *[]byte) {
 			}
 			delete(a.spans, a.frontier)
 			a.frontier += uint64(sp.count)
-			total += sp.count
+			for i := 0; i < sp.count; i++ {
+				c = append(c, sp.code)
+			}
 			if a.wantNs {
 				ns = append(ns, sp.serveNs...)
 			}
 		}
 		a.mu.Unlock()
-		if total == 0 {
+		*codes = c
+		if len(c) == 0 {
 			break
 		}
-		c := (*codes)[:0]
-		for i := 0; i < total; i++ {
-			c = append(c, 0)
-		}
-		*codes = c
 		*payload = AppendWireAck((*payload)[:0], first, c, ns)
 		if a.err == nil {
 			a.err = WriteFrame(a.bw, *payload)
@@ -460,8 +463,17 @@ func (c *tcpConn) flush() {
 	c.pending = nil
 }
 
-// addArrival coalesces one decoded arrival into the pending run.
-func (c *tcpConn) addArrival(tenant string, point int, demands []int, rec *obs.OpRecord) {
+// addArrival coalesces one decoded arrival into the pending run. An
+// arrival engine.NewRequest refuses fails the stream; on a windowed stream
+// its slot is acked with WireAckInvalid first.
+func (c *tcpConn) addArrival(tenant string, point int, demands []int, rec *obs.OpRecord) error {
+	req, err := engine.NewRequest(point, demands)
+	if err != nil {
+		if c.acker != nil {
+			c.acker.file(c.seq, ackSpan{count: 1, code: WireAckInvalid, serveNs: []int64{0}})
+		}
+		return err
+	}
 	if len(c.pending) > 0 && (c.pendingTenant != tenant || len(c.pending) >= c.batchCap) {
 		c.flush()
 	}
@@ -470,11 +482,9 @@ func (c *tcpConn) addArrival(tenant string, point int, demands []int, rec *obs.O
 		c.pendingTenant = tenant
 		c.pendingFirst = c.seq
 	}
-	c.pending = append(c.pending, engine.BatchItem{
-		Req: instance.Request{Point: point, Demands: commodity.New(demands...)},
-		Rec: rec,
-	})
+	c.pending = append(c.pending, engine.BatchItem{Req: req, Rec: rec})
 	c.seq++
+	return nil
 }
 
 // handleBinary dispatches one binary wire frame.
@@ -508,8 +518,7 @@ func (c *tcpConn) handleBinary(frame []byte, rec *obs.OpRecord) error {
 			rec.Tenant = tenant
 			rec.MarkDecoded(1)
 		}
-		c.addArrival(tenant, point, demands, rec)
-		return nil
+		return c.addArrival(tenant, point, demands, rec)
 	case WireBatch:
 		ref, count, items, err := DecodeWireBatchHeader(body)
 		if err != nil {
@@ -535,7 +544,9 @@ func (c *tcpConn) handleBinary(frame []byte, rec *obs.OpRecord) error {
 			if i > 0 {
 				r = nil // trace context rides on the frame's first arrival
 			}
-			c.addArrival(tenant, point, demands, r)
+			if err := c.addArrival(tenant, point, demands, r); err != nil {
+				return err
+			}
 		}
 		if len(items) != 0 {
 			return fmt.Errorf("server: %d trailing bytes after batch: %w", len(items), ErrWireTruncated)
@@ -574,8 +585,7 @@ func (c *tcpConn) handleJSON(frame []byte, rec *obs.OpRecord) error {
 			rec.Tenant = tenant
 			rec.MarkDecoded(1)
 		}
-		c.addArrival(tenant, point, demands, rec)
-		return nil
+		return c.addArrival(tenant, point, demands, rec)
 	}
 	var op engine.Op
 	if err := json.Unmarshal(frame, &op); err != nil {
@@ -589,8 +599,7 @@ func (c *tcpConn) handleJSON(frame []byte, rec *obs.OpRecord) error {
 	// other arrival; the empty-demands case stays on the generic path for
 	// ApplyTraced's error message (it can never be served).
 	if op.Op == "arrive" && len(op.Demands) > 0 {
-		c.addArrival(op.Tenant, op.Point, op.Demands, rec)
-		return nil
+		return c.addArrival(op.Tenant, op.Point, op.Demands, rec)
 	}
 	c.flush() // generic ops (creates) must keep stream order
 	c.opCh <- connOp{op: &op, rec: rec}
