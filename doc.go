@@ -42,7 +42,8 @@
 //
 // Serving over the network. With -listen-http/-listen-tcp, omflp serve runs
 // as a daemon (see internal/server): an HTTP API — POST
-// /v1/tenants/{id} (create), POST /v1/tenants/{id}/arrive (single or
+// /v1/tenants/{id} (create, universe at most engine.MaxUniverse = 2^16),
+// POST /v1/tenants/{id}/arrive (single or
 // batched arrivals), GET /v1/tenants/{id}/snapshot (?compact=1), GET
 // /v1/snapshots, GET /v1/metrics, GET /healthz, POST /v1/checkpoint — and a
 // length-prefixed TCP framing of the same op protocol share one engine.
@@ -99,9 +100,11 @@
 // merges node metrics into one cluster view (a per-node scrape sequence +
 // wall stamp lets the merge drop duplicated scrapes instead of
 // double-counting rates). Tenants migrate live — on POST /v1/migrate or
-// automatically past a -migrate-threshold imbalance — by quiescing the
-// tenant, marshaling its state on the source via StateCodec, restoring on
-// the target and replaying the arrivals buffered during the move; the
+// automatically past a -migrate-threshold imbalance — through the router's
+// one move: quiesce the route (arrivals buffer at the exact ledger cut),
+// capture the tenant's state on the source via StateCodec, install it on
+// the target, drain the buffered arrivals there, and settle by flipping
+// the route; a failed capture or install drains back to the source. The
 // tenant's snapshot is byte-identical to an unmigrated run. Workers are
 // health-checked; kill -9 a worker, restart it on its checkpoint
 // directory, and it rejoins with its routes and ledgers re-synced from its
@@ -126,12 +129,16 @@
 // arrivals dual-write to both — determinism makes the replicas
 // byte-identical — so a dead worker's tenants promote onto their
 // followers with zero acknowledged-arrival loss, and the health loop
-// reseeds fresh followers from the survivors. Forwarded arrivals carry
-// idempotency keys (stream positions) end to end: the router trims
-// already-accounted prefixes against its ledger, workers trim against
-// their admitted counts, and every node call runs under a jittered,
-// budgeted retry policy — a replayed batch is deduped, never
-// double-served. All of it is testable under deterministic adversity:
+// reseeds fresh followers from the survivors with the same move a
+// migration makes, export in place of extract; a follower that fails its
+// leg of the drain is dropped, never an arrival the owner was due.
+// Forwarded arrivals carry idempotency keys (stream positions) end to
+// end: the router trims already-accounted prefixes against its ledger —
+// during a move, against the ledger plus the arrivals still buffered or
+// being drained — workers trim against their admitted counts, and every
+// node call runs under a jittered, budgeted retry policy — a replayed
+// batch is deduped, never double-served. All of it is testable under
+// deterministic adversity:
 // -faults "seed=7,dial-fail=1/40,conn-reset=1/80,stall=1/60:5ms,..."
 // (internal/faults) injects a seed-reproducible schedule of dial
 // failures, connection resets, stalls, partial frames and probe flaps
