@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"bufio"
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -335,61 +334,38 @@ func (r *Router) replayArrivals(n *node, tenant string, batch []server.Arrival) 
 		r.logger.Warn("binary replay failed before admission, retrying over HTTP",
 			"node", n.addr, "tenant", tenant, "err", err)
 	}
-	return r.postArrivals(n, tenant, batch)
+	acc, _, err := r.postArrivalsIdem(n, tenant, batch, 0, -1)
+	return acc, err
 }
 
 // replayBinary streams one tenant's batch to a node as BIND + BATCH frames
-// on a dedicated connection and reads the node's result frame. The result's
-// arrival count is authoritative: a stream that died mid-write reports how
-// many arrivals the node actually admitted.
+// on a dedicated connection and collects the node's result frame, as a
+// session collects its upstreams. The result's arrival count is
+// authoritative: a stream that died mid-write reports how many arrivals
+// the node actually admitted. The stream sends no WINDOW, so the node
+// acks nothing before its result.
 func (r *Router) replayBinary(addr, tenant string, batch []server.Arrival) (int, error) {
 	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
 	if err != nil {
 		return 0, err
 	}
-	defer conn.Close()
-	bw := bufio.NewWriterSize(conn, 1<<16)
+	u := &upstream{conn: conn, bw: bufio.NewWriterSize(conn, 1<<16)}
 	buf := server.AppendWireBind(nil, 0, tenant)
-	if err := server.WriteFrame(bw, buf); err != nil {
-		return 0, err
-	}
+	err = u.writeFrame(buf, 0)
 	items := make([]server.WireItem, 0, replayChunk)
-	for off := 0; off < len(batch); off += replayChunk {
-		end := off + replayChunk
-		if end > len(batch) {
-			end = len(batch)
-		}
+	for off := 0; off < len(batch) && err == nil; off += replayChunk {
 		items = items[:0]
-		for _, a := range batch[off:end] {
+		for _, a := range batch[off:min(off+replayChunk, len(batch))] {
 			items = append(items, server.WireItem{Point: a.Point, Demands: a.Demands})
 		}
 		buf = server.AppendWireBatch(buf[:0], 0, items)
-		if err := server.WriteFrame(bw, buf); err != nil {
-			return 0, fmt.Errorf("writing batch frame: %v", err)
-		}
+		err = u.writeFrame(buf, 0)
 	}
-	if err := bw.Flush(); err != nil {
+	// A failed write is latched in u and returned by collect, which also
+	// closes the connection.
+	res, err := u.collect()
+	if err != nil {
 		return 0, err
-	}
-	if tc, ok := conn.(*net.TCPConn); ok {
-		tc.CloseWrite() //nolint:errcheck // read below surfaces a dead conn
-	}
-	conn.SetReadDeadline(time.Now().Add(30 * time.Second)) //nolint:errcheck
-	var res server.TCPResult
-	for {
-		frame, err := server.ReadFrame(conn, nil)
-		if err != nil {
-			return 0, fmt.Errorf("reading result: %v", err)
-		}
-		// Skip ack frames (binary streams may ack); the JSON result frame
-		// is the last one before EOF.
-		if len(frame) > 0 && frame[0] == server.WireMagic {
-			continue
-		}
-		if err := json.Unmarshal(frame, &res); err != nil {
-			return 0, fmt.Errorf("decoding result: %v", err)
-		}
-		break
 	}
 	if !res.OK {
 		return res.Arrivals, fmt.Errorf("node result: %s", res.Error)

@@ -289,25 +289,16 @@ func (r *Router) resyncRoute(id string) error {
 	return nil
 }
 
-// postArrivals posts one arrive batch to a node and reports how many
-// arrivals the node admitted — decoded from the body even on error
-// statuses, because a batch that fails at element i has irrevocably
-// admitted the i before it and the ledger must say so. Only a transport
-// failure leaves the count unknowable (reported as 0); the ledger then
-// undercounts and a later migration of the tenant times out in quiesce
-// rather than silently losing the discrepancy.
-func (r *Router) postArrivals(n *node, id string, batch []server.Arrival) (int, error) {
-	acc, _, err := r.postArrivalsIdem(n, id, batch, 0, -1)
-	return acc, err
-}
-
 // postArrivalsIdem posts one arrive batch. start >= 0 stamps the
 // X-Omflp-Idem-Start header (the stream position of batch[0] by the
 // router's ledger): the worker then trims any already-admitted prefix, so
 // resending the same batch is exactly-once. Returns the node's accounted
-// count (admitted plus deduped) and the deduped prefix length. A 5xx or
-// transport failure is wrapped as retry-safe; application refusals (404,
-// 409) are final.
+// count (admitted plus deduped) and the deduped prefix length, decoded
+// from the body even on error statuses, because a batch that fails at
+// element i has irrevocably admitted the i before it and the ledger must
+// say so. Only a transport failure leaves the count unknowable (reported
+// as 0). A 5xx or transport failure is wrapped as retry-safe; application
+// refusals (404, 409) are final.
 func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, traceID uint64, start int64) (int, int, error) {
 	body, err := json.Marshal(map[string]interface{}{"arrivals": batch})
 	if err != nil {
