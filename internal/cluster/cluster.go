@@ -37,13 +37,14 @@
 // the source once served equals the cut, then checkpoint the source so a
 // restart does not resurrect the tenant; a reseed exports instead),
 // install (inject on the target and checkpoint it; a reseed first clears
-// any stale replica), drain (replay the buffer, each batch to the owner
-// leg, whose admitted count advances the ledger, then to the follower leg,
-// whose failure only drops the follower) and settle (once the buffer is
-// observed empty under the write lock, flip the route or activate the
-// follower). A capture or install failure aborts: the drain goes back to
-// the source, whose state never left. Snapshots on the target are
-// byte-identical to what the source would have produced.
+// any stale replica, then makes the new one the route's follower), drain
+// (replay the buffer, each batch to the owner leg, whose admitted count
+// advances the ledger, then to the route's follower, whose failure only
+// drops the follower) and settle (once the buffer is observed empty under
+// the write lock, flip the route or journal the new follower, naming the
+// follower the route holds then). A capture or install failure aborts:
+// the drain goes back to the source, whose state never left. Snapshots on
+// the target are byte-identical to what the source would have produced.
 //
 // # Failure model
 //

@@ -476,6 +476,84 @@ func TestKeyedRetryDuringDrain(t *testing.T) {
 	}
 }
 
+// TestMigrationKeepsMidMoveDegrade: a follower degraded while its tenant
+// migrates — by a forward whose follower write failed just before the
+// quiesce — stays degraded. The drain feeds it nothing more, and the flip
+// journals the follower the route holds at settle, so neither the route
+// log nor a standby following it brings the diverged replica back.
+func TestMigrationKeepsMidMoveDegrade(t *testing.T) {
+	const cut, moving = 10, 3
+	nodes := make([]string, 3)
+	for i := range nodes {
+		nodes[i] = startWorker(t, 71, "").HTTPAddr()
+	}
+	id := tenantName(0)
+	var r *Router
+	var base string
+	follower := -1
+	// No health tick fires, so no reseed replaces the degraded follower.
+	cfg := Config{Nodes: nodes, Replicate: true, TCPAddr: "127.0.0.1:0", StateDir: t.TempDir(), HealthEvery: time.Hour}
+	r = startFaultRouter(t, cfg, func(phase string) error {
+		if phase == "extract" {
+			r.degradeFollower(id, follower, fmt.Errorf("follower write failed before quiesce"))
+			for i := cut; i < cut+moving; i++ {
+				httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+			}
+		}
+		return nil
+	})
+	base = "http://" + r.HTTPAddr()
+	standby := startRouter(t, Config{Nodes: nodes, StandbyOf: r.TCPAddr(), StateDir: t.TempDir()})
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	r.mu.RLock()
+	owner := r.routes[id].node
+	follower = r.routes[id].follower
+	r.mu.RUnlock()
+	if follower < 0 {
+		t.Fatal("tenant placed without a follower")
+	}
+	target := 3 - owner - follower
+	waitFor(t, "standby to follow the replicated route", func() bool {
+		state, _ := standby.rlog.snapshot()
+		return state[id].Follower == nodes[follower]
+	})
+
+	if _, err := r.Migrate(id, nodes[target]); err != nil {
+		t.Fatal(err)
+	}
+	r.mu.RLock()
+	f := r.routes[id].follower
+	r.mu.RUnlock()
+	if f != -1 {
+		t.Errorf("route follower %d after the flip, want none", f)
+	}
+	if state, _ := r.rlog.snapshot(); state[id].Node != nodes[target] || state[id].Follower != "" {
+		t.Errorf("route log holds %+v after the flip, want node %s and no follower", state[id], nodes[target])
+	}
+	waitFor(t, "standby to follow the flip", func() bool {
+		state, _ := standby.rlog.snapshot()
+		return state[id].Node == nodes[target]
+	})
+	if state, _ := standby.rlog.snapshot(); state[id].Follower != "" {
+		t.Errorf("standby's route log names follower %q after the flip", state[id].Follower)
+	}
+	standby.mu.RLock()
+	sf := standby.routes[id].follower
+	standby.mu.RUnlock()
+	if sf != -1 {
+		t.Errorf("standby's route follower %d after the flip, want none", sf)
+	}
+	if got := admittedOn(t, nodes[follower], id); got != cut {
+		t.Errorf("degraded follower admitted %d arrivals, want the %d it had at the degrade", got, cut)
+	}
+	if got := admittedOn(t, nodes[target], id); got != cut+moving {
+		t.Errorf("target admitted %d arrivals, want %d", got, cut+moving)
+	}
+}
+
 // TestReseedFaults drives a follower reseed into each failure phase —
 // capture (export), install (inject), the owner leg and the follower leg of
 // the drain — with keyed arrivals buffered during the move, one of them

@@ -13,16 +13,14 @@ import (
 
 // migration buffers arrivals for a tenant whose route is moving — a
 // migration, its abort, or a follower reseed. Sessions append under
-// Router.mu.RLock + mu; drain takes batches under mu alone and settles the
-// route once the buffer is observed empty under the write lock (at which
-// point no appender can be in flight).
+// Router.mu.RLock + mu. drain replays the buffer's head in place and cuts
+// it only in the step that adds the owner's admitted count to the ledger,
+// so a batch in flight keeps its stream positions (see position). The
+// route settles once the buffer is observed empty under the write lock (at
+// which point no appender can be in flight).
 type migration struct {
 	mu  sync.Mutex
 	buf []server.Arrival
-	// taken counts the arrivals drain has taken from buf and not yet
-	// admitted into the ledger. Their positions stay spoken for until then,
-	// so a keyed retry that lands mid-drain is trimmed, not served twice.
-	taken int
 }
 
 func (m *migration) add(batch ...server.Arrival) {
@@ -31,38 +29,32 @@ func (m *migration) add(batch ...server.Arrival) {
 	m.mu.Unlock()
 }
 
-func (m *migration) take() []server.Arrival {
+// peek returns the buffered arrivals without removing them. Appends land
+// past the returned slice, so the caller may read it without the lock.
+func (m *migration) peek() []server.Arrival {
 	m.mu.Lock()
 	b := m.buf
-	m.buf = nil
-	m.taken += len(b)
 	m.mu.Unlock()
 	return b
 }
 
-// admit moves the taken arrivals out of the buffer's count and n of them —
-// the ones the owner leg admitted — into the ledger, in one step as seen by
-// position.
+// admit cuts the first n buffered arrivals — the ones the owner leg just
+// admitted — and adds them to the ledger, in one step as seen by position.
 func (m *migration) admit(count *atomic.Int64, n int) {
 	m.mu.Lock()
 	count.Add(int64(n))
-	m.taken = 0
+	m.buf = m.buf[n:]
 	m.mu.Unlock()
-}
-
-func (m *migration) buffered() int {
-	m.mu.Lock()
-	n := len(m.buf)
-	m.mu.Unlock()
-	return n
 }
 
 // position is the stream position the next arrival for the moving route
-// takes: the ledger plus every arrival buffered or taken but not admitted.
+// takes: the ledger plus every buffered arrival, a batch in flight
+// included. Both are read under mu because admit moves arrivals from one
+// to the other under the same read lock a forward holds.
 func (m *migration) position(count *atomic.Int64) int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return count.Load() + int64(len(m.buf)+m.taken)
+	return count.Load() + int64(len(m.buf))
 }
 
 // checkMigFault consults the fault-injection hook for a move phase
@@ -120,13 +112,12 @@ func (r *Router) Migrate(tenant, target string) (*MigrateResult, error) {
 	}
 
 	var src *node
-	follower := -1
 	rt, mig, served, err := r.quiesce(tenant, func(rt *route) error {
-		src, follower = r.nodes[rt.node], rt.follower
+		src = r.nodes[rt.node]
 		if src == tgt {
 			return fmt.Errorf("cluster: tenant %q already lives on %s", tenant, tgt.addr)
 		}
-		if follower == tgt.idx {
+		if rt.follower == tgt.idx {
 			return fmt.Errorf("cluster: tenant %q's follower lives on %s; migrating onto it would collide with the replica", tenant, tgt.addr)
 		}
 		return nil
@@ -137,7 +128,7 @@ func (r *Router) Migrate(tenant, target string) (*MigrateResult, error) {
 	r.logger.Info("migration quiesced",
 		"tenant", tenant, "from", src.addr, "to", tgt.addr, "served", served)
 
-	res, err := r.runMigration(rt, mig, tenant, src, tgt, follower, served)
+	res, err := r.runMigration(rt, mig, tenant, src, tgt, served)
 	if err != nil {
 		r.logger.Error("migration failed",
 			"tenant", tenant, "from", src.addr, "to", tgt.addr, "err", err)
@@ -155,9 +146,9 @@ func (r *Router) Migrate(tenant, target string) (*MigrateResult, error) {
 // capture or install failure aborts instead: the buffered arrivals drain
 // back to src, whose state never left (or was put back), and the route
 // stays there.
-func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt *node, follower int, served int64) (*MigrateResult, error) {
+func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt *node, served int64) (*MigrateResult, error) {
 	abort := func(cause error) (*MigrateResult, error) {
-		if _, err := r.drain(rt, mig, tenant, src, follower, func(int) {}); err != nil {
+		if _, err := r.drain(rt, mig, tenant, src, func() {}); err != nil {
 			r.logger.Error("migration abort lost buffered arrivals", "tenant", tenant, "err", err)
 		}
 		return nil, cause
@@ -208,11 +199,12 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 
 	// The flip lands even when the drain fails: the tenant's state lives on
 	// tgt now, and leaving the route moving would buffer arrivals with no
-	// one left to replay them.
-	replayed, err := r.drain(rt, mig, tenant, tgt, follower, func(follower int) {
+	// one left to replay them. It journals the route's follower as it is
+	// now: one degraded mid-move must not come back from the log.
+	replayed, err := r.drain(rt, mig, tenant, tgt, func() {
 		rt.node = tgt.idx
 		r.rlog.append(routeEvent{Op: "flip", Tenant: tenant, Node: tgt.addr,
-			Follower: r.nodeAddr(follower), Count: rt.count.Load(), Epoch: rt.epoch})
+			Follower: r.nodeAddr(rt.follower), Count: rt.count.Load(), Epoch: rt.epoch})
 	})
 	if err != nil {
 		return nil, err
@@ -253,21 +245,22 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 
 // drain is the one loop that replays a moving route's buffered arrivals.
 // Each batch goes to the owner leg, whose admitted count advances the
-// ledger, then to the follower leg (-1 = none), whose failure only drops
-// the follower. Once the buffer is observed empty under the write lock,
-// where no appender can be in flight, the route stops moving and settle
-// runs under that lock with the surviving follower.
+// ledger, then to the route's follower, if it has one; a follower-leg
+// failure only drops the follower. The follower is read per batch, so one
+// a forward degrades mid-drain gets no further batches. Once the buffer is
+// observed empty under the write lock, where no appender can be in flight,
+// the route stops moving and settle runs under that lock.
 //
 // An owner-leg failure, or a "flip" fault, ends the drain there: settle
 // still runs, and the arrivals not replayed are dropped — the same window
 // a node crash loses — and counted in the error. After an owner-leg
 // failure the follower is dropped too, since the owner's admitted count,
 // and so the follower's match, is no longer known.
-func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, follower int, settle func(follower int)) (int, error) {
-	replayed, lost := 0, 0
+func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, settle func()) (int, error) {
+	replayed := 0
 	for {
 		var err error
-		if batch := mig.take(); len(batch) == 0 {
+		if batch := mig.peek(); len(batch) == 0 {
 			err = r.checkMigFault("flip")
 		} else {
 			n := 0
@@ -276,6 +269,7 @@ func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, fo
 			}
 			r.mu.RLock()
 			mig.admit(&rt.count, n)
+			follower := rt.follower
 			r.mu.RUnlock()
 			replayed += n
 			ferr := err
@@ -284,21 +278,19 @@ func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, fo
 			}
 			if ferr != nil && follower >= 0 {
 				r.degradeFollower(tenant, follower, ferr)
-				follower = -1
 			}
 			if err == nil {
 				continue
 			}
-			lost = len(batch) - n
 		}
 		r.mu.Lock()
-		if err == nil && mig.buffered() > 0 {
+		lost := len(mig.peek())
+		if err == nil && lost > 0 {
 			r.mu.Unlock()
 			continue
 		}
-		lost += mig.buffered()
 		rt.mig = nil
-		settle(follower)
+		settle()
 		r.mu.Unlock()
 		if err != nil {
 			return replayed, fmt.Errorf("cluster: draining %q to %s: %v (%d buffered arrivals dropped)",

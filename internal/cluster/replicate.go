@@ -23,21 +23,17 @@ import (
 //     settle (migrate.go) — with export in place of extract.
 //   - A follower-leg failure never costs the owner an arrival: the drain
 //     keeps replaying to the owner and only drops the follower.
-//   - Idempotency keys stay exact through a move: a batch the drain has
-//     taken keeps its stream positions until the owner's admitted count
-//     is in the ledger, so a keyed retry landing mid-drain is trimmed.
+//   - Idempotency keys stay exact through a move: a batch the drain is
+//     replaying stays buffered until the owner's admitted count is in the
+//     ledger, so a keyed retry landing mid-drain is trimmed.
 //   - Promotion bumps the route's epoch. A promoted route never re-adopts
 //     another claimant during snapshot re-sync: the old owner rejoining
 //     with stale state is a ghost, not a candidate (health.go).
 
 // degradeFollower drops a tenant's follower after a replication failure:
 // the replica missed part of the stream and can no longer be promoted.
-// The failure is logged either way, but the route is left alone if its
-// follower is no longer fidx (it changed since the caller observed it, or
-// fidx is a reseed's follower that never went live).
+// No-op if the follower changed since the caller observed fidx.
 func (r *Router) degradeFollower(tenant string, fidx int, cause error) {
-	r.logger.Warn("follower degraded",
-		"tenant", tenant, "follower", r.nodeAddr(fidx), "err", cause)
 	r.mu.Lock()
 	rt := r.routes[tenant]
 	if rt == nil || rt.follower != fidx {
@@ -48,6 +44,8 @@ func (r *Router) degradeFollower(tenant string, fidx int, cause error) {
 	r.mu.Unlock()
 	r.replDegrades.Add(1)
 	r.rlog.append(routeEvent{Op: "follower", Tenant: tenant, Follower: ""})
+	r.logger.Warn("follower degraded",
+		"tenant", tenant, "follower", r.nodeAddr(fidx), "err", cause)
 }
 
 // failoverNode promotes every route owned by a node just declared down to
@@ -105,13 +103,14 @@ func (r *Router) failoverNode(n *node) {
 // reseedFollower brings an unreplicated tenant back to owner+follower with
 // the move a migration makes, export in place of extract: quiesce the
 // route, capture the owner's state at the exact ledger cut, install it on a
-// freshly placed follower node, drain the buffered tail to both, and settle
-// by activating the follower. The quiesce is what makes the replica's
-// stream gapless — an export taken while forwards kept flowing would miss
-// everything between the cut and the follower's first dual-write. When the
-// capture or install fails the drain goes to the owner alone, and a failed
-// follower leg drops the follower; either way the owner admits every
-// buffered arrival and the tenant stays unreplicated for a later attempt.
+// freshly placed follower node and make it the route's follower, drain the
+// buffered tail to both, and settle by journaling the follower. The
+// quiesce is what makes the replica's stream gapless — an export taken
+// while forwards kept flowing would miss everything between the cut and
+// the follower's first dual-write. When the capture or install fails the
+// drain goes to the owner alone, and a failed follower leg drops the
+// follower; either way the owner admits every buffered arrival and the
+// tenant stays unreplicated for a later attempt.
 func (r *Router) reseedFollower(tenant string) {
 	if !r.cfg.Replicate {
 		return
@@ -149,21 +148,25 @@ func (r *Router) reseedFollower(tenant string) {
 			err = r.postJSON(fnode.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
 		}
 	}
-	follower := fnode.idx
-	if err != nil {
+	if err == nil {
+		// Forwards buffer while the route moves, so the new follower sees
+		// nothing but the drain until settle.
+		r.mu.Lock()
+		rt.follower = fnode.idx
+		r.mu.Unlock()
+	} else {
 		r.logger.Warn("follower reseed failed", "tenant", tenant, "follower", fnode.addr, "err", err)
-		follower = -1
 	}
-	replayed, err := r.drain(rt, mig, tenant, owner, follower, func(f int) {
-		rt.follower, follower = f, f
-		if f >= 0 {
+	replicated := false
+	replayed, err := r.drain(rt, mig, tenant, owner, func() {
+		if replicated = rt.follower >= 0; replicated {
 			r.rlog.append(routeEvent{Op: "follower", Tenant: tenant, Follower: fnode.addr})
 		}
 	})
 	if err != nil {
 		r.logger.Error("follower reseed lost buffered arrivals", "tenant", tenant, "err", err)
 	}
-	if follower >= 0 {
+	if replicated {
 		r.logger.Info("follower reseeded",
 			"tenant", tenant, "owner", owner.addr, "follower", fnode.addr,
 			"cut", cut, "replayed", replayed)
