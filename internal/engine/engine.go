@@ -581,23 +581,26 @@ func (e *Engine) ServeTraced(tenantID string, r instance.Request, rec *obs.OpRec
 }
 
 // MaxUniverse bounds a tenant's commodity universe |S|: create, restore and
-// inject refuse a larger one, and NewRequest refuses a demand id at or
-// above it. It sits far above every universe the repo's workloads create
+// inject refuse a larger one, and Engine.NewRequest refuses a demand id at
+// or above it. It sits far above every universe the repo's workloads create
 // (the largest is 32), and it keeps a malformed id from growing a demand
 // bitset word by word toward the id.
 const MaxUniverse = 1 << 16
 
-// NewRequest builds the request for one arrival whose point and demand ids
-// came from outside the program: the HTTP, TCP and op-stream arrive paths
-// all build theirs here (restored tails are checked by validateRecord). It
-// refuses a negative id and any id at or above MaxUniverse before the
-// demand set exists (commodity.New panics on the first and allocates up to
-// the id on the second). validate then checks the request against the
-// tenant's own space and universe.
-func NewRequest(point int, demands []int) (instance.Request, error) {
+// NewRequest builds the request for one arrival for tenantID whose point
+// and demand ids came from outside the program: the HTTP, TCP and
+// op-stream arrive paths all build theirs here (restored tails are checked
+// by validateRecord). It refuses a negative id and any id at or above
+// MaxUniverse before the demand set exists (commodity.New panics on the
+// first and allocates up to the id on the second), and records the refusal
+// in the error ring as validate's refusals are. validate then checks the
+// request against the tenant's own space and universe.
+func (e *Engine) NewRequest(tenantID string, point int, demands []int, rec *obs.OpRecord) (instance.Request, error) {
 	for _, id := range demands {
 		if id < 0 || id >= MaxUniverse {
-			return instance.Request{}, fmt.Errorf("engine: demand id %d outside [0, %d)", id, MaxUniverse)
+			err := fmt.Errorf("engine: tenant %q: demand id %d outside [0, %d)", tenantID, id, MaxUniverse)
+			e.recordReject(rec, tenantID, err)
+			return instance.Request{}, err
 		}
 	}
 	return instance.Request{Point: point, Demands: commodity.New(demands...)}, nil

@@ -22,8 +22,8 @@ import (
 // "create" registers a tenant on a matrix metric with a size-dependent cost
 // table — the same fields a gentrace file trace carries, so any trace can be
 // rewritten as an op stream; the universe may not exceed MaxUniverse.
-// "arrive" serves one request, its demand ids checked by NewRequest. Lines
-// are processed in order; per-tenant arrival order is serving order.
+// "arrive" serves one request, its demand ids checked by Engine.NewRequest.
+// Lines are processed in order; per-tenant arrival order is serving order.
 type Op struct {
 	Op     string `json:"op"`
 	Tenant string `json:"tenant"`
@@ -68,7 +68,7 @@ func (e *Engine) ApplyTraced(op Op, rec *obs.OpRecord) error {
 		if len(op.Demands) == 0 {
 			return fmt.Errorf("engine: arrive for %q demands nothing", op.Tenant)
 		}
-		req, err := NewRequest(op.Point, op.Demands)
+		req, err := e.NewRequest(op.Tenant, op.Point, op.Demands, rec)
 		if err != nil {
 			return err
 		}

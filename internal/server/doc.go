@@ -93,12 +93,16 @@
 // Decode failures classify under errors.Is-matchable sentinels — ErrWireMagic,
 // ErrWireVersion, ErrWireOp, ErrWireTruncated, ErrWireRef, ErrWireWindow —
 // and fail the stream cleanly: the client still gets a result frame carrying
-// the sentinel text, and the listener keeps serving other connections. A
-// demand id below zero or at or above engine.MaxUniverse is refused the
-// same way on every arrival path (engine.NewRequest), after the arrivals
-// ahead of it; a windowed stream first acks its slot with code 3
-// (WireAckInvalid). Over HTTP such an arrival is a 400 and nothing in its
-// batch is served.
+// the sentinel text, and the listener keeps serving other connections.
+//
+// An invalid arrival — a demand id below zero or at or above
+// engine.MaxUniverse, refused at ingress by Engine.NewRequest, or a point
+// or demand outside the tenant's space or universe, refused by the engine
+// — has one outcome on every path: the arrivals ahead of it are served and
+// it ends the stream or batch. The stream's result frame carries the error
+// and a windowed stream acks the refused slot with its code (3,
+// WireAckInvalid); an HTTP batch answers 400 with the accepted count. The
+// engine's error ring records the refusal either way.
 //
 // # Checkpoints
 //

@@ -202,12 +202,14 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	}
 	id := r.PathValue("id")
 	items := sc.items[:0]
+	// An arrival NewRequest refuses ends the batch there, as one validate
+	// refuses does: the arrivals ahead of it are still served.
+	var refused error
 	for _, a := range batch {
-		req, err := engine.NewRequest(a.Point, a.Demands)
+		req, err := s.eng.NewRequest(id, a.Point, a.Demands, nil)
 		if err != nil {
-			arrivePool.Put(sc)
-			writeErr(w, http.StatusBadRequest, err)
-			return
+			refused = err
+			break
 		}
 		items = append(items, engine.BatchItem{Req: req})
 	}
@@ -249,6 +251,9 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	acc, deduped, err := s.eng.ServeBatchAt(id, start, items, false, func(int, []int64) { arrivePool.Put(sc) })
 	if acc-deduped == 0 {
 		arrivePool.Put(sc)
+	}
+	if err == nil {
+		err = refused
 	}
 	if err != nil {
 		w.Header().Set("Content-Type", "application/json")

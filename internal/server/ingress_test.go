@@ -2,6 +2,7 @@ package server
 
 import (
 	"bufio"
+	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -39,18 +40,6 @@ func TestIngressRefusesBadDemandIDs(t *testing.T) {
 		if res.OK || !strings.Contains(res.Error, "demand id") {
 			t.Errorf("result %+v, want a refused demand id", res)
 		}
-	}
-	// codes flattens a stream's acks, which must start at seq 0.
-	codes := func(t *testing.T, acks []WireAckFrame) []byte {
-		t.Helper()
-		var out []byte
-		for _, a := range acks {
-			if a.FirstSeq != uint64(len(out)) {
-				t.Fatalf("ack at seq %d after %d codes", a.FirstSeq, len(out))
-			}
-			out = append(out, a.Codes...)
-		}
-		return out
 	}
 	cases := []struct {
 		name   string
@@ -91,7 +80,7 @@ func TestIngressRefusesBadDemandIDs(t *testing.T) {
 			c.arrive("t0", 0, []int{id})
 			res, acks := c.finish()
 			refused(t, res)
-			if got := codes(t, acks); string(got) != string([]byte{WireAckInvalid}) {
+			if got := ackCodes(t, acks); string(got) != string([]byte{WireAckInvalid}) {
 				t.Errorf("ack codes %v, want [%d]", got, WireAckInvalid)
 			}
 		}, func(t *testing.T) {
@@ -112,7 +101,7 @@ func TestIngressRefusesBadDemandIDs(t *testing.T) {
 			if res.Arrivals != 1 {
 				t.Errorf("batch admitted %d arrivals, want the 1 ahead of the refusal", res.Arrivals)
 			}
-			if got := codes(t, acks); string(got) != string([]byte{WireAckOK, WireAckInvalid}) {
+			if got := ackCodes(t, acks); string(got) != string([]byte{WireAckOK, WireAckInvalid}) {
 				t.Errorf("ack codes %v, want [%d %d]", got, WireAckOK, WireAckInvalid)
 			}
 		}, func(t *testing.T) {
@@ -135,6 +124,72 @@ func TestIngressRefusesBadDemandIDs(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestRefusalsShareOneOutcome: a demand id refused at ingress (negative,
+// or at MaxUniverse) and one only the tenant's universe refuses (in
+// [U, MaxUniverse), refused by the engine) get one outcome. On a windowed
+// stream the arrival ahead is acked OK, the refused one with code 3, and
+// the result frame names the refusal; over HTTP the arrival ahead is
+// served and the batch is a 400. The engine's error ring records each.
+func TestRefusalsShareOneOutcome(t *testing.T) {
+	s := startServer(t, Config{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0",
+		Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 1, TraceSample: 1 << 20}})
+	base := "http://" + s.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/t0", ingressCreate, http.StatusCreated)
+	rejects := func() int {
+		n := 0
+		for _, rec := range s.eng.FlightDump("t0", 0) {
+			if rec.Outcome == "invalid_request" {
+				n++
+			}
+		}
+		return n
+	}
+	for _, id := range []int{2, -1, engine.MaxUniverse} {
+		before := rejects()
+		c := dialBin(t, s.TCPAddr())
+		c.window(8, true)
+		c.arrive("t0", 1, []int{0})
+		c.arrive("t0", 0, []int{1, id})
+		res, acks := c.finish()
+		if res.OK || res.Arrivals != 1 || !strings.Contains(res.Error, fmt.Sprint(id)) {
+			t.Errorf("id %d: result %+v, want 1 arrival and the refusal", id, res)
+		}
+		if got := ackCodes(t, acks); string(got) != string([]byte{WireAckOK, WireAckInvalid}) {
+			t.Errorf("id %d: ack codes %v, want [%d %d]", id, got, WireAckOK, WireAckInvalid)
+		}
+
+		body := httpJSON(t, "POST", base+"/v1/tenants/t0/arrive", map[string]interface{}{
+			"arrivals": []Arrival{{Point: 1, Demands: []int{0}}, {Point: 0, Demands: []int{1, id}}},
+		}, http.StatusBadRequest)
+		var out struct {
+			Accepted int    `json:"accepted"`
+			Error    string `json:"error"`
+		}
+		if err := json.Unmarshal(body, &out); err != nil {
+			t.Fatal(err)
+		}
+		if out.Accepted != 1 || !strings.Contains(out.Error, fmt.Sprint(id)) {
+			t.Errorf("id %d: HTTP batch answered %s, want 1 accepted and the refusal", id, body)
+		}
+		if got := rejects() - before; got != 2 {
+			t.Errorf("id %d: error ring gained %d refusals, want 2", id, got)
+		}
+	}
+}
+
+// ackCodes flattens a stream's acks, which must start at seq 0.
+func ackCodes(t *testing.T, acks []WireAckFrame) []byte {
+	t.Helper()
+	var out []byte
+	for _, a := range acks {
+		if a.FirstSeq != uint64(len(out)) {
+			t.Fatalf("ack at seq %d after %d codes", a.FirstSeq, len(out))
+		}
+		out = append(out, a.Codes...)
+	}
+	return out
 }
 
 func admitted(t *testing.T, s *Server) int64 {

@@ -160,7 +160,7 @@ var (
 // anything unexpected (field order, escapes, other ops); callers then fall
 // back to the general decoder, so this is a pure fast path, never a
 // behavior change. demands is appended to ids (pass a reusable scratch;
-// engine.NewRequest copies values into a bitset).
+// Engine.NewRequest copies values into a bitset).
 func FastArrive(b []byte, ids []int) (tenant string, point int, demands []int, ok bool) {
 	if !bytes.HasPrefix(b, arrivePrefix) {
 		return "", 0, nil, false
@@ -252,8 +252,8 @@ type connOp struct {
 	rec      *obs.OpRecord
 }
 
-// ackSpan is one completed engine batch, or one arrival refused before it
-// reached the engine, awaiting ack emission with its result code.
+// ackSpan is one completed engine batch, or one refused arrival, awaiting
+// ack emission with its result code.
 type ackSpan struct {
 	count   int
 	code    byte
@@ -300,6 +300,12 @@ func newTCPAcker(bw *bufio.Writer, wantNs bool) *tcpAcker {
 func (a *tcpAcker) complete(first uint64, served int, serveNs []int64) {
 	a.file(first, ackSpan{count: served, serveNs: serveNs})
 	a.wg.Done()
+}
+
+// refuse files the ack for a refused arrival at seq — refused at ingress
+// or by the engine — coded by its error. The stream fails with that error.
+func (a *tcpAcker) refuse(seq uint64, err error) {
+	a.file(seq, ackSpan{count: 1, code: WireAckCodeOf(err), serveNs: []int64{0}})
 }
 
 // file queues one span for emission and nudges the acker goroutine.
@@ -417,6 +423,9 @@ func (f *tcpFeed) run(opCh chan connOp) {
 		}
 		f.arrivals += acc
 		if err != nil {
+			if f.acker != nil {
+				f.acker.refuse(co.firstSeq+uint64(acc), err)
+			}
 			f.fail(err)
 		}
 	}
@@ -464,13 +473,13 @@ func (c *tcpConn) flush() {
 }
 
 // addArrival coalesces one decoded arrival into the pending run. An
-// arrival engine.NewRequest refuses fails the stream; on a windowed stream
-// its slot is acked with WireAckInvalid first.
+// arrival NewRequest refuses fails the stream after the arrivals ahead of
+// it, as one the engine refuses does, and is acked the same way.
 func (c *tcpConn) addArrival(tenant string, point int, demands []int, rec *obs.OpRecord) error {
-	req, err := engine.NewRequest(point, demands)
+	req, err := c.s.eng.NewRequest(tenant, point, demands, rec)
 	if err != nil {
 		if c.acker != nil {
-			c.acker.file(c.seq, ackSpan{count: 1, code: WireAckInvalid, serveNs: []int64{0}})
+			c.acker.refuse(c.seq, err)
 		}
 		return err
 	}
