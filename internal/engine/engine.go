@@ -291,22 +291,19 @@ func (t *tenant) serve(r instance.Request, rec *obs.OpRecord) {
 	}
 }
 
-// shardOp is one mailbox entry: an arrival for a tenant, a batch of arrivals
-// for one tenant, or a control closure (snapshot, drain barrier) to run on
-// the shard goroutine.
+// shardOp is one mailbox entry: a batch of arrivals for one tenant (a
+// single arrival is a batch of one), or a control closure (snapshot, drain
+// barrier) to run on the shard goroutine.
 type shardOp struct {
 	tn   *tenant
-	req  instance.Request
 	fn   func()
 	done chan<- struct{}
-	// rec is the op's trace context; nil for the sampled-out majority.
-	rec *obs.OpRecord
-	// batch, when non-nil, replaces req/rec: the shard serves every item in
-	// order, then calls onDone (when set) with the served count and
-	// per-item serve durations — populated only when wantNs is set, nil
-	// otherwise. Batching amortizes the mailbox channel hop across items;
-	// everything else (per-item latency histogram, trace publishing,
-	// per-tenant order) is identical to item-at-a-time serving.
+	// batch: the shard serves every item in order, then calls onDone (when
+	// set) with the served count and per-item serve durations — populated
+	// only when wantNs is set, nil otherwise. Batching amortizes the
+	// mailbox channel hop across items; everything else (per-item latency
+	// histogram, trace publishing, per-tenant order) is identical to
+	// item-at-a-time serving.
 	batch  []BatchItem
 	onDone func(served int, servedNs []int64)
 	wantNs bool
@@ -325,7 +322,7 @@ type shard struct {
 	done chan struct{}
 	hist obs.Hist
 	// rec aggregates traced ops (stage histograms + flight ring); nil when
-	// tracing is off, in which case every op.rec is nil too.
+	// tracing is off, in which case every item's Rec is nil too.
 	rec *obs.Recorder
 }
 
@@ -337,26 +334,15 @@ func (s *shard) run() {
 			close(op.done)
 			continue
 		}
-		if op.batch != nil {
-			s.runBatch(op)
-			continue
-		}
-		if op.rec != nil {
-			op.rec.MarkDequeued()
-		}
-		start := time.Now()
-		op.tn.serve(op.req, op.rec)
-		s.hist.Record(time.Since(start))
-		if op.rec != nil && s.rec != nil {
-			s.rec.Publish(op.rec, s.idx, "")
-		}
+		s.runBatch(op)
 	}
 }
 
-// runBatch serves one batched mailbox op item by item. The latency histogram
-// records every item (so Served totals and quantiles are indistinguishable
-// from item-at-a-time serving) and traced items publish exactly as single
-// ops do.
+// runBatch serves one batched mailbox op item by item. A traced item's
+// record is published before the latency histogram records the item, so a
+// scrape that counts an arrival served also finds its record; the
+// histogram records every item, so Served totals and quantiles are
+// indistinguishable from item-at-a-time serving.
 func (s *shard) runBatch(op shardOp) {
 	var servedNs []int64
 	if op.wantNs {
@@ -370,12 +356,12 @@ func (s *shard) runBatch(op shardOp) {
 		start := time.Now()
 		op.tn.serve(it.Req, it.Rec)
 		d := time.Since(start)
+		if it.Rec != nil && s.rec != nil {
+			s.rec.Publish(it.Rec, s.idx, "")
+		}
 		s.hist.Record(d)
 		if servedNs != nil {
 			servedNs[i] = int64(d)
-		}
-		if it.Rec != nil && s.rec != nil {
-			s.rec.Publish(it.Rec, s.idx, "")
 		}
 	}
 	if op.onDone != nil {
@@ -572,7 +558,7 @@ func (e *Engine) ServeTraced(tenantID string, r instance.Request, rec *obs.OpRec
 		e.recordReject(rec, tenantID, err)
 		return err
 	}
-	t.shard.ops <- shardOp{tn: t, req: r, rec: rec}
+	t.shard.ops <- shardOp{tn: t, batch: []BatchItem{{Req: r, Rec: rec}}}
 	t.admitted.Add(1)
 	if rec != nil {
 		rec.MarkAdmitted()
