@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/pprof"
 	"strconv"
@@ -46,6 +47,40 @@ type createBody struct {
 	Universe   int         `json:"universe"`
 	Distances  [][]float64 `json:"distances"`
 	CostBySize []float64   `json:"cost_by_size"`
+}
+
+// NewHTTPServer returns an http.Server for h whose Shutdown does not wait
+// on connections that were dialed but never sent a request. net/http
+// counts such a connection (StateNew) as busy until it is 5 s old, so one
+// idle dial would stall a drain that long. The server tracks them through
+// ConnState and, once Shutdown starts, closes them and any accepted later.
+// Both daemons, the worker and the cluster router, serve HTTP through it.
+func NewHTTPServer(h http.Handler) *http.Server {
+	var mu sync.Mutex
+	fresh := make(map[net.Conn]struct{})
+	draining := false
+	srv := &http.Server{Handler: h}
+	srv.ConnState = func(c net.Conn, st http.ConnState) {
+		mu.Lock()
+		defer mu.Unlock()
+		switch {
+		case st != http.StateNew:
+			delete(fresh, c)
+		case draining:
+			c.Close()
+		default:
+			fresh[c] = struct{}{}
+		}
+	}
+	srv.RegisterOnShutdown(func() {
+		mu.Lock()
+		defer mu.Unlock()
+		draining = true
+		for c := range fresh {
+			c.Close()
+		}
+	})
+	return srv
 }
 
 // trackRequests counts in-flight handlers so Shutdown can wait for them

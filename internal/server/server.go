@@ -253,7 +253,7 @@ func (s *Server) Start() error {
 			return err
 		}
 		s.httpLn = ln
-		s.httpSrv = &http.Server{Handler: s.trackRequests(s.handler())}
+		s.httpSrv = NewHTTPServer(s.trackRequests(s.handler()))
 		go s.httpSrv.Serve(ln) // returns ErrServerClosed on Shutdown
 	}
 	if s.cfg.TCPAddr != "" {

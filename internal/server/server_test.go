@@ -443,6 +443,41 @@ func TestShutdownDrains(t *testing.T) {
 	}
 }
 
+// TestShutdownUnusedHTTPConn: a connection dialed to the HTTP listener that
+// never sends a request does not hold up Shutdown. net/http alone waits
+// until such a connection is 5 s old.
+func TestShutdownUnusedHTTPConn(t *testing.T) {
+	s, err := New(Config{HTTPAddr: "127.0.0.1:0", Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 1}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", s.HTTPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request answered on a second connection means the first one was
+	// accepted already: the listener hands connections over in order.
+	once := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := once.Get("http://" + s.HTTPAddr() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	start := time.Now()
+	if err := s.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Errorf("Shutdown took %v with one unused connection open", d)
+	}
+}
+
 func TestServerConfigErrors(t *testing.T) {
 	if _, err := New(Config{Engine: engine.Config{Algorithm: "quantum"}}); err == nil {
 		t.Error("unknown algorithm accepted")
