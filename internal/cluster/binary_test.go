@@ -99,16 +99,37 @@ func (c *binClient) finish() (server.TCPResult, int) {
 
 // TestRouterBinaryWireByteIdentity is the cluster half of the wire
 // negotiation contract: a windowed binary client drives two tenants through
-// the router — across a live migration of one of them — while a legacy
-// JSON-framed connection drives the third, and the final cluster artifact is
-// byte-identical to the single-node reference for the same workload.
+// the router while a legacy JSON-framed connection drives the third, each
+// connection's tenant migrating live mid-stream, and the final cluster
+// artifact is byte-identical to the single-node reference for the same
+// workload. The JSON tenant's suffix lands while its route moves: the
+// router re-encodes those arrivals as binary frames, buffers them and
+// drains them to the target.
 func TestRouterBinaryWireByteIdentity(t *testing.T) {
 	const tenants, arrivals, cut = 3, 60, 30
+	const legacy = "tenant-001"
 	want := referenceArtifact(t, 17, tenants, arrivals)
 
 	w1 := startWorker(t, 17, "")
 	w2 := startWorker(t, 17, "")
-	r := startRouter(t, Config{TCPAddr: "127.0.0.1:0", Nodes: []string{w1.HTTPAddr(), w2.HTTPAddr()}})
+	// resume releases the legacy client's suffix once the legacy tenant's
+	// route is moving; the hook then waits for all of it to buffer.
+	resume := make(chan struct{})
+	var r *Router
+	r = startFaultRouter(t, Config{TCPAddr: "127.0.0.1:0", Nodes: []string{w1.HTTPAddr(), w2.HTTPAddr()}}, func(phase string) error {
+		r.mu.RLock()
+		legacyMoving := r.routes[legacy].mig != nil
+		r.mu.RUnlock()
+		if phase == "extract" && legacyMoving {
+			close(resume)
+			waitFor(t, "the legacy suffix to buffer", func() bool {
+				r.mu.RLock()
+				defer r.mu.RUnlock()
+				return len(r.routes[legacy].mig.peek()) == (arrivals-cut)/tenants
+			})
+		}
+		return nil
+	})
 	base := "http://" + r.HTTPAddr()
 	for i := 0; i < tenants; i++ {
 		httpJSON(t, "POST", base+"/v1/tenants/"+tenantName(i), testCreate, http.StatusCreated)
@@ -131,8 +152,12 @@ func TestRouterBinaryWireByteIdentity(t *testing.T) {
 			if i%tenants != 1 {
 				continue
 			}
+			if i == cut+1 {
+				bw.Flush() //nolint:errcheck
+				<-resume
+			}
 			a := testArrival(i)
-			payload, err := json.Marshal(engine.Op{Op: "arrive", Tenant: tenantName(1), Point: a.Point, Demands: a.Demands})
+			payload, err := json.Marshal(engine.Op{Op: "arrive", Tenant: legacy, Point: a.Point, Demands: a.Demands})
 			if err != nil {
 				t.Error(err)
 				break
@@ -169,23 +194,30 @@ func TestRouterBinaryWireByteIdentity(t *testing.T) {
 	}
 	c.flush()
 
-	// Migrate tenant-000 with the binary stream open: wait for its prefix to
-	// reach the ledger, then move it to the node that doesn't own it. Suffix
-	// frames for it must follow the route flip (and any in-flight ones the
-	// migration buffer's binary re-decode path).
-	const moved = "tenant-000"
-	waitFor(t, "binary prefix to reach the ledger", func() bool {
+	// Migrate tenant-000 and then the legacy tenant with both streams open:
+	// wait for each prefix to reach the ledger, then move the tenant to the
+	// node that doesn't own it. The binary suffix for tenant-000 follows
+	// the route flip; the legacy suffix buffers during the move.
+	moveToOther := func(id string) *MigrateResult {
+		t.Helper()
+		waitFor(t, id+"'s prefix to reach the ledger", func() bool {
+			r.mu.RLock()
+			defer r.mu.RUnlock()
+			rt, ok := r.routes[id]
+			return ok && rt.count.Load() == cut/tenants
+		})
 		r.mu.RLock()
-		defer r.mu.RUnlock()
-		rt, ok := r.routes[moved]
-		return ok && rt.count.Load() == cut/tenants
-	})
-	r.mu.RLock()
-	owner := r.routes[moved].node
-	r.mu.RUnlock()
-	target := []string{w1.HTTPAddr(), w2.HTTPAddr()}[1-owner]
-	if _, err := r.Migrate(moved, target); err != nil {
-		t.Fatal(err)
+		owner := r.routes[id].node
+		r.mu.RUnlock()
+		res, err := r.Migrate(id, []string{w1.HTTPAddr(), w2.HTTPAddr()}[1-owner])
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	moveToOther("tenant-000")
+	if res := moveToOther(legacy); res.Replayed != (arrivals-cut)/tenants {
+		t.Errorf("legacy tenant's move replayed %d arrivals, want its %d-arrival suffix", res.Replayed, (arrivals-cut)/tenants)
 	}
 
 	// Suffix as per-tenant BATCH frames — cross-tenant reorder is legal.
@@ -209,16 +241,16 @@ func TestRouterBinaryWireByteIdentity(t *testing.T) {
 	if acked != binSent {
 		t.Fatalf("router acked %d of %d binary-stream arrivals", acked, binSent)
 	}
-	legacy := <-legacyDone
-	if !legacy.OK || legacy.Arrivals != arrivals/tenants {
-		t.Fatalf("legacy result %+v, want ok with %d arrivals", legacy, arrivals/tenants)
+	legacyRes := <-legacyDone
+	if !legacyRes.OK || legacyRes.Arrivals != arrivals/tenants {
+		t.Fatalf("legacy result %+v, want ok with %d arrivals", legacyRes, arrivals/tenants)
 	}
 
 	got := httpJSON(t, "GET", base+"/v1/snapshots", nil, http.StatusOK)
 	if !bytes.Equal(got, want) {
 		t.Error("binary-over-router snapshots differ from the single-node artifact")
 	}
-	if n := r.migrations.Load(); n != 1 {
-		t.Errorf("migrations counter = %d, want 1", n)
+	if n := r.migrations.Load(); n != 2 {
+		t.Errorf("migrations counter = %d, want 2", n)
 	}
 }

@@ -8,11 +8,13 @@
 //
 // Each tenant lives on exactly one node; the router owns the tenant→node
 // map. Creates place the tenant (least-loaded by default, rendezvous
-// hashing optionally) and arrivals are forwarded to the owner — raw frames
-// over a pooled TCP connection on the framed path, batched JSON on the HTTP
-// path. Because a tenant's algorithmic randomness derives from
-// workload.NamedSeed(engine seed, tenant name), every node must run the
-// same algorithm and seed; the router verifies this at admission and
+// hashing optionally) and arrivals are forwarded to the owner two ways:
+// framed-TCP arrivals, binary or JSON, travel as binary frames over the
+// session's own TCP connection to the node (routeBinary; a JSON arrive is
+// re-encoded first), and HTTP arrivals as one keyed, retried JSON POST per
+// batch (sendArrivals). Because a tenant's algorithmic randomness derives
+// from workload.NamedSeed(engine seed, tenant name), every node must run
+// the same algorithm and seed; the router verifies this at admission and
 // refuses mismatched nodes. Under that invariant a tenant's snapshot is
 // byte-identical wherever it is served, which is what makes migration and
 // recovery testable against single-node goldens.
@@ -40,7 +42,9 @@
 // any stale replica, then makes the new one the route's follower), drain
 // (replay the buffer, each batch to the owner leg, whose admitted count
 // advances the ledger, then to the route's follower, whose failure only
-// drops the follower) and settle (once the buffer is observed empty under
+// drops the follower; both legs go through sendArrivals keyed at the
+// ledger, so a transient failure is retried, never dropped or served
+// twice) and settle (once the buffer is observed empty under
 // the write lock, flip the route or journal the new follower, naming the
 // follower the route holds then). A capture or install failure aborts:
 // the drain goes back to the source, whose state never left. Snapshots on
@@ -102,13 +106,15 @@
 // All of the above is testable deterministically: a faults.Injector
 // (Config.Faults) hooks the router's upstream dials, connection writes,
 // HTTP transport, and health probes with seed-driven connection resets,
-// stalls, partial frames, dial failures, and probe flaps. Forwarding wraps
-// every node call in a jittered, budgeted retry policy, and arrivals carry
+// stalls, partial frames, dial failures, and probe flaps. HTTP forwards and
+// every drain leg send through one function, sendArrivals, which wraps the
+// node call in a jittered, budgeted retry policy, and those arrivals carry
 // idempotency keys (stream positions) end to end, so a replayed batch is
 // trimmed by the owner rather than double-served.
 package cluster
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
@@ -482,7 +488,7 @@ func (r *Router) bindListeners() error {
 		return fmt.Errorf("cluster: listening on %s: %v", r.cfg.HTTPAddr, err)
 	}
 	r.httpLn = httpLn
-	r.httpSrv = &http.Server{Handler: r.handler()}
+	r.httpSrv = server.NewHTTPServer(r.handler())
 	r.loops.Add(1)
 	go func() {
 		defer r.loops.Done()
@@ -589,86 +595,43 @@ func (r *Router) checkIdentity(info server.NodeInfo) error {
 	return nil
 }
 
-// getJSON fetches url and decodes the body into v (non-2xx is an error).
-func (r *Router) getJSON(url string, v interface{}) error {
-	resp, err := r.client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, snippet(resp.Body))
-	}
-	return json.NewDecoder(resp.Body).Decode(v)
-}
-
-// getRaw fetches url and hands back the raw success-response bytes —
-// the GET twin of postRaw, used for tenant exports that must be forwarded
-// verbatim.
-func (r *Router) getRaw(url string, out *[]byte) error {
-	resp, err := r.client.Get(url)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("GET %s: %s: %s", url, resp.Status, snippet(resp.Body))
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	*out = b
-	return nil
-}
-
-// postJSON posts v (pre-marshaled when []byte) to url and decodes the
-// response into out when non-nil.
-func (r *Router) postJSON(url string, v interface{}, out interface{}) error {
-	var body []byte
-	switch b := v.(type) {
-	case nil:
-	case []byte:
-		body = b
-	default:
+// call sends one request to a node and reads its success response into
+// out: a *[]byte takes the raw body (a tenant transfer is forwarded
+// verbatim, never re-encoded), nil discards it, anything else is decoded
+// as JSON. body is nil, pre-marshaled JSON bytes, or a value to marshal. A
+// non-2xx status is an error carrying an excerpt of the body.
+func (r *Router) call(method, url string, body, out interface{}) error {
+	data, ok := body.([]byte)
+	if !ok && body != nil {
 		var err error
-		if body, err = json.Marshal(v); err != nil {
+		if data, err = json.Marshal(body); err != nil {
 			return err
 		}
 	}
-	resp, err := r.client.Post(url, "application/json", strings.NewReader(string(body)))
+	req, err := http.NewRequest(method, url, bytes.NewReader(data))
+	if err != nil {
+		return err
+	}
+	if method == http.MethodPost {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := r.client.Do(req)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("POST %s: %s: %s", url, resp.Status, snippet(resp.Body))
+		return fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, snippet(resp.Body))
 	}
-	if out == nil {
+	switch o := out.(type) {
+	case nil:
 		return nil
-	}
-	return json.NewDecoder(resp.Body).Decode(out)
-}
-
-// postRaw posts a pre-marshaled JSON body (nil allowed) and hands back the
-// raw success-response bytes. Migration uses it for the tenant transfer:
-// the bytes extracted from the source are forwarded to the target verbatim,
-// never re-encoded by the router.
-func (r *Router) postRaw(url string, body []byte, out *[]byte) error {
-	resp, err := r.client.Post(url, "application/json", strings.NewReader(string(body)))
-	if err != nil {
+	case *[]byte:
+		*o, err = io.ReadAll(resp.Body)
 		return err
+	default:
+		return json.NewDecoder(resp.Body).Decode(out)
 	}
-	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("POST %s: %s: %s", url, resp.Status, snippet(resp.Body))
-	}
-	b, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return err
-	}
-	*out = b
-	return nil
 }
 
 // snippet reads a short error-body excerpt for diagnostics.

@@ -40,7 +40,7 @@ func testArrival(i int) server.Arrival {
 
 func tenantName(i int) string { return fmt.Sprintf("tenant-%03d", i) }
 
-func startWorker(t *testing.T, seed int64, ckptDir string) *server.Server {
+func startWorker(t testing.TB, seed int64, ckptDir string) *server.Server {
 	t.Helper()
 	s, err := server.New(server.Config{
 		HTTPAddr:      "127.0.0.1:0",
@@ -62,7 +62,7 @@ func startWorker(t *testing.T, seed int64, ckptDir string) *server.Server {
 	return s
 }
 
-func startRouter(t *testing.T, cfg Config) *Router {
+func startRouter(t testing.TB, cfg Config) *Router {
 	t.Helper()
 	return startFaultRouter(t, cfg, nil)
 }
@@ -70,7 +70,7 @@ func startRouter(t *testing.T, cfg Config) *Router {
 // startFaultRouter starts a router whose move phases consult fault (see
 // checkMigFault). The hook is set before Start because the health loop's
 // reseeds read it.
-func startFaultRouter(t *testing.T, cfg Config, fault func(phase string) error) *Router {
+func startFaultRouter(t testing.TB, cfg Config, fault func(phase string) error) *Router {
 	t.Helper()
 	if cfg.HTTPAddr == "" {
 		cfg.HTTPAddr = "127.0.0.1:0"
@@ -90,7 +90,7 @@ func startFaultRouter(t *testing.T, cfg Config, fault func(phase string) error) 
 	return r
 }
 
-func httpJSON(t *testing.T, method, url string, body interface{}, wantStatus int) []byte {
+func httpJSON(t testing.TB, method, url string, body interface{}, wantStatus int) []byte {
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
@@ -527,5 +527,39 @@ func TestRendezvousPlacementStable(t *testing.T) {
 	}
 	if _, err := New(Config{HTTPAddr: ":0", Nodes: []string{"a:1", "a:1"}}); err == nil {
 		t.Error("duplicate node list accepted")
+	}
+}
+
+// TestRouterShutdownUnusedHTTPConn: a connection dialed to the router's
+// HTTP listener that never sends a request does not hold up Shutdown.
+// net/http alone waits until such a connection is 5 s old.
+func TestRouterShutdownUnusedHTTPConn(t *testing.T) {
+	w := startWorker(t, 23, "")
+	r, err := New(Config{HTTPAddr: "127.0.0.1:0", Nodes: []string{w.HTTPAddr()}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := r.Start(); err != nil {
+		t.Fatal(err)
+	}
+	conn, err := net.Dial("tcp", r.HTTPAddr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	// A request answered on a second connection means the first one was
+	// accepted already: the listener hands connections over in order.
+	once := &http.Client{Transport: &http.Transport{DisableKeepAlives: true}}
+	resp, err := once.Get("http://" + r.HTTPAddr() + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	start := time.Now()
+	if err := r.Shutdown(10 * time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if d := time.Since(start); d >= time.Second {
+		t.Errorf("Shutdown took %v with one unused connection open", d)
 	}
 }

@@ -14,10 +14,15 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/http/httptest"
+	"net/http/httputil"
+	"net/url"
 	"os"
 	"path/filepath"
 	"reflect"
 	"strconv"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -473,6 +478,68 @@ func TestKeyedRetryDuringDrain(t *testing.T) {
 	}
 	if m := r.Metrics(); m.Served != cut+1 {
 		t.Errorf("ledger accounts %d arrivals, want %d", m.Served, cut+1)
+	}
+}
+
+// TestDrainRetriesTransientFailure: a drain leg the target refuses with a
+// 503 (unavailable) or a 409 (a gap: the key runs ahead of what the target
+// has admitted yet) is retried under its key, not dropped. The target sits
+// behind a front that answers its first arrive POST with the refusal and
+// forwards everything else to the worker; the move still lands with every
+// buffered arrival replayed exactly once.
+func TestDrainRetriesTransientFailure(t *testing.T) {
+	const cut, moving = 10, 4
+	for _, status := range []int{http.StatusServiceUnavailable, http.StatusConflict} {
+		t.Run(strconv.Itoa(status), func(t *testing.T) {
+			w1 := startWorker(t, 83, "")
+			w2 := startWorker(t, 83, "")
+			proxy := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: w2.HTTPAddr()})
+			var refused atomic.Bool
+			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+				if strings.HasSuffix(req.URL.Path, "/arrive") && refused.CompareAndSwap(false, true) {
+					http.Error(w, `{"error":"injected refusal"}`, status)
+					return
+				}
+				proxy.ServeHTTP(w, req)
+			}))
+			defer front.Close()
+			target := strings.TrimPrefix(front.URL, "http://")
+
+			id := tenantName(0)
+			var base string
+			// Arrivals posted from the "extract" phase land after quiesce
+			// and buffer in the router.
+			r := startFaultRouter(t, Config{Nodes: []string{w1.HTTPAddr(), target}}, func(phase string) error {
+				if phase == "extract" {
+					for i := cut; i < cut+moving; i++ {
+						httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+					}
+				}
+				return nil
+			})
+			base = "http://" + r.HTTPAddr()
+			httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+			for i := 0; i < cut; i++ {
+				httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+			}
+
+			res, err := r.Migrate(id, target)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !refused.Load() || r.retries.Load() == 0 {
+				t.Fatalf("no drain leg was refused and retried (refused %v, retries %d)", refused.Load(), r.retries.Load())
+			}
+			if res.Replayed != moving {
+				t.Errorf("migration replayed %d buffered arrivals, want %d", res.Replayed, moving)
+			}
+			r.mu.RLock()
+			count := r.routes[id].count.Load()
+			r.mu.RUnlock()
+			if admitted := admittedOn(t, w2.HTTPAddr(), id); count != admitted || count != cut+moving {
+				t.Errorf("ledger %d, target admitted %d, want both %d", count, admitted, cut+moving)
+			}
+		})
 	}
 }
 

@@ -106,7 +106,7 @@ func (r *Router) probe(n *node) error {
 		return fmt.Errorf("injected probe flap")
 	}
 	var info server.NodeInfo
-	if err := r.getJSON(n.base+"/v1/node", &info); err != nil {
+	if err := r.call("GET", n.base+"/v1/node", nil, &info); err != nil {
 		return err
 	}
 	if err := r.checkIdentity(info); err != nil {
@@ -150,7 +150,7 @@ func (r *Router) probe(n *node) error {
 // is supposed to mirror the owner's counts.
 func (r *Router) syncNode(n *node) error {
 	var snaps []*engine.TenantSnapshot
-	if err := r.getJSON(n.base+"/v1/snapshots?compact=true", &snaps); err != nil {
+	if err := r.call("GET", n.base+"/v1/snapshots?compact=true", nil, &snaps); err != nil {
 		return err
 	}
 	r.mu.Lock()

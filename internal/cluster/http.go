@@ -263,7 +263,7 @@ func (r *Router) handleSnapshots(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		var snaps []*engine.TenantSnapshot
-		if err := r.getJSON(n.base+"/v1/snapshots"+q, &snaps); err != nil {
+		if err := r.call("GET", n.base+"/v1/snapshots"+q, nil, &snaps); err != nil {
 			writeErr(w, http.StatusBadGateway, fmt.Errorf("cluster: snapshots from %s: %v", n.addr, err))
 			return
 		}
@@ -346,7 +346,7 @@ func (r *Router) handleCheckpoint(w http.ResponseWriter, req *http.Request) {
 		if !n.isHealthy() {
 			st.Error = "unreachable"
 			failed++
-		} else if err := r.postJSON(n.base+"/v1/checkpoint", nil, nil); err != nil {
+		} else if err := r.call("POST", n.base+"/v1/checkpoint", nil, nil); err != nil {
 			st.Error = err.Error()
 			failed++
 		} else {

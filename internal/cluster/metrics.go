@@ -99,7 +99,7 @@ func (r *Router) Metrics() Metrics {
 			continue
 		}
 		var m server.Metrics
-		if err := r.getJSON(n.base+"/v1/metrics", &m); err != nil {
+		if err := r.call("GET", n.base+"/v1/metrics", nil, &m); err != nil {
 			rep.Error = err.Error()
 			cm.PerNode = append(cm.PerNode, rep)
 			continue

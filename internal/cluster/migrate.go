@@ -1,12 +1,9 @@
 package cluster
 
 import (
-	"bufio"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/server"
 )
@@ -158,7 +155,7 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 	var transfer []byte
 	err := r.checkMigFault("extract")
 	if err == nil {
-		err = r.postRaw(src.base+"/v1/tenants/"+tenant+"/extract?served="+fmt.Sprint(served), nil, &transfer)
+		err = r.call("POST", src.base+"/v1/tenants/"+tenant+"/extract?served="+fmt.Sprint(served), nil, &transfer)
 	}
 	if err != nil {
 		return abort(fmt.Errorf("cluster: extracting %q from %s: %v", tenant, src.addr, err))
@@ -167,13 +164,13 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 
 	// Persist the source without the tenant so a restart there cannot
 	// resurrect it. Best-effort: a node without checkpointing 404s.
-	if err := r.postJSON(src.base+"/v1/checkpoint", nil, nil); err != nil {
+	if err := r.call("POST", src.base+"/v1/checkpoint", nil, nil); err != nil {
 		r.logger.Warn("post-extract checkpoint failed", "node", src.addr, "err", err)
 	}
 
 	err = r.checkMigFault("inject")
 	if err == nil {
-		err = r.postJSON(tgt.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
+		err = r.call("POST", tgt.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
 	}
 	if err != nil {
 		// The tenant exists only in the transfer bytes now. Put it back on
@@ -183,7 +180,7 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 		// the extract quiesced first).
 		rerr := r.checkMigFault("reinject")
 		if rerr == nil {
-			rerr = r.postJSON(src.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
+			rerr = r.call("POST", src.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
 		}
 		if rerr != nil {
 			r.dropRoute(rt, tenant)
@@ -193,7 +190,7 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 		return abort(fmt.Errorf("cluster: injecting %q into %s: %v", tenant, tgt.addr, err))
 	}
 	r.logger.Info("migration injected", "tenant", tenant, "to", tgt.addr)
-	if err := r.postJSON(tgt.base+"/v1/checkpoint", nil, nil); err != nil {
+	if err := r.call("POST", tgt.base+"/v1/checkpoint", nil, nil); err != nil {
 		r.logger.Warn("post-inject checkpoint failed", "node", tgt.addr, "err", err)
 	}
 
@@ -217,8 +214,8 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 // reads the ledger, which is exact there because no forward is in flight.
 // check runs under the same lock and may refuse the move. Frames the
 // ledger counts may still sit in session write buffers, so every
-// connection to the owner is flushed before quiesce returns: the owner can
-// then reach the cut.
+// connection to the owner and the follower is flushed before quiesce
+// returns: both can then reach the cut the drain keys its batches at.
 func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *migration, int64, error) {
 	r.mu.Lock()
 	rt := r.routes[tenant]
@@ -237,25 +234,28 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 	}
 	mig := &migration{}
 	rt.mig = mig
-	cut, owner := rt.count.Load(), rt.node
+	cut, owner, follower := rt.count.Load(), rt.node, rt.follower
 	r.mu.Unlock()
-	r.flushNodeUpstreams(owner)
+	r.flushNodeUpstreams(owner, follower)
 	return rt, mig, cut, nil
 }
 
 // drain is the one loop that replays a moving route's buffered arrivals.
 // Each batch goes to the owner leg, whose admitted count advances the
 // ledger, then to the route's follower, if it has one; a follower-leg
-// failure only drops the follower. The follower is read per batch, so one
-// a forward degrades mid-drain gets no further batches. Once the buffer is
-// observed empty under the write lock, where no appender can be in flight,
-// the route stops moving and settle runs under that lock.
+// failure only drops the follower. Both legs send through sendArrivals,
+// keyed at the ledger — exact while the route moves, because forwards
+// only buffer then — so a transient failure is retried under the key and
+// can neither drop nor double-serve the batch. The follower is read per
+// batch, so one a forward degrades mid-drain gets no further batches. Once
+// the buffer is observed empty under the write lock, where no appender can
+// be in flight, the route stops moving and settle runs under that lock.
 //
-// An owner-leg failure, or a "flip" fault, ends the drain there: settle
-// still runs, and the arrivals not replayed are dropped — the same window
-// a node crash loses — and counted in the error. After an owner-leg
-// failure the follower is dropped too, since the owner's admitted count,
-// and so the follower's match, is no longer known.
+// An owner leg that still fails after its retries, or a "flip" fault, ends
+// the drain there: settle still runs, and the arrivals not replayed are
+// dropped — the same window a node crash loses — and counted in the error.
+// After an owner-leg failure the follower is dropped too, since the
+// owner's admitted count, and so the follower's match, is no longer known.
 func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, settle func()) (int, error) {
 	replayed := 0
 	for {
@@ -263,9 +263,9 @@ func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, se
 		if batch := mig.peek(); len(batch) == 0 {
 			err = r.checkMigFault("flip")
 		} else {
-			n := 0
+			start, n := rt.count.Load(), 0
 			if err = r.checkMigFault("replay"); err == nil {
-				n, err = r.replayArrivals(owner, tenant, batch)
+				n, err = r.sendArrivals(owner, tenant, batch, 0, start)
 			}
 			r.mu.RLock()
 			mig.admit(&rt.count, n)
@@ -274,7 +274,7 @@ func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, se
 			replayed += n
 			ferr := err
 			if ferr == nil && follower >= 0 {
-				_, ferr = r.replayArrivals(r.nodes[follower], tenant, batch)
+				_, ferr = r.sendArrivals(r.nodes[follower], tenant, batch, 0, start)
 			}
 			if ferr != nil && follower >= 0 {
 				r.degradeFollower(tenant, follower, ferr)
@@ -311,59 +311,3 @@ func (r *Router) dropRoute(rt *route, tenant string) {
 	r.mu.Unlock()
 	r.rlog.append(routeEvent{Op: "drop", Tenant: tenant})
 }
-
-// replayArrivals delivers a batch to a node outside the normal forwarding
-// path (migration replay, abort replay, follower catch-up). It prefers the
-// binary wire — one framed BATCH stream per call, acknowledged by the
-// node's result frame — and falls back to the HTTP arrive endpoint when the
-// node has no TCP listener or the stream fails before anything was written.
-func (r *Router) replayArrivals(n *node, tenant string, batch []server.Arrival) (int, error) {
-	if addr := n.tcp(); addr != "" {
-		acc, err := r.replayBinary(addr, tenant, batch)
-		if err == nil || acc > 0 {
-			return acc, err
-		}
-		r.logger.Warn("binary replay failed before admission, retrying over HTTP",
-			"node", n.addr, "tenant", tenant, "err", err)
-	}
-	acc, _, err := r.postArrivalsIdem(n, tenant, batch, 0, -1)
-	return acc, err
-}
-
-// replayBinary streams one tenant's batch to a node as BIND + BATCH frames
-// on a dedicated connection and collects the node's result frame, as a
-// session collects its upstreams. The result's arrival count is
-// authoritative: a stream that died mid-write reports how many arrivals
-// the node actually admitted. The stream sends no WINDOW, so the node
-// acks nothing before its result.
-func (r *Router) replayBinary(addr, tenant string, batch []server.Arrival) (int, error) {
-	conn, err := net.DialTimeout("tcp", addr, 5*time.Second)
-	if err != nil {
-		return 0, err
-	}
-	u := &upstream{conn: conn, bw: bufio.NewWriterSize(conn, 1<<16)}
-	buf := server.AppendWireBind(nil, 0, tenant)
-	err = u.writeFrame(buf, 0)
-	items := make([]server.WireItem, 0, replayChunk)
-	for off := 0; off < len(batch) && err == nil; off += replayChunk {
-		items = items[:0]
-		for _, a := range batch[off:min(off+replayChunk, len(batch))] {
-			items = append(items, server.WireItem{Point: a.Point, Demands: a.Demands})
-		}
-		buf = server.AppendWireBatch(buf[:0], 0, items)
-		err = u.writeFrame(buf, 0)
-	}
-	// A failed write is latched in u and returned by collect, which also
-	// closes the connection.
-	res, err := u.collect()
-	if err != nil {
-		return 0, err
-	}
-	if !res.OK {
-		return res.Arrivals, fmt.Errorf("node result: %s", res.Error)
-	}
-	return res.Arrivals, nil
-}
-
-// replayChunk bounds one BATCH frame in the binary replay stream.
-const replayChunk = 512

@@ -96,7 +96,7 @@ func (r *Router) handleFlight(w http.ResponseWriter, req *http.Request) {
 			continue
 		}
 		var nd server.FlightDumpDoc
-		if err := r.getJSON(n.base+suffix, &nd); err != nil {
+		if err := r.call("GET", n.base+suffix, nil, &nd); err != nil {
 			r.logger.Warn("flight dump scrape failed", "node", n.addr, "err", err)
 			continue
 		}

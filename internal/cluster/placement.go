@@ -117,14 +117,14 @@ func (r *Router) createTenant(id string, universe int, distances [][]float64, co
 		"distances":    distances,
 		"cost_by_size": costBySize,
 	}
-	if err := r.postJSON(r.nodes[idx].base+"/v1/tenants/"+id, body, nil); err != nil {
+	if err := r.call("POST", r.nodes[idx].base+"/v1/tenants/"+id, body, nil); err != nil {
 		r.mu.Lock()
 		delete(r.routes, id)
 		r.mu.Unlock()
 		return fmt.Errorf("cluster: creating %q on node %s: %v", id, r.nodes[idx].addr, err)
 	}
 	if fidx >= 0 {
-		if err := r.postJSON(r.nodes[fidx].base+"/v1/tenants/"+id, body, nil); err != nil {
+		if err := r.call("POST", r.nodes[fidx].base+"/v1/tenants/"+id, body, nil); err != nil {
 			r.logger.Warn("follower create failed, tenant unreplicated",
 				"tenant", id, "follower", r.nodes[fidx].addr, "err", err)
 			r.replDegrades.Add(1)
@@ -202,24 +202,15 @@ func (r *Router) forwardArrivalsAt(id string, batch []server.Arrival, traceID ui
 		r.mu.RUnlock()
 		return deduped + len(batch), deduped, nil
 	}
-	owner := r.nodes[rt.node]
 	start := rt.count.Load()
-	var accepted int
-	err := defaultRetry.do(func() error {
-		var aerr error
-		accepted, _, aerr = r.postArrivalsIdem(owner, id, batch, traceID, start)
-		return aerr
-	}, func(error) { r.retries.Add(1) })
+	accepted, err := r.sendArrivals(r.nodes[rt.node], id, batch, traceID, start)
 	// Even a failed batch advances the ledger by what the owner reported
 	// admitted: those arrivals happened and quiesce must account for them.
 	rt.count.Add(int64(accepted))
 	fidx := rt.follower
 	var ferr error
 	if err == nil && fidx >= 0 {
-		ferr = defaultRetry.do(func() error {
-			_, _, e := r.postArrivalsIdem(r.nodes[fidx], id, batch, 0, start)
-			return e
-		}, func(error) { r.retries.Add(1) })
+		_, ferr = r.sendArrivals(r.nodes[fidx], id, batch, 0, start)
 	}
 	r.mu.RUnlock()
 	if ferr != nil {
@@ -266,7 +257,7 @@ func (r *Router) resyncRoute(id string) error {
 		Admitted int64 `json:"admitted"`
 	}
 	err := defaultRetry.do(func() error {
-		if gerr := r.getJSON(owner.base+"/v1/tenants/"+id+"/served", &doc); gerr != nil {
+		if gerr := r.call("GET", owner.base+"/v1/tenants/"+id+"/served", nil, &doc); gerr != nil {
 			return &unavailableError{gerr}
 		}
 		return nil
@@ -289,44 +280,57 @@ func (r *Router) resyncRoute(id string) error {
 	return nil
 }
 
-// postArrivalsIdem posts one arrive batch. start >= 0 stamps the
-// X-Omflp-Idem-Start header (the stream position of batch[0] by the
-// router's ledger): the worker then trims any already-admitted prefix, so
-// resending the same batch is exactly-once. Returns the node's accounted
-// count (admitted plus deduped) and the deduped prefix length, decoded
-// from the body even on error statuses, because a batch that fails at
-// element i has irrevocably admitted the i before it and the ledger must
-// say so. Only a transport failure leaves the count unknowable (reported
-// as 0). A 5xx or transport failure is wrapped as retry-safe; application
-// refusals (404, 409) are final.
-func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, traceID uint64, start int64) (int, int, error) {
+// sendArrivals sends batch to node n keyed at stream position start, under
+// the retry policy: the one way a forward or a drain leg delivers arrivals
+// to a worker. The key makes every attempt exactly-once — the node trims
+// whatever an earlier attempt admitted — so a transient failure is retried
+// rather than dropped. It returns the node's accounted count (admitted plus
+// already-admitted) from the last attempt. When the binary wire carries a
+// position key, only this function changes transport.
+func (r *Router) sendArrivals(n *node, id string, batch []server.Arrival, traceID uint64, start int64) (int, error) {
+	var accepted int
+	err := defaultRetry.do(func() error {
+		var err error
+		accepted, err = r.postArrivalsIdem(n, id, batch, traceID, start)
+		return err
+	}, func(error) { r.retries.Add(1) })
+	return accepted, err
+}
+
+// postArrivalsIdem posts one arrive batch stamped with the X-Omflp-Idem-Start
+// header (the stream position of batch[0] by the router's ledger): the worker
+// then trims any already-admitted prefix, so resending the same batch is
+// exactly-once. Returns the node's accounted count (admitted plus deduped),
+// decoded from the body even on error statuses, because a batch that fails
+// at element i has irrevocably admitted the i before it and the ledger must
+// say so. Only a transport failure leaves the count unknowable (reported as
+// 0). A 5xx, a gap or a transport failure is wrapped as retry-safe;
+// application refusals (400, 404) are final.
+func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, traceID uint64, start int64) (int, error) {
 	body, err := json.Marshal(map[string]interface{}{"arrivals": batch})
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	req, err := http.NewRequest("POST", n.base+"/v1/tenants/"+id+"/arrive", bytes.NewReader(body))
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	req.Header.Set("Content-Type", "application/json")
 	if traceID != 0 {
 		req.Header.Set(server.TraceHeader, obs.TraceIDString(traceID))
 	}
-	if start >= 0 {
-		req.Header.Set(server.IdemHeader, strconv.FormatInt(start, 10))
-	}
+	req.Header.Set(server.IdemHeader, strconv.FormatInt(start, 10))
 	resp, err := r.client.Do(req)
 	if err != nil {
-		return 0, 0, &unavailableError{fmt.Errorf("cluster: forwarding to node %s: %v", n.addr, err)}
+		return 0, &unavailableError{fmt.Errorf("cluster: forwarding to node %s: %v", n.addr, err)}
 	}
 	defer resp.Body.Close()
 	var out struct {
 		Accepted int    `json:"accepted"`
-		Deduped  int    `json:"deduped"`
 		Error    string `json:"error"`
 	}
 	if derr := json.NewDecoder(resp.Body).Decode(&out); derr != nil && resp.StatusCode/100 == 2 {
-		return 0, 0, fmt.Errorf("cluster: decoding node %s arrive response: %v", n.addr, derr)
+		return 0, fmt.Errorf("cluster: decoding node %s arrive response: %v", n.addr, derr)
 	}
 	if resp.StatusCode/100 != 2 {
 		err := fmt.Errorf("cluster: node %s: %s: %s", n.addr, resp.Status, out.Error)
@@ -336,12 +340,15 @@ func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, tr
 			// does (a crash lost it, or a migration raced): surface the
 			// sentinel so callers can tell a stale route from a bad request.
 			err = fmt.Errorf("cluster: node %s: %s: %w", n.addr, out.Error, engine.ErrUnknownTenant)
-		case resp.StatusCode/100 == 5:
-			// The node is up but refusing (shutting down, overloaded):
-			// retry-safe under the idempotency key.
+		case resp.StatusCode == http.StatusConflict, resp.StatusCode/100 == 5:
+			// A gap: the node has not yet admitted everything the ledger
+			// counts before start — frames flushed to it over TCP are
+			// still on their way — and refused the whole batch. A 5xx: the
+			// node is up but refusing (shutting down, overloaded). Both
+			// are retry-safe under the idempotency key.
 			err = &unavailableError{err}
 		}
-		return out.Accepted, out.Deduped, err
+		return out.Accepted, err
 	}
-	return out.Accepted, out.Deduped, nil
+	return out.Accepted, nil
 }

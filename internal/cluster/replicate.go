@@ -136,16 +136,16 @@ func (r *Router) reseedFollower(tenant string) {
 	var transfer []byte
 	err = r.checkMigFault("export")
 	if err == nil {
-		err = r.getRaw(owner.base+"/v1/tenants/"+tenant+"/export?served="+fmt.Sprint(cut), &transfer)
+		err = r.call("GET", owner.base+"/v1/tenants/"+tenant+"/export?served="+fmt.Sprint(cut), nil, &transfer)
 	}
 	if err == nil {
 		// A stale replica from an earlier degrade may still live on the
 		// chosen node; extract-and-discard clears it so the inject starts
 		// clean.
 		var discard []byte
-		r.postRaw(fnode.base+"/v1/tenants/"+tenant+"/extract", nil, &discard) //nolint:errcheck // 404 = nothing stale
+		r.call("POST", fnode.base+"/v1/tenants/"+tenant+"/extract", nil, &discard) //nolint:errcheck // 404 = nothing stale
 		if err = r.checkMigFault("inject"); err == nil {
-			err = r.postJSON(fnode.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
+			err = r.call("POST", fnode.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
 		}
 	}
 	if err == nil {

@@ -14,9 +14,10 @@ import (
 // retryPolicy is the unified retry/timeout/backoff discipline for
 // router→worker calls: a bounded number of attempts under an elapsed-time
 // budget, with jittered exponential backoff between attempts. Retries are
-// only safe because forwarded arrivals are idempotency-keyed (the
-// X-Omflp-Idem-Start header, see forwardTo): a replayed batch is trimmed by
-// the worker's per-tenant admitted counter and can never double-serve.
+// only safe because forwarded and drained arrivals are idempotency-keyed
+// (the X-Omflp-Idem-Start header, see sendArrivals): a replayed batch is
+// trimmed by the worker's per-tenant admitted counter and can never
+// double-serve.
 type retryPolicy struct {
 	attempts int           // max attempts (including the first)
 	budget   time.Duration // total elapsed budget across attempts

@@ -65,15 +65,17 @@ func (r *Router) unregisterUpstream(u *upstream) {
 	r.upMu.Unlock()
 }
 
-// flushNodeUpstreams pushes every session's buffered frames for one node to
-// the wire — the migration coordinator's half of the quiesce: the ledger
-// counts frames at write-to-buffer time, so before waiting for the source's
-// served count to reach the ledger, everything buffered must actually go.
-func (r *Router) flushNodeUpstreams(nodeIdx int) {
+// flushNodeUpstreams pushes every session's buffered frames for a moving
+// route's owner and follower nodes to the wire — the migration
+// coordinator's half of the quiesce: the ledger counts frames at
+// write-to-buffer time, so before the owner is waited on to reach the
+// ledger, or either replica is sent a drain batch keyed at it, everything
+// buffered must actually go. follower is -1 for an unreplicated route.
+func (r *Router) flushNodeUpstreams(owner, follower int) {
 	r.upMu.Lock()
 	ups := make([]*upstream, 0, len(r.upstreams))
 	for u := range r.upstreams {
-		if u.node == nodeIdx {
+		if u.node == owner || u.node == follower {
 			ups = append(ups, u)
 		}
 	}
@@ -111,6 +113,7 @@ type session struct {
 
 	scratch   []int  // demand-id decode scratch
 	wbuf      []byte // re-framed upstream payload / ack payload scratch
+	abuf      []byte // a JSON arrive re-encoded as a binary ARRIVE frame
 	pendCodes []byte // per-arrival result codes awaiting the next ack frame
 }
 
@@ -132,16 +135,21 @@ func (s *session) emitAcks() error {
 	return s.dw.Flush()
 }
 
-// ack records n arrivals for seq/ack bookkeeping, each carrying the same
-// result code. Windowed sessions carry per-op failures here (unknown
-// tenant, owner unavailable) instead of killing the stream: the client
-// learns exactly which window slots failed and the session keeps serving
-// the tenants that still route.
-func (s *session) ack(n int, code byte) error {
+// ack records n routed arrivals for seq/ack bookkeeping, all with the
+// routing outcome err. Windowed sessions carry per-op failures here
+// (unknown tenant, owner unavailable) instead of killing the stream: the
+// client learns exactly which window slots failed and the session keeps
+// serving the tenants that still route. Without a window, err fails the
+// stream.
+func (s *session) ack(n int, err error) error {
+	if err != nil && s.window == 0 {
+		return err
+	}
 	s.seq += uint64(n)
 	if s.window == 0 {
 		return nil
 	}
+	code := ackCodeFor(err)
 	for i := 0; i < n; i++ {
 		s.pendCodes = append(s.pendCodes, code)
 	}
@@ -197,52 +205,6 @@ func (s *session) flushAll() {
 	}
 }
 
-// arrive routes one arrival frame. Mirrors forwardArrivals for the framed
-// protocol: buffer under migration, else write the raw frame to the owner
-// under RLock with the ledger advancing at buffer-write time (flushes are
-// the coordinator's and the idle loop's business). traceID (0 = untraced)
-// rides the upstream frame header; a migration-buffered arrival drops it —
-// the replay path is HTTP and the record would describe the wrong journey.
-func (s *session) arrive(tenant string, point int, demands []int, frame []byte, traceID uint64) error {
-	r := s.r
-	r.mu.RLock()
-	rt := r.routes[tenant]
-	if rt == nil {
-		r.mu.RUnlock()
-		return fmt.Errorf("cluster: tenant %q has no route: %w", tenant, engine.ErrUnknownTenant)
-	}
-	if m := rt.mig; m != nil {
-		// demands aliases the parser's scratch buffer — copy before it is
-		// reused by the next frame.
-		m.add(server.Arrival{Point: point, Demands: append([]int(nil), demands...)})
-		r.mu.RUnlock()
-		s.buffered++
-		return nil
-	}
-	u, err := s.upstream(rt.node)
-	if err == nil {
-		if err = u.writeFrame(frame, traceID); err == nil {
-			rt.count.Add(1)
-		}
-	}
-	fidx := rt.follower
-	var ferr error
-	if err == nil && fidx >= 0 {
-		// Dual-write the identical frame to the follower replica. A JSON
-		// arrive frame names its tenant, so it forwards verbatim.
-		if fu, fe := s.upstream(fidx); fe != nil {
-			ferr = fe
-		} else if ferr = fu.writeFrame(frame, 0); ferr == nil {
-			s.replicated++
-		}
-	}
-	r.mu.RUnlock()
-	if ferr != nil {
-		r.degradeFollower(tenant, fidx, ferr)
-	}
-	return err
-}
-
 // bindRef returns the upstream's ref for tenant, emitting a BIND frame the
 // first time this session addresses the tenant on this upstream.
 func (s *session) bindRef(u *upstream, tenant string) (uint64, error) {
@@ -259,10 +221,13 @@ func (s *session) bindRef(u *upstream, tenant string) (uint64, error) {
 }
 
 // routeBinary forwards one binary arrive/batch frame carrying count arrivals
-// for tenant: buffered under migration (buffer re-decodes the frame's items
-// with copied demand slices), else re-framed with the owner upstream's ref —
-// everything after the ref is copied verbatim, never re-encoded. The ledger
-// advances by count at buffer-write time, mirroring the JSON path.
+// for tenant — the one way an arrival travels from a session to a worker.
+// It is buffered under migration (buffer re-decodes the frame's items with
+// copied demand slices), else re-framed with the owner upstream's ref —
+// everything after the ref is copied verbatim, never re-encoded — and the
+// ledger advances by count at buffer-write time. A replicated tenant's
+// frame is dual-written to the follower under the same read lock. traceID
+// (0 = untraced) rides the owner's frame header.
 func (s *session) routeBinary(tenant string, frame []byte, count int, traceID uint64, buffer func(add func(...server.Arrival))) error {
 	r := s.r
 	r.mu.RLock()
@@ -312,6 +277,40 @@ func (s *session) routeBinary(tenant string, frame []byte, count int, traceID ui
 	return err
 }
 
+// routeArrive routes and acks one arrival whose binary ARRIVE frame is
+// frame: the client's own, or a JSON arrive re-encoded.
+func (s *session) routeArrive(tenant string, point int, demands []int, frame []byte, traceID uint64) error {
+	return s.ack(1, s.routeBinary(tenant, frame, 1, traceID, func(add func(...server.Arrival)) {
+		add(server.Arrival{Point: point, Demands: append([]int(nil), demands...)})
+	}))
+}
+
+// handleJSON dispatches one JSON frame from the downstream client. An
+// arrive — the canonical shape FastArrive reads, or any other the general
+// decoder accepts — is re-encoded as a binary ARRIVE frame and routed like
+// one, so upstream connections carry arrivals only as binary frames. A
+// create places the tenant. It reports whether the frame was a "follow"
+// op, which takes the connection over.
+func (s *session) handleJSON(frame []byte, traceID uint64) (bool, error) {
+	var op engine.Op
+	if tenant, point, demands, ok := server.FastArrive(frame, s.scratch[:0]); ok {
+		s.scratch = demands[:0]
+		op = engine.Op{Op: "arrive", Tenant: tenant, Point: point, Demands: demands}
+	} else if err := json.Unmarshal(frame, &op); err != nil {
+		return false, fmt.Errorf("cluster: decoding op: %v", err)
+	}
+	switch op.Op {
+	case "create":
+		return false, s.r.createTenant(op.Tenant, op.Universe, op.Distances, op.CostBySize)
+	case "arrive":
+		s.abuf = server.AppendWireArrive(s.abuf[:0], 0, op.Point, op.Demands)
+		return false, s.routeArrive(op.Tenant, op.Point, op.Demands, s.abuf, traceID)
+	case "follow":
+		return true, nil
+	}
+	return false, fmt.Errorf("cluster: unsupported op %q", op.Op)
+}
+
 // handleBinary dispatches one binary wire frame from the downstream client.
 // BIND and WINDOW are consumed locally (each upstream gets its own ref
 // table, and WINDOW is never forwarded — an upstream stream must produce
@@ -342,19 +341,7 @@ func (s *session) handleBinary(frame []byte, traceID uint64) error {
 		if !ok {
 			return fmt.Errorf("cluster: arrive ref %d: %w", ref, server.ErrWireRef)
 		}
-		err = s.routeBinary(tenant, frame, 1, traceID, func(add func(...server.Arrival)) {
-			add(server.Arrival{Point: point, Demands: append([]int(nil), demands...)})
-		})
-		if err != nil {
-			if s.window > 0 {
-				// Windowed sessions report op-scoped failures in the ack
-				// code instead of dying: the slot is consumed, the client
-				// sees exactly which arrival failed and why.
-				return s.ack(1, ackCodeFor(err))
-			}
-			return err
-		}
-		return s.ack(1, server.WireAckOK)
+		return s.routeArrive(tenant, point, demands, frame, traceID)
 	case server.WireBatch:
 		ref, count, items, err := server.DecodeWireBatchHeader(body)
 		if err != nil {
@@ -378,7 +365,7 @@ func (s *session) handleBinary(frame []byte, traceID uint64) error {
 		if len(walk) != 0 {
 			return fmt.Errorf("cluster: %d trailing bytes after batch: %w", len(walk), server.ErrWireTruncated)
 		}
-		err = s.routeBinary(tenant, frame, count, traceID, func(add func(...server.Arrival)) {
+		return s.ack(count, s.routeBinary(tenant, frame, count, traceID, func(add func(...server.Arrival)) {
 			rest := items
 			for i := 0; i < count; i++ {
 				var point int
@@ -386,15 +373,7 @@ func (s *session) handleBinary(frame []byte, traceID uint64) error {
 				point, demands, rest, _ = server.DecodeWireBatchItem(rest, nil)
 				add(server.Arrival{Point: point, Demands: demands})
 			}
-		})
-		if err != nil {
-			if s.window > 0 {
-				// Whole-batch failure: every slot carries the same code.
-				return s.ack(count, ackCodeFor(err))
-			}
-			return err
-		}
-		return s.ack(count, server.WireAckOK)
+		}))
 	case server.WireWindow:
 		w, _, err := server.DecodeWireWindow(body)
 		if err != nil {
@@ -432,11 +411,11 @@ func (r *Router) acceptLoop(ln net.Listener) {
 	}
 }
 
-// serveConn proxies one framed op stream: arrives forward as raw frames to
-// their owner nodes, creates place the tenant and run over HTTP, and at
-// half-close the session collects every node's result frame into one
-// aggregate result — the same contract a single node gives, so loadgen and
-// clients cannot tell a router from a server.
+// serveConn proxies one framed op stream: arrives, binary or JSON, forward
+// to their owner nodes as binary frames, creates place the tenant and run
+// over HTTP, and at half-close the session collects every node's result
+// frame into one aggregate result — the same contract a single node gives,
+// so loadgen and clients cannot tell a router from a server.
 func (r *Router) serveConn(conn net.Conn) {
 	defer conn.Close()
 	sess := &session{
@@ -489,45 +468,15 @@ func (r *Router) serveConn(conn net.Conn) {
 			id = r.tracer.Sample()
 		}
 		if server.IsBinaryFrame(frame) {
-			if failure = sess.handleBinary(frame, id); failure == nil {
-				buf = frame[:0]
+			failure = sess.handleBinary(frame, id)
+		} else {
+			var follow bool
+			if follow, failure = sess.handleJSON(frame, id); follow {
+				// A standby (or any journal consumer) subscribing to the route
+				// log: stream the base doc, then live events, until it hangs up.
+				r.serveFollow(sess) //nolint:errcheck // follower hangs up when done
+				return
 			}
-			continue
-		}
-		if tenant, point, demands, ok := server.FastArrive(frame, sess.scratch[:0]); ok {
-			err := sess.arrive(tenant, point, demands, frame, id)
-			sess.scratch = demands[:0]
-			if err != nil && sess.window == 0 {
-				failure = err
-				break
-			}
-			if failure = sess.ack(1, ackCodeFor(err)); failure == nil {
-				buf = frame[:0]
-			}
-			continue
-		}
-		var op engine.Op
-		if err := json.Unmarshal(frame, &op); err != nil {
-			failure = fmt.Errorf("cluster: decoding op: %v", err)
-			break
-		}
-		switch op.Op {
-		case "create":
-			failure = r.createTenant(op.Tenant, op.Universe, op.Distances, op.CostBySize)
-		case "arrive":
-			err := sess.arrive(op.Tenant, op.Point, op.Demands, frame, id)
-			if err != nil && sess.window == 0 {
-				failure = err
-			} else {
-				failure = sess.ack(1, ackCodeFor(err))
-			}
-		case "follow":
-			// A standby (or any journal consumer) subscribing to the route
-			// log: stream the base doc, then live events, until it hangs up.
-			r.serveFollow(sess) //nolint:errcheck // follower hangs up when done
-			return
-		default:
-			failure = fmt.Errorf("cluster: unsupported op %q", op.Op)
 		}
 		buf = frame[:0]
 	}
