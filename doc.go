@@ -136,9 +136,10 @@
 // end: the router trims already-accounted prefixes against its ledger —
 // during a move, against the ledger plus the arrivals still buffered, a
 // batch being drained included — workers trim against their admitted
-// counts, and every node call runs under a jittered, budgeted retry
-// policy — a replayed batch is deduped, never double-served. All of it is
-// testable under deterministic adversity:
+// counts, and every HTTP forward and every leg of a move's drain is sent
+// keyed under one jittered, budgeted retry policy — a replayed batch is
+// deduped, never double-served. All of it is testable under deterministic
+// adversity:
 // -faults "seed=7,dial-fail=1/40,conn-reset=1/80,stall=1/60:5ms,..."
 // (internal/faults) injects a seed-reproducible schedule of dial
 // failures, connection resets, stalls, partial frames and probe flaps

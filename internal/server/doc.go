@@ -86,7 +86,8 @@
 // every worker's result, remains the served/failed truth. WINDOW and BIND
 // frames are consumed by the router; each upstream connection gets its own
 // ref table and the arrive/batch bytes are re-framed with the upstream's
-// ref, never re-encoded.
+// ref, never re-encoded. A JSON arrive is re-encoded once, as a binary
+// ARRIVE, so upstream connections carry arrivals only as binary frames.
 //
 // # Malformed frames
 //
