@@ -35,20 +35,23 @@
 // Migrate moves one tenant live with no arrival loss and no reordering,
 // and a follower reseed copies one, by the same move: quiesce (mark the
 // route moving, so new arrivals buffer in the router; read the exact
-// ledger cut; flush in-flight frames to the owner), capture (extract on
-// the source once served equals the cut, then checkpoint the source so a
-// restart does not resurrect the tenant; a reseed exports instead),
-// install (inject on the target and checkpoint it; a reseed first clears
-// any stale replica, then makes the new one the route's follower), drain
-// (replay the buffer, each batch to the owner leg, whose admitted count
-// advances the ledger, then to the route's follower, whose failure only
-// drops the follower; both legs go through sendArrivals keyed at the
-// ledger, so a transient failure is retried, never dropped or served
-// twice) and settle (once the buffer is observed empty under
-// the write lock, flip the route or journal the new follower, naming the
-// follower the route holds then). A capture or install failure aborts:
-// the drain goes back to the source, whose state never left. Snapshots on
-// the target are byte-identical to what the source would have produced.
+// ledger cut; flush in-flight frames to the owner and the follower),
+// capture (extract on the source once served equals the cut, then
+// checkpoint the source so a restart does not resurrect the tenant; a
+// reseed exports instead), install (inject on the target and checkpoint
+// it; a reseed first clears any stale replica, then makes the new one the
+// route's follower), drain (wait until the owner and the follower have
+// admitted the ledger — an owner that never does lost arrivals the ledger
+// counted, and its count becomes the ledger — then replay the buffer,
+// each batch to the owner leg, whose admitted count advances the ledger,
+// then to the route's follower, whose failure only drops the follower;
+// both legs go through sendArrivals keyed at the ledger, so a transient
+// failure is retried, never dropped or served twice) and settle (once the
+// buffer is observed empty under the write lock, flip the route or
+// journal the new follower, naming the follower the route holds then).
+// A capture or install failure aborts: the drain goes back to the source,
+// whose state never left. Snapshots on the target are byte-identical to
+// what the source would have produced.
 //
 // # Failure model
 //

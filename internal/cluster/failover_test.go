@@ -482,64 +482,124 @@ func TestKeyedRetryDuringDrain(t *testing.T) {
 }
 
 // TestDrainRetriesTransientFailure: a drain leg the target refuses with a
-// 503 (unavailable) or a 409 (a gap: the key runs ahead of what the target
-// has admitted yet) is retried under its key, not dropped. The target sits
-// behind a front that answers its first arrive POST with the refusal and
-// forwards everything else to the worker; the move still lands with every
-// buffered arrival replayed exactly once.
+// 503 is retried under its key, not dropped. The target sits behind a
+// front that answers its first arrive POST with the refusal and forwards
+// everything else to the worker; the move still lands with every buffered
+// arrival replayed exactly once.
 func TestDrainRetriesTransientFailure(t *testing.T) {
 	const cut, moving = 10, 4
-	for _, status := range []int{http.StatusServiceUnavailable, http.StatusConflict} {
-		t.Run(strconv.Itoa(status), func(t *testing.T) {
-			w1 := startWorker(t, 83, "")
-			w2 := startWorker(t, 83, "")
-			proxy := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: w2.HTTPAddr()})
-			var refused atomic.Bool
-			front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
-				if strings.HasSuffix(req.URL.Path, "/arrive") && refused.CompareAndSwap(false, true) {
-					http.Error(w, `{"error":"injected refusal"}`, status)
-					return
-				}
-				proxy.ServeHTTP(w, req)
-			}))
-			defer front.Close()
-			target := strings.TrimPrefix(front.URL, "http://")
+	w1 := startWorker(t, 83, "")
+	w2 := startWorker(t, 83, "")
+	proxy := httputil.NewSingleHostReverseProxy(&url.URL{Scheme: "http", Host: w2.HTTPAddr()})
+	var refused atomic.Bool
+	front := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if strings.HasSuffix(req.URL.Path, "/arrive") && refused.CompareAndSwap(false, true) {
+			http.Error(w, `{"error":"injected refusal"}`, http.StatusServiceUnavailable)
+			return
+		}
+		proxy.ServeHTTP(w, req)
+	}))
+	defer front.Close()
+	target := strings.TrimPrefix(front.URL, "http://")
 
-			id := tenantName(0)
-			var base string
-			// Arrivals posted from the "extract" phase land after quiesce
-			// and buffer in the router.
-			r := startFaultRouter(t, Config{Nodes: []string{w1.HTTPAddr(), target}}, func(phase string) error {
-				if phase == "extract" {
-					for i := cut; i < cut+moving; i++ {
-						httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
-					}
-				}
-				return nil
-			})
-			base = "http://" + r.HTTPAddr()
-			httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
-			for i := 0; i < cut; i++ {
+	id := tenantName(0)
+	var base string
+	// Arrivals posted from the "extract" phase land after quiesce and
+	// buffer in the router.
+	r := startFaultRouter(t, Config{Nodes: []string{w1.HTTPAddr(), target}}, func(phase string) error {
+		if phase == "extract" {
+			for i := cut; i < cut+moving; i++ {
 				httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
 			}
+		}
+		return nil
+	})
+	base = "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
 
-			res, err := r.Migrate(id, target)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !refused.Load() || r.retries.Load() == 0 {
-				t.Fatalf("no drain leg was refused and retried (refused %v, retries %d)", refused.Load(), r.retries.Load())
-			}
-			if res.Replayed != moving {
-				t.Errorf("migration replayed %d buffered arrivals, want %d", res.Replayed, moving)
-			}
-			r.mu.RLock()
-			count := r.routes[id].count.Load()
-			r.mu.RUnlock()
-			if admitted := admittedOn(t, w2.HTTPAddr(), id); count != admitted || count != cut+moving {
-				t.Errorf("ledger %d, target admitted %d, want both %d", count, admitted, cut+moving)
-			}
-		})
+	res, err := r.Migrate(id, target)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !refused.Load() || r.retries.Load() == 0 {
+		t.Fatalf("no drain leg was refused and retried (refused %v, retries %d)", refused.Load(), r.retries.Load())
+	}
+	if res.Replayed != moving {
+		t.Errorf("migration replayed %d buffered arrivals, want %d", res.Replayed, moving)
+	}
+	r.mu.RLock()
+	count := r.routes[id].count.Load()
+	r.mu.RUnlock()
+	if admitted := admittedOn(t, w2.HTTPAddr(), id); count != admitted || count != cut+moving {
+		t.Errorf("ledger %d, target admitted %d, want both %d", count, admitted, cut+moving)
+	}
+}
+
+// TestAbortDrainAfterRefusedTCPArrival: an arrival the owner refuses over
+// the router's TCP wire (a demand outside the tenant's universe) fails
+// that upstream stream, yet the ledger counted it when the router wrote
+// the frame. A move of the tenant that then aborts drains its buffered
+// arrivals back to the owner: the drain finds the owner short of the
+// ledger, adopts the owner's admitted count, admits every buffered arrival
+// and drops the follower, whose stream no longer matches the ledger.
+func TestAbortDrainAfterRefusedTCPArrival(t *testing.T) {
+	const cut, moving = 10, 4
+	nodes := make([]string, 3)
+	for i := range nodes {
+		nodes[i] = startWorker(t, 87, "").HTTPAddr()
+	}
+	id := tenantName(0)
+	var base string
+	cfg := Config{Nodes: nodes, Replicate: true, TCPAddr: "127.0.0.1:0", HealthEvery: time.Hour}
+	r := startFaultRouter(t, cfg, func(phase string) error {
+		if phase != "extract" {
+			return nil
+		}
+		for i := cut; i < cut+moving; i++ {
+			httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+		}
+		return fmt.Errorf("injected extract failure")
+	})
+	base = "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	route := func() (owner *node, follower int, ledger int64) {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		rt := r.routes[id]
+		return r.nodes[rt.node], rt.follower, rt.count.Load()
+	}
+	c := dialBinary(t, r.TCPAddr())
+	c.frame(server.AppendWireArrive(nil, c.ref(id), 0, []int{testCreate.Universe}))
+	c.flush()
+	waitFor(t, "the ledger to count the refused arrival", func() bool {
+		_, _, ledger := route()
+		return ledger == cut+1
+	})
+
+	owner, follower, _ := route()
+	if follower < 0 {
+		t.Fatal("tenant placed without a follower")
+	}
+	target := ""
+	for _, n := range r.nodes {
+		if n != owner && n.idx != follower {
+			target = n.addr
+		}
+	}
+	if _, err := r.Migrate(id, target); err == nil || !strings.Contains(err.Error(), "injected extract failure") {
+		t.Fatalf("Migrate: %v, want the injected extract failure", err)
+	}
+	if admitted := admittedOn(t, owner.addr, id); admitted != cut+moving {
+		t.Errorf("owner admitted %d arrivals, want %d: the abort's drain dropped buffered arrivals", admitted, cut+moving)
+	}
+	if o, f, ledger := route(); o != owner || f != -1 || ledger != cut+moving {
+		t.Errorf("route on %s, follower %d, ledger %d; want %s, -1, %d", o.addr, f, ledger, owner.addr, cut+moving)
 	}
 }
 

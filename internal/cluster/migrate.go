@@ -245,7 +245,8 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 // ledger, then to the route's follower, if it has one; a follower-leg
 // failure only drops the follower. Both legs send through sendArrivals,
 // keyed at the ledger — exact while the route moves, because forwards
-// only buffer then — so a transient failure is retried under the key and
+// only buffer then, and caught up with both nodes before the first batch
+// (see catchUp) — so a transient failure is retried under the key and
 // can neither drop nor double-serve the batch. The follower is read per
 // batch, so one a forward degrades mid-drain gets no further batches. Once
 // the buffer is observed empty under the write lock, where no appender can
@@ -257,14 +258,20 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 // After an owner-leg failure the follower is dropped too, since the
 // owner's admitted count, and so the follower's match, is no longer known.
 func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, settle func()) (int, error) {
-	replayed := 0
+	replayed, caughtUp := 0, false
 	for {
 		var err error
 		if batch := mig.peek(); len(batch) == 0 {
 			err = r.checkMigFault("flip")
 		} else {
+			if !caughtUp {
+				caughtUp, err = true, r.catchUp(rt, tenant, owner)
+			}
 			start, n := rt.count.Load(), 0
-			if err = r.checkMigFault("replay"); err == nil {
+			if err == nil {
+				err = r.checkMigFault("replay")
+			}
+			if err == nil {
 				n, err = r.sendArrivals(owner, tenant, batch, 0, start)
 			}
 			r.mu.RLock()
@@ -298,6 +305,44 @@ func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, se
 		}
 		return replayed, nil
 	}
+}
+
+// catchUp readies a drain's legs before its first batch. Frames the ledger
+// counts were flushed to the owner and the follower at quiesce but may
+// still be on their way, so each node's admitted count is polled until it
+// reaches the ledger. An owner still short after the retries has lost
+// arrivals the ledger counted — a frame it refused failed its TCP stream,
+// and the frames behind it on that connection were never served — so its
+// admitted count becomes the ledger, and the follower, whose stream no
+// longer matches, is dropped. So is a follower that does not stand at the
+// ledger exactly. It fails only when the owner cannot be read.
+func (r *Router) catchUp(rt *route, tenant string, owner *node) error {
+	ledger := rt.count.Load()
+	admitted, err := r.admitted(owner, tenant, ledger)
+	if err != nil {
+		return err
+	}
+	r.mu.Lock()
+	if admitted < ledger {
+		rt.count.Store(admitted)
+	}
+	follower := rt.follower
+	r.mu.Unlock()
+	var ferr error
+	if admitted < ledger {
+		r.logger.Warn("ledger re-synced to the owner's admitted count",
+			"tenant", tenant, "node", owner.addr, "ledger", ledger, "admitted", admitted)
+		ferr = fmt.Errorf("cluster: owner %s admitted %d of the %d arrivals the ledger counts", owner.addr, admitted, ledger)
+	} else if follower >= 0 {
+		var fa int64
+		if fa, ferr = r.admitted(r.nodes[follower], tenant, ledger); ferr == nil && fa != ledger {
+			ferr = fmt.Errorf("cluster: follower admitted %d arrivals, the ledger counts %d", fa, ledger)
+		}
+	}
+	if ferr != nil && follower >= 0 {
+		r.degradeFollower(tenant, follower, ferr)
+	}
+	return nil
 }
 
 // dropRoute removes a tenant whose state was lost mid-migration so later

@@ -252,16 +252,7 @@ func (r *Router) resyncRoute(id string) error {
 	owner := r.nodes[rt.node]
 	r.mu.RUnlock()
 
-	var doc struct {
-		Served   int64 `json:"served"`
-		Admitted int64 `json:"admitted"`
-	}
-	err := defaultRetry.do(func() error {
-		if gerr := r.call("GET", owner.base+"/v1/tenants/"+id+"/served", nil, &doc); gerr != nil {
-			return &unavailableError{gerr}
-		}
-		return nil
-	}, func(error) { r.retries.Add(1) })
+	admitted, err := r.admitted(owner, id, 0)
 	if err != nil {
 		return fmt.Errorf("cluster: re-syncing restored route for %q against %s: %w", id, owner.addr, err)
 	}
@@ -269,15 +260,38 @@ func (r *Router) resyncRoute(id string) error {
 	r.mu.Lock()
 	if rt := r.routes[id]; rt != nil && !rt.synced {
 		old := rt.count.Load()
-		rt.count.Store(doc.Admitted)
+		rt.count.Store(admitted)
 		rt.synced = true
-		if old != doc.Admitted {
+		if old != admitted {
 			r.logger.Info("restored ledger re-synced",
-				"tenant", id, "restored", old, "admitted", doc.Admitted)
+				"tenant", id, "restored", old, "admitted", admitted)
 		}
 	}
 	r.mu.Unlock()
 	return nil
+}
+
+// admitted reads node n's admitted count for tenant, polling under the
+// retry policy while it is below want (want 0 reads once), and returns the
+// last count read. It fails only when the node cannot be read.
+func (r *Router) admitted(n *node, tenant string, want int64) (int64, error) {
+	var doc struct {
+		Admitted int64 `json:"admitted"`
+	}
+	var gerr error
+	err := defaultRetry.do(func() error {
+		if gerr = r.call("GET", n.base+"/v1/tenants/"+tenant+"/served", nil, &doc); gerr != nil {
+			return &unavailableError{gerr}
+		}
+		if doc.Admitted < want {
+			return &unavailableError{fmt.Errorf("cluster: node %s has admitted %d of %d arrivals", n.addr, doc.Admitted, want)}
+		}
+		return nil
+	}, func(error) { r.retries.Add(1) })
+	if gerr != nil {
+		return 0, err
+	}
+	return doc.Admitted, nil
 }
 
 // sendArrivals sends batch to node n keyed at stream position start, under
@@ -304,8 +318,8 @@ func (r *Router) sendArrivals(n *node, id string, batch []server.Arrival, traceI
 // decoded from the body even on error statuses, because a batch that fails
 // at element i has irrevocably admitted the i before it and the ledger must
 // say so. Only a transport failure leaves the count unknowable (reported as
-// 0). A 5xx, a gap or a transport failure is wrapped as retry-safe;
-// application refusals (400, 404) are final.
+// 0). A 5xx or transport failure is wrapped as retry-safe; application
+// refusals (400, 404, 409) are final.
 func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, traceID uint64, start int64) (int, error) {
 	body, err := json.Marshal(map[string]interface{}{"arrivals": batch})
 	if err != nil {
@@ -340,12 +354,9 @@ func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, tr
 			// does (a crash lost it, or a migration raced): surface the
 			// sentinel so callers can tell a stale route from a bad request.
 			err = fmt.Errorf("cluster: node %s: %s: %w", n.addr, out.Error, engine.ErrUnknownTenant)
-		case resp.StatusCode == http.StatusConflict, resp.StatusCode/100 == 5:
-			// A gap: the node has not yet admitted everything the ledger
-			// counts before start — frames flushed to it over TCP are
-			// still on their way — and refused the whole batch. A 5xx: the
-			// node is up but refusing (shutting down, overloaded). Both
-			// are retry-safe under the idempotency key.
+		case resp.StatusCode/100 == 5:
+			// The node is up but refusing (shutting down, overloaded):
+			// retry-safe under the idempotency key.
 			err = &unavailableError{err}
 		}
 		return out.Accepted, err

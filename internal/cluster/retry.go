@@ -67,9 +67,10 @@ func (p retryPolicy) do(fn func() error, onRetry func(error)) error {
 	}
 }
 
-// errUnavailable marks a worker response that is safe to retry (a 5xx from
-// a node that has not admitted the batch, or a node marked down). It wraps
-// the underlying error for classification.
+// unavailableError marks a worker response that is safe to retry: a 5xx
+// from a node that has not admitted the batch, a node marked down, or a
+// node not yet at the admitted count a caller waits for (Router.admitted).
+// It wraps the underlying error for classification.
 type unavailableError struct{ err error }
 
 func (e *unavailableError) Error() string { return e.err.Error() }

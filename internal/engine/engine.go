@@ -307,6 +307,10 @@ type shardOp struct {
 	batch  []BatchItem
 	onDone func(served int, servedNs []int64)
 	wantNs bool
+	// one carries a single arrival (ServeTraced) with batch nil, so the
+	// shard serves it as a batch of one without a slice allocated per
+	// arrival.
+	one BatchItem
 }
 
 // BatchItem is one arrival inside a ServeBatch call.
@@ -334,7 +338,11 @@ func (s *shard) run() {
 			close(op.done)
 			continue
 		}
-		s.runBatch(op)
+		items := op.batch
+		if items == nil {
+			items = []BatchItem{op.one}
+		}
+		s.runBatch(op, items)
 	}
 }
 
@@ -343,13 +351,13 @@ func (s *shard) run() {
 // scrape that counts an arrival served also finds its record; the
 // histogram records every item, so Served totals and quantiles are
 // indistinguishable from item-at-a-time serving.
-func (s *shard) runBatch(op shardOp) {
+func (s *shard) runBatch(op shardOp, items []BatchItem) {
 	var servedNs []int64
 	if op.wantNs {
-		servedNs = make([]int64, len(op.batch))
+		servedNs = make([]int64, len(items))
 	}
-	for i := range op.batch {
-		it := &op.batch[i]
+	for i := range items {
+		it := &items[i]
 		if it.Rec != nil {
 			it.Rec.MarkDequeued()
 		}
@@ -365,7 +373,7 @@ func (s *shard) runBatch(op shardOp) {
 		}
 	}
 	if op.onDone != nil {
-		op.onDone(len(op.batch), servedNs)
+		op.onDone(len(items), servedNs)
 	}
 }
 
@@ -558,7 +566,7 @@ func (e *Engine) ServeTraced(tenantID string, r instance.Request, rec *obs.OpRec
 		e.recordReject(rec, tenantID, err)
 		return err
 	}
-	t.shard.ops <- shardOp{tn: t, batch: []BatchItem{{Req: r, Rec: rec}}}
+	t.shard.ops <- shardOp{tn: t, one: BatchItem{Req: r, Rec: rec}}
 	t.admitted.Add(1)
 	if rec != nil {
 		rec.MarkAdmitted()

@@ -201,3 +201,25 @@ func TestReplayReaderAutodetect(t *testing.T) {
 		t.Error("blank input accepted")
 	}
 }
+
+// BenchmarkApplyArrive measures the op-stream arrive path (Apply → the
+// shard's mailbox → serve) on one small tenant, drain included, so
+// allocs/op counts the serving goroutine's allocations as well as the
+// caller's.
+func BenchmarkApplyArrive(b *testing.B) {
+	e := New(Config{Shards: 1})
+	defer e.Close()
+	if err := e.Apply(Op{Op: "create", Tenant: "a", Universe: 2,
+		Distances: [][]float64{{0, 1}, {1, 0}}, CostBySize: []float64{0, 1, 1.5}}); err != nil {
+		b.Fatal(err)
+	}
+	demands := []int{0, 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := e.Apply(Op{Op: "arrive", Tenant: "a", Point: i & 1, Demands: demands[:1+i&1]}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	e.Drain()
+}
