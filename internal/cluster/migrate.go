@@ -322,14 +322,14 @@ func (r *Router) catchUp(rt *route, tenant string, owner *node) error {
 	if err != nil {
 		return err
 	}
-	r.mu.Lock()
-	if admitted < ledger {
-		rt.count.Store(admitted)
-	}
+	r.mu.RLock()
 	follower := rt.follower
-	r.mu.Unlock()
+	r.mu.RUnlock()
 	var ferr error
 	if admitted < ledger {
+		r.mu.Lock()
+		rt.count.Store(admitted)
+		r.mu.Unlock()
 		r.logger.Warn("ledger re-synced to the owner's admitted count",
 			"tenant", tenant, "node", owner.addr, "ledger", ledger, "admitted", admitted)
 		ferr = fmt.Errorf("cluster: owner %s admitted %d of the %d arrivals the ledger counts", owner.addr, admitted, ledger)

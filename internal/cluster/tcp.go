@@ -296,8 +296,14 @@ func (s *session) handleJSON(frame []byte, traceID uint64) (bool, error) {
 	if tenant, point, demands, ok := server.FastArrive(frame, s.scratch[:0]); ok {
 		s.scratch = demands[:0]
 		op = engine.Op{Op: "arrive", Tenant: tenant, Point: point, Demands: demands}
-	} else if err := json.Unmarshal(frame, &op); err != nil {
-		return false, fmt.Errorf("cluster: decoding op: %v", err)
+	} else {
+		// Decoded apart from op: json.Unmarshal moves its target to the
+		// heap, and the FastArrive path must not allocate for it.
+		var dec engine.Op
+		if err := json.Unmarshal(frame, &dec); err != nil {
+			return false, fmt.Errorf("cluster: decoding op: %v", err)
+		}
+		op = dec
 	}
 	switch op.Op {
 	case "create":
