@@ -233,14 +233,6 @@ func NewPD(space Space, costs CostModel, opts Options) *core.PDOMFLP {
 	return core.NewPDOMFLP(space, costs, opts)
 }
 
-// NewPDReference constructs PD-OMFLP with the naive per-arrival bid
-// recomputation instead of the incremental accumulators — semantically
-// identical to NewPD but O(history × candidates) per arrival. It exists for
-// differential testing and benchmarking against the fast path.
-func NewPDReference(space Space, costs CostModel, opts Options) *core.PDOMFLP {
-	return core.NewPDReference(space, costs, opts)
-}
-
 // NewRand constructs the randomized RAND-OMFLP algorithm (Algorithm 2,
 // Theorem 19).
 func NewRand(space Space, costs CostModel, opts Options, rng *rand.Rand) *core.RandOMFLP {

@@ -16,6 +16,7 @@ import (
 
 	"repro/internal/commodity"
 	"repro/internal/core"
+	"repro/internal/core/pdref"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/lowerbound"
@@ -97,23 +98,23 @@ func BenchmarkPDOnlineThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkPDBidAccounting compares the three PD serve-loop
-// implementations across n: the event-driven loop (production), the
-// pre-refactor incremental loop (per-event candidate rescans) and the naive
-// reference (bids rebuilt from the full history). Run with benchstat to
-// verify the ≥2× event-vs-incremental serve-throughput claim at n ≥ 2000
-// (the perf experiment's BENCH_pd.json reports the same comparison
-// machine-readably).
+// BenchmarkPDBidAccounting compares PD's event-driven serve loop
+// (production) across n with the two modes of its reference transcription
+// internal/core/pdref, which rescans every candidate on every event:
+// "incremental" keeps running bid rows, "naive" rebuilds them from the full
+// credit history on every arrival. Run with benchstat to verify the
+// event-vs-incremental serve-throughput claim (the perf experiment's
+// BENCH_pd.json reports the same comparison machine-readably).
 func BenchmarkPDBidAccounting(b *testing.B) {
-	newByMode := map[string]func(*workload.Trace) *core.PDOMFLP{
-		"event": func(tr *workload.Trace) *core.PDOMFLP {
+	newByMode := map[string]func(*workload.Trace) Algorithm{
+		"event": func(tr *workload.Trace) Algorithm {
 			return core.NewPDOMFLP(tr.Instance.Space, tr.Instance.Costs, core.Options{})
 		},
-		"incremental": func(tr *workload.Trace) *core.PDOMFLP {
-			return core.NewPDLoopReference(tr.Instance.Space, tr.Instance.Costs, core.Options{})
+		"incremental": func(tr *workload.Trace) Algorithm {
+			return pdref.New(tr.Instance.Space, tr.Instance.Costs, nil, false, pdref.Running)
 		},
-		"naive": func(tr *workload.Trace) *core.PDOMFLP {
-			return core.NewPDReference(tr.Instance.Space, tr.Instance.Costs, core.Options{})
+		"naive": func(tr *workload.Trace) Algorithm {
+			return pdref.New(tr.Instance.Space, tr.Instance.Costs, nil, false, pdref.Naive)
 		},
 	}
 	for _, n := range []int{500, 2000} {

@@ -56,6 +56,10 @@ func TestCkptBenchSmall(t *testing.T) {
 			if row.V1.Bytes == 0 || row.V2.Bytes == 0 {
 				t.Errorf("%s n=%d: zero checkpoint bytes recorded", algo, row.Arrivals)
 			}
+			if row.V1.RestorePasses != ckptBenchRestores || row.V2.RestorePasses != ckptBenchRestores {
+				t.Errorf("%s n=%d: restore passes v1 %d, v2 %d, want %d each",
+					algo, row.Arrivals, row.V1.RestorePasses, row.V2.RestorePasses, ckptBenchRestores)
+			}
 		}
 	}
 }

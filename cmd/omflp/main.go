@@ -46,7 +46,8 @@
 // (0 = GOMAXPROCS, 1 = sequential); output is byte-identical for every
 // worker count under a fixed seed. -bench-out makes the perf experiment
 // write machine-readable benchmark artifacts into the given directory:
-// BENCH_pd.json (incremental vs naive PD-OMFLP serve throughput) and
+// BENCH_pd.json (PD-OMFLP's event-driven serve loop vs the incremental and
+// naive modes of its reference transcription, internal/core/pdref) and
 // BENCH_algos.json (arrivals/s for all four online algorithms across n and
 // |S| sweeps).
 //
@@ -146,7 +147,8 @@ func usage() {
 -workers 0 (default) uses GOMAXPROCS goroutines for independent repetitions;
 -workers 1 forces a sequential run. Tables are byte-identical either way
 under a fixed seed. -bench-out DIR makes the perf experiment write
-BENCH_pd.json and BENCH_algos.json (per-algorithm serve throughput) into DIR.
+BENCH_pd.json (PD's serve loop vs its reference transcription's two modes)
+and BENCH_algos.json (per-algorithm serve throughput) into DIR.
 run/all, serve and loadgen all take -cpuprofile FILE and -memprofile FILE to
 write go-tool-pprof profiles of the run (CPU stopped and heap captured on
 exit), so serve-path perf work needs no code edits to diagnose.

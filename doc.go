@@ -177,7 +177,7 @@
 // candidate scans out of the loop: per demanded commodity it computes the
 // minimum Constraint (3) threshold (and the Constraint (4) analogue) once
 // per arrival, after which every raise event costs O(k) over four scalars
-// per commodity; the exact pre-refactor candidate scan runs only once per
+// per commodity; the exact per-candidate scan runs only once per
 // commodity at freeze time to resolve the nearest-tight-candidate
 // tie-break, so solutions stay byte-identical (a conservative rounding
 // margin decides when the scalar prefilter must defer to the exact scan).
@@ -199,20 +199,23 @@
 // invariantly bounded by their distance to every already-open facility).
 // Per-arrival working memory lives in reusable scratch buffers, so the hot
 // path allocates only what it retains (the frozen dual row and the
-// assignment links). The pre-refactor loop is kept verbatim behind
-// core.NewPDLoopReference, and the naive rebuild-bids-from-history loop
-// behind core.NewPDReference, as differential oracles; the perf experiment
-// times all three, each as the median of repeated passes (BENCH_pd.json,
+// assignment links). The differential oracle is internal/core/pdref, a
+// plain transcription of Algorithm 1 that rescans every candidate on every
+// event and that no serving package imports: its running mode keeps the
+// bid rows as running sums and must match the event-driven loop bit for
+// bit, its naive mode rebuilds them from the credit history on every
+// arrival. The perf experiment times the event-driven loop against both
+// modes, each as the median of repeated passes (BENCH_pd.json,
 // BENCH_algos.json), and CI gates on the event-driven loop beating the
-// incremental baseline. Nearest-facility queries and RAND-OMFLP's class-
-// distance budget minima are answered from per-point incremental caches, so
-// serve throughput no longer degrades linearly in the number of open
-// facilities. The experiment harness fans independent repetitions — and,
-// where generators own sub-seeded rng streams (workload.SubSeed), whole
-// experiment rows — out across a worker pool: ExperimentConfig.Workers
-// selects the goroutine count (0 = GOMAXPROCS, 1 = sequential), with
-// per-index sub-seeds and ordered merging making every table byte-identical
-// across worker counts under a fixed seed.
+// running mode, the incremental baseline. Nearest-facility queries and
+// RAND-OMFLP's class-distance budget minima are answered from per-point
+// incremental caches, so serve throughput no longer degrades linearly in
+// the number of open facilities. The experiment harness fans independent
+// repetitions — and, where generators own sub-seeded rng streams
+// (workload.SubSeed), whole experiment rows — out across a worker pool:
+// ExperimentConfig.Workers selects the goroutine count (0 = GOMAXPROCS,
+// 1 = sequential), with per-index sub-seeds and ordered merging making
+// every table byte-identical across worker counts under a fixed seed.
 //
 // Quickstart:
 //

@@ -82,8 +82,3 @@ func (pd *PDOMFLP) CheckScaledDuals(gamma float64, maxExhaustive, trials int, rn
 	}
 	return rep
 }
-
-// Feasible reports whether no constraint was violated beyond tolerance.
-func (r DualReport) Feasible(tol float64) bool {
-	return r.MaxViolation <= tol
-}

@@ -9,14 +9,14 @@
 //     (small-for-its-commodity or large for Constraint (3) credits, large
 //     for Constraint (4) credits). Credits are recorded as min{dual, d} and
 //     only ever lowered to a new, smaller distance, so the invariant holds
-//     by construction — it is exactly what lets the event-driven loop skip
-//     the unconditional credit sweep of the pre-refactor implementation,
-//     which is why a violation must crash instead of silently degrading the
-//     competitive ratio.
+//     by construction — it is exactly what lets the serve loop skip the
+//     credit sweep when a request connects to an already open large
+//     facility, which is why a violation must crash instead of silently
+//     degrading the competitive ratio.
 //  2. Bid-accumulator consistency: the incremental Constraint (3)/(4) bid
 //     rows (bidSmall, bidLarge) must agree with a from-scratch recomputation
-//     over the full credit history (naiveSmallBids, naiveLargeBids) to
-//     within accumulation tolerance.
+//     over the full credit history (naiveBidsOver) to within accumulation
+//     tolerance.
 //
 // Both checks rescan the credit history, so arrivals past the first
 // invariantsFullWindow are checked on a stride — dense coverage early (where
@@ -79,13 +79,8 @@ func (pd *PDOMFLP) assertCreditInvariant() {
 }
 
 // assertBidConsistency checks property 2: incremental accumulators against
-// the naive reference rows. Naive-bids instances have nothing to check —
-// they recompute the rows from scratch each arrival and never maintain the
-// accumulators.
+// rows recomputed from the credit history.
 func (pd *PDOMFLP) assertBidConsistency() {
-	if pd.naiveBids {
-		return
-	}
 	for e, row := range pd.bidSmall {
 		if row == nil {
 			if len(pd.creditSmall[e]) != 0 {
@@ -94,9 +89,9 @@ func (pd *PDOMFLP) assertBidConsistency() {
 			}
 			continue
 		}
-		assertBidRow("small", e, row, pd.naiveSmallBids(e))
+		assertBidRow("small", e, row, pd.naiveBidsOver(pd.creditSmall[e]))
 	}
-	assertBidRow("large", -1, pd.bidLarge, pd.naiveLargeBids())
+	assertBidRow("large", -1, pd.bidLarge, pd.naiveBidsOver(pd.creditLarge))
 }
 
 func assertBidRow(kind string, e int, got, want []float64) {

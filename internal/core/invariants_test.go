@@ -25,7 +25,7 @@ func serveRandom(pd *PDOMFLP, rng *rand.Rand, space metric.Space, u, n int) {
 	}
 }
 
-// TestInvariantsHoldOnRandomWorkloads runs both serve paths under the
+// TestInvariantsHoldOnRandomWorkloads runs the serve loop under the
 // assertion layer.
 func TestInvariantsHoldOnRandomWorkloads(t *testing.T) {
 	for trial := 0; trial < 4; trial++ {
@@ -34,7 +34,6 @@ func TestInvariantsHoldOnRandomWorkloads(t *testing.T) {
 		space := metric.RandomLine(rng, 5, 12)
 		costs := cost.PowerLaw(u, 1, 1.5)
 		serveRandom(NewPDOMFLP(space, costs, Options{}), rng, space, u, 40)
-		serveRandom(NewPDLoopReference(space, costs, Options{}), rng, space, u, 40)
 	}
 }
 

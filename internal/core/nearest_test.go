@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/commodity"
+	"repro/internal/core/pdref"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
@@ -81,16 +82,17 @@ func TestNearestCacheEmptyIndex(t *testing.T) {
 }
 
 // TestPDSolutionsUnchangedByNearestCache replays a mixed workload through
-// PD-OMFLP and checks the full solution remains feasible and identical to the
-// naive-bid reference (which exercises the same facility index) — the
-// end-to-end guard that the query caches never change algorithmic decisions.
+// PD-OMFLP and checks the full solution remains feasible and identical to
+// pdref's naive mode (which answers nearest-facility queries by linear
+// scans) — the end-to-end guard that the query caches never change
+// algorithmic decisions.
 func TestPDSolutionsUnchangedByNearestCache(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	u := 5
 	space := metric.RandomEuclidean(rng, 14, 2, 60)
 	costs := cost.PowerLaw(u, 1, 2)
 	fast := NewPDOMFLP(space, costs, Options{})
-	ref := NewPDReference(space, costs, Options{})
+	ref := newRef(space, costs, Options{}, pdref.Naive)
 	in := &instance.Instance{Space: space, Costs: costs}
 	for i := 0; i < 250; i++ {
 		r := instance.Request{

@@ -35,9 +35,9 @@ import (
 // commodity and the Constraint (4) analogue T4. Each event then costs O(k)
 // over four scalars per commodity instead of O(k·|cands|); the full
 // candidate scan runs only once per commodity at freeze time, to resolve
-// the nearest-tight-candidate tie-break with the exact pre-refactor
-// predicate (see tightSmall). serveReference keeps the original
-// rescan-every-event loop as the differential oracle.
+// the nearest-tight-candidate tie-break with the exact per-candidate
+// predicate (see tightSmall). The tests hold this loop to
+// internal/core/pdref, which rescans every candidate on every event.
 type PDOMFLP struct {
 	space metric.Space //omflp:nostate — constructor parameter; the restore contract requires an identically constructed instance
 	costs cost.Model   //omflp:nostate — constructor parameter, ditto
@@ -76,16 +76,6 @@ type PDOMFLP struct {
 	// credits yet. Callers never mutate bid rows mid-arrival, so sharing is
 	// safe.
 	zeroBids []float64 //omflp:nostate — shared all-zero constant, never mutated
-	// naiveBids switches Serve to recomputing the bid sums from the full
-	// credit history on every arrival — the original O(history×candidates)
-	// accounting, kept as the reference implementation for differential
-	// tests and benchmarks (see NewPDReference).
-	naiveBids bool
-	// refLoop routes Serve through serveReference, the pre-refactor event
-	// loop that rescans every candidate on every event and sweeps credits
-	// unconditionally. NewPDReference and NewPDLoopReference set it; the
-	// differential tests pin the event-driven loop against it.
-	refLoop bool //omflp:nostate — construction-time mode flag, not serving state
 	// scratch holds the per-arrival working buffers of the event-driven
 	// serve path, reused across arrivals so the hot path allocates only
 	// what it retains (the dual row and the assignment links). Pure
@@ -103,7 +93,7 @@ type PDOMFLP struct {
 	// facBoundary[i] = number of facilities after arrival i (for ServeLog).
 	facBoundary []int
 	// dualSum is DualTotal's running Σ a_re, added row by row in arrival
-	// order by both serve loops and recomputed the same way on
+	// order by Serve and recomputed the same way on
 	// UnmarshalState, so it is bit-identical to summing the rows afresh.
 	dualSum float64
 }
@@ -195,33 +185,6 @@ func (pd *PDOMFLP) resetBounds() {
 	pd.boundLarge = rowBound(pd.ct.full, pd.bidLarge)
 }
 
-// NewPDReference constructs PD-OMFLP with the original per-arrival
-// recomputation of the bid sums from the full credit history instead of the
-// incremental accumulators, running the pre-refactor candidate-rescanning
-// event loop. It is semantically identical to NewPDOMFLP but pays
-// O(history × candidates) per arrival; it exists so benchmarks can
-// quantify — and differential tests validate — both the incremental
-// accounting and the event-driven loop.
-func NewPDReference(space metric.Space, costs cost.Model, opts Options) *PDOMFLP {
-	pd := NewPDOMFLP(space, costs, opts)
-	pd.naiveBids = true
-	pd.refLoop = true
-	return pd
-}
-
-// NewPDLoopReference constructs PD-OMFLP with the incremental bid
-// accumulators but the pre-refactor event loop that rescans all candidates
-// on every raise event and sweeps every credit row after every large serve —
-// the exact serve path before the event-driven refactor. It pins the
-// refactor in differential tests (same freeze order, byte-identical
-// solutions) and is the "incremental" baseline the perf experiment and the
-// CI benchmark-regression gate measure the event-driven loop against.
-func NewPDLoopReference(space metric.Space, costs cost.Model, opts Options) *PDOMFLP {
-	pd := NewPDOMFLP(space, costs, opts)
-	pd.refLoop = true
-	return pd
-}
-
 // Name implements online.Algorithm.
 func (pd *PDOMFLP) Name() string {
 	if pd.opts.DisablePrediction {
@@ -258,42 +221,29 @@ type pdServe struct {
 
 type pdTemp struct {
 	e, m int
-	ci   int // candidate index of m (event-driven path; unset in reference)
+	ci   int // candidate index of m
 }
 
 const pdEps = 1e-9
 
 // pdMarginEps bounds, relative to the involved magnitudes, the disagreement
-// between the scalar threshold comparison a ≥ T3 − tol and the pre-refactor
+// between the scalar threshold comparison a ≥ T3 − tol and the exact
 // per-candidate predicate a − d(m,r) + bids ≥ f_m − tol. The two are equal
 // in real arithmetic but associate differently, so each may round a few ulps
 // (≈ 2⁻⁵²) apart; 1e-12 is ~4500 ulps of slack — vastly conservative, yet
 // small enough that the exact scan still runs only when a commodity is
 // within a hair of freezing. The scalar form is therefore only ever a
-// prefilter: whenever it says "possibly tight", the original scan decides,
-// so freeze decisions are byte-identical to the reference loop.
+// prefilter: whenever it says "possibly tight", the per-candidate scan
+// decides, so freeze decisions are byte-identical to a loop that runs that
+// scan on every event.
 const pdMarginEps = 1e-12
 
-// Serve implements online.Algorithm: Algorithm 1 on arrival of request r.
-// Naive-bids instances always take the reference loop: the event-driven
-// path reads the incremental accumulators, which naive mode does not
-// maintain.
+// Serve implements online.Algorithm: Algorithm 1 on arrival of request r,
+// event-driven — per-arrival threshold precomputation, a scalar event loop,
+// and the zero-allocation scratch. Its facilities, assignments, duals,
+// credits and bid rows are byte-identical to those of internal/core/pdref,
+// the plain transcription that rescans every candidate on every event.
 func (pd *PDOMFLP) Serve(r instance.Request) {
-	if pd.refLoop || pd.naiveBids {
-		pd.serveReference(r)
-	} else {
-		pd.serveEvent(r)
-	}
-	if invariantsEnabled {
-		pd.assertInvariants()
-	}
-}
-
-// serveEvent is the event-driven serve path: per-arrival threshold
-// precomputation, a scalar event loop, and the zero-allocation scratch. It
-// produces byte-identical facilities, assignments, duals and credits to
-// serveReference.
-func (pd *PDOMFLP) serveEvent(r instance.Request) {
 	p := r.Point
 	ids := r.Demands.IDs()
 	k := len(ids)
@@ -319,8 +269,7 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 
 	// The incremental accumulators hold exactly the bid sums the
 	// constraints need; credits only change after the event loop, so
-	// aliasing the live rows is safe. (Naive-bids instances never reach
-	// this path — Serve routes them through serveReference.)
+	// aliasing the live rows is safe.
 	bid3 := s.bid3
 	for i, e := range ids {
 		if row := pd.bidSmall[e]; row != nil {
@@ -335,9 +284,10 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 	// Hoisted candidate thresholds, one bounded scan pair per bid row (see
 	// pdBound): nearest-first for the minimum, farthest-first for the
 	// magnitude, each stopping once no remaining candidate can change it.
-	// t3[i] keeps the exact association order of the reference delta
+	// t3[i] keeps the association order of the per-candidate delta
 	// expression (single − bids + dCand), so t3[i] − a is bit-identical to
-	// the reference's per-candidate minimum (rounding is monotone).
+	// the minimum of single − bids + dCand − a over the candidates
+	// (rounding is monotone).
 	// m3[i]/m4 bound the magnitudes feeding the pdMarginEps safety margin
 	// of the freeze prefilter.
 	t3, m3 := s.t3, s.m3
@@ -427,8 +377,8 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 
 		// Lines 3–5: freeze commodities with tight Constraint (1) or (3).
 		// The t3 comparison is only a prefilter (with the pdMarginEps
-		// rounding margin): tightSmall re-evaluates the exact pre-refactor
-		// predicate and picks the same facility it would have.
+		// rounding margin): tightSmall re-evaluates the exact per-candidate
+		// predicate and picks the facility a scan on every event would.
 		for i := range a {
 			if frozen[i] {
 				continue
@@ -464,7 +414,7 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 			// Constraint (4): open a new large facility at the nearest
 			// tight candidate. Scalar prefilter, exact scan on the rare
 			// near-tight event — a spurious scan finds nothing and
-			// continues, exactly like the reference.
+			// continues, exactly like a scan on every event.
 			if sumA+pdMarginEps*(m4+sumA+tol) >= t4-tol {
 				if bestM := pd.tightLarge(sumA, bid4, dCand, tol); bestM >= 0 {
 					largeServed = pd.fx.openLarge(cands[bestM])
@@ -479,8 +429,7 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 		// would repeat forever — reachable only when cost/bid magnitudes
 		// are so extreme (≈ tol/ulp ≳ 4.5e6·(1+sumA)) that the clamped
 		// threshold arithmetic and the exact tol-window predicates disagree
-		// by more than tol. The pre-refactor loop hangs silently in that
-		// state; fail loudly instead of wedging a serving shard.
+		// by more than tol. Fail loudly instead of wedging a serving shard.
 		if delta == 0 && unfrozen == unfrozenBefore { //omflp:floatexact — delta is clamped to literal 0 above; this detects that exact case
 			panic("core: PD-OMFLP event loop stalled on a zero-delta event (cost magnitudes exceed the pdEps tolerance's precision); rescale the cost model")
 		}
@@ -509,10 +458,9 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 		// Constraint (2) needs no sweep: every credit is recorded as
 		// min{dual, d(F, ·)} against the then-open facilities and only ever
 		// lowered when a new facility opens, so a credit is invariantly ≤
-		// its distance to every already-open facility — the pre-refactor
-		// sweep against an existing facility was a provable no-op (the
-		// reference loop still runs it; differential tests pin the
-		// equality).
+		// its distance to every already-open facility, and a sweep against
+		// an existing facility is a provable no-op (pdref still runs it, so
+		// the differential tests pin the equality).
 	} else {
 		// Open the surviving temporaries and connect each commodity.
 		opened := s.opened
@@ -566,10 +514,13 @@ func (pd *PDOMFLP) serveEvent(r instance.Request) {
 	}
 	_, dHat := pd.fx.nearestLarge(p)
 	pd.addCreditLarge(p, math.Min(sumA, dHat))
+	if invariantsEnabled {
+		pd.assertInvariants()
+	}
 }
 
-// tightSmall is the pre-refactor Constraint (3) candidate scan, verbatim:
-// among the candidates inside the tol window it returns the nearest one
+// tightSmall is the Constraint (3) candidate scan: among the candidates
+// inside the tol window it returns the nearest one
 // (ties to the lowest index), or -1 when none is tight. Running it only at
 // freeze time — once per commodity per arrival — instead of on every event
 // is what the t3 thresholds buy.
@@ -600,237 +551,6 @@ func (pd *PDOMFLP) tightLarge(sumA float64, bids, dCand []float64, tol float64) 
 	return bestM
 }
 
-// serveReference is the pre-refactor serve path, kept verbatim as the
-// differential oracle for the event-driven loop: it rescans all four
-// constraint families over every candidate on every raise event, allocates
-// its working set per arrival, and sweeps the credit ledgers even when the
-// request was served by an already-open large facility.
-func (pd *PDOMFLP) serveReference(r instance.Request) {
-	p := r.Point
-	ids := r.Demands.IDs()
-	k := len(ids)
-	cands := pd.ct.cands
-
-	var analysisSnaps map[int][]float64
-	if pd.opts.TraceAnalysis {
-		analysisSnaps = pd.snapshotAnalysis(ids)
-	}
-
-	dFe := make([]float64, k)
-	for i, e := range ids {
-		_, dFe[i] = pd.fx.nearestOffering(e, p)
-	}
-	_, dLarge := pd.fx.nearestLarge(p)
-
-	bid3 := make([][]float64, k)
-	var bid4 []float64
-	if pd.naiveBids {
-		for i, e := range ids {
-			bid3[i] = pd.naiveSmallBids(e)
-		}
-		if pd.opts.DisablePrediction {
-			bid4 = pd.zeroBids // never read; constraints (2)/(4) are skipped
-		} else {
-			bid4 = pd.naiveLargeBids()
-		}
-	} else {
-		for i, e := range ids {
-			if row := pd.bidSmall[e]; row != nil {
-				bid3[i] = row
-			} else {
-				bid3[i] = pd.zeroBids
-			}
-		}
-		bid4 = pd.bidLarge
-	}
-	dCand, _ := pd.ct.distTo(p)
-
-	a := make([]float64, k)
-	frozen := make([]bool, k)
-	serve := make([]pdServe, k)
-	var temps []pdTemp
-	sumA := 0.0
-	unfrozen := k
-	largeServed := -1 // facility index once the request is served large
-
-	for unfrozen > 0 {
-		// Find the earliest event. All thresholds are affine in the raise
-		// Δ: slope 1 for (1)/(3) on a single commodity, slope `unfrozen`
-		// for (2)/(4) on the sum.
-		delta := math.Inf(1)
-
-		// Constraint (1): a_e + Δ = d(F(e), r).
-		for i := range ids {
-			if frozen[i] {
-				continue
-			}
-			if d := dFe[i] - a[i]; d < delta {
-				delta = d
-			}
-		}
-		// Constraint (3): a_e + Δ = f^{e}_m − bids + d(m, r).
-		for i := range ids {
-			if frozen[i] {
-				continue
-			}
-			for ci := range cands {
-				need := pd.ct.single[ids[i]][ci] - bid3[i][ci] + dCand[ci] - a[i]
-				if need < 0 {
-					need = 0
-				}
-				if need < delta {
-					delta = need
-				}
-			}
-		}
-		if !pd.opts.DisablePrediction {
-			// Constraint (2): sumA + unfrozen·Δ = d(F̂, r).
-			if dLarge < infinity {
-				if d := (dLarge - sumA) / float64(unfrozen); d < delta {
-					delta = d
-				}
-			}
-			// Constraint (4): sumA + unfrozen·Δ = f^S_m − bids + d(m, r).
-			for ci := range cands {
-				need := (pd.ct.full[ci] - bid4[ci] + dCand[ci] - sumA) / float64(unfrozen)
-				if need < 0 {
-					need = 0
-				}
-				if need < delta {
-					delta = need
-				}
-			}
-		}
-		if math.IsInf(delta, 1) {
-			panic("core: PD-OMFLP found no tight constraint; no candidate can serve the request")
-		}
-		if delta < 0 {
-			delta = 0
-		}
-
-		// Raise all unfrozen duals by delta.
-		for i := range ids {
-			if !frozen[i] {
-				a[i] += delta
-			}
-		}
-		sumA += float64(unfrozen) * delta
-		tol := pdEps * (1 + sumA)
-
-		// Lines 3–5: freeze commodities with tight Constraint (1) or (3).
-		for i := range ids {
-			if frozen[i] {
-				continue
-			}
-			if a[i] >= dFe[i]-tol {
-				// Constraint (1): connect to the nearest existing facility.
-				fac, _ := pd.fx.nearestOffering(ids[i], p)
-				frozen[i] = true
-				unfrozen--
-				serve[i] = pdServe{mode: 1, fac: fac}
-				continue
-			}
-			bestM := -1
-			bestD := math.Inf(1)
-			for ci := range cands {
-				if a[i]-dCand[ci]+bid3[i][ci] >= pd.ct.single[ids[i]][ci]-tol {
-					if dCand[ci] < bestD {
-						bestM, bestD = ci, dCand[ci]
-					}
-				}
-			}
-			if bestM >= 0 {
-				// Constraint (3): temporary small facility at the
-				// nearest tight point.
-				frozen[i] = true
-				unfrozen--
-				serve[i] = pdServe{mode: 2, temp: len(temps)}
-				temps = append(temps, pdTemp{e: ids[i], m: cands[bestM]})
-			}
-		}
-
-		if pd.opts.DisablePrediction {
-			continue
-		}
-
-		// Lines 6–9: Constraint (2) — existing large facility.
-		if dLarge < infinity && sumA >= dLarge-tol {
-			fac, _ := pd.fx.nearestLarge(p)
-			largeServed = fac
-			break
-		}
-		// Constraint (4): open a new large facility at the nearest tight
-		// candidate.
-		bestM, bestD := -1, math.Inf(1)
-		for ci := range cands {
-			if sumA-dCand[ci]+bid4[ci] >= pd.ct.full[ci]-tol {
-				if dCand[ci] < bestD {
-					bestM, bestD = ci, dCand[ci]
-				}
-			}
-		}
-		if bestM >= 0 {
-			largeServed = pd.fx.openLarge(cands[bestM])
-			break
-		}
-	}
-
-	// Materialize the outcome.
-	pd.points = append(pd.points, p)
-	pd.demandIDs = append(pd.demandIDs, ids)
-	pd.duals = append(pd.duals, a)
-	for _, v := range a {
-		pd.dualSum += v
-	}
-
-	var links []int
-	if largeServed >= 0 {
-		// Whole request served by one large facility; temporaries vanish.
-		links = []int{largeServed}
-		newPt := pd.fx.sol.Facilities[largeServed].Point
-		pd.refreshCreditsForLarge(newPt)
-	} else {
-		// Open the surviving temporaries and connect each commodity.
-		opened := make([]int, len(temps))
-		for ti, tmp := range temps {
-			opened[ti] = pd.fx.openSmall(tmp.e, tmp.m)
-		}
-		linkSet := map[int]bool{}
-		for i := range ids {
-			var fac int
-			switch serve[i].mode {
-			case 1:
-				fac = serve[i].fac
-			case 2:
-				fac = opened[serve[i].temp]
-			default:
-				panic("core: PD-OMFLP left a commodity unserved")
-			}
-			if !linkSet[fac] {
-				linkSet[fac] = true
-				links = append(links, fac)
-			}
-		}
-		for _, tmp := range temps {
-			pd.refreshCreditsForSmall(tmp.e, tmp.m)
-		}
-	}
-	pd.fx.sol.Assign = append(pd.fx.sol.Assign, links)
-	pd.facBoundary = append(pd.facBoundary, len(pd.fx.sol.Facilities))
-
-	if pd.opts.TraceAnalysis {
-		pd.recordAnalysis(ids, a, p, analysisSnaps)
-	}
-
-	// Record this request's own credits against the updated facility sets.
-	for i, e := range ids {
-		_, d := pd.fx.nearestOffering(e, p)
-		pd.addCreditSmall(e, p, math.Min(a[i], d))
-	}
-	_, dHat := pd.fx.nearestLarge(p)
-	pd.addCreditLarge(p, math.Min(sumA, dHat))
-}
-
 // addBid folds one credit's contribution (credit − d(m_ci, p))_+ into a bid
 // row; the single place the bid formula is written for accumulation. Only
 // candidates nearer to p than the credit contribute (for finite floats,
@@ -855,9 +575,6 @@ func (pd *PDOMFLP) addCreditSmall(e, p int, credit float64) {
 		pd.liveSmall = append(pd.liveSmall, e)
 	}
 	pd.creditSmall[e] = append(pd.creditSmall[e], pdCredit{point: p, credit: credit})
-	if pd.naiveBids {
-		return
-	}
 	row := pd.bidSmall[e]
 	if row == nil {
 		row = make([]float64, len(pd.ct.cands))
@@ -870,9 +587,6 @@ func (pd *PDOMFLP) addCreditSmall(e, p int, credit float64) {
 // contribution into the Constraint (4) accumulators.
 func (pd *PDOMFLP) addCreditLarge(p int, credit float64) {
 	pd.creditLarge = append(pd.creditLarge, pdCredit{point: p, credit: credit})
-	if pd.naiveBids {
-		return
-	}
 	pd.addBid(pd.bidLarge, pd.ct.full, &pd.boundLarge, p, credit)
 }
 
@@ -897,9 +611,9 @@ func (pd *PDOMFLP) lowerBid(row []float64, p int, oldCredit, newCredit float64) 
 }
 
 // naiveBidsOver recomputes Σ_j (credit − d(m, j))_+ over every candidate by
-// rescanning a credit history — the reference accounting the incremental
-// rows are validated against. Distances are deliberately computed directly
-// (not via the distTo cache) so the reference stays an independent oracle.
+// rescanning a credit history: the oracle the invariants layer checks the
+// incremental rows against. Distances are deliberately computed directly
+// (not via the distTo cache) so the oracle stays independent.
 func (pd *PDOMFLP) naiveBidsOver(credits []pdCredit) []float64 {
 	row := make([]float64, len(pd.ct.cands))
 	for _, cr := range credits {
@@ -912,24 +626,14 @@ func (pd *PDOMFLP) naiveBidsOver(credits []pdCredit) []float64 {
 	return row
 }
 
-// naiveSmallBids is the Constraint (3) reference bid row for commodity e.
-func (pd *PDOMFLP) naiveSmallBids(e int) []float64 {
-	return pd.naiveBidsOver(pd.creditSmall[e])
-}
-
-// naiveLargeBids is the Constraint (4) analogue of naiveSmallBids.
-func (pd *PDOMFLP) naiveLargeBids() []float64 {
-	return pd.naiveBidsOver(pd.creditLarge)
-}
-
 // refreshSmallAt lowers the small-facility credits of commodity e after a
-// new facility for e opened — the event-driven counterpart of
-// refreshCreditsForSmall. col is the new facility's distance column
-// (costTable.column), read once per credit instead of a distance row per
-// credit; its values are byte-identical to the reference's direct calls.
+// new facility for e opened, correcting the bid row by the exact
+// contribution each lowered credit loses. col is the new facility's
+// distance column (costTable.column), read once per credit instead of a
+// distance row per credit; its values are the Distance(m, q) calls
+// themselves.
 func (pd *PDOMFLP) refreshSmallAt(e int, col []float64) {
 	credits := pd.creditSmall[e]
-	// Event-path only, so the incremental rows are always maintained.
 	row := pd.bidSmall[e]
 	lowered := false
 	for j := range credits {
@@ -950,8 +654,8 @@ func (pd *PDOMFLP) refreshSmallAt(e int, col []float64) {
 // its distance column: the facility offers every commodity, so both the
 // large credits and every live commodity's small credits shrink. Iterating
 // liveSmall instead of all u rows skips commodities that never recorded a
-// credit (rows are independent, so the order difference vs the reference's
-// ascending sweep cannot change any value).
+// credit (rows are independent, so the order they are swept in cannot
+// change any value).
 func (pd *PDOMFLP) refreshLargeAt(col []float64) {
 	lowered := false
 	for j := range pd.creditLarge {
@@ -971,50 +675,9 @@ func (pd *PDOMFLP) refreshLargeAt(col []float64) {
 	}
 }
 
-// refreshCreditsForSmall lowers the small-facility credits of commodity e
-// after a new facility for e opened at point m, correcting the bid
-// accumulators by the exact contribution each lowered credit loses.
-// Pre-refactor implementation, used by serveReference only; the event path
-// uses refreshSmallAt.
-func (pd *PDOMFLP) refreshCreditsForSmall(e, m int) {
-	credits := pd.creditSmall[e]
-	for j := range credits {
-		d := pd.space.Distance(m, credits[j].point)
-		if d >= credits[j].credit {
-			continue
-		}
-		if !pd.naiveBids {
-			pd.lowerBid(pd.bidSmall[e], credits[j].point, credits[j].credit, d)
-		}
-		credits[j].credit = d
-	}
-}
-
-// refreshCreditsForLarge lowers credits after a large facility opened at
-// point m: the facility offers every commodity, so both the large credits
-// and every commodity's small credits shrink. Pre-refactor implementation,
-// used by serveReference only (which also calls it — harmlessly, as a
-// provable no-op — when the request connected to an already-open large
-// facility); the event path uses refreshLargeAt.
-func (pd *PDOMFLP) refreshCreditsForLarge(m int) {
-	for j := range pd.creditLarge {
-		d := pd.space.Distance(m, pd.creditLarge[j].point)
-		if d >= pd.creditLarge[j].credit {
-			continue
-		}
-		if !pd.naiveBids {
-			pd.lowerBid(pd.bidLarge, pd.creditLarge[j].point, pd.creditLarge[j].credit, d)
-		}
-		pd.creditLarge[j].credit = d
-	}
-	for e := range pd.creditSmall {
-		pd.refreshCreditsForSmall(e, m)
-	}
-}
-
 // DualTotal returns Σ_r Σ_{e∈s_r} a_re, the dual objective the analysis
 // compares against 3·cost(ALG) (Corollary 8) and γ-scales for feasibility
-// (Corollary 17). O(1): the serve loops keep the sum running.
+// (Corollary 17). O(1): Serve keeps the sum running.
 func (pd *PDOMFLP) DualTotal() float64 { return pd.dualSum }
 
 // Duals exposes the frozen dual variables: per served request, the demanded

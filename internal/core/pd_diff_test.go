@@ -6,14 +6,16 @@ import (
 	"testing"
 
 	"repro/internal/commodity"
+	"repro/internal/core/pdref"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
 )
 
 // diffWorkload replays the same seeded random request sequence through the
-// incremental algorithm and the naive reference and asserts that facilities,
-// assignments and duals agree after every arrival.
+// incremental algorithm and both modes of pdref and asserts that
+// facilities, assignments and duals agree after every arrival: within
+// tolerance against the naive mode, bit for bit against the running mode.
 func diffWorkload(t *testing.T, seed int64, opts Options, n int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -30,34 +32,31 @@ func diffWorkload(t *testing.T, seed int64, opts Options, n int) {
 	costs := cost.PowerLaw(u, rng.Float64()*2, 0.5+rng.Float64()*3)
 
 	inc := NewPDOMFLP(space, costs, opts)
-	ref := NewPDReference(space, costs, opts)
-	loop := NewPDLoopReference(space, costs, opts)
-	if !ref.naiveBids || inc.naiveBids {
-		t.Fatal("reference/incremental modes mis-wired")
-	}
+	naive := newRef(space, costs, opts, pdref.Naive)
+	running := newRef(space, costs, opts, pdref.Running)
 	for i := 0; i < n; i++ {
 		r := instance.Request{
 			Point:   rng.Intn(space.Len()),
 			Demands: commodity.RandomSubset(rng, u, 1+rng.Intn(u)),
 		}
 		inc.Serve(r)
-		ref.Serve(r)
-		loop.Serve(r)
-		compareStates(t, seed, i, inc, ref)
-		// The pre-refactor loop over the same incremental bids must agree
-		// bit for bit with the event-driven loop, not just within tolerance.
-		comparePDExact(t, "loop-reference", i, inc, loop)
+		naive.Serve(r)
+		running.Serve(r)
+		compareStates(t, seed, i, inc, naive)
+		// The running mode keeps the same bid rows, so it must agree bit
+		// for bit with the event-driven loop, not just within tolerance.
+		comparePDExact(t, "running-reference", i, inc, running)
 		if t.Failed() {
 			return
 		}
 	}
-	if d := math.Abs(inc.DualTotal() - ref.DualTotal()); d > 1e-9*(1+ref.DualTotal()) {
-		t.Errorf("seed %d: DualTotal diverged by %g (inc %g, ref %g)",
-			seed, d, inc.DualTotal(), ref.DualTotal())
+	if d := math.Abs(inc.DualTotal() - naive.DualTotal()); d > 1e-9*(1+naive.DualTotal()) {
+		t.Errorf("seed %d: DualTotal diverged by %g (inc %g, naive %g)",
+			seed, d, inc.DualTotal(), naive.DualTotal())
 	}
 }
 
-func compareStates(t *testing.T, seed int64, step int, inc, ref *PDOMFLP) {
+func compareStates(t *testing.T, seed int64, step int, inc *PDOMFLP, ref *pdref.PD) {
 	t.Helper()
 	incSol, refSol := inc.Solution(), ref.Solution()
 	if len(incSol.Facilities) != len(refSol.Facilities) {
@@ -85,9 +84,9 @@ func compareStates(t *testing.T, seed int64, step int, inc, ref *PDOMFLP) {
 		}
 	}
 	for i, d := range inc.duals[step] {
-		if math.Abs(d-ref.duals[step][i]) > 1e-9*(1+ref.duals[step][i]) {
+		if want := ref.Duals()[step][i]; math.Abs(d-want) > 1e-9*(1+want) {
 			t.Errorf("seed %d step %d: dual[%d] = %g vs reference %g",
-				seed, step, i, d, ref.duals[step][i])
+				seed, step, i, d, want)
 			return
 		}
 	}
@@ -130,7 +129,7 @@ func TestPDIncrementalBidsMatchCreditSums(t *testing.T) {
 		})
 	}
 	for e := 0; e < u; e++ {
-		want := pd.naiveSmallBids(e)
+		want := pd.naiveBidsOver(pd.creditSmall[e])
 		got := pd.bidSmall[e]
 		if got == nil {
 			got = pd.zeroBids
@@ -141,7 +140,7 @@ func TestPDIncrementalBidsMatchCreditSums(t *testing.T) {
 			}
 		}
 	}
-	want := pd.naiveLargeBids()
+	want := pd.naiveBidsOver(pd.creditLarge)
 	for ci := range want {
 		if math.Abs(pd.bidLarge[ci]-want[ci]) > 1e-9*(1+want[ci]) {
 			t.Errorf("bidLarge[%d] = %g, credit history says %g", ci, pd.bidLarge[ci], want[ci])

@@ -1,11 +1,13 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
 
 	"repro/internal/commodity"
+	"repro/internal/core/pdref"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
@@ -13,17 +15,47 @@ import (
 
 // This file pins the event-driven serve loop (per-arrival T3/T4 threshold
 // precomputation + scalar event loop + candidate-indexed credit refresh)
-// against the pre-refactor reference loop. The contract is byte-identity,
-// not tolerance: NewPDLoopReference runs the original candidate-rescanning
-// event loop over the same incremental bid accumulators, so every facility,
-// assignment link, dual value and credit must be EXACTLY equal — any ulp of
-// divergence in a freeze decision would eventually open different
-// facilities. NewPDReference (naive bids) is additionally diffed with the
+// against internal/core/pdref, a plain transcription of Algorithm 1 that
+// rescans every candidate on every event. The contract is byte-identity,
+// not tolerance: pdref's running mode keeps the same bid rows, so every
+// facility, assignment link, dual value, credit and bid must be EXACTLY
+// equal — any ulp of divergence in a freeze decision would eventually open
+// different facilities. pdref's naive mode is additionally diffed with the
 // usual float tolerance, since its bid sums associate differently.
 
-// comparePDExact asserts byte-identical solutions, duals and credit ledgers
-// between the event-driven instance and the pre-refactor loop reference.
-func comparePDExact(t *testing.T, label string, step int, ev, ref *PDOMFLP) {
+// newRef builds pdref's transcription with opts' candidates and prediction
+// switch.
+func newRef(space metric.Space, costs cost.Model, opts Options, mode pdref.Mode) *pdref.PD {
+	return pdref.New(space, costs, opts.Candidates, opts.DisablePrediction, mode)
+}
+
+// exactDiff describes the first difference between two slices compared
+// with ==, or returns "" when they are equal.
+func exactDiff[T comparable](got, want []T) string {
+	if len(got) != len(want) {
+		return fmt.Sprintf(": %d entries vs reference %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			return fmt.Sprintf("[%d] = %+v vs reference %+v", i, got[i], want[i])
+		}
+	}
+	return ""
+}
+
+// refCredits converts a credit ledger to pdref's credit type.
+func refCredits(credits []pdCredit) []pdref.Credit {
+	out := make([]pdref.Credit, len(credits))
+	for j, cr := range credits {
+		out[j] = pdref.Credit{Point: cr.point, Value: cr.credit}
+	}
+	return out
+}
+
+// comparePDExact asserts byte-identical solutions, duals, credit ledgers,
+// bid rows and DualTotal between the event-driven instance and pdref's
+// running mode after arrival step.
+func comparePDExact(t *testing.T, label string, step int, ev *PDOMFLP, ref *pdref.PD) {
 	t.Helper()
 	evSol, refSol := ev.Solution(), ref.Solution()
 	if len(evSol.Facilities) != len(refSol.Facilities) {
@@ -37,73 +69,41 @@ func comparePDExact(t *testing.T, label string, step int, ev, ref *PDOMFLP) {
 				label, step, fi, a.Point, a.Config, b.Point, b.Config)
 		}
 	}
-	la, lb := evSol.Assign[step], refSol.Assign[step]
-	if len(la) != len(lb) {
-		t.Fatalf("%s step %d: links %v vs reference %v", label, step, la, lb)
+	if d := exactDiff(evSol.Assign[step], refSol.Assign[step]); d != "" {
+		t.Fatalf("%s step %d: links%s", label, step, d)
 	}
-	for i := range la {
-		if la[i] != lb[i] {
-			t.Fatalf("%s step %d: links %v vs reference %v", label, step, la, lb)
-		}
-	}
-	for i, d := range ev.duals[step] {
-		if d != ref.duals[step][i] {
-			t.Fatalf("%s step %d: dual[%d] = %v vs reference %v (must be bit-identical)",
-				label, step, i, d, ref.duals[step][i])
-		}
+	if d := exactDiff(ev.duals[step], ref.Duals()[step]); d != "" {
+		t.Fatalf("%s step %d: duals%s (must be bit-identical)", label, step, d)
 	}
 	for e := range ev.creditSmall {
-		if len(ev.creditSmall[e]) != len(ref.creditSmall[e]) {
-			t.Fatalf("%s step %d: commodity %d has %d credits vs reference %d",
-				label, step, e, len(ev.creditSmall[e]), len(ref.creditSmall[e]))
+		if d := exactDiff(refCredits(ev.creditSmall[e]), ref.SmallCredits(e)); d != "" {
+			t.Fatalf("%s step %d: creditSmall[%d]%s", label, step, e, d)
 		}
-		for j := range ev.creditSmall[e] {
-			if ev.creditSmall[e][j] != ref.creditSmall[e][j] {
-				t.Fatalf("%s step %d: creditSmall[%d][%d] = %+v vs reference %+v",
-					label, step, e, j, ev.creditSmall[e][j], ref.creditSmall[e][j])
-			}
+		if d := exactDiff(ev.bidSmall[e], ref.SmallBids(e)); d != "" {
+			t.Fatalf("%s step %d: bidSmall[%d]%s", label, step, e, d)
 		}
 	}
-	for j := range ev.creditLarge {
-		if ev.creditLarge[j] != ref.creditLarge[j] {
-			t.Fatalf("%s step %d: creditLarge[%d] = %+v vs reference %+v",
-				label, step, j, ev.creditLarge[j], ref.creditLarge[j])
-		}
+	if d := exactDiff(refCredits(ev.creditLarge), ref.LargeCredits()); d != "" {
+		t.Fatalf("%s step %d: creditLarge%s", label, step, d)
 	}
-	if !ev.naiveBids {
-		for e := range ev.bidSmall {
-			for ci := range ev.bidSmall[e] {
-				if ev.bidSmall[e][ci] != ref.bidSmall[e][ci] {
-					t.Fatalf("%s step %d: bidSmall[%d][%d] = %v vs reference %v",
-						label, step, e, ci, ev.bidSmall[e][ci], ref.bidSmall[e][ci])
-				}
-			}
-		}
-		for ci := range ev.bidLarge {
-			if ev.bidLarge[ci] != ref.bidLarge[ci] {
-				t.Fatalf("%s step %d: bidLarge[%d] = %v vs reference %v",
-					label, step, ci, ev.bidLarge[ci], ref.bidLarge[ci])
-			}
-		}
+	if d := exactDiff(ev.bidLarge, ref.LargeBids()); d != "" {
+		t.Fatalf("%s step %d: bidLarge%s", label, step, d)
+	}
+	if ev.DualTotal() != ref.DualTotal() {
+		t.Fatalf("%s step %d: DualTotal %v vs reference %v", label, step, ev.DualTotal(), ref.DualTotal())
 	}
 }
 
 // runExactDiff replays one request sequence through the event-driven loop
-// and the pre-refactor loop reference, asserting exact equality per arrival.
+// and pdref's running mode, asserting exact equality per arrival.
 func runExactDiff(t *testing.T, label string, space metric.Space, costs cost.Model, opts Options, reqs []instance.Request) {
 	t.Helper()
 	ev := NewPDOMFLP(space, costs, opts)
-	ref := NewPDLoopReference(space, costs, opts)
-	if ev.refLoop || !ref.refLoop || ref.naiveBids {
-		t.Fatal("event/loop-reference modes mis-wired")
-	}
+	ref := newRef(space, costs, opts, pdref.Running)
 	for i, r := range reqs {
 		ev.Serve(r)
 		ref.Serve(r)
 		comparePDExact(t, label, i, ev, ref)
-	}
-	if ev.DualTotal() != ref.DualTotal() {
-		t.Errorf("%s: DualTotal %v vs reference %v", label, ev.DualTotal(), ref.DualTotal())
 	}
 }
 
@@ -120,7 +120,8 @@ func randomRequests(rng *rand.Rand, space metric.Space, u, n int) []instance.Req
 
 // TestPDEventMatchesLoopReferenceDeep drives long random workloads — deep
 // enough for large facilities to open, credits to be lowered repeatedly and
-// the Constraint (2) sweep-skip to trigger many times — through both loops.
+// the Constraint (2) sweep-skip to trigger many times — through the event
+// loop and pdref.
 func TestPDEventMatchesLoopReferenceDeep(t *testing.T) {
 	for seed := int64(1); seed <= 6; seed++ {
 		rng := rand.New(rand.NewSource(seed))
@@ -198,7 +199,7 @@ func TestPDEventSingletonUniverse(t *testing.T) {
 // TestPDEventToleranceEdges plants thresholds a hair apart — well inside
 // the pdEps*(1+sumA) freeze window but separated by far more than the
 // pdMarginEps prefilter slack — so several candidates sit inside the tol
-// window at the freezing event and the exact pre-refactor scan must pick
+// window at the freezing event and the exact per-candidate scan must pick
 // among them identically in both loops.
 func TestPDEventToleranceEdges(t *testing.T) {
 	u := 2
@@ -211,11 +212,11 @@ func TestPDEventToleranceEdges(t *testing.T) {
 	runExactDiff(t, "tol-edges", space, costs, Options{},
 		randomRequests(rng, space, u, 100))
 
-	// And against the naive reference with the usual tolerance, closing the
+	// And against pdref's naive mode with the usual tolerance, closing the
 	// three-way diff (event loop + incremental bids vs naive everything).
 	rng = rand.New(rand.NewSource(17))
 	ev := NewPDOMFLP(space, costs, Options{})
-	naive := NewPDReference(space, costs, Options{})
+	naive := newRef(space, costs, Options{}, pdref.Naive)
 	for i, r := range randomRequests(rng, space, u, 100) {
 		ev.Serve(r)
 		naive.Serve(r)
@@ -241,8 +242,8 @@ func TestPDEventUniformZeroDistance(t *testing.T) {
 // TestPDEventRestoredInstanceServesIdentically restores mid-stream state
 // into a fresh event-driven instance (rebuilding the derived liveSmall list
 // in ascending order rather than first-credit order) and asserts the suffix
-// still matches the loop reference exactly — the derived-state rebuild
-// cannot perturb the sweep results.
+// still matches pdref exactly — the derived-state rebuild cannot perturb
+// the sweep results.
 func TestPDEventRestoredInstanceServesIdentically(t *testing.T) {
 	rng := rand.New(rand.NewSource(33))
 	u := 6
@@ -251,7 +252,7 @@ func TestPDEventRestoredInstanceServesIdentically(t *testing.T) {
 	reqs := randomRequests(rng, space, u, 200)
 
 	ev := NewPDOMFLP(space, costs, Options{})
-	ref := NewPDLoopReference(space, costs, Options{})
+	ref := newRef(space, costs, Options{}, pdref.Running)
 	for _, r := range reqs[:120] {
 		ev.Serve(r)
 		ref.Serve(r)

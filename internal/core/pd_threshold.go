@@ -2,7 +2,7 @@ package core
 
 import "math"
 
-// serveEvent needs, per demanded commodity e and arrival point p, the
+// Serve needs, per demanded commodity e and arrival point p, the
 // threshold minimum and its magnitude bound
 //
 //	t3 = min_ci (single[e][ci] − bids_e[ci] + dCand_p[ci])
@@ -26,7 +26,7 @@ import "math"
 // lowering can turn a rounding residue of a bid negative and raise |bid|,
 // and a bound left loose makes every later scan of the row visit more.
 // pdScanThresholds is kept verbatim as the oracle: the invariants build
-// compares every scan against it bit for bit (see serveEvent).
+// compares every scan against it bit for bit (see Serve).
 type pdBound struct {
 	wmin float64 // ≤ base[ci] − bids[ci] for every candidate ci
 	amax float64 // ≥ |base[ci]| + |bids[ci]| for every candidate ci
@@ -82,9 +82,9 @@ func (b pdBound) scan(base, bids, dCand []float64, byDist []int32) (t, m float64
 
 // pdScanThresholds is the full O(|cands|) threshold scan, verbatim: the
 // differential oracle the bounded scans are validated against. t keeps the
-// exact association order of the reference delta expression
-// (base − bids + dCand), so t − a stays bit-identical to the reference's
-// per-candidate minimum.
+// association order of the per-candidate delta expression
+// (base − bids + dCand), so t − a stays bit-identical to the minimum of
+// base − bids + dCand − a over the candidates.
 func pdScanThresholds(base, bids, dCand []float64) (t, m float64) {
 	t, m = math.Inf(1), 0
 	for ci := range base {

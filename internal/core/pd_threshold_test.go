@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/commodity"
+	"repro/internal/core/pdref"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
@@ -74,9 +75,9 @@ func TestThresholdCacheMatchesOracle(t *testing.T) {
 }
 
 // TestThresholdCacheSurvivesRestore marshals an event instance mid-run,
-// restores into a fresh instance, continues both, and requires
-// bit-identical facilities, duals and credits — the restored instance
-// rebuilds its scan bounds from the restored bid rows.
+// restores into a fresh instance, continues both, and requires both to end
+// bit-identical to pdref — facilities, duals, credits and bid rows — the
+// restored instance rebuilds its scan bounds from the restored bid rows.
 func TestThresholdCacheSurvivesRestore(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	u := 3
@@ -91,8 +92,10 @@ func TestThresholdCacheSurvivesRestore(t *testing.T) {
 	}
 
 	full := NewPDOMFLP(space, costs, Options{})
+	ref := newRef(space, costs, Options{}, pdref.Running)
 	for _, r := range reqs {
 		full.Serve(r)
+		ref.Serve(r)
 	}
 
 	half := NewPDOMFLP(space, costs, Options{})
@@ -110,5 +113,6 @@ func TestThresholdCacheSurvivesRestore(t *testing.T) {
 	for _, r := range reqs[40:] {
 		resumed.Serve(r)
 	}
-	comparePDExact(t, "restored", len(reqs)-1, full, resumed)
+	comparePDExact(t, "full", len(reqs)-1, full, ref)
+	comparePDExact(t, "restored", len(reqs)-1, resumed, ref)
 }

@@ -161,11 +161,6 @@ func buildTauClasses(cands []int, costAt func(m int) float64) tauClasses {
 	return tc
 }
 
-// nearest returns the candidate of class ≤ i nearest to p.
-func (tc *tauClasses) nearest(space metric.Space, i, p int) (int, float64) {
-	return metric.Nearest(space, p, tc.points[i])
-}
-
 // NewRandOMFLP constructs the randomized algorithm. All randomness flows
 // from rng; pass a seeded source for reproducible runs.
 func NewRandOMFLP(space metric.Space, costs cost.Model, opts Options, rng *rand.Rand) *RandOMFLP {
@@ -264,37 +259,6 @@ func (ra *RandOMFLP) budgetLarge(p int) (z float64, bestClass, bestPoint int) {
 		z = c.bestVia
 	}
 	return z, c.bestClass, c.bestPoint
-}
-
-// budgetSmallRef recomputes X(r,e) from scratch with per-class nearest scans
-// over the cumulative candidate lists — the original accounting, kept as the
-// reference oracle for differential tests.
-func (ra *RandOMFLP) budgetSmallRef(e, p int) (x float64, bestClass, bestPoint int) {
-	_, dF := ra.fx.nearestOffering(e, p)
-	return budgetRef(ra.space, &ra.smallClasses[e], dF, p)
-}
-
-// budgetLargeRef is the Z(r) analogue of budgetSmallRef.
-func (ra *RandOMFLP) budgetLargeRef(p int) (z float64, bestClass, bestPoint int) {
-	_, dF := ra.fx.nearestLarge(p)
-	return budgetRef(ra.space, &ra.largeClasses, dF, p)
-}
-
-func budgetRef(space metric.Space, tc *tauClasses, dF float64, p int) (x float64, bestClass, bestPoint int) {
-	x = dF
-	bestClass, bestPoint = -1, -1
-	bestVia := math.Inf(1)
-	for i, ci := range tc.values {
-		pt, d := tc.nearest(space, i, p)
-		if ci+d < bestVia {
-			bestVia = ci + d
-			bestClass, bestPoint = i, pt
-		}
-	}
-	if bestVia < x {
-		x = bestVia
-	}
-	return x, bestClass, bestPoint
 }
 
 // Serve implements online.Algorithm: Algorithm 2 on arrival of request r.

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -9,6 +10,42 @@ import (
 	"repro/internal/instance"
 	"repro/internal/metric"
 )
+
+// nearest returns the candidate of class ≤ i nearest to p.
+func (tc *tauClasses) nearest(space metric.Space, i, p int) (int, float64) {
+	return metric.Nearest(space, p, tc.points[i])
+}
+
+// budgetSmallRef recomputes X(r,e) from scratch with per-class nearest scans
+// over the cumulative candidate lists — the original accounting, kept as the
+// reference oracle for differential tests.
+func (ra *RandOMFLP) budgetSmallRef(e, p int) (x float64, bestClass, bestPoint int) {
+	_, dF := ra.fx.nearestOffering(e, p)
+	return budgetRef(ra.space, &ra.smallClasses[e], dF, p)
+}
+
+// budgetLargeRef is the Z(r) analogue of budgetSmallRef.
+func (ra *RandOMFLP) budgetLargeRef(p int) (z float64, bestClass, bestPoint int) {
+	_, dF := ra.fx.nearestLarge(p)
+	return budgetRef(ra.space, &ra.largeClasses, dF, p)
+}
+
+func budgetRef(space metric.Space, tc *tauClasses, dF float64, p int) (x float64, bestClass, bestPoint int) {
+	x = dF
+	bestClass, bestPoint = -1, -1
+	bestVia := math.Inf(1)
+	for i, ci := range tc.values {
+		pt, d := tc.nearest(space, i, p)
+		if ci+d < bestVia {
+			bestVia = ci + d
+			bestClass, bestPoint = i, pt
+		}
+	}
+	if bestVia < x {
+		x = bestVia
+	}
+	return x, bestClass, bestPoint
+}
 
 // TestBudgetsCachedMatchesReference interleaves serving, planting and budget
 // queries and checks the per-point class-minima cache agrees exactly — value,

@@ -84,19 +84,6 @@ func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 	if pd.opts.TraceAnalysis {
 		return nil, fmt.Errorf("core: PD-OMFLP state marshal does not support TraceAnalysis")
 	}
-	bidSmall, bidLarge := pd.bidSmall, pd.bidLarge
-	if pd.naiveBids {
-		// Reference instances keep no accumulators; write the rows their
-		// per-arrival recomputation reads, summed in credit order exactly
-		// as addBid would have accumulated them.
-		bidSmall = make([][]float64, pd.u)
-		for e, credits := range pd.creditSmall {
-			if len(credits) > 0 {
-				bidSmall[e] = pd.naiveBidsOver(credits)
-			}
-		}
-		bidLarge = pd.naiveLargeBids()
-	}
 	demanded, links := 0, 0
 	for i, ids := range pd.demandIDs {
 		demanded += len(ids)
@@ -131,10 +118,10 @@ func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 				w.Float(cr.credit)
 			}
 		}
-		w.Floats(bidLarge)
+		w.Floats(pd.bidLarge)
 		for e, credits := range pd.creditSmall {
 			if len(credits) > 0 {
-				w.Floats(bidSmall[e])
+				w.Floats(pd.bidSmall[e])
 			}
 		}
 	}), nil
@@ -277,12 +264,8 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 			pd.dualSum += v
 		}
 	}
-	if !pd.naiveBids {
-		// Reference instances recompute bids per arrival: their rows are
-		// checked above but not kept.
-		pd.bidSmall = bidSmall
-		pd.bidLarge = bidLarge
-	}
+	pd.bidSmall = bidSmall
+	pd.bidLarge = bidLarge
 	// The threshold scans' bounds are derived from the bid rows.
 	pd.resetBounds()
 	return nil

@@ -129,32 +129,6 @@ func TestPDStateDualsPreserved(t *testing.T) {
 	}
 }
 
-// TestPDStateFromReference: state marshaled by the naive-bids reference
-// instance restores onto an incremental instance (bids rebuilt from
-// credits) and serves suffixes identically to the reference.
-func TestPDStateFromReference(t *testing.T) {
-	rig := newStateRig(5, 40)
-	ref := NewPDReference(rig.space, rig.costs, Options{})
-	for _, r := range rig.requests[:25] {
-		ref.Serve(r)
-	}
-	blob, err := ref.MarshalState()
-	if err != nil {
-		t.Fatal(err)
-	}
-	inc := NewPDOMFLP(rig.space, rig.costs, Options{})
-	if err := inc.UnmarshalState(blob); err != nil {
-		t.Fatal(err)
-	}
-	for _, r := range rig.requests[25:] {
-		ref.Serve(r)
-		inc.Serve(r)
-	}
-	if !reflect.DeepEqual(ref.Solution(), inc.Solution()) {
-		t.Error("incremental restore of reference state diverged on the suffix")
-	}
-}
-
 func TestRandStateSuffixIdentical(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		rig := newStateRig(seed, 60)
@@ -286,8 +260,8 @@ func TestStateSingletonUniverse(t *testing.T) {
 }
 
 // TestPDDualTotalIsRowSum: DualTotal is a running sum, so it must stay
-// bit-identical to summing the frozen dual rows afresh in arrival order — on
-// both serve loops, and after a restore.
+// bit-identical to summing the frozen dual rows afresh in arrival order,
+// also after a restore.
 func TestPDDualTotalIsRowSum(t *testing.T) {
 	rowSum := func(pd *PDOMFLP) float64 {
 		_, duals, _ := pd.Duals()
@@ -300,31 +274,23 @@ func TestPDDualTotalIsRowSum(t *testing.T) {
 		return sum
 	}
 	rig := newStateRig(9, 120)
-	for _, tc := range []struct {
-		name string
-		mk   func() *PDOMFLP
-	}{
-		{"event", func() *PDOMFLP { return NewPDOMFLP(rig.space, rig.costs, Options{}) }},
-		{"reference", func() *PDOMFLP { return NewPDReference(rig.space, rig.costs, Options{}) }},
-	} {
-		pd := tc.mk()
-		for i, r := range rig.requests {
-			pd.Serve(r)
-			if got, want := math.Float64bits(pd.DualTotal()), math.Float64bits(rowSum(pd)); got != want {
-				t.Fatalf("%s: after arrival %d DualTotal bits %#x, row sum bits %#x", tc.name, i, got, want)
-			}
+	pd := NewPDOMFLP(rig.space, rig.costs, Options{})
+	for i, r := range rig.requests {
+		pd.Serve(r)
+		if got, want := math.Float64bits(pd.DualTotal()), math.Float64bits(rowSum(pd)); got != want {
+			t.Fatalf("after arrival %d DualTotal bits %#x, row sum bits %#x", i, got, want)
 		}
-		blob, err := pd.MarshalState()
-		if err != nil {
-			t.Fatal(err)
-		}
-		back := tc.mk()
-		if err := back.UnmarshalState(blob); err != nil {
-			t.Fatal(err)
-		}
-		if got, want := math.Float64bits(back.DualTotal()), math.Float64bits(rowSum(pd)); got != want {
-			t.Fatalf("%s: restored DualTotal bits %#x, row sum bits %#x", tc.name, got, want)
-		}
+	}
+	blob, err := pd.MarshalState()
+	if err != nil {
+		t.Fatal(err)
+	}
+	back := NewPDOMFLP(rig.space, rig.costs, Options{})
+	if err := back.UnmarshalState(blob); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := math.Float64bits(back.DualTotal()), math.Float64bits(rowSum(pd)); got != want {
+		t.Fatalf("restored DualTotal bits %#x, row sum bits %#x", got, want)
 	}
 }
 

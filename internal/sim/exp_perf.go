@@ -10,6 +10,7 @@ import (
 
 	"repro/internal/baseline"
 	"repro/internal/core"
+	"repro/internal/core/pdref"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
@@ -50,12 +51,13 @@ type algoBenchFile struct {
 }
 
 // pdBenchRow is one machine-readable measurement of the PD-OMFLP serve
-// loop across its three implementations on the same workload: the
-// event-driven loop (per-arrival bounded threshold scans, the production
-// path), the pre-refactor incremental loop (incremental bids, candidate
-// rescans on every event) and the naive reference (bids rebuilt from the
-// full history every arrival). All three produce byte-identical solutions —
-// runPDBench asserts it — so the columns measure pure serve-loop cost.
+// loop on one workload: the event-driven loop (per-arrival bounded
+// threshold scans, the production path) against the two modes of its
+// reference transcription internal/core/pdref, which rescans every
+// candidate on every event — "incremental" keeps running bid rows,
+// "naive" rebuilds them from the full credit history every arrival. All
+// three produce byte-identical solutions — runPDBench asserts it — so the
+// columns measure pure serve-loop cost.
 // Written to BENCH_pd.json when Config.BenchDir is set; the CI
 // benchmark-regression job gates on event_driven beating incremental.
 type pdBenchRow struct {
@@ -83,15 +85,16 @@ type pdBenchFile struct {
 }
 
 // runPerf measures wall-clock throughput of every online algorithm across
-// problem sizes, and of PD-OMFLP's incremental bid accounting against the
-// naive reference rebuild. The timings are machine-dependent (unlike every
-// other experiment's tables, which are bit-reproducible under a fixed seed);
+// problem sizes, and of PD-OMFLP's event-driven serve loop against
+// internal/core/pdref's two modes. The timings are machine-dependent
+// (unlike every other experiment's tables, which are bit-reproducible
+// under a fixed seed);
 // the purpose is to document the practical cost of the algorithms — the
 // paper's remark that RAND-OMFLP "is much more efficient to implement"
 // (Section 4) becomes measurable here, as does the gap between the
 // event-driven serve loop (bounded threshold scans, at most O(k·|cands|)
-// per arrival), the pre-refactor incremental loop (O(events·k·|cands|)) and
-// the naive reference (O(history·|cands|)) in PD. Every column is the
+// per arrival), pdref's incremental mode (O(events·k·|cands|)) and its
+// naive mode (O(history·|cands|)) in PD. Every column is the
 // median of repeated passes (see timePasses), so sub-millisecond loops are
 // not single readings.
 //
@@ -146,9 +149,9 @@ func runPerf(cfg Config) (*Result, error) {
 		tab.AddRow(row...)
 	}
 
-	// PD incremental vs naive bid accounting: same sequence through both
-	// implementations. The naive path is O(history × candidates) per
-	// arrival, so the gap widens with n.
+	// PD's event-driven loop vs pdref's incremental and naive modes: the
+	// same sequence through all three. The naive mode is
+	// O(history × candidates) per arrival, so its gap widens with n.
 	pdTab, bench := runPDBench(cfg)
 	if cfg.BenchDir != "" {
 		if err := writePDBench(cfg, bench); err != nil {
@@ -212,7 +215,7 @@ func runPDBench(cfg Config) (*report.Table, []pdBenchRow) {
 
 	tab := report.NewTable("perf: PD-OMFLP serve loop, event-driven vs incremental vs naive",
 		"n", "|S|", "points", "event-driven arrivals/s", "incremental arrivals/s", "naive arrivals/s", "event/incremental")
-	tab.Note = "wall-clock, median of passes totalling ≥ 50 ms; incremental = pre-refactor per-event candidate rescans, naive additionally rebuilds bids from the full history"
+	tab.Note = "wall-clock, median of passes totalling ≥ 50 ms; incremental and naive = internal/core/pdref, which rescans every candidate on every event; naive also rebuilds the bids from the full history every arrival"
 
 	var rows []pdBenchRow
 	for _, n := range sizes {
@@ -220,15 +223,10 @@ func runPDBench(cfg Config) (*report.Table, []pdBenchRow) {
 		space := metric.RandomEuclidean(rng, points, 2, 100)
 		tr := workload.Uniform(rng, space, cost.PowerLaw(u, 1, 2), n, u/2+1)
 
-		timeRun := func(newPD func(metric.Space, cost.Model, core.Options) *core.PDOMFLP) (float64, int, *core.PDOMFLP) {
-			sec, passes, alg := timePasses(tr.Instance.Requests, func() online.Algorithm {
-				return newPD(tr.Instance.Space, tr.Instance.Costs, core.Options{})
-			})
-			return sec, passes, alg.(*core.PDOMFLP)
-		}
-		eventSec, eventPasses, eventPD := timeRun(core.NewPDOMFLP)
-		incSec, incPasses, incPD := timeRun(core.NewPDLoopReference)
-		naiveSec, naivePasses, naivePD := timeRun(core.NewPDReference)
+		reqs, sp, costs := tr.Instance.Requests, tr.Instance.Space, tr.Instance.Costs
+		eventSec, eventPasses, eventPD := timePasses(reqs, func() online.Algorithm { return core.NewPDOMFLP(sp, costs, core.Options{}) })
+		incSec, incPasses, incPD := timePasses(reqs, func() online.Algorithm { return pdref.New(sp, costs, nil, false, pdref.Running) })
+		naiveSec, naivePasses, naivePD := timePasses(reqs, func() online.Algorithm { return pdref.New(sp, costs, nil, false, pdref.Naive) })
 
 		// The three loops must be implementations of the same algorithm,
 		// not three algorithms: identical facilities and assignments.
@@ -260,7 +258,7 @@ func runPDBench(cfg Config) (*report.Table, []pdBenchRow) {
 // assertSameSolution panics when two PD serve loops disagree on any opened
 // facility or assignment link — the benchmark would otherwise be comparing
 // different algorithms and its speedups would be meaningless.
-func assertSameSolution(a, b *core.PDOMFLP, label string) {
+func assertSameSolution(a, b online.Algorithm, label string) {
 	sa, sb := a.Solution(), b.Solution()
 	if len(sa.Facilities) != len(sb.Facilities) || len(sa.Assign) != len(sb.Assign) {
 		panic("perf: PD serve loops diverged (" + label + ")")
@@ -287,7 +285,7 @@ func writePDBench(cfg Config, rows []pdBenchRow) error {
 		return err
 	}
 	out := pdBenchFile{
-		Description: "PD-OMFLP serve throughput: event-driven loop vs pre-refactor incremental loop vs naive per-arrival rebuild (byte-identical solutions); each column is the median of passes on fresh instances totalling at least 50 ms",
+		Description: "PD-OMFLP serve throughput: event-driven loop vs internal/core/pdref, the reference transcription that rescans every candidate on every event, with running bid rows (incremental) and with bids rebuilt from the history every arrival (naive); byte-identical solutions; each column is the median of passes on fresh instances totalling at least 50 ms",
 		Seed:        cfg.Seed,
 		Quick:       cfg.Quick,
 		Rows:        rows,
