@@ -78,11 +78,14 @@
 // On disk a checkpoint is one binary document (engine.ckpt; see
 // internal/engine): a magic and version header, then per tenant its name,
 // its substrate as raw float64 bits, its base state flate-compressed with
-// the raw length beside it, and its tail as varints. Restore checks and
-// builds one tenant at a time and hands its tail to the tenant's shard in
-// batches, so the shards replay while the caller builds the next batch or
-// tenant, and it refuses a record whose serve counters contradict its base
-// state. "omflp ckpt-inspect FILE" prints a document's header and
+// the raw length beside it, and its tail as varints. Tenants share nothing,
+// so Restore rebuilds them on a pool of GOMAXPROCS goroutines, off the
+// shard goroutines: each record is checked, its base state loaded and its
+// tail served before the tenants are registered in checkpoint order.
+// Restore returns with every tail served, and a record whose serve
+// counters contradict its base state refuses the whole checkpoint.
+// InjectTenant runs the same rebuild for one tenant on the calling
+// goroutine. "omflp ckpt-inspect FILE" prints a document's header and
 // per-tenant sizes. The JSON document of earlier builds (engine.ckpt.json,
 // with base_state_z fields under compression: "flate") is refused with an
 // error that names it, and a checkpoint directory that holds only such a

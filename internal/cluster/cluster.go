@@ -622,7 +622,7 @@ func (r *Router) call(method, url string, body, out interface{}) error {
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	if resp.StatusCode/100 != 2 {
 		return fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, snippet(resp.Body))
 	}
@@ -635,6 +635,19 @@ func (r *Router) call(method, url string, body, out interface{}) error {
 	default:
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
+}
+
+// drainLimit bounds what closeBody reads of a response nobody consumed.
+const drainLimit = 64 << 10
+
+// closeBody reads what is left of a node's response body, up to
+// drainLimit, and closes it. net/http keeps a connection for reuse only
+// once its body was read to the end, so a response closed unread (a
+// discarded create or checkpoint reply, the newline after a decoded JSON
+// value) would cost a new TCP connection on the next call.
+func closeBody(resp *http.Response) {
+	io.Copy(io.Discard, io.LimitReader(resp.Body, drainLimit)) //nolint:errcheck // best effort: a failed drain only loses the connection
+	resp.Body.Close()
 }
 
 // snippet reads a short error-body excerpt for diagnostics.

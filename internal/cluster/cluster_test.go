@@ -11,6 +11,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -480,6 +481,69 @@ func TestStaleScrapeExcluded(t *testing.T) {
 	m3 := r.Metrics()
 	if m3.PerNode[0].Stale {
 		t.Error("restarted node flagged stale")
+	}
+}
+
+// TestRouterReusesNodeConnections: the router's node calls keep their
+// connections for the next call, both when the reply is discarded (a
+// tenant create, on the owner and on the follower) and when a JSON reply
+// larger than the decoder's first read is decoded (a node's snapshot
+// list). Each fake node counts the connections it accepts.
+func TestRouterReusesNodeConnections(t *testing.T) {
+	var big []engine.TenantSnapshot
+	for i := 0; i < 64; i++ {
+		big = append(big, engine.TenantSnapshot{Tenant: fmt.Sprintf("resident-%03d", i), Algorithm: "pd"})
+	}
+	var addrs []string
+	var conns []*atomic.Int64
+	for range 2 {
+		mux := http.NewServeMux()
+		mux.HandleFunc("GET /v1/node", func(w http.ResponseWriter, req *http.Request) {
+			json.NewEncoder(w).Encode(server.NodeInfo{Algorithm: "pd", Seed: 1})
+		})
+		mux.HandleFunc("GET /v1/snapshots", func(w http.ResponseWriter, req *http.Request) {
+			// The chunked body's terminator trails the value, as it may
+			// over a network: the decoder stops at the value.
+			json.NewEncoder(w).Encode(big)
+			w.(http.Flusher).Flush()
+			time.Sleep(2 * time.Millisecond)
+		})
+		mux.HandleFunc("POST /v1/tenants/{id}", func(w http.ResponseWriter, req *http.Request) {
+			io.Copy(io.Discard, req.Body)
+			w.Header().Set("Content-Type", "application/json")
+			w.WriteHeader(http.StatusCreated)
+			json.NewEncoder(w).Encode(map[string]string{"tenant": req.PathValue("id"), "status": "created"})
+		})
+		fake := httptest.NewUnstartedServer(mux)
+		n := new(atomic.Int64)
+		fake.Config.ConnState = func(_ net.Conn, st http.ConnState) {
+			if st == http.StateNew {
+				n.Add(1)
+			}
+		}
+		fake.Start()
+		defer fake.Close()
+		addrs = append(addrs, strings.TrimPrefix(fake.URL, "http://"))
+		conns = append(conns, n)
+	}
+	r := startRouter(t, Config{Nodes: addrs, Replicate: true, HealthEvery: time.Hour})
+	base := "http://" + r.HTTPAddr()
+	for i := 0; i < 50; i++ {
+		httpJSON(t, "POST", fmt.Sprintf("%s/v1/tenants/t%02d", base, i), testCreate, http.StatusCreated)
+	}
+	for i := 0; i < 50; i++ {
+		var snaps []engine.TenantSnapshot
+		if err := r.call("GET", r.nodes[i%2].base+"/v1/snapshots?compact=true", nil, &snaps); err != nil {
+			t.Fatal(err)
+		}
+		if len(snaps) != len(big) {
+			t.Fatalf("decoded %d snapshots, want %d", len(snaps), len(big))
+		}
+	}
+	for i, n := range conns {
+		if got := n.Load(); got > 2 {
+			t.Errorf("node %d accepted %d connections over 50 creates and 25 snapshot reads, want at most 2", i, got)
+		}
 	}
 }
 

@@ -338,7 +338,7 @@ func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, tr
 	if err != nil {
 		return 0, &unavailableError{fmt.Errorf("cluster: forwarding to node %s: %v", n.addr, err)}
 	}
-	defer resp.Body.Close()
+	defer closeBody(resp)
 	var out struct {
 		Accepted int    `json:"accepted"`
 		Error    string `json:"error"`

@@ -8,9 +8,9 @@ import (
 
 	"repro/internal/commodity"
 	"repro/internal/cost"
-	"repro/internal/instance"
 	"repro/internal/metric"
 	"repro/internal/online"
+	"repro/internal/par"
 )
 
 // Checkpoint format versions. Version 1 recorded every tenant's full arrival
@@ -165,10 +165,7 @@ func (t *tenant) checkpointV2() (TenantCheckpoint, error) {
 		BaseServed:       t.baseServed,
 		BaseConstruction: t.baseConstruction,
 		BaseAssignment:   t.baseAssignment,
-		Arrivals:         make([]ArrivalRecord, len(t.history)),
-	}
-	for i, r := range t.history {
-		tc.Arrivals[i] = ArrivalRecord{Point: r.Point, Demands: r.Demands.IDs()}
+		Arrivals:         t.tailRecords(),
 	}
 	return tc, nil
 }
@@ -188,15 +185,25 @@ func (t *tenant) checkpointV1() (TenantCheckpoint, error) {
 	if err != nil {
 		return TenantCheckpoint{}, err
 	}
-	tc := TenantCheckpoint{
-		Tenant:       t.id,
-		TenantOrigin: *o,
-		Arrivals:     make([]ArrivalRecord, len(t.history)),
+	return TenantCheckpoint{Tenant: t.id, TenantOrigin: *o, Arrivals: t.tailRecords()}, nil
+}
+
+// tailRecords returns the arrival tail as records whose demand lists are
+// cut, capacity-capped, from one buffer, as ReadCheckpointFile cuts them.
+// Shard goroutine only.
+func (t *tenant) tailRecords() []ArrivalRecord {
+	ids := 0
+	for _, r := range t.history {
+		ids += r.Demands.Len()
 	}
+	flat := make([]int, 0, ids)
+	recs := make([]ArrivalRecord, len(t.history))
 	for i, r := range t.history {
-		tc.Arrivals[i] = ArrivalRecord{Point: r.Point, Demands: r.Demands.IDs()}
+		at := len(flat)
+		r.Demands.ForEach(func(id int) { flat = append(flat, id) })
+		recs[i] = ArrivalRecord{Point: r.Point, Demands: flat[at:len(flat):len(flat)]}
 	}
-	return tc, nil
+	return recs
 }
 
 // Checkpoint captures a consistent engine checkpoint in format v2: every
@@ -300,12 +307,13 @@ type RestoreStats struct {
 // under different ones would silently change every tenant's decisions — and
 // none of the checkpointed tenants may already exist.
 //
-// Tenants are rebuilt one at a time on the calling goroutine, and each
-// tail is handed to the tenant's shard in batches of up to replayBatch
-// arrivals, so the shards replay while the caller builds the next batch or
-// tenant. Restore returns once all tail arrivals are admitted; snapshots
-// (which serialize behind the replay on each shard) see the restored
-// state, and Drain waits for it.
+// Tenants share nothing, so each record is rebuilt by rebuildTenant on a
+// pool of GOMAXPROCS goroutines (internal/par), off the shard goroutines.
+// The tenants are then registered in checkpoint order, so shard placement
+// is the one creating them in that order gives. Restore returns with every
+// tail served: snapshots, ServedCount and the served totals see the
+// restored state without a Drain. A refused record leaves no tenant
+// registered.
 func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 	var stats RestoreStats
 	switch ck.Version {
@@ -320,11 +328,17 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 	if e.cfg.Seed != ck.Seed {
 		return stats, fmt.Errorf("engine: checkpoint was taken with seed %d, engine runs seed %d", ck.Seed, e.cfg.Seed)
 	}
+	rs, err := par.Map(0, len(ck.Tenants), func(i int) (rebuilt, error) {
+		return e.rebuildTenant(&ck.Tenants[i])
+	})
+	if err == nil {
+		err = e.publish(rs...)
+	}
+	if err != nil {
+		return stats, err
+	}
 	for i := range ck.Tenants {
 		tc := &ck.Tenants[i]
-		if err := e.restoreTenant(tc); err != nil {
-			return stats, err
-		}
 		if len(tc.BaseState) > 0 {
 			stats.BasesLoaded++
 			stats.StateBytes += int64(len(tc.BaseState))
@@ -336,34 +350,44 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 	return stats, nil
 }
 
-// replayBatch is the most tail arrivals restoreTenant hands a shard in one
-// mailbox op: large enough to amortize the channel hop, small enough that
-// the shard starts replaying a long tail while the rest is still built.
-const replayBatch = 256
+// rebuilt is a tenant rebuilt from its record but not yet registered, with
+// the serve time of each tail arrival it replayed.
+type rebuilt struct {
+	t        *tenant
+	servedNs []int64
+}
 
-// restoreTenant rebuilds one checkpointed tenant on the engine. The record
-// is checked in full — substrate, base state, serve counters, every tail
-// arrival — and the tenant built before it is registered, so a refused
-// record leaves no tenant behind. The tail is then enqueued in batches on
-// the tenant's shard; restoreTenant returns once it is admitted, not
-// served. Shared by Restore and InjectTenant — the mechanism that makes
-// kill -9 safe is the same one that makes tenants movable while live.
-func (e *Engine) restoreTenant(tc *TenantCheckpoint) error {
+// rebuildTenant is the one rebuild step behind Restore and InjectTenant:
+// buildTenant checks the record in full — substrate, base state, serve
+// counters, every tail arrival — and builds the tenant, the calling
+// goroutine serves the tail (it owns the tenant, which is not registered
+// yet), and the admitted count is set to the served one. A refused record
+// builds nothing.
+func (e *Engine) rebuildTenant(tc *TenantCheckpoint) (rebuilt, error) {
 	t, err := e.buildTenant(tc)
 	if err != nil {
-		return fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
+		return rebuilt{}, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
 	}
-	if err := e.register(t); err != nil {
+	servedNs := t.replay(tc.Arrivals)
+	t.admitted.Store(int64(t.served))
+	return rebuilt{t: t, servedNs: servedNs}, nil
+}
+
+// publish registers rebuilt tenants in order, all or none, then records
+// each replayed arrival's serve time in its shard's histogram, as runBatch
+// records a served arrival, so the served totals count the replay.
+func (e *Engine) publish(rs ...rebuilt) error {
+	ts := make([]*tenant, len(rs))
+	for i := range rs {
+		ts[i] = rs[i].t
+	}
+	if err := e.register(ts...); err != nil {
 		return err
 	}
-	for tail := tc.Arrivals; len(tail) > 0; {
-		batch := make([]BatchItem, min(len(tail), replayBatch))
-		for i, a := range tail[:len(batch)] {
-			batch[i].Req = instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
+	for _, r := range rs {
+		for _, ns := range r.servedNs {
+			r.t.shard.hist.RecordNs(ns)
 		}
-		t.shard.ops <- shardOp{tn: t, batch: batch}
-		t.admitted.Add(int64(len(batch)))
-		tail = tail[len(batch):]
 	}
 	return nil
 }
@@ -455,7 +479,6 @@ func (t *tenant) loadBase(tc *TenantCheckpoint) error {
 		return fmt.Errorf("record claims assignment cost %v, want finite and non-negative", tc.BaseAssignment)
 	}
 	t.served = tc.BaseServed
-	t.admitted.Store(int64(tc.BaseServed))
 	t.construction = tc.BaseConstruction
 	t.assignment = tc.BaseAssignment
 	t.facCursor = len(sol.Facilities)

@@ -510,11 +510,10 @@ func TestCheckpointV1Migration(t *testing.T) {
 	}
 }
 
-// TestRestoreLongTail: a tail longer than replayBatch reaches its shard in
-// several batches, every arrival is admitted in order, and the restore is
-// byte-identical.
+// TestRestoreLongTail: a long unsealed tail is replayed in order, every
+// arrival is admitted, and the restore is byte-identical.
 func TestRestoreLongTail(t *testing.T) {
-	const n = 2*replayBatch + 37
+	const n = 549
 	cfg := Config{Algorithm: "pd", Shards: 2, Seed: 4, RecordArrivals: true, SealEvery: -1}
 	src := New(cfg)
 	if _, err := src.ReplayTrace(fixedTrace(61, n, 5, 10), 1); err != nil {

@@ -185,8 +185,10 @@ type Engine struct {
 	scrapeSeq int64     // Metrics calls so far (Metrics.Seq)
 }
 
-// tenant is one hosted OMFLP instance. After creation its mutable state is
-// owned by its shard's goroutine: serve and snapshots both execute there.
+// tenant is one hosted OMFLP instance. Until register publishes it, its
+// mutable state is owned by the goroutine that built it (restore and inject
+// serve its tail there); after, by its shard's goroutine: serve and
+// snapshots both execute there.
 type tenant struct {
 	id       string
 	shard    *shard
@@ -238,7 +240,8 @@ type tenant struct {
 }
 
 // seal re-bases the tenant: its algorithm state becomes the new checkpoint
-// base and the arrival tail resets. Must run on the shard goroutine.
+// base and the arrival tail resets. Must run on the goroutine that owns the
+// tenant.
 func (t *tenant) seal() error {
 	sc, ok := t.alg.(online.StateCodec)
 	if !ok {
@@ -377,6 +380,21 @@ func (s *shard) runBatch(op shardOp, items []BatchItem) {
 	}
 }
 
+// replay serves a restored tail through serve on the calling goroutine,
+// which owns the tenant until register publishes it, and returns each
+// arrival's serve time, timed as runBatch times it, for the shard's
+// histogram once the tenant has one.
+func (t *tenant) replay(tail []ArrivalRecord) []int64 {
+	servedNs := make([]int64, len(tail))
+	for i, a := range tail {
+		r := instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
+		start := time.Now()
+		t.serve(r, nil)
+		servedNs[i] = int64(time.Since(start))
+	}
+	return servedNs
+}
+
 // New starts an engine with cfg.Shards serving goroutines. New panics on an
 // unknown algorithm name (a configuration error, not a runtime condition);
 // use Config.Validate via NewChecked if the name is user input.
@@ -512,21 +530,28 @@ func (e *Engine) newTenant(id string, space metric.Space, costs cost.Model, orig
 	}, nil
 }
 
-// register pins a constructed tenant to a shard and publishes it; arrivals
-// may be served as soon as register returns.
-func (e *Engine) register(t *tenant) error {
+// register pins constructed tenants to shards in order and publishes them,
+// all or none: a duplicate name unpublishes those placed before it.
+// Arrivals may be served as soon as register returns.
+func (e *Engine) register(ts ...*tenant) error {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
 		return fmt.Errorf("engine: %w", ErrClosed)
 	}
-	if _, dup := e.tenants[t.id]; dup {
-		return fmt.Errorf("engine: tenant %q: %w", t.id, ErrDuplicateTenant)
+	for i, t := range ts {
+		if _, dup := e.tenants[t.id]; dup {
+			for _, u := range ts[:i] {
+				delete(e.tenants, u.id)
+				e.loads[u.shardIdx]--
+			}
+			return fmt.Errorf("engine: tenant %q: %w", t.id, ErrDuplicateTenant)
+		}
+		idx := e.shardIndexFor(t.id)
+		e.loads[idx]++
+		t.shard, t.shardIdx = e.shards[idx], idx
+		e.tenants[t.id] = t
 	}
-	idx := e.shardIndexFor(t.id)
-	e.loads[idx]++
-	t.shard, t.shardIdx = e.shards[idx], idx
-	e.tenants[t.id] = t
 	return nil
 }
 

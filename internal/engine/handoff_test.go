@@ -157,7 +157,7 @@ func TestTransferValidation(t *testing.T) {
 	}
 }
 
-// TestInjectRejectsInvalidMatrix: restoreTenant, behind both checkpoint
+// TestInjectRejectsInvalidMatrix: rebuildTenant, behind both checkpoint
 // restore and /inject, refuses a transfer whose distance matrix is not a
 // metric, before any tenant exists.
 func TestInjectRejectsInvalidMatrix(t *testing.T) {

@@ -89,11 +89,11 @@ func (e *Engine) ExportTenant(id string) (*TenantTransfer, error) {
 
 // InjectTenant restores an extracted tenant into the engine: the tenant is
 // re-created on its serialized substrate, its base state loaded, and its
-// arrival tail replayed through the normal serve path — the per-tenant half
-// of Restore. The transfer's algorithm and seed must match the engine's,
-// and the tenant must not already exist. InjectTenant returns once the tail
-// is admitted; snapshots (which serialize behind the replay on the shard)
-// see the restored state.
+// arrival tail replayed through the normal serve path — Restore's rebuild
+// step for one record, run on the calling goroutine before the tenant is
+// registered. The transfer's algorithm and seed must match the engine's,
+// and the tenant must not already exist. InjectTenant returns with the tail
+// served: ServedCount, AdmittedCount and snapshots see the whole transfer.
 func (e *Engine) InjectTenant(tr *TenantTransfer) error {
 	if got, want := e.cfg.algoName(), tr.Algorithm; got != want {
 		return fmt.Errorf("engine: transfer of %q was captured with algorithm %q, engine runs %q",
@@ -103,5 +103,9 @@ func (e *Engine) InjectTenant(tr *TenantTransfer) error {
 		return fmt.Errorf("engine: transfer of %q was captured with seed %d, engine runs seed %d",
 			tr.Tenant, tr.Seed, e.cfg.Seed)
 	}
-	return e.restoreTenant(&tr.TenantCheckpoint)
+	r, err := e.rebuildTenant(&tr.TenantCheckpoint)
+	if err != nil {
+		return err
+	}
+	return e.publish(r)
 }
