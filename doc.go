@@ -83,13 +83,15 @@
 // shard goroutines: each record is checked, its base state loaded and its
 // tail served before the tenants are registered in checkpoint order.
 // Restore returns with every tail served, and a record whose serve
-// counters contradict its base state refuses the whole checkpoint.
-// InjectTenant runs the same rebuild for one tenant on the calling
-// goroutine. "omflp ckpt-inspect FILE" prints a document's header and
-// per-tenant sizes. The JSON document of earlier builds (engine.ckpt.json,
-// with base_state_z fields under compression: "flate") is refused with an
-// error that names it, and a checkpoint directory that holds only such a
-// file stops the daemon from starting instead of letting it start empty.
+// counters contradict its base state refuses the whole checkpoint. A
+// tenant transfer (ExtractTenant, ExportTenant, InjectTenant) is the same
+// document holding one tenant, its base state left uncompressed in flate
+// stored blocks, and InjectTenant is Restore on it. "omflp ckpt-inspect
+// FILE" prints a document's header and per-tenant sizes. The JSON document
+// of earlier builds (engine.ckpt.json, with base_state_z fields under
+// compression: "flate") is refused with an error that names it, and a
+// checkpoint directory that holds only such a file stops the daemon from
+// starting instead of letting it start empty.
 // Without Config.RecordArrivals the engine checkpoints by marshaling state
 // at capture time — no arrival history at all, nothing replayed on
 // restore.
@@ -105,13 +107,16 @@
 // double-counting rates). Tenants migrate live — on POST /v1/migrate or
 // automatically past a -migrate-threshold imbalance — through the router's
 // one move: quiesce the route (arrivals buffer at the exact ledger cut),
-// capture the tenant's state on the source via StateCodec, install it on
-// the target, drain the buffered arrivals there, and settle by flipping
-// the route; a failed capture or install drains back to the source. The
-// tenant's snapshot is byte-identical to an unmigrated run. Workers are
-// health-checked; kill -9 a worker, restart it on its checkpoint
-// directory, and it rejoins with its routes and ledgers re-synced from its
-// snapshots. Every node must share the algorithm and seed (tenant
+// capture the tenant's state on the source via StateCodec as a one-tenant
+// checkpoint document, install it on the target, drain the buffered
+// arrivals there, and settle by flipping the route; a failed capture or
+// install drains back to the source. Builds before the binary transfer
+// moved JSON instead, so a move between such a build and a later one
+// fails its install, reinjects on the source and aborts (a reseed leaves
+// the route unreplicated). The tenant's snapshot is byte-identical to an
+// unmigrated run. Workers are health-checked; kill -9 a worker, restart
+// it on its checkpoint directory, and it rejoins with its routes and
+// ledgers re-synced from its snapshots. Every node must share the algorithm and seed (tenant
 // randomness is seeded by tenant name), which the router verifies at
 // admission — that invariant is what makes cluster output golden-diffable
 // against a single node, and CI does exactly that (cluster-smoke).

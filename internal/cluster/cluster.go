@@ -53,6 +53,12 @@
 // whose state never left. Snapshots on the target are byte-identical to
 // what the source would have produced.
 //
+// The captured state travels as a transfer: a one-tenant checkpoint
+// document, in the binary format of a worker's engine.ckpt, that the
+// router forwards as opaque bytes. Builds before the binary transfer moved
+// JSON, so a move between such a build and a later one fails its install,
+// reinjects on the source and aborts.
+//
 // # Failure model
 //
 // The router health-checks nodes and stops placing tenants on unreachable

@@ -603,6 +603,100 @@ func TestAbortDrainAfterRefusedTCPArrival(t *testing.T) {
 	}
 }
 
+// TestDrainSkipsRefusedArrival: an arrival the router buffered during a
+// move but the owner refuses (a demand id equal to the universe) is cut
+// from the drain, uncounted, and the valid arrivals behind it still drain.
+// The follower gets exactly the prefix the owner admitted, so it stays in
+// step and the route keeps it.
+func TestDrainSkipsRefusedArrival(t *testing.T) {
+	const cut = 10
+	nodes := make([]string, 3)
+	for i := range nodes {
+		nodes[i] = startWorker(t, 89, "").HTTPAddr()
+	}
+	id := tenantName(0)
+	var base string
+	cfg := Config{Nodes: nodes, Replicate: true, HealthEvery: time.Hour}
+	r := startFaultRouter(t, cfg, func(phase string) error {
+		if phase == "extract" {
+			httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(cut), http.StatusOK)
+			httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive",
+				server.Arrival{Point: 0, Demands: []int{testCreate.Universe}}, http.StatusOK)
+			for i := cut + 1; i < cut+4; i++ {
+				httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+			}
+		}
+		return nil
+	})
+	base = "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	r.mu.RLock()
+	owner, follower := r.routes[id].node, r.routes[id].follower
+	r.mu.RUnlock()
+	if follower < 0 {
+		t.Fatal("tenant placed without a follower")
+	}
+	target := 3 - owner - follower
+
+	res, err := r.Migrate(id, nodes[target])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Replayed != 4 {
+		t.Errorf("migration replayed %d buffered arrivals, want 4", res.Replayed)
+	}
+	r.mu.RLock()
+	rt := r.routes[id]
+	node, f, ledger := rt.node, rt.follower, rt.count.Load()
+	r.mu.RUnlock()
+	if node != target || f != follower || ledger != cut+4 {
+		t.Errorf("route on node %d, follower %d, ledger %d; want %d, %d, %d", node, f, ledger, target, follower, cut+4)
+	}
+	for _, n := range []int{target, follower} {
+		if got := admittedOn(t, nodes[n], id); got != cut+4 {
+			t.Errorf("node %d admitted %d arrivals, want %d", n, got, cut+4)
+		}
+	}
+	want := referenceArtifact(t, 89, 1, cut+4)
+	if got := httpJSON(t, "GET", base+"/v1/snapshots", nil, http.StatusOK); !bytes.Equal(got, want) {
+		t.Error("snapshots after the drain differ from the single-node artifact")
+	}
+}
+
+// TestForwardRefusalKeepsFollower: an HTTP batch whose second arrival the
+// owner refuses (a demand id equal to the universe) still sends the
+// follower the one arrival the owner admitted, so the follower stays in
+// step with the ledger and the next forward keeps it.
+func TestForwardRefusalKeepsFollower(t *testing.T) {
+	const cut = 5
+	nodes := []string{startWorker(t, 93, "").HTTPAddr(), startWorker(t, 93, "").HTTPAddr()}
+	id := tenantName(0)
+	r := startRouter(t, Config{Nodes: nodes, Replicate: true, HealthEvery: time.Hour})
+	base := "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	bad := server.Arrival{Point: 0, Demands: []int{testCreate.Universe}}
+	httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive",
+		map[string]interface{}{"arrivals": []server.Arrival{testArrival(cut), bad, testArrival(cut + 1)}}, http.StatusBadGateway)
+	httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(cut+1), http.StatusOK)
+	r.mu.RLock()
+	f, ledger := r.routes[id].follower, r.routes[id].count.Load()
+	r.mu.RUnlock()
+	if f < 0 || ledger != cut+2 {
+		t.Errorf("follower %d, ledger %d; want a follower and %d", f, ledger, cut+2)
+	}
+	for _, n := range nodes {
+		if got := admittedOn(t, n, id); got != cut+2 {
+			t.Errorf("node %s admitted %d arrivals, want %d", n, got, cut+2)
+		}
+	}
+}
+
 // TestMigrationKeepsMidMoveDegrade: a follower degraded while its tenant
 // migrates — by a forward whose follower write failed just before the
 // quiesce — stays degraded. The drain feeds it nothing more, and the flip

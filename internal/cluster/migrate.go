@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -36,11 +37,12 @@ func (m *migration) peek() []server.Arrival {
 }
 
 // admit cuts the first n buffered arrivals — the ones the owner leg just
-// admitted — and adds them to the ledger, in one step as seen by position.
-func (m *migration) admit(count *atomic.Int64, n int) {
+// admitted — and adds them to the ledger, in one step as seen by position,
+// then cuts the refused (0 or 1) arrivals after them without counting them.
+func (m *migration) admit(count *atomic.Int64, n, refused int) {
 	m.mu.Lock()
 	count.Add(int64(n))
-	m.buf = m.buf[n:]
+	m.buf = m.buf[n+refused:]
 	m.mu.Unlock()
 }
 
@@ -252,11 +254,14 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 // the buffer is observed empty under the write lock, where no appender can
 // be in flight, the route stops moving and settle runs under that lock.
 //
-// An owner leg that still fails after its retries, or a "flip" fault, ends
-// the drain there: settle still runs, and the arrivals not replayed are
-// dropped — the same window a node crash loses — and counted in the error.
-// After an owner-leg failure the follower is dropped too, since the
-// owner's admitted count, and so the follower's match, is no longer known.
+// An arrival the owner refuses as invalid (a 400) is cut from the buffer
+// uncounted and logged; the prefix before it stands, the follower gets
+// exactly that prefix, and the drain goes on. An owner leg that fails
+// otherwise after its retries, or a "flip" fault, ends the drain there:
+// settle still runs, and the arrivals not replayed are dropped — the same
+// window a node crash loses — and counted in the error. After an owner-leg
+// failure the follower is dropped too, since the owner's admitted count,
+// and so the follower's match, is no longer known.
 func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, settle func()) (int, error) {
 	replayed, caughtUp := 0, false
 	for {
@@ -274,14 +279,20 @@ func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, se
 			if err == nil {
 				n, err = r.sendArrivals(owner, tenant, batch, 0, start)
 			}
+			refused := 0
+			if errors.As(err, new(*refusedError)) && n < len(batch) {
+				r.logger.Warn("drain cut an arrival the owner refused",
+					"tenant", tenant, "node", owner.addr, "position", start+int64(n), "err", err)
+				refused, err = 1, nil
+			}
 			r.mu.RLock()
-			mig.admit(&rt.count, n)
+			mig.admit(&rt.count, n, refused)
 			follower := rt.follower
 			r.mu.RUnlock()
 			replayed += n
 			ferr := err
-			if ferr == nil && follower >= 0 {
-				_, ferr = r.sendArrivals(r.nodes[follower], tenant, batch, 0, start)
+			if ferr == nil && follower >= 0 && n > 0 {
+				_, ferr = r.sendArrivals(r.nodes[follower], tenant, batch[:n], 0, start)
 			}
 			if ferr != nil && follower >= 0 {
 				r.degradeFollower(tenant, follower, ferr)

@@ -3,6 +3,7 @@ package cluster
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"net/http"
@@ -209,8 +210,8 @@ func (r *Router) forwardArrivalsAt(id string, batch []server.Arrival, traceID ui
 	rt.count.Add(int64(accepted))
 	fidx := rt.follower
 	var ferr error
-	if err == nil && fidx >= 0 {
-		_, ferr = r.sendArrivals(r.nodes[fidx], id, batch, 0, start)
+	if fidx >= 0 && accepted > 0 && (err == nil || errors.As(err, new(*refusedError))) {
+		_, ferr = r.sendArrivals(r.nodes[fidx], id, batch[:accepted], 0, start)
 	}
 	r.mu.RUnlock()
 	if ferr != nil {
@@ -319,7 +320,8 @@ func (r *Router) sendArrivals(n *node, id string, batch []server.Arrival, traceI
 // at element i has irrevocably admitted the i before it and the ledger must
 // say so. Only a transport failure leaves the count unknowable (reported as
 // 0). A 5xx or transport failure is wrapped as retry-safe; application
-// refusals (400, 404, 409) are final.
+// refusals (400, 404, 409) are final, and a 400 — the arrival after the
+// accepted prefix refused as invalid — is marked as a refusedError.
 func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, traceID uint64, start int64) (int, error) {
 	body, err := json.Marshal(map[string]interface{}{"arrivals": batch})
 	if err != nil {
@@ -354,6 +356,8 @@ func (r *Router) postArrivalsIdem(n *node, id string, batch []server.Arrival, tr
 			// does (a crash lost it, or a migration raced): surface the
 			// sentinel so callers can tell a stale route from a bad request.
 			err = fmt.Errorf("cluster: node %s: %s: %w", n.addr, out.Error, engine.ErrUnknownTenant)
+		case resp.StatusCode == http.StatusBadRequest:
+			err = &refusedError{err}
 		case resp.StatusCode/100 == 5:
 			// The node is up but refusing (shutting down, overloaded):
 			// retry-safe under the idempotency key.

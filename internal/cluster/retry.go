@@ -76,6 +76,13 @@ type unavailableError struct{ err error }
 func (e *unavailableError) Error() string { return e.err.Error() }
 func (e *unavailableError) Unwrap() error { return e.err }
 
+// refusedError marks a worker's 400 on a keyed arrive: the arrival after
+// the accepted prefix was refused as invalid. Like every refusal it is final.
+type refusedError struct{ err error }
+
+func (e *refusedError) Error() string { return e.err.Error() }
+func (e *refusedError) Unwrap() error { return e.err }
+
 // transient classifies an error as retry-safe: network/transport failures
 // and explicit unavailability. Application-level refusals (unknown tenant,
 // duplicate, gap) are final — retrying cannot change them.

@@ -305,7 +305,8 @@ type RestoreStats struct {
 // the normal serve path — O(segment) serve work per tenant, not O(history).
 // The engine's algorithm and seed must match the checkpoint's — restoring
 // under different ones would silently change every tenant's decisions — and
-// none of the checkpointed tenants may already exist.
+// none of the checkpointed tenants may already exist. InjectTenant is
+// Restore on a one-tenant document.
 //
 // Tenants share nothing, so each record is rebuilt by rebuildTenant on a
 // pool of GOMAXPROCS goroutines (internal/par), off the shard goroutines.
@@ -331,13 +332,22 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 	rs, err := par.Map(0, len(ck.Tenants), func(i int) (rebuilt, error) {
 		return e.rebuildTenant(&ck.Tenants[i])
 	})
-	if err == nil {
-		err = e.publish(rs...)
-	}
 	if err != nil {
 		return stats, err
 	}
-	for i := range ck.Tenants {
+	ts := make([]*tenant, len(rs))
+	for i := range rs {
+		ts[i] = rs[i].t
+	}
+	if err := e.register(ts...); err != nil {
+		return stats, err
+	}
+	for i, r := range rs {
+		// The replay's serve times go to the shard's histogram, as runBatch
+		// records a served arrival, so the served totals count the replay.
+		for _, ns := range r.servedNs {
+			r.t.shard.hist.RecordNs(ns)
+		}
 		tc := &ck.Tenants[i]
 		if len(tc.BaseState) > 0 {
 			stats.BasesLoaded++
@@ -357,12 +367,11 @@ type rebuilt struct {
 	servedNs []int64
 }
 
-// rebuildTenant is the one rebuild step behind Restore and InjectTenant:
-// buildTenant checks the record in full — substrate, base state, serve
-// counters, every tail arrival — and builds the tenant, the calling
-// goroutine serves the tail (it owns the tenant, which is not registered
-// yet), and the admitted count is set to the served one. A refused record
-// builds nothing.
+// rebuildTenant is Restore's rebuild step for one record: buildTenant
+// checks the record in full — substrate, base state, serve counters, every
+// tail arrival — and builds the tenant, the calling goroutine serves the
+// tail (it owns the tenant, which is not registered yet), and the admitted
+// count is set to the served one. A refused record builds nothing.
 func (e *Engine) rebuildTenant(tc *TenantCheckpoint) (rebuilt, error) {
 	t, err := e.buildTenant(tc)
 	if err != nil {
@@ -371,25 +380,6 @@ func (e *Engine) rebuildTenant(tc *TenantCheckpoint) (rebuilt, error) {
 	servedNs := t.replay(tc.Arrivals)
 	t.admitted.Store(int64(t.served))
 	return rebuilt{t: t, servedNs: servedNs}, nil
-}
-
-// publish registers rebuilt tenants in order, all or none, then records
-// each replayed arrival's serve time in its shard's histogram, as runBatch
-// records a served arrival, so the served totals count the replay.
-func (e *Engine) publish(rs ...rebuilt) error {
-	ts := make([]*tenant, len(rs))
-	for i := range rs {
-		ts[i] = rs[i].t
-	}
-	if err := e.register(ts...); err != nil {
-		return err
-	}
-	for _, r := range rs {
-		for _, ns := range r.servedNs {
-			r.t.shard.hist.RecordNs(ns)
-		}
-	}
-	return nil
 }
 
 // buildTenant runs every check a record must pass — the cost table, the

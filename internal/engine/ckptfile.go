@@ -31,8 +31,10 @@ import (
 //	  tail              arrival count, then per arrival: point, demand
 //	                    count, demand ids
 //
-// Base states are the bulk of a sealed checkpoint and are flate-compressed
-// at the default level; the algorithm's state bytes inside are unchanged.
+// Base states are the bulk of a sealed checkpoint. WriteFile deflates them
+// at flate.DefaultCompression; EncodeTransfer, whose one-tenant document
+// crosses the network once, writes stored blocks (flate.NoCompression). The
+// reader takes either, and the algorithm's state bytes inside are unchanged.
 // Like the state codecs the document has one encoding: minimal varints, no
 // trailing bytes, and nothing after a flate stream's final block.
 const checkpointMagic = "\x89OMFLPCK"
@@ -59,7 +61,7 @@ const minTenantBytes = 7 + 16
 // over path — a crash mid-write never corrupts the previous checkpoint. It
 // returns the document's size in bytes.
 func (ck *Checkpoint) WriteFile(path string) (int, error) {
-	data, err := ck.encode()
+	data, err := ck.encode(flate.DefaultCompression)
 	if err != nil {
 		return 0, err
 	}
@@ -139,10 +141,9 @@ func InspectCheckpointFile(path string) (*CheckpointInfo, error) {
 	return info, nil
 }
 
-// encode returns the checkpoint's document, base states deflated at the
-// default level — or Huffman-only, when that would inflate past
-// maxInflate.
-func (ck *Checkpoint) encode() ([]byte, error) {
+// encode returns the checkpoint's document, base states deflated at level
+// — or Huffman-only, when that would inflate past maxInflate.
+func (ck *Checkpoint) encode(level int) ([]byte, error) {
 	if err := ck.checkEncodable(); err != nil {
 		return nil, err
 	}
@@ -151,7 +152,7 @@ func (ck *Checkpoint) encode() ([]byte, error) {
 		raw += len(ck.Tenants[i].BaseState)
 	}
 	var data []byte
-	for _, level := range []int{flate.DefaultCompression, flate.HuffmanOnly} {
+	for _, level := range []int{level, flate.HuffmanOnly} {
 		zs, err := deflateBases(ck.Tenants, level)
 		if err != nil {
 			return nil, err

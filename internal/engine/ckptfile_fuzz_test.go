@@ -2,24 +2,29 @@ package engine
 
 import (
 	"bytes"
+	"compress/flate"
 	"runtime"
 	"testing"
 )
 
 // FuzzReadCheckpoint feeds arbitrary bytes to the checkpoint document
-// decoder, which reads engine.ckpt from disk on every restart. Properties:
-// it never panics; it never allocates more than a constant factor of the
-// input — every length is bounded by the bytes left, and base states
-// inflate only up to the raw lengths the document declares, which may not
-// add up to more than maxInflate times its size, so a small flate bomb
-// cannot allocate gigabytes; and an accepted input re-encodes
-// byte-identically, each base state through the flate stream it was read
-// from (the document has one encoding around them; a stream's own bytes
-// are flate's).
+// decoder, which reads engine.ckpt from disk on every restart and every
+// /inject body from a socket. Properties: it never panics; it never
+// allocates more than a constant factor of the input — every length is
+// bounded by the bytes left, and base states inflate only up to the raw
+// lengths the document declares, which may not add up to more than
+// maxInflate times its size, so a small flate bomb cannot allocate
+// gigabytes; and an accepted input re-encodes byte-identically, each base
+// state through the flate stream it was read from (the document has one
+// encoding around them; a stream's own bytes are flate's). An accepted
+// input is then restored, as /inject restores a transfer, onto a fresh
+// engine of its algorithm and seed: the rebuild never panics, and it
+// registers every record or, refused, none.
 //
 // The corpus is seeded with the documents of the checkpoint test rigs —
 // sealed and never-sealed tenants, PD and RAND, empty tails, no tenants —
-// plus truncated copies.
+// and with one-tenant transfer documents in stored flate blocks, plus
+// truncated copies of each.
 func FuzzReadCheckpoint(f *testing.F) {
 	rigs := []struct {
 		cfg     Config
@@ -29,6 +34,7 @@ func FuzzReadCheckpoint(f *testing.F) {
 		{Config{Algorithm: "pd", Shards: 2, Seed: 7, RecordArrivals: true, SealEvery: 8}, 2, true},
 		{Config{Algorithm: "rand", Shards: 2, Seed: 7, RecordArrivals: true, SealEvery: 8}, 2, true},
 		{Config{Algorithm: "pd", Shards: 1, Seed: 9, RecordArrivals: true, SealEvery: -1}, 3, true},
+		{Config{Algorithm: "rand", Shards: 1, Seed: 9, RecordArrivals: true, SealEvery: -1}, 2, true},
 		{Config{Algorithm: "pd", Shards: 1, Seed: 5}, 2, true},
 		{Config{Algorithm: "rand", Shards: 1, Seed: 5}, 2, true},
 		{Config{Algorithm: "pd", Shards: 1, Seed: 3, RecordArrivals: true}, 2, false},
@@ -49,17 +55,30 @@ func FuzzReadCheckpoint(f *testing.F) {
 			}
 		}
 		ck, err := e.Checkpoint()
+		if err != nil {
+			f.Fatal(err)
+		}
+		doc, err := ck.encode(flate.DefaultCompression)
+		if err != nil {
+			f.Fatal(err)
+		}
+		docs := [][]byte{doc}
+		if rg.tenants > 0 {
+			tf, err := e.ExportTenant(tenantName(0))
+			if err != nil {
+				f.Fatal(err)
+			}
+			if doc, err = EncodeTransfer(tf); err != nil {
+				f.Fatal(err)
+			}
+			docs = append(docs, doc)
+		}
 		e.Close()
-		if err != nil {
-			f.Fatal(err)
+		for _, doc := range docs {
+			f.Add(doc)
+			f.Add(doc[:len(doc)/2])
+			f.Add(doc[:len(doc)-1])
 		}
-		doc, err := ck.encode()
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(doc)
-		f.Add(doc[:len(doc)/2])
-		f.Add(doc[:len(doc)-1])
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
@@ -86,6 +105,19 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if again := encodeCheckpoint(ck, flat); !bytes.Equal(again, data) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
+		}
+
+		e, err := NewChecked(Config{Algorithm: ck.Algorithm, Shards: 1, Seed: ck.Seed, RecordArrivals: true})
+		if err != nil {
+			return // an algorithm no engine serves
+		}
+		defer e.Close()
+		want := len(ck.Tenants)
+		if _, err := e.Restore(ck); err != nil {
+			want = 0
+		}
+		if got := e.TenantCount(); got != want {
+			t.Fatalf("restore registered %d of %d tenants, want %d", got, len(ck.Tenants), want)
 		}
 	})
 }

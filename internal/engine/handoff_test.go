@@ -17,8 +17,8 @@ import (
 // migration rides on: marshal a tenant on one engine, restore it into a
 // second engine (different shard count), serve the identical arrival suffix,
 // and the combined snapshots must be byte-identical to a single engine that
-// served the whole stream. The transfer round-trips through JSON exactly as
-// it does over the wire between nodes.
+// served the whole stream. The transfer round-trips through its document
+// bytes exactly as it does over the wire between nodes.
 func TestCrossEngineHandoff(t *testing.T) {
 	const (
 		tenants = 3
@@ -53,21 +53,21 @@ func TestCrossEngineHandoff(t *testing.T) {
 				}
 			}
 
-			// Marshal on the source, restore on the target — through JSON,
-			// exactly the bytes a cluster router would forward.
+			// Marshal on the source, restore on the target — through the
+			// document, exactly the bytes a cluster router would forward.
 			tf, err := src.ExtractTenant(names[moved])
 			if err != nil {
 				t.Fatal(err)
 			}
-			wire, err := json.Marshal(tf)
+			wire, err := EncodeTransfer(tf)
 			if err != nil {
 				t.Fatal(err)
 			}
-			var back TenantTransfer
-			if err := json.Unmarshal(wire, &back); err != nil {
+			back, err := DecodeTransfer(wire)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := dst.InjectTenant(&back); err != nil {
+			if err := dst.InjectTenant(back); err != nil {
 				t.Fatal(err)
 			}
 
@@ -170,7 +170,8 @@ func TestInjectRejectsInvalidMatrix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tf.Distances[0][1], tf.Distances[1][0] = -1, -1
+	d := tf.Tenants[0].Distances
+	d[0][1], d[1][0] = -1, -1
 	dst := New(Config{Algorithm: "pd", Shards: 1, Seed: 3})
 	defer dst.Close()
 	if err := dst.InjectTenant(tf); err == nil || !strings.Contains(err.Error(), "negative") {
@@ -178,5 +179,64 @@ func TestInjectRejectsInvalidMatrix(t *testing.T) {
 	}
 	if _, err := dst.Snapshot("a"); !errors.Is(err, ErrUnknownTenant) {
 		t.Errorf("snapshot after rejected inject: err = %v, want ErrUnknownTenant", err)
+	}
+}
+
+// TestInjectRefusesOtherDocuments: inject takes a transfer document of
+// exactly one tenant. The decoder refuses a JSON TenantTransfer, as builds
+// before the binary transfer send it, and a truncated document; inject
+// refuses documents of zero or two tenants. None leaves a tenant behind.
+func TestInjectRefusesOtherDocuments(t *testing.T) {
+	cfg := Config{Algorithm: "pd", Shards: 2, Seed: 3, RecordArrivals: true}
+	src := New(cfg)
+	defer src.Close()
+	if _, err := src.ReplayTrace(fixedTrace(5, 30, 4, 6), 2); err != nil {
+		t.Fatal(err)
+	}
+	tf, err := src.ExportTenant(tenantName(0))
+	if err != nil {
+		t.Fatal(err)
+	}
+	doc, err := EncodeTransfer(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy, err := json.Marshal(struct {
+		Algorithm string `json:"algorithm"`
+		Seed      int64  `json:"seed"`
+		TenantCheckpoint
+	}{tf.Algorithm, tf.Seed, tf.Tenants[0]})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := DecodeTransfer(legacy); err == nil || !strings.Contains(err.Error(), "JSON") {
+		t.Errorf("JSON transfer: err = %v, want the JSON document refusal", err)
+	}
+	if _, err := DecodeTransfer(doc[:len(doc)-1]); err == nil {
+		t.Error("truncated transfer decoded")
+	}
+
+	ck, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := New(cfg)
+	defer dst.Close()
+	for _, n := range []int{0, 2} {
+		other := *ck
+		other.Tenants = ck.Tenants[:n]
+		if err := dst.InjectTenant(&other); err == nil || !strings.Contains(err.Error(), "one tenant") {
+			t.Errorf("%d tenants: err = %v, want a refusal", n, err)
+		}
+	}
+	if n := dst.TenantCount(); n != 0 {
+		t.Errorf("%d tenants after the refusals, want 0", n)
+	}
+	back, err := DecodeTransfer(doc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dst.InjectTenant(back); err != nil {
+		t.Fatal(err)
 	}
 }

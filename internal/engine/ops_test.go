@@ -112,7 +112,7 @@ func TestApplyRefusesBadDemandIDs(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "MaxUniverse") {
 		t.Errorf("restore above MaxUniverse: err = %v", err)
 	}
-	err = e.InjectTenant(&TenantTransfer{Algorithm: "pd", Seed: 1, TenantCheckpoint: rec})
+	err = e.InjectTenant(&TenantTransfer{Version: CheckpointVersion, Algorithm: "pd", Seed: 1, Tenants: []TenantCheckpoint{rec}})
 	if err == nil || !strings.Contains(err.Error(), "MaxUniverse") {
 		t.Errorf("inject above MaxUniverse: err = %v", err)
 	}

@@ -169,15 +169,16 @@ func TestInjectReturnsServed(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr, err := src.ExportTenant(name)
+	tf, err := src.ExportTenant(name)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := &tf.Tenants[0]
 	if len(tr.BaseState) == 0 || len(tr.Arrivals) == 0 {
 		t.Fatalf("transfer holds %d base bytes and %d tail arrivals; want both", len(tr.BaseState), len(tr.Arrivals))
 	}
 	dst := mustEngine(t, cfg)
-	if err := dst.InjectTenant(tr); err != nil {
+	if err := dst.InjectTenant(tf); err != nil {
 		t.Fatal(err)
 	}
 	total := tr.BaseServed + len(tr.Arrivals)

@@ -1,23 +1,19 @@
 package engine
 
 import (
+	"compress/flate"
 	"fmt"
 )
 
-// TenantTransfer is one tenant's portable state: the same base-state +
-// arrival-tail record a v2 checkpoint carries, stamped with the algorithm
-// and engine seed it was captured under. ExtractTenant produces one and
-// InjectTenant consumes it — marshal on the source, restore on the target,
-// replay the tail — so a tenant can move between engines (in one process or
-// across a cluster) with byte-identical snapshots on the far side. The
+// TenantTransfer is one tenant's portable state: a checkpoint document of
+// that tenant's v2 record, stamped with the algorithm and engine seed it
+// was captured under. ExtractTenant or ExportTenant captures it on one
+// engine, EncodeTransfer and DecodeTransfer carry it between nodes, and
+// InjectTenant rebuilds it on another with byte-identical snapshots. The
 // algorithm and seed must match because a tenant's randomness derives from
 // workload.NamedSeed(engine seed, tenant name): injecting under a different
 // seed would silently change every future decision.
-type TenantTransfer struct {
-	Algorithm string `json:"algorithm"`
-	Seed      int64  `json:"seed"`
-	TenantCheckpoint
-}
+type TenantTransfer = Checkpoint
 
 // ExtractTenant removes a tenant from the engine and returns its portable
 // state. The tenant is deregistered first — Serve returns ErrUnknownTenant
@@ -28,44 +24,22 @@ type TenantTransfer struct {
 // there. Callers that cannot tolerate in-flight arrivals failing must stop
 // sending and wait for ServedCount to settle before extracting.
 func (e *Engine) ExtractTenant(id string) (*TenantTransfer, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: %w", ErrClosed)
-	}
-	t, ok := e.tenants[id]
-	if !ok {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: tenant %q: %w", id, ErrUnknownTenant)
-	}
-	delete(e.tenants, id)
-	e.loads[t.shardIdx]--
-	e.mu.Unlock()
-
-	var tc TenantCheckpoint
-	var err error
-	t.shard.control(func() { tc, err = t.checkpointV2() })
-	if err != nil {
-		// The capture failed (e.g. a non-serializable substrate): put the
-		// tenant back so the extract is a clean no-op instead of a loss.
-		e.mu.Lock()
-		e.tenants[id] = t
-		e.loads[t.shardIdx]++
-		e.mu.Unlock()
-		return nil, err
-	}
-	return &TenantTransfer{Algorithm: e.cfg.algoName(), Seed: e.cfg.Seed, TenantCheckpoint: tc}, nil
+	return e.captureTenant(id, true)
 }
 
-// ExportTenant captures a tenant's portable state without deregistering it
-// — the replication-seeding half of the transfer surface. The capture runs
-// on the shard goroutine, serialized after every arrival admitted before
-// the call, and the tenant keeps serving afterwards. Callers that need the
-// export to reflect a known stream position must quiesce first (stop
-// sending and wait for ServedCount), exactly as with ExtractTenant; an
-// export taken mid-stream is still a consistent cut, just of an unnamed
-// prefix.
+// ExportTenant captures a tenant's portable state like ExtractTenant but
+// leaves it registered and serving — the replication-seeding half of the
+// transfer surface. An export taken mid-stream is a consistent cut of an
+// unnamed prefix; quiesce first to capture a known stream position.
 func (e *Engine) ExportTenant(id string) (*TenantTransfer, error) {
+	return e.captureTenant(id, false)
+}
+
+// captureTenant is the one capture behind extract and export: the tenant's
+// v2 record, taken on its shard goroutine, as a document EncodeTransfer can
+// write. With remove the tenant is deregistered first and put back if the
+// capture fails, so a failed extract is a clean no-op instead of a loss.
+func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -76,36 +50,53 @@ func (e *Engine) ExportTenant(id string) (*TenantTransfer, error) {
 		e.mu.Unlock()
 		return nil, fmt.Errorf("engine: tenant %q: %w", id, ErrUnknownTenant)
 	}
+	if remove {
+		delete(e.tenants, id)
+		e.loads[t.shardIdx]--
+	}
 	e.mu.Unlock()
 
 	var tc TenantCheckpoint
 	var err error
 	t.shard.control(func() { tc, err = t.checkpointV2() })
+	tr := &TenantTransfer{Version: CheckpointVersion, Algorithm: e.cfg.algoName(), Seed: e.cfg.Seed,
+		Tenants: []TenantCheckpoint{tc}}
+	if err == nil {
+		err = tr.checkEncodable()
+	}
 	if err != nil {
+		if remove {
+			e.mu.Lock()
+			e.tenants[id] = t
+			e.loads[t.shardIdx]++
+			e.mu.Unlock()
+		}
 		return nil, err
 	}
-	return &TenantTransfer{Algorithm: e.cfg.algoName(), Seed: e.cfg.Seed, TenantCheckpoint: tc}, nil
+	return tr, nil
 }
 
-// InjectTenant restores an extracted tenant into the engine: the tenant is
-// re-created on its serialized substrate, its base state loaded, and its
-// arrival tail replayed through the normal serve path — Restore's rebuild
-// step for one record, run on the calling goroutine before the tenant is
-// registered. The transfer's algorithm and seed must match the engine's,
-// and the tenant must not already exist. InjectTenant returns with the tail
-// served: ServedCount, AdmittedCount and snapshots see the whole transfer.
+// InjectTenant restores an extracted or exported tenant: it is Restore on
+// a document that must hold exactly one tenant, which must not already
+// exist. It returns with the tail served: ServedCount, AdmittedCount and
+// snapshots see the whole transfer.
 func (e *Engine) InjectTenant(tr *TenantTransfer) error {
-	if got, want := e.cfg.algoName(), tr.Algorithm; got != want {
-		return fmt.Errorf("engine: transfer of %q was captured with algorithm %q, engine runs %q",
-			tr.Tenant, want, got)
+	if n := len(tr.Tenants); n != 1 {
+		return fmt.Errorf("engine: a transfer holds one tenant, this document holds %d", n)
 	}
-	if e.cfg.Seed != tr.Seed {
-		return fmt.Errorf("engine: transfer of %q was captured with seed %d, engine runs seed %d",
-			tr.Tenant, tr.Seed, e.cfg.Seed)
-	}
-	r, err := e.rebuildTenant(&tr.TenantCheckpoint)
-	if err != nil {
-		return err
-	}
-	return e.publish(r)
+	_, err := e.Restore(tr)
+	return err
+}
+
+// EncodeTransfer writes a transfer as a checkpoint document with its base
+// state in stored flate blocks: it crosses the network once, where the
+// default level would cost more time than the bytes it saves.
+func EncodeTransfer(tr *TenantTransfer) ([]byte, error) {
+	return tr.encode(flate.NoCompression)
+}
+
+// DecodeTransfer reads a transfer through the decoder behind
+// ReadCheckpointFile, which refuses the JSON transfers of earlier builds.
+func DecodeTransfer(data []byte) (*TenantTransfer, error) {
+	return decodeCheckpoint("engine: transfer", data, nil)
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strings"
 	"testing"
 
 	"repro/internal/engine"
@@ -45,21 +46,18 @@ func TestNodeExtractInjectEndpoints(t *testing.T) {
 
 	// Quiesced extract at the true watermark, inject into the peer.
 	wire := httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=3", nil, http.StatusOK)
-	var tf engine.TenantTransfer
-	if err := json.Unmarshal(wire, &tf); err != nil {
-		t.Fatal(err)
-	}
+	tf := decodeTransfer(t, wire)
 	// Without RecordArrivals the capture seals everything into the base
 	// state; either way base + tail must account for all three arrivals.
-	if tf.Tenant != "a" || tf.BaseServed+len(tf.Arrivals) != 3 {
-		t.Fatalf("transfer %q: base %d + tail %d arrivals, want 3 total", tf.Tenant, tf.BaseServed, len(tf.Arrivals))
+	if tc := tf.Tenants[0]; tc.Tenant != "a" || tc.BaseServed+len(tc.Arrivals) != 3 {
+		t.Fatalf("transfer %q: base %d + tail %d arrivals, want 3 total", tc.Tenant, tc.BaseServed, len(tc.Arrivals))
 	}
 	httpJSON(t, "GET", srcBase+"/v1/tenants/a/snapshot", nil, http.StatusNotFound)
 
 	// Inject body/path mismatch is a 400; the real inject lands the tenant.
-	httpJSON(t, "POST", dstBase+"/v1/tenants/b/inject", json.RawMessage(wire), http.StatusBadRequest)
-	httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", json.RawMessage(wire), http.StatusOK)
-	httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", json.RawMessage(wire), http.StatusConflict)
+	httpJSON(t, "POST", dstBase+"/v1/tenants/b/inject", wire, http.StatusBadRequest)
+	httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", wire, http.StatusOK)
+	httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", wire, http.StatusConflict)
 
 	// The restored snapshot is byte-identical to the source's.
 	after := httpJSON(t, "GET", dstBase+"/v1/tenants/a/snapshot", nil, http.StatusOK)
@@ -83,16 +81,49 @@ func TestNodeExtractInjectEndpoints(t *testing.T) {
 		t.Errorf("dst node info %+v, want 1 tenant / 1 served", info)
 	}
 
+	// An export is the same document, and the tenant stays.
+	exported := decodeTransfer(t, httpJSON(t, "GET", dstBase+"/v1/tenants/a/export?served=4", nil, http.StatusOK))
+	if tc := exported.Tenants[0]; tc.Tenant != "a" || tc.BaseServed+len(tc.Arrivals) != 4 {
+		t.Errorf("export %q: base %d + tail %d arrivals, want 4 total", tc.Tenant, tc.BaseServed, len(tc.Arrivals))
+	}
+	httpJSON(t, "GET", dstBase+"/v1/tenants/a/snapshot", nil, http.StatusOK)
+
 	// A seed-mismatched peer refuses the transfer.
 	alien := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 6}})
-	httpJSON(t, "POST", "http://"+alien.HTTPAddr()+"/v1/tenants/a/inject", json.RawMessage(wire), http.StatusBadRequest)
+	httpJSON(t, "POST", "http://"+alien.HTTPAddr()+"/v1/tenants/a/inject", wire, http.StatusBadRequest)
+}
+
+// decodeTransfer reads an extract or export reply: one tenant's document.
+func decodeTransfer(t *testing.T, body []byte) *engine.TenantTransfer {
+	t.Helper()
+	tf, err := engine.DecodeTransfer(body)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(tf.Tenants) != 1 {
+		t.Fatalf("transfer holds %d tenants, want 1", len(tf.Tenants))
+	}
+	return tf
+}
+
+// encodeTransfer writes a transfer document for an inject body.
+func encodeTransfer(t *testing.T, tf *engine.TenantTransfer) []byte {
+	t.Helper()
+	data, err := engine.EncodeTransfer(tf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return data
 }
 
 // TestInjectRefusesTamperedTransfer: an inject whose base counters
 // contradict its base state (a served count 1000 too high, a negative
-// construction cost) or whose tail demands a commodity outside the universe
-// is a 400 that leaves no tenant behind — the untouched transfer then
-// injects cleanly instead of hitting a 409.
+// construction cost), whose tail demands a commodity outside the universe,
+// or which is not a one-tenant document naming the path's tenant — a JSON
+// transfer as builds before the binary transfer send it, a document of
+// zero or two tenants, one that names another tenant, a truncated one — is
+// a 400 that leaves no tenant behind. The untouched transfer then injects
+// cleanly instead of hitting a 409.
 func TestInjectRefusesTamperedTransfer(t *testing.T) {
 	cfg := engine.Config{Algorithm: "pd", Shards: 1, Seed: 5}
 	src := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: cfg})
@@ -100,25 +131,54 @@ func TestInjectRefusesTamperedTransfer(t *testing.T) {
 	srcBase := "http://" + src.HTTPAddr()
 	dstBase := "http://" + dst.HTTPAddr()
 	create := createBody{Universe: 3, Distances: [][]float64{{0, 1}, {1, 0}}, CostBySize: []float64{0, 1, 1.5, 1.8}}
-	httpJSON(t, "POST", srcBase+"/v1/tenants/a", create, http.StatusCreated)
-	for _, a := range []Arrival{{Point: 0, Demands: []int{0, 2}}, {Point: 1, Demands: []int{1}}} {
-		httpJSON(t, "POST", srcBase+"/v1/tenants/a/arrive", a, http.StatusOK)
+	for _, id := range []string{"a", "b"} {
+		httpJSON(t, "POST", srcBase+"/v1/tenants/"+id, create, http.StatusCreated)
+		for _, a := range []Arrival{{Point: 0, Demands: []int{0, 2}}, {Point: 1, Demands: []int{1}}} {
+			httpJSON(t, "POST", srcBase+"/v1/tenants/"+id+"/arrive", a, http.StatusOK)
+		}
 	}
-	var tf engine.TenantTransfer
-	if err := json.Unmarshal(httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=2", nil, http.StatusOK), &tf); err != nil {
+	wire := httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=2", nil, http.StatusOK)
+	tf := decodeTransfer(t, wire)
+	other := decodeTransfer(t, httpJSON(t, "GET", srcBase+"/v1/tenants/b/export?served=2", nil, http.StatusOK))
+	if tc := tf.Tenants[0]; tc.BaseServed != 2 || len(tc.BaseState) == 0 {
+		t.Fatalf("transfer carries %d base arrivals and %d state bytes, want a sealed base of 2", tc.BaseServed, len(tc.BaseState))
+	}
+	tampered := func(edit func(*engine.TenantCheckpoint)) []byte {
+		bad := *tf
+		bad.Tenants = []engine.TenantCheckpoint{tf.Tenants[0]}
+		edit(&bad.Tenants[0])
+		return encodeTransfer(t, &bad)
+	}
+	withTenants := func(tcs ...engine.TenantCheckpoint) []byte {
+		bad := *tf
+		bad.Tenants = tcs
+		return encodeTransfer(t, &bad)
+	}
+	legacy, err := json.Marshal(struct {
+		Algorithm string `json:"algorithm"`
+		Seed      int64  `json:"seed"`
+		engine.TenantCheckpoint
+	}{tf.Algorithm, tf.Seed, tf.Tenants[0]})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if tf.BaseServed != 2 || len(tf.BaseState) == 0 {
-		t.Fatalf("transfer carries %d base arrivals and %d state bytes, want a sealed base of 2", tf.BaseServed, len(tf.BaseState))
-	}
-	for name, edit := range map[string]func(*engine.TenantTransfer){
-		"served+1000":     func(tr *engine.TenantTransfer) { tr.BaseServed += 1000 },
-		"construction-5":  func(tr *engine.TenantTransfer) { tr.BaseConstruction = -5 },
-		"negative demand": func(tr *engine.TenantTransfer) { tr.Arrivals = []engine.ArrivalRecord{{Point: 0, Demands: []int{-1}}} },
+	for name, body := range map[string][]byte{
+		"served+1000":    tampered(func(tc *engine.TenantCheckpoint) { tc.BaseServed += 1000 }),
+		"construction-5": tampered(func(tc *engine.TenantCheckpoint) { tc.BaseConstruction = -5 }),
+		"outside universe": tampered(func(tc *engine.TenantCheckpoint) {
+			tc.Arrivals = []engine.ArrivalRecord{{Point: 0, Demands: []int{3}}}
+		}),
+		"json transfer":  legacy,
+		"no tenants":     withTenants(),
+		"two tenants":    withTenants(tf.Tenants[0], other.Tenants[0]),
+		"another tenant": withTenants(other.Tenants[0]),
+		"truncated":      wire[:len(wire)-1],
+		"truncated half": wire[:len(wire)/2],
 	} {
-		bad := tf
-		edit(&bad)
-		httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", bad, http.StatusBadRequest)
+		out := httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", body, http.StatusBadRequest)
+		if name == "json transfer" && !strings.Contains(string(out), "JSON checkpoint document") {
+			t.Errorf("JSON transfer refused with %s, want the JSON document refusal", out)
+		}
 		httpJSON(t, "GET", dstBase+"/v1/tenants/a/snapshot", nil, http.StatusNotFound)
 		var info NodeInfo
 		if err := json.Unmarshal(httpJSON(t, "GET", dstBase+"/v1/node", nil, http.StatusOK), &info); err != nil {
@@ -128,7 +188,7 @@ func TestInjectRefusesTamperedTransfer(t *testing.T) {
 			t.Fatalf("%s: refused inject left %d tenants behind", name, info.Tenants)
 		}
 	}
-	httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", tf, http.StatusOK)
+	httpJSON(t, "POST", dstBase+"/v1/tenants/a/inject", wire, http.StatusOK)
 }
 
 // TestTCPResultCodes: the framed-op protocol reports machine-readable

@@ -113,10 +113,10 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("GET /healthz", s.handleHealthz)
 	mux.HandleFunc("POST /v1/checkpoint", s.handleCheckpoint)
 	mux.HandleFunc("GET /v1/node", s.handleNode)
-	mux.HandleFunc("POST /v1/tenants/{id}/extract", s.handleExtract)
+	mux.HandleFunc("POST /v1/tenants/{id}/extract", s.handleCapture(s.eng.ExtractTenant))
 	mux.HandleFunc("POST /v1/tenants/{id}/inject", s.handleInject)
 	mux.HandleFunc("GET /v1/tenants/{id}/served", s.handleServed)
-	mux.HandleFunc("GET /v1/tenants/{id}/export", s.handleExport)
+	mux.HandleFunc("GET /v1/tenants/{id}/export", s.handleCapture(s.eng.ExportTenant))
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
 		mux.HandleFunc("GET /debug/pprof/cmdline", pprof.Cmdline)
@@ -439,24 +439,36 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 // reach the router's forwarded count before giving up on quiescence.
 const extractWait = 10 * time.Second
 
-// handleExtract removes a tenant and returns its portable state
-// (engine.TenantTransfer). With ?served=N the handler first waits until the
-// tenant has served exactly N arrivals — the router passes the number it has
-// forwarded, so the wait drains anything still queued in shard mailboxes
-// before the state is captured. A count above N means the router's ledger is
-// wrong (some other client reached this tenant directly); extraction is
-// refused rather than silently losing those arrivals from the ledger.
-func (s *Server) handleExtract(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.waitServed(w, r, id) {
-		return
+// handleCapture serves extract (capture = Engine.ExtractTenant, which
+// removes the tenant) and export (Engine.ExportTenant, the
+// replication-seeding read that leaves it serving): the reply is the
+// tenant's one-tenant transfer document, engine.EncodeTransfer's bytes.
+// With ?served=N the handler first waits until the tenant has served
+// exactly N arrivals — the router passes the number it has forwarded, so
+// the wait drains anything still queued in shard mailboxes before the
+// state is captured. A count above N means the router's ledger is wrong
+// (some other client reached this tenant directly); the capture is refused
+// rather than silently losing those arrivals from the ledger.
+func (s *Server) handleCapture(capture func(id string) (*engine.TenantTransfer, error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		id := r.PathValue("id")
+		if !s.waitServed(w, r, id) {
+			return
+		}
+		tr, err := capture(id)
+		if err != nil {
+			writeErr(w, httpStatus(err), err)
+			return
+		}
+		// The capture checked that the document can hold the record.
+		data, err := engine.EncodeTransfer(tr)
+		if err != nil {
+			writeErr(w, http.StatusInternalServerError, err)
+			return
+		}
+		w.Header().Set("Content-Type", "application/octet-stream")
+		w.Write(data) //nolint:errcheck // client gone mid-reply
 	}
-	tr, err := s.eng.ExtractTenant(id)
-	if err != nil {
-		writeErr(w, httpStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
 }
 
 // waitServed implements the ?served=N quiesce shared by extract and export:
@@ -498,27 +510,31 @@ func (s *Server) waitServed(w http.ResponseWriter, r *http.Request, id string) b
 	}
 }
 
-// handleInject restores an extracted tenant on this node. The body is the
-// engine.TenantTransfer produced by extract; the path id must match the
-// transfer's tenant so a mis-addressed inject fails loudly instead of
-// restoring state under the wrong route.
+// handleInject restores an extracted or exported tenant on this node. The
+// body is the transfer document extract and export reply with, read by the
+// decoder behind engine.ReadCheckpointFile; the path id must name its one
+// tenant so a mis-addressed inject fails loudly instead of restoring state
+// under the wrong route.
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	var tr engine.TenantTransfer
-	if err := json.NewDecoder(r.Body).Decode(&tr); err != nil {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("decoding transfer body: %v", err))
+	data, err := io.ReadAll(r.Body)
+	var tr *engine.TenantTransfer
+	if err == nil {
+		tr, err = engine.DecodeTransfer(data)
+	}
+	id := r.PathValue("id")
+	if err == nil && len(tr.Tenants) == 1 && tr.Tenants[0].Tenant != id {
+		err = fmt.Errorf("inject path names tenant %q, transfer carries %q", id, tr.Tenants[0].Tenant)
+	}
+	if err != nil {
+		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if id := r.PathValue("id"); id != tr.Tenant {
-		writeErr(w, http.StatusBadRequest,
-			fmt.Errorf("inject path names tenant %q, transfer carries %q", id, tr.Tenant))
-		return
-	}
-	if err := s.eng.InjectTenant(&tr); err != nil {
+	if err := s.eng.InjectTenant(tr); err != nil {
 		writeErr(w, httpStatus(err), err)
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]interface{}{
-		"tenant": tr.Tenant, "status": "injected", "arrivals": len(tr.Arrivals),
+		"tenant": id, "status": "injected", "arrivals": len(tr.Tenants[0].Arrivals),
 	})
 }
 
@@ -541,24 +557,6 @@ func (s *Server) handleServed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int64{"served": int64(served), "admitted": admitted})
-}
-
-// handleExport captures a tenant's portable state without removing it,
-// honoring the same ?served=N quiesce as extract —
-// the replication-seeding read: the router uses it to bring a new follower
-// up from the current owner (sealed base + unsealed arrival tail over the
-// same transfer codec extract/inject use).
-func (s *Server) handleExport(w http.ResponseWriter, r *http.Request) {
-	id := r.PathValue("id")
-	if !s.waitServed(w, r, id) {
-		return
-	}
-	tr, err := s.eng.ExportTenant(id)
-	if err != nil {
-		writeErr(w, httpStatus(err), err)
-		return
-	}
-	writeJSON(w, http.StatusOK, tr)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

@@ -115,9 +115,12 @@ func httpJSON(t *testing.T, method, url string, body interface{}, wantStatus int
 	t.Helper()
 	var rd io.Reader
 	if body != nil {
-		data, err := json.Marshal(body)
-		if err != nil {
-			t.Fatal(err)
+		data, ok := body.([]byte) // a transfer document goes verbatim
+		if !ok {
+			var err error
+			if data, err = json.Marshal(body); err != nil {
+				t.Fatal(err)
+			}
 		}
 		rd = bytes.NewReader(data)
 	}
