@@ -76,9 +76,9 @@ type (
 	// segments) and base-state bytes loaded.
 	RestoreStats = engine.RestoreStats
 	// StateCodec is implemented by algorithms whose complete serving state
-	// serializes and restores without replaying history — PD-OMFLP,
-	// RAND-OMFLP, the heavy-aware extension and the online baselines all
-	// do. It is the foundation of checkpoint format v2.
+	// serializes and restores without replaying history — PD-OMFLP and
+	// RAND-OMFLP, the algorithms the engine hosts, do. It is the foundation
+	// of checkpoint format v2.
 	StateCodec = online.StateCodec
 )
 

@@ -1,6 +1,6 @@
 // Command omflp-lint runs the repository's custom static analyzers — the
-// determinism, tolerance and state-codec invariants described in
-// internal/analysis — over a set of packages.
+// determinism and tolerance invariants and the field coverage of state
+// codecs, described in internal/analysis — over a set of packages.
 //
 // Standalone (the usual way; CI gates on this):
 //

@@ -60,14 +60,16 @@
 // (BENCH_serve.json records them).
 //
 // Durability. Checkpoints use format v2 (see internal/engine): every
-// algorithm implements StateCodec — MarshalState/UnmarshalState capture the
-// complete serving state (PD's duals, credits and bid accumulators; RAND's
-// open facilities and rng position; the baselines' ledgers) such that a
-// restored instance serves any suffix bit-identically. A tenant checkpoint
-// is therefore a base state snapshot plus the append-only arrival-log
-// segment served since; Config.SealEvery (CLI: -checkpoint-seal-every)
-// re-bases a tenant once its tail exceeds N arrivals, so Restore loads the
-// state and replays O(SealEvery) arrivals instead of O(history). PD and
+// algorithm the engine hosts implements StateCodec — the engine's tenant
+// type requires it, so one without a codec does not compile into the
+// engine. MarshalState/UnmarshalState capture the complete serving state
+// (PD's duals, credits and bid accumulators; RAND's open facilities and
+// rng position) such that a restored instance serves any suffix
+// bit-identically. A tenant checkpoint is therefore a base state snapshot
+// plus the append-only arrival-log segment served since;
+// Config.SealEvery (CLI: -checkpoint-seal-every) re-bases a tenant once
+// its tail exceeds N arrivals, so Restore loads the state and replays
+// O(SealEvery) arrivals instead of O(history). PD and
 // RAND, the algorithms the engine serves, encode their state in one
 // compact binary layout (varints and raw float64 bits); base states in the
 // JSON layout that preceded it are refused with an error naming their

@@ -38,11 +38,12 @@
 //     in internal/obs (measurement is its whole job), and elsewhere carry
 //     `//omflp:wallclock`.
 //
-//   - statecodec: every concrete online.Algorithm implementation also
-//     implements online.StateCodec, and every field of a codec-implementing
-//     struct is referenced in its MarshalState/UnmarshalState call graph or
-//     explicitly annotated `//omflp:nostate` — the field class that
-//     otherwise silently breaks restore(marshal(A)) bit-identity.
+//   - statecodec: every field of a codec-implementing struct is referenced
+//     in its MarshalState/UnmarshalState call graph or explicitly annotated
+//     `//omflp:nostate` — the field class that otherwise silently breaks
+//     restore(marshal(A)) bit-identity. That every algorithm the engine
+//     hosts has a codec is checked by the compiler: the engine's tenant
+//     type requires one.
 //
 // Run it locally with `go run ./cmd/omflp-lint ./...`; CI gates on a clean
 // run. See CONTRIBUTING.md for the annotation contract.

@@ -3,62 +3,41 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
-	"strings"
 )
 
 // StateCodec type-checks the serializable-state contract that checkpoint
-// format v2 rests on (module-wide, not just the deterministic set):
+// format v2 rests on (module-wide, not just the deterministic set): every
+// field of a struct whose MarshalState/UnmarshalState are declared in the
+// analyzed package must be referenced somewhere in the same-package call
+// graph of those two methods, or carry a //omflp:nostate annotation
+// explaining why it is excluded (derived cache, constructor parameter, pure
+// scratch). An unreferenced, unannotated field is exactly the bug class
+// that breaks restore(marshal(A)) bit-identity: state added to the struct
+// but forgotten in the codec.
 //
-//  1. every concrete type implementing online.Algorithm must also implement
-//     online.StateCodec — an algorithm without a codec silently degrades
-//     every tenant using it to full-history replay, and cannot be captured
-//     by the engine's sealed base states at all;
-//
-//  2. every field of a struct whose MarshalState/UnmarshalState are declared
-//     in the analyzed package must be referenced somewhere in the
-//     same-package call graph of those two methods, or carry a
-//     //omflp:nostate annotation explaining why it is excluded (derived
-//     cache, constructor parameter, pure scratch). An unreferenced,
-//     unannotated field is exactly the bug class that breaks
-//     restore(marshal(A)) bit-identity: state added to the struct but
-//     forgotten in the codec.
+// Which algorithms need a codec is not this analyzer's concern: the engine
+// types a tenant's algorithm as online.Algorithm plus online.StateCodec, so
+// an algorithm it builds without a codec fails to compile.
 var StateCodec = &Analyzer{
 	Name:        "statecodec",
-	Doc:         "checks Algorithm impls implement StateCodec and codec structs marshal every non-annotated field",
+	Doc:         "checks codec structs marshal every non-annotated field",
 	Suppression: "nostate",
 	Run:         runStateCodec,
 }
 
 func runStateCodec(pass *Pass) error {
-	algorithmIface := lookupOnlineInterface(pass.Pkg, "Algorithm")
-	codecIface := lookupOnlineInterface(pass.Pkg, "StateCodec")
 	funcDecls := collectFuncDecls(pass)
 
 	scope := pass.Pkg.Scope()
 	for _, name := range scope.Names() {
 		tn, ok := scope.Lookup(name).(*types.TypeName)
-		if ok && tn.IsAlias() {
-			continue
-		}
-		if !ok {
+		if !ok || tn.IsAlias() {
 			continue
 		}
 		named, ok := tn.Type().(*types.Named)
 		if !ok {
 			continue
 		}
-		if _, isIface := named.Underlying().(*types.Interface); isIface {
-			continue
-		}
-		ptr := types.NewPointer(named)
-
-		if algorithmIface != nil && codecIface != nil &&
-			(types.Implements(named, algorithmIface) || types.Implements(ptr, algorithmIface)) &&
-			!types.Implements(named, codecIface) && !types.Implements(ptr, codecIface) {
-			pass.Reportf(tn.Pos(), "%s implements online.Algorithm but not online.StateCodec; checkpointed engines cannot capture it — implement MarshalState/UnmarshalState", name)
-			continue
-		}
-
 		marshal := localMethodDecl(pass, funcDecls, named, "MarshalState")
 		unmarshal := localMethodDecl(pass, funcDecls, named, "UnmarshalState")
 		if marshal == nil && unmarshal == nil {
@@ -75,23 +54,6 @@ func runStateCodec(pass *Pass) error {
 				continue
 			}
 			pass.Reportf(f.Pos(), "field %s.%s is referenced in neither MarshalState nor UnmarshalState; serialize it or annotate //omflp:nostate with why it is derived/scratch", name, f.Name())
-		}
-	}
-	return nil
-}
-
-// lookupOnlineInterface finds the named interface in the repro/internal/online
-// package — the analyzed package itself or one of its direct imports.
-func lookupOnlineInterface(pkg *types.Package, name string) *types.Interface {
-	candidates := append([]*types.Package{pkg}, pkg.Imports()...)
-	for _, p := range candidates {
-		if !strings.HasSuffix(p.Path(), "internal/online") {
-			continue
-		}
-		if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok {
-			if iface, ok := tn.Type().Underlying().(*types.Interface); ok {
-				return iface
-			}
 		}
 	}
 	return nil

@@ -7,10 +7,9 @@ import (
 	"repro/internal/analysis/analysistest"
 )
 
-// TestStateCodec covers an Algorithm with no codec (flagged at the type), a
-// codec that misses a field (flagged at the field), coverage through a
-// same-package helper (negative), a complete codec (negative), and the
-// //omflp:nostate suppression.
+// TestStateCodec covers a codec that misses a field (flagged at the field),
+// coverage through a same-package helper (negative), a complete codec
+// (negative), and the //omflp:nostate suppression.
 func TestStateCodec(t *testing.T) {
 	analysistest.Run(t, "testdata/src", analysis.StateCodec,
 		"repro/internal/algs")

@@ -1,14 +1,10 @@
-// Package algs is the statecodec fixture: Algorithm implementations with
-// complete, incomplete and missing state codecs.
+// Package algs is the statecodec fixture: algorithms with complete and
+// incomplete state codecs.
 package algs
 
-import (
-	"encoding/json"
+import "encoding/json"
 
-	"repro/internal/online"
-)
-
-// Complete implements Algorithm and a codec covering every field: clean.
+// Complete has a codec covering every field: clean.
 type Complete struct {
 	served int
 	opened []int
@@ -35,14 +31,6 @@ func (c *Complete) UnmarshalState(data []byte) error {
 	c.opened = st.Opened
 	return nil
 }
-
-// NoCodec implements Algorithm but not StateCodec.
-type NoCodec struct { // want "NoCodec implements online.Algorithm but not online.StateCodec"
-	served int
-}
-
-func (n *NoCodec) Name() string { return "nocodec" }
-func (n *NoCodec) Serve(p int)  { n.served++ }
 
 // Leaky has a codec, but the credits field — real serving state — is
 // marshaled nowhere: the restore-bit-identity bug class.
@@ -108,13 +96,3 @@ func (d *Delegating) UnmarshalState(data []byte) error {
 	d.duals = st.Duals
 	return nil
 }
-
-// Conformance pins: the fixture's clean types really implement the fixture
-// interfaces (so the analyzer's Implements checks exercise the real path).
-var (
-	_ online.Algorithm  = (*Complete)(nil)
-	_ online.Algorithm  = (*NoCodec)(nil)
-	_ online.StateCodec = (*Complete)(nil)
-	_ online.StateCodec = (*Leaky)(nil)
-	_ online.StateCodec = (*Delegating)(nil)
-)

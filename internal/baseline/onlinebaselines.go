@@ -31,10 +31,8 @@ import (
 // commodity. All its facilities are singletons, so requests connect to one
 // facility per demanded commodity.
 type PerCommodity struct {
-	space metric.Space //omflp:nostate — constructor parameter; restore requires an identically constructed instance
-	u     int
-	algs  []ofl.Algorithm
-	sol   *instance.Solution
+	algs []ofl.Algorithm
+	sol  *instance.Solution
 	// facIdx maps (commodity, point) to the global facility index.
 	facIdx map[[2]int]int
 	name   string
@@ -44,7 +42,7 @@ type PerCommodity struct {
 // substrate.
 func NewPerCommodityPD(space metric.Space, costs cost.Model, candidates []int) *PerCommodity {
 	u := costs.Universe()
-	pc := newPerCommodity(space, u, "per-commodity(pd)")
+	pc := newPerCommodity(u, "per-commodity(pd)")
 	for e := 0; e < u; e++ {
 		cfg := commodity.New(e)
 		fc := func(m int) float64 { return costs.Cost(m, cfg) }
@@ -57,7 +55,7 @@ func NewPerCommodityPD(space metric.Space, costs cost.Model, candidates []int) *
 // substrate. Each commodity gets its own RNG stream derived from rng.
 func NewPerCommodityMeyerson(space metric.Space, costs cost.Model, candidates []int, rng *rand.Rand) *PerCommodity {
 	u := costs.Universe()
-	pc := newPerCommodity(space, u, "per-commodity(meyerson)")
+	pc := newPerCommodity(u, "per-commodity(meyerson)")
 	for e := 0; e < u; e++ {
 		cfg := commodity.New(e)
 		fc := func(m int) float64 { return costs.Cost(m, cfg) }
@@ -66,10 +64,8 @@ func NewPerCommodityMeyerson(space metric.Space, costs cost.Model, candidates []
 	return pc
 }
 
-func newPerCommodity(space metric.Space, u int, name string) *PerCommodity {
+func newPerCommodity(u int, name string) *PerCommodity {
 	return &PerCommodity{
-		space:  space,
-		u:      u,
 		algs:   make([]ofl.Algorithm, u),
 		sol:    &instance.Solution{},
 		facIdx: map[[2]int]int{},
@@ -150,9 +146,9 @@ func candidateList(space metric.Space, candidates []int) []int {
 // singleton facility (cost + distance) is cheaper — and never offers a
 // commodity that was not requested.
 type NoPrediction struct {
-	space metric.Space //omflp:nostate — constructor parameter; restore requires an identically constructed instance
-	costs cost.Model   //omflp:nostate — constructor parameter, ditto
-	cands []int        //omflp:nostate — constructor parameter, ditto
+	space metric.Space
+	costs cost.Model
+	cands []int
 	sol   *instance.Solution
 	byE   [][]int // facility indices per commodity
 }

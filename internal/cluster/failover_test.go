@@ -66,37 +66,62 @@ func TestRouteLogRoundTrip(t *testing.T) {
 }
 
 // TestRouteLogTornJournal: a torn final journal line — the expected kill -9
-// artifact — stops replay cleanly instead of corrupting the restore.
+// artifact — stops replay cleanly instead of corrupting the restore, and so
+// does a last line that lost only its newline. Either way the event
+// appended after the restart survives the next one: it must not be glued
+// onto the tail that the first restart stopped at.
 func TestRouteLogTornJournal(t *testing.T) {
-	dir := t.TempDir()
-	rl, err := openRouteLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rl.append(routeEvent{Op: "place", Tenant: "a", Node: "n1:1"})
-	rl.append(routeEvent{Op: "counts", Counts: map[string]int64{"a": 5}})
-	want, seq := rl.snapshot()
-	// No close: simulate a kill -9 that tore the last line mid-write.
-	f, err := os.OpenFile(filepath.Join(dir, routesJournalFile), os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.WriteString(`{"seq":3,"op":"place","tenant":"torn","node":"nx`); err != nil {
-		t.Fatal(err)
-	}
-	f.Close()
+	for _, tc := range []struct {
+		name string
+		tear func(journal []byte) []byte
+	}{
+		{"torn line", func(j []byte) []byte { return append(j, `{"seq":3,"op":"pla`...) }},
+		{"no newline", func(j []byte) []byte { return bytes.TrimSuffix(j, []byte("\n")) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			jpath := filepath.Join(dir, routesJournalFile)
+			rl, err := openRouteLog(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			rl.append(routeEvent{Op: "place", Tenant: "a", Node: "n1:1"})
+			rl.append(routeEvent{Op: "place", Tenant: "b", Node: "n2:1", Count: 5})
+			want, seq := rl.snapshot()
+			// No close: simulate a kill -9 that tore the last write.
+			rl.journal.Close()
+			data, err := os.ReadFile(jpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.WriteFile(jpath, tc.tear(data), 0o644); err != nil {
+				t.Fatal(err)
+			}
 
-	re, err := openRouteLog(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer re.close()
-	got, gotSeq := re.snapshot()
-	if gotSeq != seq {
-		t.Errorf("replay past the torn line: seq %d, want %d", gotSeq, seq)
-	}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("restored state %+v, want %+v", got, want)
+			re, err := openRouteLog(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, gotSeq := re.snapshot()
+			if gotSeq != seq {
+				t.Errorf("replay past the tear: seq %d, want %d", gotSeq, seq)
+			}
+			if !reflect.DeepEqual(got, want) {
+				t.Errorf("restored state %+v, want %+v", got, want)
+			}
+			re.append(routeEvent{Op: "place", Tenant: "c", Node: "n1:1"})
+			want["c"] = routeRecord{Node: "n1:1"}
+			re.journal.Close() // a second kill -9
+
+			again, err := openRouteLog(dir)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer again.close()
+			if got, _ := again.snapshot(); !reflect.DeepEqual(got, want) {
+				t.Errorf("second restart restored %+v, want %+v", got, want)
+			}
+		})
 	}
 }
 

@@ -4,9 +4,13 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
+	"fmt"
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"path/filepath"
+	"reflect"
 	"testing"
 
 	"repro/internal/server"
@@ -76,4 +80,91 @@ func FuzzRouteFrame(f *testing.F) {
 			t.Fatalf("valid arrival after frame %q: worker admitted %d", frame, got)
 		}
 	})
+}
+
+// FuzzRouteLogReplay opens a route log on arbitrary base and journal bytes,
+// which must never panic. It then writes a valid journal, one event per
+// byte of ops, and cuts it at an arbitrary byte, as a kill -9 mid-append
+// leaves it. Reopening restores some prefix of the events; an event
+// appended then must survive a second kill -9, so the next reopen holds the
+// first reopen's routes plus that event.
+func FuzzRouteLogReplay(f *testing.F) {
+	f.Add([]byte(`{"version":1,"seq":2,"routes":{"a":{"node":"n1"}}}`),
+		[]byte(`{"seq":3,"op":"place","tenant":"b","node":"n2"}`+"\n"+`{"seq":4,"op":"pla`),
+		[]byte{0x00, 0x15, 0x26, 0x37, 0x48, 0x59}, uint16(60))
+	f.Add([]byte{}, []byte("\n\n{}\nnull"), []byte{0x07, 0x17, 0x57}, uint16(0))
+	f.Add([]byte("{"), []byte{}, []byte{}, uint16(1))
+	f.Fuzz(func(t *testing.T, base, journal, ops []byte, cut uint16) {
+		dir := t.TempDir()
+		jpath := filepath.Join(dir, routesJournalFile)
+		if err := os.WriteFile(filepath.Join(dir, routesBaseFile), base, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(jpath, journal, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		if rl, err := openRouteLog(dir); err == nil {
+			rl.close()
+		}
+
+		dir = t.TempDir()
+		jpath = filepath.Join(dir, routesJournalFile)
+		rl, err := openRouteLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(ops) > 64 {
+			ops = ops[:64] // below rebaseEvery: every event stays in the journal
+		}
+		for i, op := range ops {
+			rl.append(fuzzRouteEvent(i, op))
+		}
+		rl.journal.Close() // a kill -9: no final rebase
+		data, err := os.ReadFile(jpath)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(jpath, data[:int(cut)%(len(data)+1)], 0o644); err != nil {
+			t.Fatal(err)
+		}
+		re, err := openRouteLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _ := re.snapshot()
+		re.append(routeEvent{Op: "place", Tenant: "new", Node: "n9"})
+		want["new"] = routeRecord{Node: "n9"}
+		re.journal.Close() // a second kill -9
+		again, err := openRouteLog(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer again.close()
+		if got, _ := again.snapshot(); !reflect.DeepEqual(got, want) {
+			t.Fatalf("journal cut at %d of %d bytes: second restart restored %+v, want %+v",
+				int(cut)%(len(data)+1), len(data), got, want)
+		}
+	})
+}
+
+// fuzzRouteEvent maps one fuzz byte to a route event over four tenants and
+// four nodes: the low two bits pick the tenant, the next two the node, the
+// rest the op.
+func fuzzRouteEvent(i int, b byte) routeEvent {
+	ev := routeEvent{Tenant: string(rune('a' + b&3)), Node: fmt.Sprintf("n%d", b>>2&3)}
+	switch b >> 4 % 6 {
+	case 0:
+		ev.Op = "place"
+	case 1:
+		ev.Op, ev.Count = "flip", int64(i)
+	case 2:
+		ev.Op = "drop"
+	case 3:
+		ev.Op, ev.Follower, ev.Epoch = "promote", "n0", int64(i)
+	case 4:
+		ev.Op, ev.Follower = "follower", ev.Node
+	default:
+		ev = routeEvent{Op: "counts", Counts: map[string]int64{ev.Tenant: int64(i)}}
+	}
+	return ev
 }

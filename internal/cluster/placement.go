@@ -140,28 +140,23 @@ func (r *Router) createTenant(id string, universe int, distances [][]float64, co
 	return nil
 }
 
-// forwardArrivals routes a batch of arrivals for one tenant: buffered into
-// the live migration when one is in flight, otherwise posted to the owner
-// node (and, for a replicated tenant, to its follower — an arrival is
+// forwardArrivalsAt routes a batch of arrivals for one tenant: buffered
+// into the live migration when one is in flight, otherwise posted to the
+// owner node (and, for a replicated tenant, to its follower — an arrival is
 // accounted only after both admit it). The node calls run under RLock —
 // that is the quiesce barrier, not an accident (see the package doc) — and
 // the route ledger advances by exactly the number of arrivals the owner
 // admitted. traceID (0 = untraced) is forwarded in the X-Omflp-Trace header
 // so the worker records the batch's first arrival under it.
-func (r *Router) forwardArrivals(id string, batch []server.Arrival, traceID uint64) (int, error) {
-	acc, _, err := r.forwardArrivalsAt(id, batch, traceID, -1)
-	return acc, err
-}
-
-// forwardArrivalsAt is forwardArrivals with an optional client-supplied
-// idempotency key: clientStart >= 0 names the stream position of batch[0]
-// as the client counts it. The router trims the prefix its ledger already
-// accounts for (the footprint of a client retry after a partial forward),
-// refuses gaps, and forwards the remainder stamped with its own key, so
-// both client-side and router-side retries are exactly-once. It returns
-// (accounted, deduped): accounted counts every batch item the cluster now
-// accounts for (admitted or recognized as already admitted), deduped the
-// already-admitted prefix.
+//
+// clientStart is an optional client-supplied idempotency key: >= 0 names
+// the stream position of batch[0] as the client counts it. The router trims
+// the prefix its ledger already accounts for (the footprint of a client
+// retry after a partial forward), refuses gaps, and forwards the remainder
+// stamped with its own key, so both client-side and router-side retries are
+// exactly-once. It returns (accounted, deduped): accounted counts every
+// batch item the cluster now accounts for (admitted or recognized as
+// already admitted), deduped the already-admitted prefix.
 //
 // Each node call runs under the unified retry policy. Retries are safe
 // because the key rides along: a batch resent after a transport failure is

@@ -1,7 +1,6 @@
 package cluster
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"fmt"
@@ -120,30 +119,34 @@ func openRouteLog(dir string) (*routeLog, error) {
 		return nil, fmt.Errorf("route log: %w", err)
 	}
 	jpath := filepath.Join(dir, routesJournalFile)
-	if data, err := os.ReadFile(jpath); err == nil {
-		sc := bufio.NewScanner(bytes.NewReader(data))
-		sc.Buffer(make([]byte, 0, 64*1024), 1<<22)
-		for sc.Scan() {
-			line := bytes.TrimSpace(sc.Bytes())
-			if len(line) == 0 {
-				continue
-			}
-			var ev routeEvent
-			if err := json.Unmarshal(line, &ev); err != nil {
-				// A torn final line is the expected kill -9 artifact: the
-				// event was never acknowledged anywhere, so dropping it (and
-				// everything after it) is safe. Stop replay here.
-				break
-			}
-			if ev.Seq <= rl.seq {
-				continue // already folded into the base
-			}
-			rl.fold(ev)
-			rl.seq = ev.Seq
-			rl.events++
-		}
-	} else if !os.IsNotExist(err) {
+	data, err := os.ReadFile(jpath)
+	if err != nil && !os.IsNotExist(err) {
 		return nil, fmt.Errorf("route log: %w", err)
+	}
+	// A journal that does not end in a parsed line and its newline would
+	// glue the next appended event onto its tail, and the next restart
+	// would drop both: such a journal is folded into the base and restarted
+	// empty below.
+	torn := len(data) > 0 && data[len(data)-1] != '\n'
+	for _, line := range bytes.Split(data, []byte{'\n'}) {
+		line = bytes.TrimSpace(line)
+		if len(line) == 0 {
+			continue
+		}
+		var ev routeEvent
+		if err := json.Unmarshal(line, &ev); err != nil {
+			// A torn final line is the expected kill -9 artifact: the
+			// event was never acknowledged anywhere, so dropping it (and
+			// everything after it) is safe. Stop replay here.
+			torn = true
+			break
+		}
+		if ev.Seq <= rl.seq {
+			continue // already folded into the base
+		}
+		rl.fold(ev)
+		rl.seq = ev.Seq
+		rl.events++
 	}
 	rl.restored = len(rl.state)
 	f, err := os.OpenFile(jpath, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -151,6 +154,12 @@ func openRouteLog(dir string) (*routeLog, error) {
 		return nil, fmt.Errorf("route log: %w", err)
 	}
 	rl.journal = f
+	if torn {
+		if err := rl.rebaseLocked(); err != nil {
+			f.Close()
+			return nil, fmt.Errorf("route log: re-basing a torn journal: %w", err)
+		}
+	}
 	return rl, nil
 }
 
@@ -286,47 +295,44 @@ func (rl *routeLog) persistCounts(counts map[string]int64) {
 }
 
 // rebaseLocked snapshots the folded state atomically and truncates the
-// journal. Callers hold rl.mu.
-func (rl *routeLog) rebaseLocked() {
+// journal. Callers hold rl.mu. On failure the journal keeps its events;
+// only openRouteLog acts on the error.
+func (rl *routeLog) rebaseLocked() error {
 	if rl.dir == "" {
 		rl.events = 0
-		return
+		return nil
 	}
 	base := routeBase{Version: routeLogVersion, Seq: rl.seq, Routes: rl.state}
 	data, err := json.Marshal(&base)
 	if err != nil {
-		return
+		return err
 	}
-	path := filepath.Join(rl.dir, routesBaseFile)
 	tmp, err := os.CreateTemp(rl.dir, routesBaseFile+".tmp-*")
 	if err != nil {
-		return
+		return err
 	}
-	if _, err := tmp.Write(data); err == nil {
-		if err := tmp.Sync(); err == nil {
-			tmp.Close()
-			if os.Rename(tmp.Name(), path) == nil {
-				if rl.journal != nil {
-					rl.journal.Truncate(0)
-					rl.journal.Seek(0, 0)
-				}
-				rl.events = 0
-				return
-			}
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
+	}
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp.Name(), filepath.Join(rl.dir, routesBaseFile))
+	}
+	if err != nil {
+		os.Remove(tmp.Name())
+		return err
+	}
+	if rl.journal != nil {
+		if err := rl.journal.Truncate(0); err != nil {
+			return err
 		}
+		rl.journal.Seek(0, 0)
 	}
-	tmp.Close()
-	os.Remove(tmp.Name())
-}
-
-// rebase forces a base snapshot (shutdown and explicit checkpoint).
-func (rl *routeLog) rebase() {
-	if rl == nil {
-		return
-	}
-	rl.mu.Lock()
-	rl.rebaseLocked()
-	rl.mu.Unlock()
+	rl.events = 0
+	return nil
 }
 
 // snapshot returns the current folded state and sequence number.

@@ -22,15 +22,13 @@ import (
 // exceeds θ times the average per-commodity cost of the full configuration,
 // averaged over candidate points: f^{e} > θ·f^S/|S|.
 type HeavyAware struct {
-	u      int
-	space  metric.Space //omflp:nostate — constructor parameter
-	light  []int        //omflp:nostate — light commodity IDs; the split is a pure function of the constructor parameters
-	heavy  []int        // heavy commodity IDs
+	light  []int // light commodity IDs
+	heavy  []int // heavy commodity IDs
 	inner  *PDOMFLP
 	heavyA map[int]*ofl.FotakisPD // per heavy commodity
 
-	lightMap  map[int]int   //omflp:nostate — global commodity ID -> inner ID, derived from the split
-	lightMask commodity.Set //omflp:nostate — derived from the split
+	lightMap  map[int]int // global commodity ID -> inner ID
+	lightMask commodity.Set
 
 	sol *instance.Solution
 	// Bookkeeping to translate inner solutions into the global one.
@@ -40,7 +38,7 @@ type HeavyAware struct {
 	// linkBuf is the per-arrival link-dedup scratch, reused across Serve
 	// calls (the retained Assign row is copied out of it) so the hot path
 	// stays allocation-free alongside the inner PD's event-driven loop.
-	linkBuf []int //omflp:nostate — per-arrival scratch, never read across arrivals
+	linkBuf []int
 }
 
 // lightCost exposes the inner (light-only) universe of a base cost model:
@@ -89,8 +87,6 @@ func NewHeavyAware(space metric.Space, costs cost.Model, opts Options, theta flo
 	}
 
 	ha := &HeavyAware{
-		u:           u,
-		space:       space,
 		light:       light,
 		heavy:       heavy,
 		heavyA:      map[int]*ofl.FotakisPD{},

@@ -1,31 +1,24 @@
 package core
 
 import (
-	"encoding/json"
 	"fmt"
-	"sort"
 
 	"repro/internal/codec"
-	"repro/internal/commodity"
 	"repro/internal/instance"
-	"repro/internal/ofl"
 	"repro/internal/online"
 )
 
-// This file implements online.StateCodec for the core algorithms: the
-// complete serving state of PD-OMFLP, RAND-OMFLP and the heavy-aware
-// extension. The paper's algorithms are online — each arrival freezes a
-// small, well-defined increment of state (duals and credits for PD,
-// coin-flip position and open facilities for RAND) — so the state is
-// exactly recoverable without replaying the arrival history, which is what
-// the engine's checkpoint format v2 builds on.
+// This file implements online.StateCodec for the algorithms the engine
+// hosts: the complete serving state of PD-OMFLP and RAND-OMFLP. The paper's
+// algorithms are online — each arrival freezes a small, well-defined
+// increment of state (duals and credits for PD, coin-flip position and open
+// facilities for RAND) — so the state is exactly recoverable without
+// replaying the arrival history, which is what the engine's checkpoint
+// format v2 builds on.
 //
-// PD-OMFLP and RAND-OMFLP, the algorithms the engine serves and seals every
-// SealEvery arrivals, share the compact binary layout of internal/codec;
-// floats are stored as their IEEE-754 bits, so every value survives the round trip
-// exactly. The heavy-aware extension's state is a JSON document that
-// carries its inner PD-OMFLP state as opaque bytes next to the JSON states
-// of its single-commodity OFL instances.
+// Both share the compact binary layout of internal/codec, which the engine
+// seals every SealEvery arrivals; floats are stored as their IEEE-754 bits,
+// so every value survives the round trip exactly.
 //
 // Derived caches are deliberately NOT serialized: the facility-index nearest
 // caches, the cost-table distance rows and their distance-ordered candidate
@@ -36,8 +29,7 @@ import (
 // instance serves any suffix bit-identically to the original.
 
 // stateSchema versions the serialized state layouts: the schema byte that
-// opens the binary PD and RAND layouts and the schema field of the
-// heavy-aware document. Schema 1 was the JSON layout of all three.
+// opens the binary PD and RAND layouts. Schema 1 was a JSON layout.
 const stateSchema = 2
 
 // readHeader checks the schema byte and the dimensions every binary state
@@ -367,120 +359,6 @@ func (ra *RandOMFLP) UnmarshalState(data []byte) error {
 	return nil
 }
 
-// heavyState is the heavy-aware extension's serialized state: the inner
-// PD-OMFLP state, each heavy commodity's OFL state, and the global
-// solution-translation bookkeeping. The light/heavy split itself is a pure
-// function of the constructor parameters and is re-derived, not serialized.
-type heavyState struct {
-	Schema   int `json:"schema"`
-	Universe int `json:"universe"`
-
-	// Inner is the inner PD-OMFLP's binary state (base64 in the document).
-	Inner []byte          `json:"inner"`
-	Heavy []heavySubState `json:"heavy,omitempty"`
-
-	Facilities    []heavyFacilityState `json:"facilities"`
-	Assign        [][]int              `json:"assign"`
-	InnerToGlobal []int                `json:"inner_to_global,omitempty"`
-	HeavyFacIdx   []heavyFacIdxState   `json:"heavy_fac_idx,omitempty"`
-}
-
-type heavySubState struct {
-	E     int             `json:"e"`
-	State json.RawMessage `json:"state"`
-}
-
-type heavyFacilityState struct {
-	Point int   `json:"p"`
-	IDs   []int `json:"ids"`
-}
-
-type heavyFacIdxState struct {
-	E     int `json:"e"`
-	Point int `json:"p"`
-	Idx   int `json:"i"`
-}
-
-// MarshalState implements online.StateCodec.
-func (ha *HeavyAware) MarshalState() ([]byte, error) {
-	inner, err := ha.inner.MarshalState()
-	if err != nil {
-		return nil, err
-	}
-	st := heavyState{
-		Schema:        stateSchema,
-		Universe:      ha.u,
-		Inner:         inner,
-		Facilities:    make([]heavyFacilityState, len(ha.sol.Facilities)),
-		Assign:        ha.sol.Assign,
-		InnerToGlobal: ha.innerToGlobal,
-	}
-	for i, f := range ha.sol.Facilities {
-		st.Facilities[i] = heavyFacilityState{Point: f.Point, IDs: f.Config.IDs()}
-	}
-	for _, e := range ha.heavy {
-		sub, err := ha.heavyA[e].MarshalState()
-		if err != nil {
-			return nil, err
-		}
-		st.Heavy = append(st.Heavy, heavySubState{E: e, State: sub})
-	}
-	for key, idx := range ha.heavyFacIdx { //omflp:orderinvariant — entries are sorted by (E, Point) below before serialization
-		st.HeavyFacIdx = append(st.HeavyFacIdx, heavyFacIdxState{E: key[0], Point: key[1], Idx: idx})
-	}
-	sort.Slice(st.HeavyFacIdx, func(i, j int) bool {
-		a, b := st.HeavyFacIdx[i], st.HeavyFacIdx[j]
-		if a.E != b.E {
-			return a.E < b.E
-		}
-		return a.Point < b.Point
-	})
-	return json.Marshal(&st)
-}
-
-// UnmarshalState implements online.StateCodec; the receiver must be freshly
-// constructed with the same space, costs, options and threshold.
-func (ha *HeavyAware) UnmarshalState(data []byte) error {
-	if len(ha.sol.Facilities) != 0 || len(ha.sol.Assign) != 0 {
-		return fmt.Errorf("core: heavy-aware state restore needs a fresh instance")
-	}
-	var st heavyState
-	if err := json.Unmarshal(data, &st); err != nil {
-		return fmt.Errorf("core: heavy-aware state: %v", err)
-	}
-	if st.Schema != stateSchema {
-		return fmt.Errorf("core: heavy-aware state schema %d, want %d", st.Schema, stateSchema)
-	}
-	if st.Universe != ha.u {
-		return fmt.Errorf("core: heavy-aware state universe %d, want %d", st.Universe, ha.u)
-	}
-	if len(st.Heavy) != len(ha.heavy) {
-		return fmt.Errorf("core: heavy-aware state has %d heavy commodities, want %d (different split?)",
-			len(st.Heavy), len(ha.heavy))
-	}
-	if err := ha.inner.UnmarshalState(st.Inner); err != nil {
-		return err
-	}
-	for _, sub := range st.Heavy {
-		alg, ok := ha.heavyA[sub.E]
-		if !ok {
-			return fmt.Errorf("core: heavy-aware state names heavy commodity %d, not heavy here", sub.E)
-		}
-		if err := alg.UnmarshalState(sub.State); err != nil {
-			return err
-		}
-	}
-	for _, f := range st.Facilities {
-		ha.sol.Facilities = append(ha.sol.Facilities, instance.Facility{Point: f.Point, Config: commodity.New(f.IDs...)})
-	}
-	ha.sol.Assign = st.Assign
-	ha.innerToGlobal = st.InnerToGlobal
-	for _, x := range st.HeavyFacIdx {
-		ha.heavyFacIdx[[2]int{x.E, x.Point}] = x.Idx
-	}
-	return nil
-}
-
 // facilityState is one open facility as decoded state: kind 0 is a large
 // facility offering the full universe, kind 1+e a small one offering
 // commodity e. The explicit kind matters: in a universe of size 1 a large
@@ -532,12 +410,9 @@ func restoreFacilities(fx *facilityIndex, facs []facilityState) {
 	}
 }
 
-// Interface conformance (compile-time): the core algorithms and the ofl
-// substrates satisfy online.StateCodec.
+// Interface conformance (compile-time): the algorithms the engine hosts
+// satisfy online.StateCodec.
 var (
 	_ online.StateCodec = (*PDOMFLP)(nil)
 	_ online.StateCodec = (*RandOMFLP)(nil)
-	_ online.StateCodec = (*HeavyAware)(nil)
-	_ online.StateCodec = (*ofl.FotakisPD)(nil)
-	_ online.StateCodec = (*ofl.Meyerson)(nil)
 )

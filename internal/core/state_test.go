@@ -145,40 +145,6 @@ func TestRandStateSuffixIdentical(t *testing.T) {
 	}
 }
 
-func TestHeavyAwareStateSuffixIdentical(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	u := 5
-	space := metric.RandomEuclidean(rng, 12, 2, 60)
-	// A size-table model with near-linear growth: singletons are expensive
-	// relative to the average, so the heavy/light split is non-trivial.
-	costs := mustTable(t, u)
-	rig := &stateTestRig{space: space, costs: costs, u: u}
-	for i := 0; i < 50; i++ {
-		rig.requests = append(rig.requests, instance.Request{
-			Point:   rng.Intn(space.Len()),
-			Demands: commodity.RandomSubset(rng, u, 1+rng.Intn(u)),
-		})
-	}
-	for _, cut := range []int{0, 13, 50} {
-		assertSuffixIdentical(t, rig, cut,
-			NewHeavyAware(rig.space, rig.costs, Options{}, 1.5),
-			func() online.Algorithm { return NewHeavyAware(rig.space, rig.costs, Options{}, 1.5) })
-	}
-}
-
-func mustTable(t *testing.T, u int) cost.Model {
-	t.Helper()
-	bySize := make([]float64, u+1)
-	for k := 1; k <= u; k++ {
-		bySize[k] = float64(k) * 1.5
-	}
-	m, err := cost.NewTable(bySize)
-	if err != nil {
-		t.Fatal(err)
-	}
-	return m
-}
-
 // TestStateRestoreErrors: mismatched or stale restores must refuse loudly.
 func TestStateRestoreErrors(t *testing.T) {
 	rig := newStateRig(2, 10)

@@ -9,7 +9,6 @@ import (
 	"repro/internal/commodity"
 	"repro/internal/cost"
 	"repro/internal/metric"
-	"repro/internal/online"
 	"repro/internal/par"
 )
 
@@ -214,9 +213,8 @@ func (t *tenant) tailRecords() []ArrivalRecord {
 //
 // With Config.RecordArrivals the capture is cheap — cached base bytes plus
 // the bounded arrival tail. Without it, every tenant's algorithm state is
-// marshaled afresh on every call, which requires the algorithm to implement
-// online.StateCodec (both built-in algorithms do); tenants whose substrate
-// cannot be serialized error in either mode.
+// marshaled afresh on every call. Tenants whose substrate cannot be
+// serialized error in either mode.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	return e.capture(CheckpointVersion, (*tenant).checkpointV2)
 }
@@ -446,11 +444,7 @@ func (t *tenant) loadBase(tc *TenantCheckpoint) error {
 		}
 		return nil
 	}
-	sc, ok := t.alg.(online.StateCodec)
-	if !ok {
-		return fmt.Errorf("checkpoint has a base state but algorithm %q cannot load one", t.alg.Name())
-	}
-	if err := sc.UnmarshalState(tc.BaseState); err != nil {
+	if err := t.alg.UnmarshalState(tc.BaseState); err != nil {
 		return err
 	}
 	sol := t.alg.Solution()

@@ -192,8 +192,7 @@ func TestCheckpointFileAtomicRoundTrip(t *testing.T) {
 
 func TestCheckpointErrors(t *testing.T) {
 	// Without RecordArrivals checkpointing works through the state-marshal
-	// path (both built-in algorithms implement online.StateCodec); a closed
-	// engine must still refuse.
+	// path; a closed engine must still refuse.
 	e := New(Config{Shards: 1})
 	if _, err := e.Checkpoint(); err != nil {
 		t.Errorf("Checkpoint without RecordArrivals failed: %v", err)

@@ -40,6 +40,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"log/slog"
+	"math/rand"
 	"runtime"
 	"sort"
 	"sync"
@@ -104,8 +105,7 @@ type Config struct {
 	// since its last sealed base state) in memory. With it, periodic
 	// checkpoints are cheap — cached base bytes plus a short tail — and
 	// restores replay at most SealEvery arrivals. Without it, Checkpoint
-	// falls back to marshaling every tenant's full algorithm state on every
-	// call (requires the algorithm to implement online.StateCodec), and
+	// marshals every tenant's full algorithm state on every call, and
 	// restores replay nothing.
 	RecordArrivals bool
 	// SealEvery bounds a recording tenant's in-memory arrival tail: once
@@ -148,14 +148,30 @@ func (c Config) algoName() string {
 	return c.Algorithm
 }
 
-func (c Config) factory() (online.Factory, error) {
+// algorithm is what a tenant runs. The engine seals and restores its
+// state, so an algorithm without a state codec does not compile into the
+// engine.
+type algorithm interface {
+	online.Algorithm
+	online.StateCodec
+}
+
+// newAlgorithm builds a tenant's algorithm; rand tenants draw from seed.
+type newAlgorithm func(space metric.Space, costs cost.Model, seed int64) algorithm
+
+// factory returns the configured algorithm's constructor.
+func (c Config) factory() (newAlgorithm, error) {
 	switch c.Algorithm {
 	case "", "pd":
-		return core.PDFactory(c.Options), nil
+		return func(space metric.Space, costs cost.Model, _ int64) algorithm {
+			return core.NewPDOMFLP(space, costs, c.Options)
+		}, nil
 	case "rand":
-		return core.RandFactory(c.Options), nil
+		return func(space metric.Space, costs cost.Model, seed int64) algorithm {
+			return core.NewRandOMFLP(space, costs, c.Options, rand.New(rand.NewSource(seed)))
+		}, nil
 	default:
-		return online.Factory{}, fmt.Errorf("engine: unknown algorithm %q (want pd or rand)", c.Algorithm)
+		return nil, fmt.Errorf("engine: unknown algorithm %q (want pd or rand)", c.Algorithm)
 	}
 }
 
@@ -165,7 +181,7 @@ func (c Config) factory() (online.Factory, error) {
 // many goroutines; it must not race with Close.
 type Engine struct {
 	cfg     Config
-	factory online.Factory
+	factory newAlgorithm
 	shards  []*shard
 	start   time.Time
 	logger  *slog.Logger
@@ -196,7 +212,7 @@ type tenant struct {
 	space    metric.Space
 	costs    cost.Model
 	universe commodity.Set // Full(|S|), for admission-time demand validation
-	alg      online.Algorithm
+	alg      algorithm
 
 	served       int
 	construction float64
@@ -243,11 +259,7 @@ type tenant struct {
 // base and the arrival tail resets. Must run on the goroutine that owns the
 // tenant.
 func (t *tenant) seal() error {
-	sc, ok := t.alg.(online.StateCodec)
-	if !ok {
-		return fmt.Errorf("engine: tenant %q: algorithm does not support state serialization", t.id)
-	}
-	data, err := sc.MarshalState()
+	data, err := t.alg.MarshalState()
 	if err != nil {
 		return fmt.Errorf("engine: tenant %q: %v", t.id, err)
 	}
@@ -522,7 +534,7 @@ func (e *Engine) newTenant(id string, space metric.Space, costs cost.Model, orig
 		space:     space,
 		costs:     costs,
 		universe:  commodity.Full(costs.Universe()),
-		alg:       e.factory.New(space, costs, workload.NamedSeed(e.cfg.Seed, id)),
+		alg:       e.factory(space, costs, workload.NamedSeed(e.cfg.Seed, id)),
 		record:    e.cfg.RecordArrivals,
 		sealEvery: e.cfg.SealEvery,
 		origin:    origin,
@@ -860,7 +872,7 @@ func (e *Engine) snapshotOne(tenantID string, compact bool) (*TenantSnapshot, er
 		return nil, err
 	}
 	var snap *TenantSnapshot
-	t.shard.control(func() { snap = t.snapshot(e.factory.Name, compact) })
+	t.shard.control(func() { snap = t.snapshot(compact) })
 	return snap, nil
 }
 
@@ -903,7 +915,7 @@ func (e *Engine) snapshotAll(compact bool) ([]*TenantSnapshot, error) {
 			defer wg.Done()
 			s.control(func() {
 				for _, t := range group {
-					snap := t.snapshot(e.factory.Name, compact)
+					snap := t.snapshot(compact)
 					smu.Lock()
 					snaps[t.id] = snap
 					smu.Unlock()
@@ -954,11 +966,11 @@ type SnapshotFacility struct {
 // per-arrival assignment history is skipped entirely (never copied) and the
 // dual total is read from PD's running sum, so the cost of a compact
 // snapshot is O(facilities) regardless of stream length.
-func (t *tenant) snapshot(algName string, compact bool) *TenantSnapshot {
+func (t *tenant) snapshot(compact bool) *TenantSnapshot {
 	sol := t.alg.Solution()
 	snap := &TenantSnapshot{
 		Tenant:           t.id,
-		Algorithm:        algName,
+		Algorithm:        t.alg.Name(),
 		Served:           t.served,
 		Facilities:       make([]SnapshotFacility, len(sol.Facilities)),
 		ConstructionCost: t.construction,

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/commodity"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
@@ -106,8 +107,7 @@ func TestTenantMatchesDirectRun(t *testing.T) {
 		if snap.Tenant != name {
 			t.Fatalf("snapshot %d is %q, want %q", ti, snap.Tenant, name)
 		}
-		f, _ := Config{Algorithm: "pd"}.factory()
-		sol, c, err := online.Run(f, sub, workload.NamedSeed(5, name), true)
+		sol, c, err := online.Run(core.PDFactory(core.Options{}), sub, workload.NamedSeed(5, name), true)
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -111,8 +111,8 @@ type HistBucket struct {
 }
 
 // HistSummary is the JSON form of a histogram: quantiles for humans plus
-// the non-empty raw buckets so downstream mergers (the cluster router) can
-// reconstruct and re-aggregate exactly.
+// the non-empty raw buckets, from which Bucketized reconstructs the exact
+// bucket vector (the Prometheus rendering reads it).
 type HistSummary struct {
 	Count      int64        `json:"count"`
 	P50Micros  float64      `json:"p50_us"`
@@ -144,24 +144,10 @@ func Summarize(sum [HistBuckets]int64) HistSummary {
 // Bucketized reconstructs the raw bucket vector from the wire form.
 func (s HistSummary) Bucketized() [HistBuckets]int64 {
 	var sum [HistBuckets]int64
-	s.addTo(&sum)
-	return sum
-}
-
-func (s HistSummary) addTo(sum *[HistBuckets]int64) {
 	for _, b := range s.Buckets {
 		if b.Bit >= 0 && b.Bit < HistBuckets {
 			sum[b.Bit] += b.Count
 		}
 	}
-}
-
-// MergeHistSummaries re-aggregates per-node summaries into one (the
-// router's merge path for serve-latency and stage histograms).
-func MergeHistSummaries(parts []HistSummary) HistSummary {
-	var sum [HistBuckets]int64
-	for _, p := range parts {
-		p.addTo(&sum)
-	}
-	return Summarize(sum)
+	return sum
 }

@@ -113,13 +113,4 @@ func TestSummarizeRoundTrip(t *testing.T) {
 	if got := s.Bucketized(); got != sum {
 		t.Fatalf("Bucketized round trip mismatch:\n got %v\nwant %v", got, sum)
 	}
-	merged := MergeHistSummaries([]HistSummary{s, s})
-	if merged.Count != 14 {
-		t.Fatalf("merged Count = %d, want 14", merged.Count)
-	}
-	for b := range sum {
-		if want := 2 * sum[b]; merged.Bucketized()[b] != want {
-			t.Fatalf("merged bucket %d = %d, want %d", b, merged.Bucketized()[b], want)
-		}
-	}
 }

@@ -332,8 +332,7 @@ func NewStageBreakdown(sums *[NumStages + 1][HistBuckets]int64, sampled int64) *
 }
 
 // Each visits the stage summaries in wire order (decode, enqueue, dequeue,
-// serve, ack, total) — the iteration spine for Prometheus rendering and
-// cross-node merging.
+// serve, ack, total) — the iteration spine for Prometheus rendering.
 func (b *StageBreakdown) Each(fn func(stage string, h HistSummary)) {
 	fn(StageNames[StageDecode], b.Decode)
 	fn(StageNames[StageEnqueue], b.Enqueue)
@@ -341,29 +340,4 @@ func (b *StageBreakdown) Each(fn func(stage string, h HistSummary)) {
 	fn(StageNames[StageServe], b.Serve)
 	fn(StageNames[StageAck], b.Ack)
 	fn(StageNames[NumStages], b.Total)
-}
-
-// MergeStageBreakdowns sums per-node breakdowns (the router's merge path).
-// nil entries are skipped; returns nil when nothing contributed.
-func MergeStageBreakdowns(parts []*StageBreakdown) *StageBreakdown {
-	var sums [NumStages + 1][HistBuckets]int64
-	var sampled int64
-	any := false
-	for _, p := range parts {
-		if p == nil {
-			continue
-		}
-		any = true
-		sampled += p.Sampled
-		p.Decode.addTo(&sums[StageDecode])
-		p.Enqueue.addTo(&sums[StageEnqueue])
-		p.Dequeue.addTo(&sums[StageDequeue])
-		p.Serve.addTo(&sums[StageServe])
-		p.Ack.addTo(&sums[StageAck])
-		p.Total.addTo(&sums[NumStages])
-	}
-	if !any {
-		return nil
-	}
-	return NewStageBreakdown(&sums, sampled)
 }

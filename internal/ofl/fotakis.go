@@ -13,8 +13,8 @@ import (
 // for a new facility at some candidate point (open and connect). It is the
 // single-commodity restriction of PD-OMFLP's Constraints (1) and (3).
 type FotakisPD struct {
-	space      metric.Space //omflp:nostate — constructor parameter; restore requires an identically constructed instance
-	fc         FacilityCost //omflp:nostate — constructor parameter, ditto
+	space      metric.Space
+	fc         FacilityCost
 	cands      []int
 	facilities []int
 	open       map[int]bool

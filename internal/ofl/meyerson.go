@@ -21,15 +21,11 @@ import (
 // this forced case implicit; feasibility requires it). The demand connects
 // to the nearest open facility.
 type Meyerson struct {
-	space      metric.Space //omflp:nostate — constructor parameter; restore requires an identically constructed instance
-	fc         FacilityCost //omflp:nostate — constructor parameter, ditto
+	space      metric.Space
 	rng        *rand.Rand
-	cl         classes //omflp:nostate — pure function of fc and cands, rebuilt by the constructor
+	cl         classes
 	facilities []int
 	open       map[int]bool
-	// draws counts rng consumptions — the serializable form of the rng
-	// position (see UnmarshalState in state.go).
-	draws int64
 }
 
 // NewMeyerson builds the algorithm over the given candidate facility points.
@@ -39,7 +35,6 @@ func NewMeyerson(space metric.Space, fc FacilityCost, candidates []int, rng *ran
 	}
 	return &Meyerson{
 		space: space,
-		fc:    fc,
 		rng:   rng,
 		cl:    buildClasses(candidates, fc),
 		open:  map[int]bool{},
@@ -48,13 +43,6 @@ func NewMeyerson(space metric.Space, fc FacilityCost, candidates []int, rng *ran
 
 // Facilities returns the open facility points in opening order.
 func (m *Meyerson) Facilities() []int { return m.facilities }
-
-// flip draws one coin flip, counting the draw; every rng consumption goes
-// through here so the position can be serialized.
-func (m *Meyerson) flip() float64 {
-	m.draws++
-	return m.rng.Float64()
-}
 
 // Place processes a demand at p.
 func (m *Meyerson) Place(p int) (connectTo int, opened []int) {
@@ -81,7 +69,7 @@ func (m *Meyerson) Place(p int) (connectTo int, opened []int) {
 		if prob > 1 {
 			prob = 1
 		}
-		if m.flip() < prob {
+		if m.rng.Float64() < prob {
 			if !m.open[pt] {
 				m.open[pt] = true
 				m.facilities = append(m.facilities, pt)

@@ -27,9 +27,10 @@ type Algorithm interface {
 	Solution() *instance.Solution
 }
 
-// StateCodec is optionally implemented by algorithms whose complete serving
-// state can be serialized and restored without replaying the arrival
-// history. The contract:
+// StateCodec is implemented by algorithms whose complete serving state can
+// be serialized and restored without replaying the arrival history. The
+// engine hosts only algorithms that implement it (PD-OMFLP and
+// RAND-OMFLP); the experiment-only algorithms do not. The contract:
 //
 //   - MarshalState captures everything future Serve calls depend on (duals,
 //     credits, budgets, open facilities, assignments, rng position, ...) so

@@ -90,14 +90,25 @@ func ReadFrameTrace(r io.Reader, buf []byte) ([]byte, uint64, error) {
 	if n > MaxFrame {
 		return nil, 0, fmt.Errorf("server: frame of %d bytes exceeds limit %d", n, MaxFrame)
 	}
-	if uint32(cap(buf)) < n {
-		buf = make([]byte, n)
+	if uint32(cap(buf)) >= n {
+		buf = buf[:n]
+	} else {
+		// Grow toward n as the payload arrives, doubling from a few KiB, so
+		// a header alone cannot make the reader allocate what it declares.
+		buf = make([]byte, min(int(n), 4<<10))
 	}
-	buf = buf[:n]
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return nil, 0, fmt.Errorf("server: reading %d-byte frame: %v", n, err)
+	for off := 0; ; {
+		if _, err := io.ReadFull(r, buf[off:]); err != nil {
+			if err == io.EOF && off > 0 {
+				err = io.ErrUnexpectedEOF
+			}
+			return nil, 0, fmt.Errorf("server: reading %d-byte frame: %v", n, err)
+		}
+		if off = len(buf); off == int(n) {
+			return buf, traceID, nil
+		}
+		buf = append(buf, make([]byte, min(off, int(n)-off))...)
 	}
-	return buf, traceID, nil
 }
 
 // TCPResult is the single result frame the server sends when an ingestion

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"testing"
 
 	"repro/internal/engine"
@@ -68,6 +69,60 @@ func randName(rng *rand.Rand) string {
 		out[i] = alpha[rng.Intn(len(alpha))]
 	}
 	return string(out)
+}
+
+// FuzzReadFrameTrace reads frames from arbitrary bytes, as a worker or a
+// router reads them from any client. The reader never panics, allocates at
+// most a constant factor of its input whatever a header declares, and every
+// frame it returns is what WriteFrameTrace writes for that payload and id.
+func FuzzReadFrameTrace(f *testing.F) {
+	var frames bytes.Buffer
+	WriteFrameTrace(&frames, []byte(`{"op":"arrive","tenant":"a","point":1,"demands":[0]}`), 0)
+	WriteFrameTrace(&frames, AppendWireArrive(nil, 0, 1, []int{0, 1}), 0xdeadbeefcafe)
+	WriteFrameTrace(&frames, nil, 7)
+	f.Add(frames.Bytes())
+	f.Add(frames.Bytes()[:frames.Len()-3])
+	f.Add([]byte{0x03, 0xff, 0xff, 0xff, 0}) // a header declaring 64 MiB, then one byte
+	f.Add([]byte{0x80, 0, 0, 2, 0, 0, 0, 0, 0, 0, 0, 0, 'h', 'i'})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		type frame struct {
+			payload    []byte
+			id         uint64
+			start, end int
+		}
+		read := make([]frame, 0, len(data)/4+1)
+		r := bytes.NewReader(data)
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		for {
+			start := len(data) - r.Len()
+			payload, id, err := ReadFrameTrace(r, nil)
+			if err != nil {
+				break
+			}
+			read = append(read, frame{payload, id, start, len(data) - r.Len()})
+		}
+		runtime.ReadMemStats(&after)
+		if alloc := after.TotalAlloc - before.TotalAlloc; alloc > 64*uint64(len(data))+1<<16 {
+			t.Fatalf("reading %d bytes allocated %d bytes", len(data), alloc)
+		}
+		for _, fr := range read {
+			raw := data[fr.start:fr.end]
+			if fr.id == 0 && raw[0]&0x80 != 0 {
+				// A traced header with id 0 reads as untraced, and that is
+				// how WriteFrameTrace writes id 0.
+				raw = append([]byte{raw[0] &^ 0x80, raw[1], raw[2], raw[3]}, raw[12:]...)
+			}
+			var w bytes.Buffer
+			if err := WriteFrameTrace(&w, fr.payload, fr.id); err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(w.Bytes(), raw) {
+				t.Fatalf("frame at byte %d: read %d-byte payload with id %#x from %x, WriteFrameTrace writes %x",
+					fr.start, len(fr.payload), fr.id, raw, w.Bytes())
+			}
+		}
+	})
 }
 
 func TestFrameRoundTrip(t *testing.T) {
