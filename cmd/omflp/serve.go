@@ -75,8 +75,6 @@ func cmdServe(args []string) (retErr error) {
 		logLevel     = fs.String("log-level", "info", "structured-log threshold: debug, info, warn, or error")
 		logOut       = fs.String("log-out", "stderr", "structured-log destination: stderr, stdout, or a file path (appended)")
 		pprofOn      = fs.Bool("pprof", false, "daemon/router mode: mount net/http/pprof under /debug/pprof/ on the HTTP listener")
-		tcpPipeline  = fs.Int("tcp-pipeline", 0, "daemon mode: per-connection decode→engine handoff queue depth (0 = 32 default)")
-		tcpBatch     = fs.Int("tcp-batch", 0, "daemon mode: max arrivals coalesced into one engine batch op on the TCP path (0 = 64 default)")
 	)
 	var prof profileFlags
 	prof.register(fs)
@@ -173,8 +171,6 @@ func cmdServe(args []string) (retErr error) {
 			compact:   *snapCompact,
 			quiet:     *quiet,
 			pprof:     *pprofOn,
-			tcpPipe:   *tcpPipeline,
-			tcpBatch:  *tcpBatch,
 			logger:    logger,
 		})
 	}
@@ -315,8 +311,6 @@ type daemonConfig struct {
 	compact   bool
 	quiet     bool
 	pprof     bool
-	tcpPipe   int
-	tcpBatch  int
 	logger    *slog.Logger
 }
 
@@ -336,8 +330,6 @@ func serveDaemon(cfg daemonConfig) error {
 		CheckpointDir:   cfg.ckptDir,
 		CheckpointEvery: cfg.ckptEvery,
 		EnablePprof:     cfg.pprof,
-		TCPPipeline:     cfg.tcpPipe,
-		TCPBatch:        cfg.tcpBatch,
 		Logger:          cfg.logger,
 		Engine:          cfg.engine,
 	})

@@ -402,30 +402,32 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: opening route log in %s: %v", cfg.StateDir, err)
 	}
 	r.rlog = rl
-	r.restoreRoutes()
+	if r.routesRestored = r.loadRoutes(); r.routesRestored > 0 {
+		r.logger.Info("routes restored from route log",
+			"routes", r.routesRestored, "dir", cfg.StateDir)
+	}
 	return r, nil
 }
 
-// restoreRoutes rebuilds the in-memory routing table from the route log's
-// recovered state. Records are keyed by node address, so a restored router
-// must be configured with the same node set; a record naming an address not
-// in the config is dropped with a warning (the operator reshaped the
-// cluster — those tenants will be re-adopted by snapshot re-sync when their
-// node is probed). Restored routes are marked unsynced: the persisted
-// ledger may trail the truth by up to one health tick.
-func (r *Router) restoreRoutes() {
-	state, _ := r.rlog.snapshot()
-	if len(state) == 0 {
-		return
-	}
+// loadRoutes sets the routing table from the route log's records: the
+// named tenants' routes, or the whole table when none is named. Records
+// are keyed by node address, so the router must be configured with the
+// same node set; a record naming an address not in the config is dropped
+// with a warning (the operator reshaped the cluster — those tenants will be
+// re-adopted by snapshot re-sync when their node is probed). Loaded routes
+// are unsynced: the log's ledgers may trail the truth by up to one health
+// tick. It returns the number of routes loaded.
+func (r *Router) loadRoutes(tenants ...string) int {
+	state, _ := r.rlog.snapshot(tenants...)
 	byAddr := make(map[string]int, len(r.nodes))
 	for _, n := range r.nodes {
 		byAddr[n.addr] = n.idx
 	}
+	routes := make(map[string]*route, len(state))
 	for tenant, rec := range state {
 		idx, ok := byAddr[rec.Node]
 		if !ok {
-			r.logger.Warn("restored route names an unconfigured node, dropping",
+			r.logger.Warn("route names an unconfigured node, dropping",
 				"tenant", tenant, "node", rec.Node)
 			continue
 		}
@@ -434,16 +436,26 @@ func (r *Router) restoreRoutes() {
 			if fidx, ok := byAddr[rec.Follower]; ok {
 				rt.follower = fidx
 			} else {
-				r.logger.Warn("restored route names an unconfigured follower, degrading",
+				r.logger.Warn("route names an unconfigured follower, degrading",
 					"tenant", tenant, "follower", rec.Follower)
 			}
 		}
 		rt.count.Store(rec.Count)
-		r.routes[tenant] = rt
+		routes[tenant] = rt
 	}
-	r.routesRestored = len(r.routes)
-	r.logger.Info("routes restored from route log",
-		"routes", r.routesRestored, "dir", r.cfg.StateDir)
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if len(tenants) == 0 {
+		r.routes = routes
+	}
+	for _, id := range tenants {
+		if rt, ok := routes[id]; ok {
+			r.routes[id] = rt
+		} else {
+			delete(r.routes, id)
+		}
+	}
+	return len(routes)
 }
 
 // Start probes every node once (admitting the reachable ones and

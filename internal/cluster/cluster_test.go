@@ -435,6 +435,42 @@ func TestRouterSentinels(t *testing.T) {
 	httpJSON(t, "POST", base+"/v1/migrate", migrateBody{Tenant: "a", Target: w1.HTTPAddr()}, http.StatusBadGateway)
 }
 
+// TestMigrateWithoutTargetSkipsFollower: POST /v1/migrate naming no target
+// moves a replicated tenant onto a node that hosts neither its owner nor
+// its follower. Three workers and one tenant, owned by node 0 and followed
+// on node 1: the move lands on node 2 with every arrival.
+func TestMigrateWithoutTargetSkipsFollower(t *testing.T) {
+	const arrivals = 5
+	nodes := make([]string, 3)
+	for i := range nodes {
+		nodes[i] = startWorker(t, 23, "").HTTPAddr()
+	}
+	r := startRouter(t, Config{Nodes: nodes, Replicate: true, HealthEvery: time.Hour})
+	base := "http://" + r.HTTPAddr()
+	id := tenantName(0)
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < arrivals; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	r.mu.RLock()
+	owner, follower := r.routes[id].node, r.routes[id].follower
+	r.mu.RUnlock()
+	if owner != 0 || follower != 1 {
+		t.Fatalf("tenant placed on node %d with follower %d, want 0 and 1", owner, follower)
+	}
+
+	var res MigrateResult
+	if err := json.Unmarshal(httpJSON(t, "POST", base+"/v1/migrate", migrateBody{Tenant: id}, http.StatusOK), &res); err != nil {
+		t.Fatal(err)
+	}
+	if res.From != nodes[0] || res.To != nodes[2] {
+		t.Errorf("migrated from %s to %s, want %s to %s", res.From, res.To, nodes[0], nodes[2])
+	}
+	if got := admittedOn(t, nodes[2], id); got != arrivals {
+		t.Errorf("target admitted %d arrivals, want %d", got, arrivals)
+	}
+}
+
 // TestStaleScrapeExcluded: a node that replays an identical metrics body
 // (same Seq and wall stamp — a wedged process or a caching proxy) is
 // flagged stale and its window rate is not double-counted.

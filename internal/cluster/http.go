@@ -362,8 +362,8 @@ func (r *Router) handleCheckpoint(w http.ResponseWriter, req *http.Request) {
 }
 
 // migrateBody is the POST /v1/migrate document. Target may be empty: the
-// router then picks the healthy node (other than the current owner) with
-// the fewest tenants.
+// router then picks the healthy node hosting the fewest tenants, owners
+// and followers counted, other than the tenant's owner and follower.
 type migrateBody struct {
 	Tenant string `json:"tenant"`
 	Target string `json:"target"`
@@ -397,8 +397,8 @@ func (r *Router) handleMigrate(w http.ResponseWriter, req *http.Request) {
 }
 
 // pickMigrateTarget chooses where an unspecified migration should land:
-// the healthy node with the fewest routed tenants, excluding the current
-// owner.
+// the least-loaded healthy node other than the tenant's owner and its
+// follower, which Migrate would refuse.
 func (r *Router) pickMigrateTarget(tenant string) (string, error) {
 	r.mu.RLock()
 	defer r.mu.RUnlock()
@@ -406,24 +406,11 @@ func (r *Router) pickMigrateTarget(tenant string) (string, error) {
 	if rt == nil {
 		return "", fmt.Errorf("cluster: tenant %q has no route", tenant)
 	}
-	hosted := make([]int, len(r.nodes))
-	for _, other := range r.routes {
-		hosted[other.node]++
+	idx, err := r.placeLeastLoad(rt.node, rt.follower)
+	if err != nil {
+		return "", fmt.Errorf("cluster: migrating %q: %w", tenant, err)
 	}
-	best := -1
-	for _, n := range r.nodes {
-		if n.idx == rt.node || !n.isHealthy() {
-			continue
-		}
-		if best == -1 || hosted[n.idx] < hosted[best] {
-			best = n.idx
-		}
-	}
-	if best == -1 {
-		return "", fmt.Errorf("cluster: no healthy node other than %s to migrate %q to",
-			r.nodes[rt.node].addr, tenant)
-	}
-	return r.nodes[best].addr, nil
+	return r.nodes[idx].addr, nil
 }
 
 // RouteInfo is one tenant's routing entry as reported by GET /v1/routes.

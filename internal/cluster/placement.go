@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"hash/fnv"
 	"net/http"
+	"slices"
 	"strconv"
 
 	"repro/internal/engine"
@@ -31,8 +32,8 @@ func (r *Router) place(tenant string, exclude int) (int, error) {
 // routing table, which includes in-flight reservations), lowest index on
 // ties — the cluster analogue of the engine's PolicyLeastLoad shard
 // pinning. Follower placements count toward load too: a replica serves
-// every arrival its tenant does.
-func (r *Router) placeLeastLoad(exclude int) (int, error) {
+// every arrival its tenant does. The excluded nodes are never candidates.
+func (r *Router) placeLeastLoad(exclude ...int) (int, error) {
 	hosted := make([]int, len(r.nodes))
 	for _, rt := range r.routes {
 		hosted[rt.node]++
@@ -42,7 +43,7 @@ func (r *Router) placeLeastLoad(exclude int) (int, error) {
 	}
 	best, bestLoad := -1, 0
 	for _, n := range r.nodes {
-		if n.idx == exclude || !n.isHealthy() {
+		if slices.Contains(exclude, n.idx) || !n.isHealthy() {
 			continue
 		}
 		if best == -1 || hosted[n.idx] < bestLoad {

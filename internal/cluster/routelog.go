@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"maps"
 	"os"
 	"path/filepath"
 	"sync"
@@ -65,6 +66,18 @@ type routeEvent struct {
 	Count    int64            `json:"count,omitempty"`
 	Epoch    int64            `json:"epoch,omitempty"`
 	Counts   map[string]int64 `json:"counts,omitempty"`
+}
+
+// tenants names the tenants whose records ev changes.
+func (ev routeEvent) tenants() []string {
+	if ev.Op != "counts" {
+		return []string{ev.Tenant}
+	}
+	ids := make([]string, 0, len(ev.Counts))
+	for id := range ev.Counts {
+		ids = append(ids, id)
+	}
+	return ids
 }
 
 type routeBase struct {
@@ -335,16 +348,22 @@ func (rl *routeLog) rebaseLocked() error {
 	return nil
 }
 
-// snapshot returns the current folded state and sequence number.
-func (rl *routeLog) snapshot() (map[string]routeRecord, int64) {
+// snapshot returns the current folded records of the named tenants, or of
+// every tenant when none is named, and the sequence number.
+func (rl *routeLog) snapshot(tenants ...string) (map[string]routeRecord, int64) {
 	if rl == nil {
 		return nil, 0
 	}
 	rl.mu.Lock()
 	defer rl.mu.Unlock()
-	out := make(map[string]routeRecord, len(rl.state))
-	for id, rec := range rl.state {
-		out[id] = rec
+	if len(tenants) == 0 {
+		return maps.Clone(rl.state), rl.seq
+	}
+	out := make(map[string]routeRecord, len(tenants))
+	for _, id := range tenants {
+		if rec, ok := rl.state[id]; ok {
+			out[id] = rec
+		}
 	}
 	return out, rl.seq
 }

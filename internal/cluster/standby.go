@@ -97,7 +97,7 @@ func (r *Router) followOnce() error {
 		return fmt.Errorf("decoding base: %v", err)
 	}
 	r.rlog.installBase(base)
-	r.installRoutes(base.Routes)
+	r.loadRoutes()
 	r.logger.Info("following primary", "primary", r.cfg.StandbyOf,
 		"routes", len(base.Routes), "seq", base.Seq)
 
@@ -113,84 +113,7 @@ func (r *Router) followOnce() error {
 			return fmt.Errorf("decoding event: %v", err)
 		}
 		r.rlog.applyEvent(ev)
-		r.applyRouteEvent(ev)
-	}
-}
-
-// installRoutes replaces the in-memory routing table from a base doc's
-// records (addresses → configured node indices; unknown addresses drop the
-// route with a warning, as in restoreRoutes).
-func (r *Router) installRoutes(records map[string]routeRecord) {
-	byAddr := make(map[string]int, len(r.nodes))
-	for _, n := range r.nodes {
-		byAddr[n.addr] = n.idx
-	}
-	routes := make(map[string]*route, len(records))
-	for tenant, rec := range records {
-		idx, ok := byAddr[rec.Node]
-		if !ok {
-			r.logger.Warn("followed route names an unconfigured node, dropping",
-				"tenant", tenant, "node", rec.Node)
-			continue
-		}
-		rt := &route{node: idx, follower: -1, epoch: rec.Epoch}
-		if fidx, ok := byAddr[rec.Follower]; ok && rec.Follower != "" {
-			rt.follower = fidx
-		}
-		rt.count.Store(rec.Count)
-		routes[tenant] = rt
-	}
-	r.mu.Lock()
-	r.routes = routes
-	r.mu.Unlock()
-}
-
-// applyRouteEvent folds one followed journal event into the in-memory
-// routing table — the standby's mirror of what fold does to the record map.
-func (r *Router) applyRouteEvent(ev routeEvent) {
-	byAddr := func(addr string) int {
-		for _, n := range r.nodes {
-			if n.addr == addr {
-				return n.idx
-			}
-		}
-		return -1
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	switch ev.Op {
-	case "place":
-		idx := byAddr(ev.Node)
-		if idx < 0 {
-			r.logger.Warn("followed place names an unconfigured node, dropping",
-				"tenant", ev.Tenant, "node", ev.Node)
-			return
-		}
-		rt := &route{node: idx, follower: byAddr(ev.Follower), epoch: ev.Epoch}
-		rt.count.Store(ev.Count)
-		r.routes[ev.Tenant] = rt
-	case "flip", "promote":
-		rt := r.routes[ev.Tenant]
-		idx := byAddr(ev.Node)
-		if rt == nil || idx < 0 {
-			return
-		}
-		rt.node = idx
-		rt.follower = byAddr(ev.Follower)
-		rt.epoch = ev.Epoch
-		rt.count.Store(ev.Count)
-	case "drop":
-		delete(r.routes, ev.Tenant)
-	case "follower":
-		if rt := r.routes[ev.Tenant]; rt != nil {
-			rt.follower = byAddr(ev.Follower)
-		}
-	case "counts":
-		for id, c := range ev.Counts {
-			if rt := r.routes[id]; rt != nil {
-				rt.count.Store(c)
-			}
-		}
+		r.loadRoutes(ev.tenants()...)
 	}
 }
 

@@ -638,7 +638,7 @@ func (e *Engine) NewRequest(tenantID string, point int, demands []int, rec *obs.
 }
 
 // validate checks one request against the tenant's admission rules — the
-// shared precondition of ServeTraced and ServeBatch. Immutable tenant fields
+// shared precondition of ServeTraced and ServeBatchAt. Immutable tenant fields
 // only, so it is safe off the shard goroutine.
 func (t *tenant) validate(r instance.Request) error {
 	if r.Point < 0 || r.Point >= t.space.Len() {
@@ -658,44 +658,10 @@ func (t *tenant) validate(r instance.Request) error {
 // op, amortizing the tenant lookup and the channel hop across the batch —
 // the ingestion hot path of the binary wire protocol and the HTTP batch
 // endpoint. Items are served in order on the tenant's shard, exactly as if
-// each had been passed to Serve individually.
-//
-// Validation is per item, in order: on the first invalid item the valid
-// prefix is still enqueued (arrivals are irrevocable, matching the HTTP
-// batch endpoint's "accepted" semantics) and ServeBatch returns its length
-// alongside the error. onDone, when non-nil, runs on the shard goroutine
-// after the enqueued prefix has been served, receiving the served count and
-// per-item serve durations (populated when wantNs is set, nil otherwise).
-// The count is passed explicitly because completion can race ServeBatch's
-// own return — the callback must not depend on the caller having seen the
-// accepted length. A zero-length enqueue (n == 0, err != nil, or an empty
-// items slice) never calls onDone.
+// each had been passed to Serve individually. It is ServeBatchAt with no
+// stream position.
 func (e *Engine) ServeBatch(tenantID string, items []BatchItem, wantNs bool, onDone func(served int, servedNs []int64)) (int, error) {
-	t, err := e.tenant(tenantID)
-	if err != nil {
-		for i := range items {
-			e.recordReject(items[i].Rec, tenantID, err)
-		}
-		return 0, err
-	}
-	n := len(items)
-	for i := range items {
-		if verr := t.validate(items[i].Req); verr != nil {
-			e.recordReject(items[i].Rec, tenantID, verr)
-			n, err = i, verr
-			break
-		}
-	}
-	if n == 0 {
-		return 0, err
-	}
-	t.shard.ops <- shardOp{tn: t, batch: items[:n], onDone: onDone, wantNs: wantNs}
-	t.admitted.Add(int64(n))
-	for i := 0; i < n; i++ {
-		if rec := items[i].Rec; rec != nil {
-			rec.MarkAdmitted()
-		}
-	}
+	n, _, err := e.ServeBatchAt(tenantID, -1, items, wantNs, onDone)
 	return n, err
 }
 
@@ -713,15 +679,20 @@ func (e *Engine) ServeBatch(tenantID string, items []BatchItem, wantNs bool, onD
 //   - start > admitted: refused with ErrArrivalGap — accepting would skip
 //     arrivals the sender believes were delivered.
 //
-// start < 0 bypasses position checking entirely (identical to ServeBatch).
-// Validation, onDone and trace semantics match ServeBatch; onDone observes
-// only newly enqueued items and is not called when the whole batch is
-// deduplicated.
+// start < 0 bypasses position checking entirely: the batch is enqueued
+// from its first item.
+//
+// Validation is per item, in order: on the first invalid item the valid
+// prefix is still enqueued (arrivals are irrevocable, matching the HTTP
+// batch endpoint's "accepted" semantics) and the accepted count includes
+// it alongside the error. onDone, when non-nil, runs on the shard goroutine
+// after the newly enqueued items have been served, receiving their count
+// and per-item serve durations (populated when wantNs is set, nil
+// otherwise). The count is passed explicitly because completion can race
+// ServeBatchAt's own return — the callback must not depend on the caller
+// having seen the accepted count. An enqueue of no new items (an invalid
+// first item, an empty or wholly deduplicated batch) never calls onDone.
 func (e *Engine) ServeBatchAt(tenantID string, start int64, items []BatchItem, wantNs bool, onDone func(served int, servedNs []int64)) (accepted, deduped int, err error) {
-	if start < 0 {
-		n, err := e.ServeBatch(tenantID, items, wantNs, onDone)
-		return n, 0, err
-	}
 	t, err := e.tenant(tenantID)
 	if err != nil {
 		for i := range items {
@@ -729,17 +700,20 @@ func (e *Engine) ServeBatchAt(tenantID string, start int64, items []BatchItem, w
 		}
 		return 0, 0, err
 	}
-	t.admitMu.Lock()
-	defer t.admitMu.Unlock()
-	at := t.admitted.Load()
-	if start > at {
-		return 0, 0, fmt.Errorf("engine: tenant %q: batch starts at %d, admitted %d: %w", tenantID, start, at, ErrArrivalGap)
+	skip := 0
+	if start >= 0 {
+		t.admitMu.Lock()
+		defer t.admitMu.Unlock()
+		at := t.admitted.Load()
+		if start > at {
+			return 0, 0, fmt.Errorf("engine: tenant %q: batch starts at %d, admitted %d: %w", tenantID, start, at, ErrArrivalGap)
+		}
+		skip = int(at - start)
+		if skip >= len(items) {
+			return len(items), len(items), nil
+		}
+		items = items[skip:]
 	}
-	skip := int(at - start)
-	if skip >= len(items) {
-		return len(items), len(items), nil
-	}
-	items = items[skip:]
 	n := len(items)
 	for i := range items {
 		if verr := t.validate(items[i].Req); verr != nil {

@@ -105,12 +105,13 @@
 //
 // An invalid arrival — a demand id below zero or at or above
 // engine.MaxUniverse, refused at ingress by Engine.NewRequest, or a point
-// or demand outside the tenant's space or universe, refused by the engine
-// — has one outcome on every path: the arrivals ahead of it are served and
-// it ends the stream or batch. The stream's result frame carries the error
-// and a windowed stream acks the refused slot with its code (3,
-// WireAckInvalid); an HTTP batch answers 400 with the accepted count. The
-// engine's error ring records the refusal either way.
+// or demand outside the tenant's space or universe, or no demand at all,
+// refused by the engine — has one outcome on every path: the arrivals
+// ahead of it are served and it ends the stream or batch. The stream's
+// result frame carries the error and a windowed stream acks the refused
+// slot with its code (3, WireAckInvalid), a JSON arrive with empty demands
+// included; an HTTP batch answers 400 with the accepted count. The engine's
+// error ring records the refusal either way.
 //
 // # Checkpoints
 //

@@ -127,11 +127,12 @@ func TestIngressRefusesBadDemandIDs(t *testing.T) {
 }
 
 // TestRefusalsShareOneOutcome: a demand id refused at ingress (negative,
-// or at MaxUniverse) and one only the tenant's universe refuses (in
-// [U, MaxUniverse), refused by the engine) get one outcome. On a windowed
-// stream the arrival ahead is acked OK, the refused one with code 3, and
-// the result frame names the refusal; over HTTP the arrival ahead is
-// served and the batch is a 400. The engine's error ring records each.
+// or at MaxUniverse), one only the tenant's universe refuses (in
+// [U, MaxUniverse), refused by the engine) and a JSON arrive with no
+// demands (refused by the engine) get one outcome. On a windowed stream
+// the arrival ahead is acked OK, the refused one with code 3, and the
+// result frame names the refusal; over HTTP the arrival ahead is served
+// and the batch is a 400. The engine's error ring records each.
 func TestRefusalsShareOneOutcome(t *testing.T) {
 	s := startServer(t, Config{HTTPAddr: "127.0.0.1:0", TCPAddr: "127.0.0.1:0",
 		Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 1, TraceSample: 1 << 20}})
@@ -146,22 +147,35 @@ func TestRefusalsShareOneOutcome(t *testing.T) {
 		}
 		return n
 	}
-	for _, id := range []int{2, -1, engine.MaxUniverse} {
+	cases := []struct {
+		demands []int  // the refused arrival's; none is sent as a JSON arrive
+		want    string // what the refusal names
+	}{
+		{[]int{1, 2}, "2"},
+		{[]int{1, -1}, "-1"},
+		{[]int{1, engine.MaxUniverse}, fmt.Sprint(engine.MaxUniverse)},
+		{nil, "demands nothing"},
+	}
+	for _, tc := range cases {
 		before := rejects()
 		c := dialBin(t, s.TCPAddr())
 		c.window(8, true)
 		c.arrive("t0", 1, []int{0})
-		c.arrive("t0", 0, []int{1, id})
+		if tc.demands == nil {
+			c.jsonOp(engine.Op{Op: "arrive", Tenant: "t0", Point: 0})
+		} else {
+			c.arrive("t0", 0, tc.demands)
+		}
 		res, acks := c.finish()
-		if res.OK || res.Arrivals != 1 || !strings.Contains(res.Error, fmt.Sprint(id)) {
-			t.Errorf("id %d: result %+v, want 1 arrival and the refusal", id, res)
+		if res.OK || res.Arrivals != 1 || !strings.Contains(res.Error, tc.want) {
+			t.Errorf("%s: result %+v, want 1 arrival and the refusal", tc.want, res)
 		}
 		if got := ackCodes(t, acks); string(got) != string([]byte{WireAckOK, WireAckInvalid}) {
-			t.Errorf("id %d: ack codes %v, want [%d %d]", id, got, WireAckOK, WireAckInvalid)
+			t.Errorf("%s: ack codes %v, want [%d %d]", tc.want, got, WireAckOK, WireAckInvalid)
 		}
 
 		body := httpJSON(t, "POST", base+"/v1/tenants/t0/arrive", map[string]interface{}{
-			"arrivals": []Arrival{{Point: 1, Demands: []int{0}}, {Point: 0, Demands: []int{1, id}}},
+			"arrivals": []Arrival{{Point: 1, Demands: []int{0}}, {Point: 0, Demands: tc.demands}},
 		}, http.StatusBadRequest)
 		var out struct {
 			Accepted int    `json:"accepted"`
@@ -170,11 +184,50 @@ func TestRefusalsShareOneOutcome(t *testing.T) {
 		if err := json.Unmarshal(body, &out); err != nil {
 			t.Fatal(err)
 		}
-		if out.Accepted != 1 || !strings.Contains(out.Error, fmt.Sprint(id)) {
-			t.Errorf("id %d: HTTP batch answered %s, want 1 accepted and the refusal", id, body)
+		if out.Accepted != 1 || !strings.Contains(out.Error, tc.want) {
+			t.Errorf("%s: HTTP batch answered %s, want 1 accepted and the refusal", tc.want, body)
 		}
 		if got := rejects() - before; got != 2 {
-			t.Errorf("id %d: error ring gained %d refusals, want 2", id, got)
+			t.Errorf("%s: error ring gained %d refusals, want 2", tc.want, got)
+		}
+	}
+}
+
+// TestTCPMalformedFrameAdmitsRunAhead: valid arrivals and a truncated ARRIVE
+// written in one flush share a pending run. The malformed frame ends the
+// stream, and the arrivals ahead of it are still admitted, counted in the
+// result and, on a windowed stream, acked OK.
+func TestTCPMalformedFrameAdmitsRunAhead(t *testing.T) {
+	const k = 5
+	s := startServer(t, Config{TCPAddr: "127.0.0.1:0", Engine: engine.Config{Algorithm: "pd", Shards: 1, Seed: 1}})
+	if err := s.eng.Apply(engine.Op{Op: "create", Tenant: "t0", Universe: 2,
+		Distances: [][]float64{{0, 1}, {1, 0}}, CostBySize: []float64{0, 1, 1.5}}); err != nil {
+		t.Fatal(err)
+	}
+	for _, window := range []int{0, 8} {
+		before := admitted(t, s)
+		c := dialBin(t, s.TCPAddr())
+		if window > 0 {
+			c.window(window, false)
+		}
+		for i := 0; i < k; i++ {
+			c.arrive("t0", i%2, []int{i % 2})
+		}
+		full := AppendWireArrive(nil, c.ref("t0"), 1, []int{0, 1})
+		c.frame(full[:len(full)-1])
+		res, acks := c.finish()
+		if res.OK || res.Arrivals != k || !strings.Contains(res.Error, ErrWireTruncated.Error()) {
+			t.Errorf("window %d: result %+v, want %d arrivals and a truncated frame", window, res, k)
+		}
+		if got := admitted(t, s) - before; got != k {
+			t.Errorf("window %d: admitted %d arrivals, want %d", window, got, k)
+		}
+		want := ""
+		if window > 0 {
+			want = strings.Repeat(string([]byte{WireAckOK}), k)
+		}
+		if got := ackCodes(t, acks); string(got) != want {
+			t.Errorf("window %d: ack codes %v, want %d OK", window, got, len(want))
 		}
 	}
 }
@@ -257,31 +310,20 @@ func FuzzServeFrame(f *testing.F) {
 	})
 }
 
-// dispatchConn is the reader side of a connection as serveConn builds it,
-// with its feeder running and no socket: acks go nowhere. finish hands the
-// pending run over, joins the feeder and the acker, and returns the
-// stream's first engine failure.
+// dispatchConn is a connection as serveConn builds it, with no socket:
+// acks go nowhere. finish admits the pending run, joins the acker, and
+// returns the engine's refusal of that run, if any.
 func dispatchConn(s *Server) (*tcpConn, func() error) {
 	c := &tcpConn{
-		s:        s,
-		bw:       bufio.NewWriter(io.Discard),
-		opCh:     make(chan connOp, 1),
-		feed:     &tcpFeed{s: s},
-		batchCap: 64,
-		scratch:  make([]int, 0, 64),
+		s:       s,
+		bw:      bufio.NewWriter(io.Discard),
+		scratch: make([]int, 0, 64),
 	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		c.feed.run(c.opCh)
-	}()
 	return c, func() error {
-		c.flush()
-		close(c.opCh)
-		<-done
+		err := c.flush()
 		if c.acker != nil {
 			c.acker.close() //nolint:errcheck // writes go to io.Discard
 		}
-		return c.feed.failure
+		return err
 	}
 }

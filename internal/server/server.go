@@ -50,21 +50,7 @@ type Config struct {
 	// listener — opt-in, since profiling endpoints on a serving port are a
 	// deliberate choice.
 	EnablePprof bool
-	// TCPPipeline is the per-connection depth of the decode→engine handoff
-	// queue: how many coalesced batches may sit between the socket reader
-	// and engine admission before reads block. <= 0 means
-	// DefaultTCPPipeline.
-	TCPPipeline int
-	// TCPBatch caps the arrivals coalesced into one engine batch op on the
-	// TCP path. <= 0 means DefaultTCPBatch.
-	TCPBatch int
 }
-
-// Defaults for the TCP ingestion pipeline knobs.
-const (
-	DefaultTCPPipeline = 32
-	DefaultTCPBatch    = 64
-)
 
 // Server multiplexes HTTP and TCP front ends onto one engine. Create with
 // New (which restores any existing checkpoint), bind with Start, stop with
@@ -124,12 +110,6 @@ func New(cfg Config) (*Server, error) {
 		if cfg.CheckpointEvery <= 0 {
 			cfg.CheckpointEvery = 15 * time.Second
 		}
-	}
-	if cfg.TCPPipeline <= 0 {
-		cfg.TCPPipeline = DefaultTCPPipeline
-	}
-	if cfg.TCPBatch <= 0 {
-		cfg.TCPBatch = DefaultTCPBatch
 	}
 	logger := cfg.Logger
 	if logger == nil {

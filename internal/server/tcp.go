@@ -10,7 +10,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -252,16 +251,9 @@ func (s *Server) acceptLoop(ln net.Listener) {
 	}
 }
 
-// connOp is one unit handed from the connection reader to the feeder
-// goroutine: either a run of same-tenant arrivals (batch != nil) or one
-// generic JSON op (creates and anything else that must keep stream order).
-type connOp struct {
-	tenant   string
-	batch    []engine.BatchItem
-	firstSeq uint64
-	op       *engine.Op
-	rec      *obs.OpRecord
-}
+// tcpBatch caps the arrivals coalesced into one engine batch op on the TCP
+// path.
+const tcpBatch = 64
 
 // ackSpan is one completed engine batch, or one refused arrival, awaiting
 // ack emission with its result code.
@@ -275,7 +267,7 @@ type ackSpan struct {
 // arrive out of order across shards; the acker holds them keyed by first
 // sequence number and emits one ACK per contiguous run from the frontier.
 // The span map stays small regardless of the client's window: in-flight
-// batches are bounded by the pipeline depth plus the engine mailboxes.
+// batches are bounded by the engine mailboxes.
 type tcpAcker struct {
 	bw     *bufio.Writer
 	wantNs bool
@@ -396,91 +388,57 @@ func (a *tcpAcker) emit(payload, codes *[]byte) {
 	}
 }
 
-// tcpFeed drains the reader's op queue into the engine, preserving stream
-// order. It owns admission: the socket reader never blocks on engine
-// mailboxes, only on the bounded queue.
-type tcpFeed struct {
-	s      *Server
-	acker  *tcpAcker
-	wantNs bool
-
-	arrivals int   // accepted arrivals (feeder goroutine; read after join)
-	failure  error // first engine error (feeder goroutine; read after join)
-	failed   atomic.Bool
-}
-
-func (f *tcpFeed) run(opCh chan connOp) {
-	for co := range opCh {
-		if f.failure != nil {
-			continue // failure latched: drain without applying
-		}
-		if co.op != nil {
-			if err := f.s.eng.ApplyTraced(*co.op, co.rec); err != nil {
-				f.fail(err)
-			} else if co.op.Op == "arrive" {
-				f.arrivals++
-			}
-			continue
-		}
-		var onDone func(int, []int64)
-		if f.acker != nil {
-			first := co.firstSeq
-			f.acker.wg.Add(1)
-			onDone = func(served int, ns []int64) { f.acker.complete(first, served, ns) }
-		}
-		acc, err := f.s.eng.ServeBatch(co.tenant, co.batch, f.wantNs, onDone)
-		if f.acker != nil && acc == 0 {
-			f.acker.wg.Done() // nothing enqueued: onDone will never fire
-		}
-		f.arrivals += acc
-		if err != nil {
-			if f.acker != nil {
-				f.acker.refuse(co.firstSeq+uint64(acc), err)
-			}
-			f.fail(err)
-		}
-	}
-}
-
-func (f *tcpFeed) fail(err error) {
-	f.failure = err
-	f.failed.Store(true)
-}
-
-// tcpConn is the per-connection pipeline state on the reader side.
+// tcpConn is one connection's state. Its reader goroutine decodes frames,
+// coalesces same-tenant arrivals and admits them itself; once the client
+// sends WINDOW, the acker goroutine is the only other one.
 type tcpConn struct {
-	s        *Server
-	br       *bufio.Reader
-	bw       *bufio.Writer
-	opCh     chan connOp
-	feed     *tcpFeed
-	acker    *tcpAcker
-	batchCap int
+	s     *Server
+	br    *bufio.Reader
+	bw    *bufio.Writer
+	acker *tcpAcker // nil until a WINDOW frame arrives
 
-	refs   map[uint64]string // binary tenant refs, declared by BIND frames
-	seq    uint64            // next arrival sequence number (all wire formats)
-	window int               // 0 until a WINDOW frame arrives
+	refs map[uint64]string // binary tenant refs, declared by BIND frames
+	seq  uint64            // next arrival sequence number (all wire formats)
 
-	// pending is the open run of same-tenant arrivals not yet handed to
-	// the feeder. Flushed when the tenant changes, the run hits batchCap,
-	// a non-arrive op needs ordering, or the read buffer drains (no more
-	// pipelined frames to coalesce with).
+	// pending is the open run of same-tenant arrivals not yet admitted,
+	// the ones numbered seq-len(pending) to seq-1. Flushed when the tenant
+	// changes, the run hits tcpBatch, a create needs ordering, or the read
+	// buffer drains (no more pipelined frames to coalesce with).
 	pending       []engine.BatchItem
 	pendingTenant string
-	pendingFirst  uint64
 
-	scratch []int // demand-id decode scratch
+	arrivals int   // arrivals admitted
+	scratch  []int // demand-id decode scratch
 }
 
-// flush hands the pending arrival run to the feeder. The slice is never
-// touched again by the reader (appending stops strictly below cap), so
-// ownership transfers cleanly.
-func (c *tcpConn) flush() {
+// flush admits the pending arrival run as one engine batch and files its
+// acks. The engine keeps the slice until the batch is served, so the next
+// run starts a fresh one. A refusal inside the run is acked and returned:
+// it ends the stream.
+func (c *tcpConn) flush() error {
 	if len(c.pending) == 0 {
-		return
+		return nil
 	}
-	c.opCh <- connOp{tenant: c.pendingTenant, batch: c.pending, firstSeq: c.pendingFirst}
+	batch, first := c.pending, c.seq-uint64(len(c.pending))
 	c.pending = nil
+	var onDone func(int, []int64)
+	wantNs := false
+	if a := c.acker; a != nil {
+		a.wg.Add(1)
+		onDone = func(served int, ns []int64) { a.complete(first, served, ns) }
+		wantNs = a.wantNs
+	}
+	acc, err := c.s.eng.ServeBatch(c.pendingTenant, batch, wantNs, onDone)
+	c.arrivals += acc
+	if c.acker != nil {
+		if acc == 0 {
+			c.acker.wg.Done() // nothing enqueued: onDone will never fire
+		}
+		if err != nil {
+			c.acker.refuse(first+uint64(acc), err)
+		}
+	}
+	return err
 }
 
 // addArrival coalesces one decoded arrival into the pending run. An
@@ -494,13 +452,14 @@ func (c *tcpConn) addArrival(tenant string, point int, demands []int, rec *obs.O
 		}
 		return err
 	}
-	if len(c.pending) > 0 && (c.pendingTenant != tenant || len(c.pending) >= c.batchCap) {
-		c.flush()
+	if len(c.pending) > 0 && (c.pendingTenant != tenant || len(c.pending) >= tcpBatch) {
+		if err := c.flush(); err != nil {
+			return err
+		}
 	}
 	if len(c.pending) == 0 {
-		c.pending = make([]engine.BatchItem, 0, c.batchCap)
+		c.pending = make([]engine.BatchItem, 0, tcpBatch)
 		c.pendingTenant = tenant
-		c.pendingFirst = c.seq
 	}
 	c.pending = append(c.pending, engine.BatchItem{Req: req, Rec: rec})
 	c.seq++
@@ -573,20 +532,14 @@ func (c *tcpConn) handleBinary(frame []byte, rec *obs.OpRecord) error {
 		}
 		return nil
 	case WireWindow:
-		window, wantNs, err := DecodeWireWindow(body)
+		_, wantNs, err := DecodeWireWindow(body)
 		if err != nil {
 			return err
 		}
-		if c.seq != 0 || len(c.pending) != 0 || c.acker != nil {
+		if c.seq != 0 || c.acker != nil {
 			return fmt.Errorf("server: window after first arrival: %w", ErrWireWindow)
 		}
-		c.window = window
 		c.acker = newTCPAcker(c.bw, wantNs)
-		// Safe publication: no batch has entered opCh yet (WINDOW precedes
-		// the first arrival), and the channel send that carries the first
-		// batch orders these writes before the feeder reads them.
-		c.feed.acker = c.acker
-		c.feed.wantNs = wantNs
 		return nil
 	case WireAck:
 		return fmt.Errorf("server: ack frame from client: %w", ErrWireOp)
@@ -595,7 +548,7 @@ func (c *tcpConn) handleBinary(frame []byte, rec *obs.OpRecord) error {
 }
 
 // handleJSON dispatches one JSON frame: the canonical arrive fast path, the
-// general-decoder arrive, or a generic op through the ordered queue.
+// general-decoder arrive, or a generic op applied in stream order.
 func (c *tcpConn) handleJSON(frame []byte, rec *obs.OpRecord) error {
 	// Hot path: canonical arrive frames (the exact byte shape json.Marshal
 	// gives an arrive op) skip encoding/json entirely.
@@ -615,25 +568,26 @@ func (c *tcpConn) handleJSON(frame []byte, rec *obs.OpRecord) error {
 		rec.Tenant = op.Tenant
 		rec.MarkDecoded(1)
 	}
-	// Arrives join the batch path so windowed streams ack them like any
-	// other arrival; the empty-demands case stays on the generic path for
-	// ApplyTraced's error message (it can never be served).
-	if op.Op == "arrive" && len(op.Demands) > 0 {
+	// Every arrive joins the batch path, so a windowed stream acks it, or
+	// its refusal, like any other arrival.
+	if op.Op == "arrive" {
 		return c.addArrival(op.Tenant, op.Point, op.Demands, rec)
 	}
-	c.flush() // generic ops (creates) must keep stream order
-	c.opCh <- connOp{op: &op, rec: rec}
-	return nil
+	// A generic op (a create) follows the arrivals ahead of it.
+	if err := c.flush(); err != nil {
+		return err
+	}
+	return c.s.eng.ApplyTraced(op, rec)
 }
 
-// serveConn drains one framed op stream into the engine through a
-// read→decode→shard-handoff pipeline: the reader goroutine (this one)
-// decodes frames and coalesces consecutive same-tenant arrivals, the feeder
-// goroutine blocks on engine admission, and — when the client negotiated
-// windowed acks — the acker goroutine streams coalesced ACK frames back.
-// Socket reads therefore never block on engine mailbox admission. Per-tenant
-// arrival order is preserved within a connection; clients that split one
-// tenant across connections order their own arrivals.
+// serveConn drains one framed op stream into the engine. This goroutine
+// is the connection's reader: it decodes frames, coalesces consecutive
+// same-tenant arrivals and admits each run itself, so it blocks while a
+// shard mailbox is full. When the client negotiated windowed acks, the
+// acker goroutine streams coalesced ACK frames back; it is the only other
+// goroutine. Per-tenant arrival order is preserved within a connection;
+// clients that split one tenant across connections order their own
+// arrivals.
 //
 // Tracing: a frame carrying a wire trace id (a router upstream) is always
 // traced under that id; otherwise the engine's tracer samples locally. The
@@ -642,28 +596,19 @@ func (c *tcpConn) handleJSON(frame []byte, rec *obs.OpRecord) error {
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	c := &tcpConn{
-		s:        s,
-		br:       bufio.NewReaderSize(conn, 1<<16),
-		bw:       bufio.NewWriterSize(conn, 1<<16),
-		opCh:     make(chan connOp, s.cfg.TCPPipeline),
-		feed:     &tcpFeed{s: s},
-		batchCap: s.cfg.TCPBatch,
-		scratch:  make([]int, 0, 64),
+		s:       s,
+		br:      bufio.NewReaderSize(conn, 1<<16),
+		bw:      bufio.NewWriterSize(conn, 1<<16),
+		scratch: make([]int, 0, 64),
 	}
-	feederDone := make(chan struct{})
-	go func() {
-		defer close(feederDone)
-		c.feed.run(c.opCh)
-	}()
-
 	buf := make([]byte, 0, 4096)
 	tracer := s.eng.Tracer()
-	var readerErr error
-	for !c.feed.failed.Load() {
+	var failure error
+	for failure == nil {
 		frame, wireID, err := ReadFrameTrace(c.br, buf)
 		if err != nil {
 			if !errors.Is(err, io.EOF) {
-				readerErr = err
+				failure = err
 			}
 			break
 		}
@@ -677,36 +622,30 @@ func (s *Server) serveConn(conn net.Conn) {
 				rec = obs.NewOpRecord(id, "") // decode starts now; tenant known after parse
 			}
 			if IsBinaryFrame(frame) {
-				readerErr = c.handleBinary(frame, rec)
+				failure = c.handleBinary(frame, rec)
 			} else {
-				readerErr = c.handleJSON(frame, rec)
-			}
-			if readerErr != nil {
-				break
+				failure = c.handleJSON(frame, rec)
 			}
 			buf = frame[:0]
 		}
-		// Read buffer drained: no more frames to coalesce with, so hand
-		// the run over before the next read blocks.
-		if c.br.Buffered() == 0 {
-			c.flush()
+		// Read buffer drained: no more frames to coalesce with, so admit
+		// the run before the next read blocks.
+		if failure == nil && c.br.Buffered() == 0 {
+			failure = c.flush()
 		}
 	}
-	c.flush()
-	close(c.opCh)
-	<-feederDone
+	// The run ahead of a malformed or refused frame is still admitted; a
+	// refusal inside it comes first in stream order.
+	if err := c.flush(); err != nil {
+		failure = err
+	}
 
 	var ackErr error
 	if c.acker != nil {
 		ackErr = c.acker.close() // drains: the result frame implies all acked
 	}
 
-	failure := c.feed.failure
-	if failure == nil {
-		failure = readerErr
-	}
-	arrivals := c.feed.arrivals
-	res := TCPResult{OK: failure == nil, Arrivals: arrivals}
+	res := TCPResult{OK: failure == nil, Arrivals: c.arrivals}
 	if failure != nil {
 		res.Error = failure.Error()
 		res.Code = ErrorCode(failure)
@@ -716,7 +655,7 @@ func (s *Server) serveConn(conn net.Conn) {
 		// roll over before anyone curls /v1/debug/flight.
 		if res.Code != "" {
 			s.logger.Error("tcp stream failed",
-				"code", res.Code, "err", res.Error, "arrivals", arrivals,
+				"code", res.Code, "err", res.Error, "arrivals", c.arrivals,
 				"remote", conn.RemoteAddr().String(),
 				"flight", s.eng.FlightDump("", 8))
 		}
