@@ -13,6 +13,7 @@ import (
 	"runtime"
 	"slices"
 	"testing"
+	"time"
 
 	"repro/internal/commodity"
 	"repro/internal/core"
@@ -155,7 +156,10 @@ func BenchmarkPDUniverseScaling(b *testing.B) {
 // uniform in the unit square, an explicit distance matrix, f(k) = 1.5·k^0.6,
 // 1–4 Zipf-popular commodities per arrival), so `go test -bench` reproduces
 // that workload's core ledger row without the serving stack. It reports
-// ns/arrival and allocs/arrival.
+// ns/arrival, allocs/arrival and heap_B/arrival, the live heap the served
+// instance holds after a collection. The sealed variant also marshals the
+// state every 4,096 arrivals, as the engine seals a tenant by default, and
+// reports the marshals' share as seal_ns/arrival.
 func BenchmarkPDDeepHistory(b *testing.B) {
 	const u, points, arrivals = 32, 200, 65536
 	rng := rand.New(rand.NewSource(1))
@@ -190,20 +194,47 @@ func BenchmarkPDDeepHistory(b *testing.B) {
 		}
 		reqs[i] = instance.Request{Point: rng.Intn(points), Demands: commodity.New(ids...)}
 	}
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		pd := core.NewPDOMFLP(space, costs, core.Options{})
-		for _, r := range reqs {
-			pd.Serve(r)
-		}
+	for _, v := range []struct {
+		name      string
+		sealEvery int
+	}{{"serve", 0}, {"sealed", 4096}} {
+		b.Run(v.name, func(b *testing.B) {
+			var pd *core.PDOMFLP
+			var sealNs int64
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				pd = core.NewPDOMFLP(space, costs, core.Options{})
+				for j, r := range reqs {
+					pd.Serve(r)
+					if v.sealEvery > 0 && (j+1)%v.sealEvery == 0 {
+						start := time.Now()
+						if _, err := pd.MarshalState(); err != nil {
+							b.Fatal(err)
+						}
+						sealNs += time.Since(start).Nanoseconds()
+					}
+				}
+			}
+			b.StopTimer()
+			runtime.ReadMemStats(&after)
+			served := float64(b.N) * arrivals
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/served, "ns/arrival")
+			b.ReportMetric(float64(after.Mallocs-before.Mallocs)/served, "allocs/arrival")
+			if v.sealEvery > 0 {
+				b.ReportMetric(float64(sealNs)/served, "seal_ns/arrival")
+			}
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			held := after.HeapAlloc
+			runtime.KeepAlive(pd)
+			pd = nil
+			runtime.GC()
+			runtime.ReadMemStats(&after)
+			b.ReportMetric(float64(held-after.HeapAlloc)/arrivals, "heap_B/arrival")
+		})
 	}
-	b.StopTimer()
-	runtime.ReadMemStats(&after)
-	served := float64(b.N) * arrivals
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/served, "ns/arrival")
-	b.ReportMetric(float64(after.Mallocs-before.Mallocs)/served, "allocs/arrival")
 }
 
 // BenchmarkRandOnlineThroughput: RAND-OMFLP across n.

@@ -73,7 +73,13 @@
 // RAND, the algorithms the engine serves, encode their state in one
 // compact binary layout (varints and raw float64 bits); base states in the
 // JSON layout that preceded it are refused with an error naming their
-// schema. BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
+// schema. PD keeps each served arrival as its record in that layout (point,
+// demanded commodities with their frozen duals, facilities opened, links,
+// large credit) in one byte buffer, and rewrites a record's credit slot in
+// place when a new large facility lowers it, so a seal copies the record
+// section instead of encoding it, and a restore keeps the section it
+// checked. Duals, ServeLog and CheckScaledDuals decode the records on each
+// call. BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
 // records capture/restore time and raw + on-disk bytes for v1 and v2 at
 // 1e3 and 1e5 arrivals, and gates on v2's replay work staying flat.
 //
@@ -208,8 +214,8 @@
 // an already-open large facility (provably a no-op: credits are
 // invariantly bounded by their distance to every already-open facility).
 // Per-arrival working memory lives in reusable scratch buffers, so the hot
-// path allocates only what it retains (the frozen dual row and the
-// assignment links). The differential oracle is internal/core/pdref, a
+// path allocates only the assignment links it retains; the frozen duals go
+// straight into the arrival's record. The differential oracle is internal/core/pdref, a
 // plain transcription of Algorithm 1 that rescans every candidate on every
 // event and that no serving package imports: its running mode keeps the
 // bid rows as running sums and must match the event-driven loop bit for

@@ -53,17 +53,18 @@ func (pd *PDOMFLP) CheckScaledDuals(gamma float64, maxExhaustive, trials int, rn
 		}
 	}
 
+	demandIDs, duals, points := pd.Duals()
 	for ci, m := range pd.ct.cands {
 		for _, sigma := range configs {
 			var lhs float64
-			for ri, ids := range pd.demandIDs {
+			for ri, ids := range demandIDs {
 				var scaled float64
 				for i, e := range ids {
 					if sigma.Contains(e) {
-						scaled += gamma * pd.duals[ri][i]
+						scaled += gamma * duals[ri][i]
 					}
 				}
-				if v := scaled - pd.space.Distance(m, pd.points[ri]); v > 0 {
+				if v := scaled - pd.space.Distance(m, points[ri]); v > 0 {
 					lhs += v
 				}
 			}

@@ -17,8 +17,11 @@
 //     rows (bidSmall, bidLarge) must agree with a from-scratch recomputation
 //     over the full credit history (naiveBidsOver) to within accumulation
 //     tolerance.
+//  3. Record consistency: the encoded arrival records (recs) agree with
+//     the large-credit ledger and the assignment rows they duplicate, so a
+//     seal that copies them writes the state the instance serves from.
 //
-// Both checks rescan the credit history, so arrivals past the first
+// All three checks rescan the history, so arrivals past the first
 // invariantsFullWindow are checked on a stride — dense coverage early (where
 // differential tests live), bounded overhead on long workloads.
 package core
@@ -26,6 +29,7 @@ package core
 import (
 	"fmt"
 	"math"
+	"slices"
 )
 
 // invariantsEnabled gates the runtime assertion layer; see invariants_off.go
@@ -46,12 +50,36 @@ const (
 const invariantsEps = 1e-6
 
 func (pd *PDOMFLP) assertInvariants() {
-	n := len(pd.points)
+	n := len(pd.recEnd)
 	if n > invariantsFullWindow && n%invariantsStride != 0 {
 		return
 	}
 	pd.assertCreditInvariant()
 	pd.assertBidConsistency()
+	pd.assertRecords()
+}
+
+// assertRecords checks property 3: each arrival's record holds the point
+// and large credit of its credit ledger entry, bit for bit, and the links
+// of its assignment row, and the records' totals match the header counts.
+func (pd *PDOMFLP) assertRecords() {
+	demanded, linked := 0, 0
+	eachRecord(pd.recs, func(i int, rec *pdRecord) {
+		cr := pd.creditLarge[i]
+		if rec.point != cr.point || math.Float64bits(rec.large) != math.Float64bits(cr.credit) {
+			panic(fmt.Sprintf("core: invariant violation: record %d holds point %d and large credit %g, ledger %d and %g",
+				i, rec.point, rec.large, cr.point, cr.credit))
+		}
+		if !slices.Equal(rec.links, pd.fx.sol.Assign[i]) {
+			panic(fmt.Sprintf("core: invariant violation: record %d links %v, assignment %v", i, rec.links, pd.fx.sol.Assign[i]))
+		}
+		demanded += len(rec.ids)
+		linked += len(rec.links)
+	})
+	if demanded != pd.demanded || linked != pd.linked {
+		panic(fmt.Sprintf("core: invariant violation: records carry %d demands and %d links, counted %d and %d",
+			demanded, linked, pd.demanded, pd.linked))
+	}
 }
 
 // assertCreditInvariant checks property 1. Distances are recomputed by a

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 
+	"repro/internal/commodity"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
@@ -46,10 +48,18 @@ type PDOMFLP struct {
 	fx    *facilityIndex
 	ct    *costTable
 
-	// Frozen duals: duals[r][i] aligns with demandIDs[r][i].
-	duals     [][]float64
-	demandIDs [][]int
-	points    []int
+	// recs holds every served arrival's state record back to back, in the
+	// layout MarshalState writes for its arrival section (see there):
+	// point, demanded commodities with their frozen duals, facilities
+	// opened, assignment links and the large credit. recEnd[i] is the end
+	// offset of arrival i's record. A record never changes after its
+	// arrival except for its last 8 bytes, which refreshLargeAt rewrites
+	// whenever it lowers that arrival's large credit, so a seal copies the
+	// section as it stands. demanded and linked total the records'
+	// commodity and link counts for the state header.
+	recs             []byte
+	recEnd           []int
+	demanded, linked int
 
 	// creditSmall[e] holds, per earlier request demanding e, the bid cap
 	// min{a_je, d(F(e), j)} kept current as facilities open.
@@ -78,8 +88,8 @@ type PDOMFLP struct {
 	zeroBids []float64 //omflp:nostate — shared all-zero constant, never mutated
 	// scratch holds the per-arrival working buffers of the event-driven
 	// serve path, reused across arrivals so the hot path allocates only
-	// what it retains (the dual row and the assignment links). Pure
-	// scratch: excluded from MarshalState, never read across arrivals.
+	// what it retains (the assignment links). Pure scratch: excluded from
+	// MarshalState, never read across arrivals.
 	scratch pdScratch //omflp:nostate — per-arrival scratch, never read across arrivals
 	// boundSmall[e] and boundLarge bound the threshold terms of the bid rows
 	// (bidSmall[e], or zeroBids while e has no credits, and bidLarge) so
@@ -90,8 +100,6 @@ type PDOMFLP struct {
 	boundLarge pdBound
 	// distHistory backs the Lemma 14 analysis extraction (TraceAnalysis).
 	distHistory map[int][]analysisRecord //omflp:nostate — diagnostic only; MarshalState refuses TraceAnalysis instances
-	// facBoundary[i] = number of facilities after arrival i (for ServeLog).
-	facBoundary []int
 	// dualSum is DualTotal's running Σ a_re, added row by row in arrival
 	// order by Serve and recomputed the same way on
 	// UnmarshalState, so it is bit-identical to summing the rows afresh.
@@ -106,8 +114,9 @@ type pdCredit struct {
 // pdScratch is the reusable per-arrival working set of the event-driven
 // serve path; see PDOMFLP.scratch.
 type pdScratch struct {
+	ids    []int     // the demanded commodities, ascending
 	dFe    []float64 // d(F(e_i), r) per demanded commodity
-	a      []float64 // duals being raised (copied out once frozen)
+	a      []float64 // duals being raised (written to the record once frozen)
 	t3     []float64 // T3[i]: min Constraint (3) threshold per commodity
 	m3     []float64 // magnitude bound for t3's rounding-safety margin
 	frozen []bool
@@ -119,10 +128,13 @@ type pdScratch struct {
 	col    []float64 // distances from a newly opened facility to every point
 }
 
-// reset readies the scratch for an arrival with k demanded commodities. The
-// fixed-size rows are grown as needed and zeroed; append-driven buffers are
-// truncated in place, keeping their capacity.
-func (s *pdScratch) reset(k int) {
+// reset readies the scratch for an arrival demanding the commodities d:
+// ids lists them, the fixed-size rows are grown as needed and zeroed, and
+// append-driven buffers are truncated in place, keeping their capacity.
+func (s *pdScratch) reset(d commodity.Set) {
+	s.ids = s.ids[:0]
+	d.ForEach(func(e int) { s.ids = append(s.ids, e) })
+	k := len(s.ids)
 	if cap(s.dFe) < k {
 		s.dFe = make([]float64, k)
 		s.a = make([]float64, k)
@@ -245,17 +257,17 @@ const pdMarginEps = 1e-12
 // the plain transcription that rescans every candidate on every event.
 func (pd *PDOMFLP) Serve(r instance.Request) {
 	p := r.Point
-	ids := r.Demands.IDs()
+	s := &pd.scratch
+	s.reset(r.Demands)
+	ids := s.ids
 	k := len(ids)
 	cands := pd.ct.cands
+	facsBefore := len(pd.fx.sol.Facilities)
 
 	var analysisSnaps map[int][]float64
 	if pd.opts.TraceAnalysis {
 		analysisSnaps = pd.snapshotAnalysis(ids)
 	}
-
-	s := &pd.scratch
-	s.reset(k)
 
 	// Static per-arrival quantities: distances to nearest facilities and
 	// the earlier requests' bid sums toward each candidate point. No real
@@ -435,14 +447,9 @@ func (pd *PDOMFLP) Serve(r instance.Request) {
 		}
 	}
 
-	// Materialize the outcome. Only the retained rows allocate: the frozen
-	// dual row and the assignment links.
-	pd.points = append(pd.points, p)
-	pd.demandIDs = append(pd.demandIDs, ids)
-	aRow := make([]float64, k)
-	copy(aRow, a)
-	pd.duals = append(pd.duals, aRow)
-	for _, v := range aRow {
+	// Materialize the outcome. Only the assignment links allocate; the
+	// frozen duals go into the arrival's record.
+	for _, v := range a {
 		pd.dualSum += v
 	}
 
@@ -500,11 +507,10 @@ func (pd *PDOMFLP) Serve(r instance.Request) {
 		s.opened, s.links = opened[:0], linkBuf[:0]
 	}
 	pd.fx.sol.Assign = append(pd.fx.sol.Assign, links)
-	pd.facBoundary = append(pd.facBoundary, len(pd.fx.sol.Facilities))
 	s.temps = temps[:0]
 
 	if pd.opts.TraceAnalysis {
-		pd.recordAnalysis(ids, aRow, p, analysisSnaps)
+		pd.recordAnalysis(ids, a, p, analysisSnaps)
 	}
 
 	// Record this request's own credits against the updated facility sets.
@@ -513,9 +519,82 @@ func (pd *PDOMFLP) Serve(r instance.Request) {
 		pd.addCreditSmall(e, p, math.Min(a[i], d))
 	}
 	_, dHat := pd.fx.nearestLarge(p)
-	pd.addCreditLarge(p, math.Min(sumA, dHat))
+	large := math.Min(sumA, dHat)
+	pd.addCreditLarge(p, large)
+	pd.appendRecord(p, ids, a, len(pd.fx.sol.Facilities)-facsBefore, links, large)
 	if invariantsEnabled {
 		pd.assertInvariants()
+	}
+}
+
+// appendRecord appends an arrival's state record to recs; see PDOMFLP.recs.
+// The bytes are exactly what codec.Writer's Uint and Float write.
+func (pd *PDOMFLP) appendRecord(p int, ids []int, duals []float64, opened int, links []int, large float64) {
+	b := binary.AppendUvarint(pd.recs, uint64(p))
+	b = binary.AppendUvarint(b, uint64(len(ids)))
+	for i, e := range ids {
+		b = binary.AppendUvarint(b, uint64(e))
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(duals[i]))
+	}
+	b = binary.AppendUvarint(b, uint64(opened))
+	b = binary.AppendUvarint(b, uint64(len(links)))
+	for _, f := range links {
+		b = binary.AppendUvarint(b, uint64(f))
+	}
+	pd.recs = binary.LittleEndian.AppendUint64(b, math.Float64bits(large))
+	pd.recEnd = append(pd.recEnd, len(pd.recs))
+	pd.demanded += len(ids)
+	pd.linked += len(links)
+}
+
+// pdRecord is one served arrival decoded from its state record.
+type pdRecord struct {
+	point  int
+	ids    []int     // demanded commodities, ascending
+	duals  []float64 // aligned with ids
+	opened int       // facilities the arrival opened
+	links  []int
+	large  float64 // the large credit, as lowered so far
+}
+
+// decode reads the record at the start of b into rec, reusing its slices,
+// and returns the bytes after it. b must come from a record section Serve
+// wrote or UnmarshalState validated: decode checks nothing.
+func (rec *pdRecord) decode(b []byte) []byte {
+	next := func() int {
+		v, n := binary.Uvarint(b)
+		b = b[n:]
+		return int(v)
+	}
+	float := func() float64 {
+		f := math.Float64frombits(binary.LittleEndian.Uint64(b))
+		b = b[8:]
+		return f
+	}
+	rec.point = next()
+	k := next()
+	rec.ids, rec.duals = rec.ids[:0], rec.duals[:0]
+	for j := 0; j < k; j++ {
+		rec.ids = append(rec.ids, next())
+		rec.duals = append(rec.duals, float())
+	}
+	rec.opened = next()
+	rec.links = rec.links[:0]
+	for m := next(); m > 0; m-- {
+		rec.links = append(rec.links, next())
+	}
+	rec.large = float()
+	return b
+}
+
+// eachRecord decodes a record section in arrival order and calls fn with
+// each arrival's index and record; rec's slices are reused from call to
+// call, so fn copies what it keeps.
+func eachRecord(recs []byte, fn func(i int, rec *pdRecord)) {
+	var rec pdRecord
+	for i := 0; len(recs) > 0; i++ {
+		recs = rec.decode(recs)
+		fn(i, &rec)
 	}
 }
 
@@ -665,6 +744,8 @@ func (pd *PDOMFLP) refreshLargeAt(col []float64) {
 		}
 		pd.lowerBid(pd.bidLarge, pd.creditLarge[j].point, pd.creditLarge[j].credit, d)
 		pd.creditLarge[j].credit = d
+		// Credit j is arrival j's: its record ends with it.
+		binary.LittleEndian.PutUint64(pd.recs[pd.recEnd[j]-8:], math.Float64bits(d))
 		lowered = true
 	}
 	if lowered {
@@ -680,8 +761,20 @@ func (pd *PDOMFLP) refreshLargeAt(col []float64) {
 // (Corollary 17). O(1): Serve keeps the sum running.
 func (pd *PDOMFLP) DualTotal() float64 { return pd.dualSum }
 
-// Duals exposes the frozen dual variables: per served request, the demanded
-// commodity IDs and the aligned dual values. Callers must not mutate.
+// Duals returns the frozen dual variables: per served request, the demanded
+// commodity IDs, the aligned dual values and the request's point. They are
+// decoded copies of the arrivals' records, so each call costs O(history).
 func (pd *PDOMFLP) Duals() (demandIDs [][]int, duals [][]float64, points []int) {
-	return pd.demandIDs, pd.duals, pd.points
+	n := len(pd.recEnd)
+	demandIDs, duals, points = make([][]int, n), make([][]float64, n), make([]int, n)
+	idFlat, dualFlat := make([]int, 0, pd.demanded), make([]float64, 0, pd.demanded)
+	eachRecord(pd.recs, func(i int, rec *pdRecord) {
+		d := len(idFlat)
+		idFlat = append(idFlat, rec.ids...)
+		dualFlat = append(dualFlat, rec.duals...)
+		demandIDs[i] = idFlat[d:len(idFlat):len(idFlat)]
+		duals[i] = dualFlat[d:len(dualFlat):len(dualFlat)]
+		points[i] = rec.point
+	})
+	return demandIDs, duals, points
 }

@@ -83,7 +83,7 @@ func compareStates(t *testing.T, seed int64, step int, inc *PDOMFLP, ref *pdref.
 			return
 		}
 	}
-	for i, d := range inc.duals[step] {
+	for i, d := range recordAt(inc, step).duals {
 		if want := ref.Duals()[step][i]; math.Abs(d-want) > 1e-9*(1+want) {
 			t.Errorf("seed %d step %d: dual[%d] = %g vs reference %g",
 				seed, step, i, d, want)

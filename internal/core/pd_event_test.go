@@ -72,7 +72,7 @@ func comparePDExact(t *testing.T, label string, step int, ev *PDOMFLP, ref *pdre
 	if d := exactDiff(evSol.Assign[step], refSol.Assign[step]); d != "" {
 		t.Fatalf("%s step %d: links%s", label, step, d)
 	}
-	if d := exactDiff(ev.duals[step], ref.Duals()[step]); d != "" {
+	if d := exactDiff(recordAt(ev, step).duals, ref.Duals()[step]); d != "" {
 		t.Fatalf("%s step %d: duals%s (must be bit-identical)", label, step, d)
 	}
 	for e := range ev.creditSmall {
@@ -272,26 +272,24 @@ func TestPDEventRestoredInstanceServesIdentically(t *testing.T) {
 	}
 }
 
-// TestPDEventDualsFinite guards the scratch reuse: duals rows appended to
-// the history must be copies, not aliases of the reusable scratch buffer.
+// TestPDEventDualsFinite guards the scratch reuse: an arrival's record must
+// hold its own duals, which later arrivals (reusing the scratch they were
+// raised in) leave as they were.
 func TestPDEventDualsFinite(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	u := 4
 	space := metric.RandomEuclidean(rng, 12, 2, 50)
 	costs := cost.PowerLaw(u, 1, 2)
 	pd := NewPDOMFLP(space, costs, Options{})
-	var rows [][]float64
 	var want [][]float64
 	for i := 0; i < 50; i++ {
 		pd.Serve(instance.Request{
 			Point:   rng.Intn(space.Len()),
 			Demands: commodity.RandomSubset(rng, u, 1+rng.Intn(u)),
 		})
-		_, duals, _ := pd.Duals()
-		row := duals[len(duals)-1]
-		rows = append(rows, row)
-		want = append(want, append([]float64(nil), row...))
+		want = append(want, recordAt(pd, i).duals)
 	}
+	_, rows, _ := pd.Duals()
 	for i := range rows {
 		for j := range rows[i] {
 			if rows[i][j] != want[i][j] || math.IsNaN(rows[i][j]) {

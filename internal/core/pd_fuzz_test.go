@@ -100,7 +100,9 @@ func pdFuzzSeed(rng *rand.Rand, reqs int, pos []byte, u, costs, flags byte, cand
 // after every arrival: facilities, links, duals, credits, bid rows and
 // DualTotal (comparePDExact). Before the arrival the input picks, the
 // event-driven instance goes through MarshalState and UnmarshalState into
-// a fresh instance, which must keep matching to the end.
+// a fresh instance, which must keep matching to the end. After every
+// arrival, on both sides of that cut, MarshalState must equal the
+// field-by-field encoder (pdOracle) fed pdref's duals.
 //
 // The seeds carry the spaces of pd_event_test.go: the tol-edges line, the
 // zero-distance space (every point at 0) and the colocated points, the
@@ -120,6 +122,7 @@ func FuzzPDMatchesReference(f *testing.F) {
 		c := decodePDFuzz(data)
 		ev := NewPDOMFLP(c.space, c.costs, c.opts)
 		ref := newRef(c.space, c.costs, c.opts, pdref.Running)
+		var oracle pdOracle
 		for i, r := range c.reqs {
 			if i == c.cut {
 				blob, err := ev.MarshalState()
@@ -134,6 +137,8 @@ func FuzzPDMatchesReference(f *testing.F) {
 			ev.Serve(r)
 			ref.Serve(r)
 			comparePDExact(t, "fuzz", i, ev, ref)
+			oracle.served(ev, r, ref.Duals()[i])
+			oracle.check(t, "fuzz", ev)
 		}
 	})
 }

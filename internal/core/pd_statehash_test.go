@@ -148,3 +148,32 @@ func TestPDStateHashPinnedManyTenants(t *testing.T) {
 		t.Errorf("state digest %s, want %s", got, want)
 	}
 }
+
+// TestPDServeAllocationBudget: over a 20,000-arrival stream in the serving
+// benchmark's `deep` shape, Serve allocates at most 1.2 times per arrival on
+// average. Per arrival only the assignment row is new; the demand ids go
+// through scratch and the duals straight into the arrival's record, whose
+// buffer, like the credit ledgers, grows by doubling.
+func TestPDServeAllocationBudget(t *testing.T) {
+	if invariantsEnabled {
+		t.Skip("the invariants build allocates in its assertions")
+	}
+	const arrivals = 20000
+	sh := hashShape{universe: 32, points: 200, maxDemand: 4, zipf: 1.2, facility: 1.5}
+	rng := rand.New(rand.NewSource(7))
+	space, costs := sh.substrate(rng)
+	zipf := rand.NewZipf(rng, sh.zipf, 1, uint64(sh.universe-1))
+	reqs := make([]instance.Request, arrivals)
+	for i := range reqs {
+		reqs[i] = sh.arrival(rng, zipf)
+	}
+	allocs := testing.AllocsPerRun(1, func() {
+		pd := NewPDOMFLP(space, costs, Options{})
+		for _, r := range reqs {
+			pd.Serve(r)
+		}
+	})
+	if perArrival := allocs / arrivals; perArrival > 1.2 {
+		t.Errorf("Serve made %.3f allocations per arrival, want at most 1.2", perArrival)
+	}
+}

@@ -1,6 +1,9 @@
 package core
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // ServeMode describes how a commodity of a request got served (which
 // constraint of Algorithm 1 became tight).
@@ -47,34 +50,31 @@ type ServeEvent struct {
 }
 
 // ServeLog returns the per-commodity outcomes of every request served so
-// far. The log is reconstructed from the final assignment and recorded
-// duals: commodities linked to a large facility report the large mode
-// variants; others distinguish "existing" vs "new" by whether their facility
-// was opened during their own arrival.
+// far. The log is reconstructed from the arrivals' records: commodities
+// linked to a large facility report the large mode variants; others
+// distinguish "existing" vs "new" by whether their facility was opened
+// during their own arrival.
 func (pd *PDOMFLP) ServeLog() []ServeEvent {
 	var log []ServeEvent
 	sol := pd.fx.sol
-	// Track which facility indices were opened by which arrival: facility
-	// indices grow monotonically; record the boundary after each arrival.
-	// The boundaries slice is maintained in Serve (facBoundary[i] =
-	// #facilities after arrival i).
-	for ri, ids := range pd.demandIDs {
-		links := sol.Assign[ri]
-		var largeIdx = -1
-		for _, fi := range links {
-			if sol.Facilities[fi].Config.Len() == pd.u && pd.u > 1 {
+	// Facility indices grow monotonically, so arrival ri opened exactly
+	// the indices [before, after).
+	after := 0
+	eachRecord(pd.recs, func(ri int, rec *pdRecord) {
+		before := after
+		after += rec.opened
+		largeIdx := -1
+		for _, fi := range rec.links {
+			// The configuration alone cannot tell a large facility from a
+			// small one when |S| = 1, so ask the facility index.
+			if _, ok := slices.BinarySearch(pd.fx.large, fi); ok {
 				largeIdx = fi
 				break
 			}
 		}
-		var before int
-		if ri > 0 {
-			before = pd.facBoundary[ri-1]
-		}
-		after := pd.facBoundary[ri]
-		for i, e := range ids {
-			ev := ServeEvent{Request: ri, Commodity: e, Dual: pd.duals[ri][i]}
-			if largeIdx >= 0 && len(links) == 1 {
+		for i, e := range rec.ids {
+			ev := ServeEvent{Request: ri, Commodity: e, Dual: rec.duals[i]}
+			if largeIdx >= 0 && len(rec.links) == 1 {
 				ev.Facility = largeIdx
 				if largeIdx >= before && largeIdx < after {
 					ev.Mode = ServedNewLarge
@@ -85,11 +85,11 @@ func (pd *PDOMFLP) ServeLog() []ServeEvent {
 				// Find the linked facility offering e nearest to the
 				// request.
 				best, bestD := -1, 0.0
-				for _, fi := range links {
+				for _, fi := range rec.links {
 					if !sol.Facilities[fi].Config.Contains(e) {
 						continue
 					}
-					d := pd.space.Distance(pd.points[ri], sol.Facilities[fi].Point)
+					d := pd.space.Distance(rec.point, sol.Facilities[fi].Point)
 					if best < 0 || d < bestD {
 						best, bestD = fi, d
 					}
@@ -103,6 +103,6 @@ func (pd *PDOMFLP) ServeLog() []ServeEvent {
 			}
 			log = append(log, ev)
 		}
-	}
+	})
 	return log
 }

@@ -95,3 +95,31 @@ func TestServeLogCompleteOnRandomRuns(t *testing.T) {
 		t.Error("ServeMode.String broken")
 	}
 }
+
+// TestServeLogOneCommodityLarge: with |S| = 1 a large facility's
+// configuration equals a small one's, so ServeLog must take the kind from
+// the facility index. Here both facilities open large; their openings are
+// new-large and every later connection existing-large.
+func TestServeLogOneCommodityLarge(t *testing.T) {
+	space := metric.NewLine([]float64{0, 1, 2, 3, 10, 11})
+	pd := NewPDOMFLP(space, cost.PowerLaw(1, 1, 2), Options{})
+	for _, p := range []int{0, 0, 1, 4, 5, 5, 2} {
+		pd.Serve(instance.Request{Point: p, Demands: commodity.New(0)})
+	}
+	if small, large := pd.FacilityCounts(); small != 0 || large != 2 {
+		t.Fatalf("%d small and %d large facilities open, want 0 and 2", small, large)
+	}
+	newLarge := 0
+	for _, ev := range pd.ServeLog() {
+		switch ev.Mode {
+		case ServedNewLarge:
+			newLarge++
+		case ServedExistingLarge:
+		default:
+			t.Errorf("request %d served by large facility %d logged %v", ev.Request, ev.Facility, ev.Mode)
+		}
+	}
+	if newLarge != 2 {
+		t.Errorf("%d new-large events, want one per large facility (2)", newLarge)
+	}
+}

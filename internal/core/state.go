@@ -18,7 +18,10 @@ import (
 //
 // Both share the compact binary layout of internal/codec, which the engine
 // seals every SealEvery arrivals; floats are stored as their IEEE-754 bits,
-// so every value survives the round trip exactly.
+// so every value survives the round trip exactly. PD keeps the largest part
+// of its state, one record per served arrival, already encoded in that
+// layout (PDOMFLP.recs), so a seal copies those bytes instead of encoding
+// them field by field, and a restore keeps the section it validated.
 //
 // Derived caches are deliberately NOT serialized: the facility-index nearest
 // caches, the cost-table distance rows and their distance-ordered candidate
@@ -64,7 +67,8 @@ func readHeader(r *codec.Reader, universe, cands int) {
 //	arrivals n, demanded commodities D, assignment links L (totals)
 //	n × arrival    point; k, then k × (commodity, strictly ascending; f64
 //	               dual); facilities it opened; link count, then each
-//	               link's facility index; f64 large credit
+//	               link's facility index; f64 large credit. This record
+//	               section is PDOMFLP.recs, copied as it stands.
 //	small credits  per commodity e ascending, f64 credit of each arrival
 //	               demanding e, in arrival order
 //	bid rows       f64 × candidates: the large row, then the row of every
@@ -76,35 +80,15 @@ func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 	if pd.opts.TraceAnalysis {
 		return nil, fmt.Errorf("core: PD-OMFLP state marshal does not support TraceAnalysis")
 	}
-	demanded, links := 0, 0
-	for i, ids := range pd.demandIDs {
-		demanded += len(ids)
-		links += len(pd.fx.sol.Assign[i])
-	}
 	return codec.Encode(func(w *codec.Writer) {
 		w.Uint(stateSchema)
 		w.Uint(pd.u)
 		w.Uint(len(pd.ct.cands))
 		encodeFacilities(w, pd.fx)
-		w.Uint(len(pd.points))
-		w.Uint(demanded)
-		w.Uint(links)
-		opened := 0
-		for i, p := range pd.points {
-			w.Uint(p)
-			w.Uint(len(pd.demandIDs[i]))
-			for j, e := range pd.demandIDs[i] {
-				w.Uint(e)
-				w.Float(pd.duals[i][j])
-			}
-			w.Uint(pd.facBoundary[i] - opened)
-			opened = pd.facBoundary[i]
-			w.Uint(len(pd.fx.sol.Assign[i]))
-			for _, f := range pd.fx.sol.Assign[i] {
-				w.Uint(f)
-			}
-			w.Float(pd.creditLarge[i].credit)
-		}
+		w.Uint(len(pd.recEnd))
+		w.Uint(pd.demanded)
+		w.Uint(pd.linked)
+		w.Raw(pd.recs)
 		for _, credits := range pd.creditSmall {
 			for _, cr := range credits {
 				w.Float(cr.credit)
@@ -123,12 +107,13 @@ func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 // the receiver must be freshly constructed with the parameters of the
 // instance that was marshaled. The whole document is decoded and checked
 // before the receiver changes: lengths are bounded by the bytes left, and
-// points, commodities and facility indices are range-checked.
+// points, commodities and facility indices are range-checked. The receiver
+// keeps a copy of the record section it checked as its records.
 func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	if pd.opts.TraceAnalysis {
 		return fmt.Errorf("core: PD-OMFLP state restore does not support TraceAnalysis")
 	}
-	if len(pd.points) != 0 || len(pd.fx.sol.Facilities) != 0 {
+	if len(pd.recEnd) != 0 || len(pd.fx.sol.Facilities) != 0 {
 		return fmt.Errorf("core: PD-OMFLP state restore needs a fresh instance")
 	}
 	r := codec.NewReader("core: PD-OMFLP state", data)
@@ -146,35 +131,33 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 		return r.Err()
 	}
 
-	points := make([]int, n)
-	facBoundary := make([]int, n)
-	demandIDs := make([][]int, n)
-	duals := make([][]float64, n)
+	sec := r.Peek()
+	recEnd := make([]int, n)
 	assign := make([][]int, n)
 	creditLarge := make([]pdCredit, n)
-	idFlat := make([]int, demanded)
-	dualFlat := make([]float64, demanded)
 	linkFlat := make([]int, links)
 	perE := make([]int, pd.u)
+	dualSum := 0.0
 	opened, d, l := 0, 0, 0
 	for i := 0; i < n && r.Err() == nil; i++ {
-		points[i] = r.Below(pd.space.Len(), "point")
+		p := r.Below(pd.space.Len(), "point")
 		k := r.Below(demanded-d+1, "demanded commodity count")
-		ids, ds := idFlat[d:d+k:d+k], dualFlat[d:d+k:d+k]
-		for j := range ids {
-			ids[j] = r.Below(pd.u, "commodity")
-			if j > 0 && ids[j] <= ids[j-1] && r.Err() == nil {
+		prev := -1
+		for j := 0; j < k; j++ {
+			e := r.Below(pd.u, "commodity")
+			if e <= prev && r.Err() == nil {
 				r.Fail("arrival %d demands commodities out of order", i)
 			}
-			ds[j] = r.Float()
-			perE[ids[j]]++
+			prev = e
+			perE[e]++
+			// Summed in arrival order, as Serve adds them, so DualTotal
+			// stays bit-identical across the round trip.
+			dualSum += r.Float()
 		}
-		demandIDs[i], duals[i] = ids, ds
 		d += k
 		// An arrival opens one facility per demanded commodity, or one
 		// large facility.
 		opened += r.Below(min(max(k, 1), len(facs)-opened)+1, "opened facility count")
-		facBoundary[i] = opened
 		if m := r.Below(links-l+1, "link count"); m > 0 {
 			row := linkFlat[l : l+m : l+m]
 			for j := range row {
@@ -183,7 +166,8 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 			assign[i] = row
 			l += m
 		}
-		creditLarge[i] = pdCredit{point: points[i], credit: r.Float()}
+		creditLarge[i] = pdCredit{point: p, credit: r.Float()}
+		recEnd[i] = len(sec) - r.Len()
 	}
 	if r.Err() == nil && (opened != len(facs) || d != demanded || l != links) {
 		r.Fail("arrivals open %d of %d facilities and carry %d of %d demands and %d of %d links",
@@ -192,6 +176,7 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	if r.Err() != nil {
 		return r.Err()
 	}
+	sec = sec[:len(sec)-r.Len()]
 
 	creditSmall := make([][]pdCredit, pd.u)
 	live := 0
@@ -201,11 +186,11 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 			live++
 		}
 	}
-	for i, ids := range demandIDs {
-		for _, e := range ids {
-			creditSmall[e] = append(creditSmall[e], pdCredit{point: points[i]})
+	eachRecord(sec, func(_ int, rec *pdRecord) {
+		for _, e := range rec.ids {
+			creditSmall[e] = append(creditSmall[e], pdCredit{point: rec.point})
 		}
-	}
+	})
 	for _, credits := range creditSmall {
 		for j := range credits {
 			credits[j].credit = r.Float()
@@ -234,12 +219,12 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 	restoreFacilities(pd.fx, facs)
 	if n > 0 { // an empty state leaves the fresh instance's nil slices
 		pd.fx.sol.Assign = assign
-		pd.points = points
-		pd.demandIDs = demandIDs
-		pd.duals = duals
-		pd.facBoundary = facBoundary
+		pd.recs = append([]byte(nil), sec...)
+		pd.recEnd = recEnd
 		pd.creditLarge = creditLarge
 	}
+	pd.demanded, pd.linked = demanded, links
+	pd.dualSum = dualSum
 	pd.creditSmall = creditSmall
 	for e, credits := range creditSmall {
 		if len(credits) > 0 {
@@ -247,13 +232,6 @@ func (pd *PDOMFLP) UnmarshalState(data []byte) error {
 			// ascending order here vs first-credit order on a live instance
 			// is fine — refresh sweeps treat rows independently.
 			pd.liveSmall = append(pd.liveSmall, e)
-		}
-	}
-	// Summed row by row in arrival order, as the serve loops add them, so
-	// DualTotal stays bit-identical across the round trip.
-	for _, row := range duals {
-		for _, v := range row {
-			pd.dualSum += v
 		}
 	}
 	pd.bidSmall = bidSmall
