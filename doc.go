@@ -215,12 +215,12 @@
 // invariantly bounded by their distance to every already-open facility).
 // Per-arrival working memory lives in reusable scratch buffers, so the hot
 // path allocates only the assignment links it retains; the frozen duals go
-// straight into the arrival's record. The differential oracle is internal/core/pdref, a
-// plain transcription of Algorithm 1 that rescans every candidate on every
-// event and that no serving package imports: its running mode keeps the
-// bid rows as running sums and must match the event-driven loop bit for
-// bit, its naive mode rebuilds them from the credit history on every
-// arrival. The perf experiment times the event-driven loop against both
+// straight into the arrival's record. The differential oracle is
+// internal/core/pdref, a plain transcription of Algorithm 1 that rescans
+// every candidate on every event and that no serving package imports: its
+// running mode keeps the bid rows as running sums and must match the
+// event-driven loop bit for bit, its naive mode rebuilds them from the
+// credit history on every arrival. The perf experiment times the event-driven loop against both
 // modes, each as the median of repeated passes (BENCH_pd.json,
 // BENCH_algos.json), and CI gates on the event-driven loop beating the
 // running mode, the incremental baseline. Nearest-facility queries and
