@@ -220,18 +220,19 @@
 // every candidate on every event and that no serving package imports: its
 // running mode keeps the bid rows as running sums and must match the
 // event-driven loop bit for bit, its naive mode rebuilds them from the
-// credit history on every arrival. The perf experiment times the event-driven loop against both
-// modes, each as the median of repeated passes (BENCH_pd.json,
-// BENCH_algos.json), and CI gates on the event-driven loop beating the
-// running mode, the incremental baseline. Nearest-facility queries and
-// RAND-OMFLP's class-distance budget minima are answered from per-point
-// incremental caches, so serve throughput no longer degrades linearly in
-// the number of open facilities. The experiment harness fans independent
-// repetitions — and, where generators own sub-seeded rng streams
-// (workload.SubSeed), whole experiment rows — out across a worker pool:
-// ExperimentConfig.Workers selects the goroutine count (0 = GOMAXPROCS,
-// 1 = sequential), with per-index sub-seeds and ordered merging making
-// every table byte-identical across worker counts under a fixed seed.
+// credit history on every arrival. The perf experiment times the
+// event-driven loop against both modes, each as the median of repeated
+// passes (BENCH_pd.json, BENCH_algos.json), and CI gates on the
+// event-driven loop beating the running mode, the incremental baseline.
+// Nearest-facility queries and RAND-OMFLP's class-distance budget minima
+// are answered from per-point incremental caches, so serve throughput no
+// longer degrades linearly in the number of open facilities. The experiment
+// harness fans independent repetitions — and, where generators own
+// sub-seeded rng streams (workload.SubSeed), whole experiment rows — out
+// across a worker pool: ExperimentConfig.Workers selects the goroutine
+// count (0 = GOMAXPROCS, 1 = sequential), with per-index sub-seeds and
+// ordered merging making every table byte-identical across worker counts
+// under a fixed seed.
 //
 // Quickstart:
 //
