@@ -82,14 +82,9 @@ type (
 	StateCodec = online.StateCodec
 )
 
-// Checkpoint format versions: CheckpointVersion is the v2 format Checkpoint
-// captures (base states + tail segments); CheckpointVersionV1 the
-// full-history capture of CheckpointV1, which Restore and the binary
-// document still accept.
-const (
-	CheckpointVersion   = engine.CheckpointVersion
-	CheckpointVersionV1 = engine.CheckpointVersionV1
-)
+// CheckpointVersion is the format version Checkpoint captures and Restore
+// reads: per tenant, a base state and the arrival segment served since.
+const CheckpointVersion = engine.CheckpointVersion
 
 // NewEngine starts a streaming serving engine; see EngineConfig. The
 // returned error reports an unknown algorithm name.
@@ -133,7 +128,7 @@ type (
 	// Router is the cluster front; see internal/cluster.
 	Router = cluster.Router
 	// RouterConfig selects the router's listen addresses, the worker node
-	// list, the placement policy and the health/rebalance cadence.
+	// list, the placement policy and the health-probe cadence.
 	RouterConfig = cluster.Config
 	// ClusterMetrics is the merged cluster view GET /v1/metrics serves
 	// from a router: per-node reports plus aggregation-safe totals.

@@ -18,26 +18,30 @@ import (
 	"repro/internal/workload"
 )
 
-// cmdCkptBench benchmarks checkpoint capture and restore across format
-// versions: for each history length it runs the same trace through two
-// engines — one sealing-disabled (v1 capture: full arrival history) and one
-// sealing at -seal-every (v2 capture: base state + tail segment) — then
-// times ckptBenchRestores restores of each checkpoint, each into a fresh
-// engine (v2 read back from the binary document WriteFile writes), reports
-// their median and verifies every restored snapshot against the source
-// engine's, byte for byte.
+// cmdCkptBench benchmarks checkpoint capture and restore with and without
+// sealing: for each history length it runs the same trace through two
+// engines and takes a Checkpoint of each. The "v1" column's engine never
+// seals, so its capture holds every tenant's full arrival history and no
+// base. That is the record the deleted format version 1 held, with the
+// same capture work and the same JSON length; only the version number
+// differs. The "v2" column's engine seals at -seal-every (base state +
+// tail segment). It then times ckptBenchRestores restores of each
+// checkpoint, each into a fresh engine that seals as its column's does (v2
+// read back from the binary document WriteFile writes), reports their
+// median and verifies every restored snapshot against the source engine's,
+// byte for byte.
 //
-// The gates encode what v2 buys over v1. (a) Restore replay work is flat in
+// The gates encode what sealing buys. (a) Restore replay work is flat in
 // history: a v2 restore replays at most -seal-every arrivals at every
 // length — the exact counter, immune to timer noise — while v1 replays
 // everything. (b) Capture (state assembly) cost is flat in history: at the
 // deepest history a v2 Checkpoint() call (cached base bytes + bounded tail)
-// must beat the v1 capture, which re-marshals the full arrival history
-// every time. (c) The v2 file WriteFile writes must be smaller on disk than
-// even v1's raw JSON document at every length, so the binary document and
+// must beat the v1 capture, which copies the full arrival history every
+// time. (c) The v2 file WriteFile writes must be smaller on disk than even
+// v1's raw JSON document at every length, so the binary document and
 // base-state compression have provably paid for the state bytes v2
-// carries. Failing any gate exits
-// non-zero, which is what the CI step relies on.
+// carries. Failing any gate exits non-zero, which is what the CI step
+// relies on.
 //
 // Two wall-clock columns are reported but deliberately NOT gated, both
 // bottlenecked by the same O(history) serialized-state growth tracked in
@@ -224,7 +228,7 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 
 	base := engine.Config{Algorithm: algo, Shards: shards, Seed: seed, RecordArrivals: true}
 
-	capture := func(sealCfg int, take func(*engine.Engine) (*engine.Checkpoint, error)) (*engine.Checkpoint, []byte, float64, error) {
+	capture := func(sealCfg int) (*engine.Checkpoint, []byte, float64, error) {
 		cfg := base
 		cfg.SealEvery = sealCfg
 		e, err := engine.NewChecked(cfg)
@@ -237,7 +241,7 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 		}
 		e.Drain()
 		start := time.Now()
-		ck, err := take(e)
+		ck, err := e.Checkpoint()
 		if err != nil {
 			return nil, nil, 0, err
 		}
@@ -249,11 +253,11 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 		return ck, golden, ms, nil
 	}
 
-	ckV1, golden, msV1, err := capture(-1, (*engine.Engine).CheckpointV1)
+	ckV1, golden, msV1, err := capture(-1)
 	if err != nil {
 		return row, err
 	}
-	ckV2, goldenV2, msV2, err := capture(sealEvery, (*engine.Engine).Checkpoint)
+	ckV2, goldenV2, msV2, err := capture(sealEvery)
 	if err != nil {
 		return row, err
 	}
@@ -261,16 +265,12 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 		return row, fmt.Errorf("sealing changed the served state: snapshots diverged between capture engines")
 	}
 
-	restoreOnce := func(ck *engine.Checkpoint) (engine.RestoreStats, float64, error) {
+	// The restore engine seals as its column's capture engine did: the v1
+	// baseline must measure a pure full replay, not replay plus the seal
+	// marshals it would trigger every sealEvery arrivals.
+	restoreOnce := func(ck *engine.Checkpoint, sealCfg int) (engine.RestoreStats, float64, error) {
 		cfg := base
-		// Match the restore engine's sealing to the format under test: the
-		// v1 baseline must measure a pure full replay, not replay plus the
-		// v2 seal marshals it would trigger every sealEvery arrivals.
-		if ck.Version == engine.CheckpointVersionV1 {
-			cfg.SealEvery = -1
-		} else {
-			cfg.SealEvery = sealEvery
-		}
+		cfg.SealEvery = sealCfg
 		e, err := engine.NewChecked(cfg)
 		if err != nil {
 			return engine.RestoreStats{}, 0, err
@@ -288,18 +288,18 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 			return stats, ms, err
 		}
 		if string(got) != string(golden) {
-			return stats, ms, fmt.Errorf("restored snapshots diverge from the source engine (version %d)", ck.Version)
+			return stats, ms, fmt.Errorf("restored snapshots diverge from the source engine (seal-every %d)", sealCfg)
 		}
 		return stats, ms, nil
 	}
 	// One restore is a single wall-clock sample, noisier than the changes
 	// the column is read for; the median of several is not.
-	restore := func(ck *engine.Checkpoint) (engine.RestoreStats, float64, error) {
+	restore := func(ck *engine.Checkpoint, sealCfg int) (engine.RestoreStats, float64, error) {
 		times := make([]float64, ckptBenchRestores)
 		var stats engine.RestoreStats
 		for i := range times {
 			var err error
-			if stats, times[i], err = restoreOnce(ck); err != nil {
+			if stats, times[i], err = restoreOnce(ck, sealCfg); err != nil {
 				return stats, 0, err
 			}
 		}
@@ -307,7 +307,7 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 		return stats, times[(len(times)-1)/2], nil
 	}
 
-	statsV1, restoreMsV1, err := restore(ckV1)
+	statsV1, restoreMsV1, err := restore(ckV1, -1)
 	if err != nil {
 		return row, err
 	}
@@ -331,7 +331,7 @@ func ckptBenchRun(algo string, arrivals, sealEvery, points, universe, shards int
 	if err != nil {
 		return row, err
 	}
-	statsV2, restoreMsV2, err := restore(fromFile)
+	statsV2, restoreMsV2, err := restore(fromFile, sealEvery)
 	if err != nil {
 		return row, err
 	}

@@ -14,7 +14,7 @@
 //	            [-checkpoint-seal-every N] [-shard-policy hash|leastload]
 //	omflp serve -cluster-router -nodes H:P,H:P,... -listen-http ADDR
 //	            [-listen-tcp ADDR] [-placement leastload|rendezvous]
-//	            [-health-every DUR] [-migrate-threshold F]
+//	            [-health-every DUR]
 //	omflp loadgen [-mode http|tcp] [-addr HOST:PORT] [-targets H:P,...] [-trace FILE]
 //	              [-dist uniform|zipf|bundled] [-rate N] [-ops-out FILE]
 //	              [-tenants N] [-arrivals N] [-conc N] [-bench-out DIR] [-bench-key K]
@@ -131,7 +131,7 @@ func usage() {
               [-checkpoint-dir DIR] [-checkpoint-every DUR] [-checkpoint-seal-every N]
                                                  stream arrivals through a serving engine
   omflp serve -cluster-router -nodes H:P,H:P,... -listen-http ADDR [-listen-tcp ADDR]
-              [-placement leastload|rendezvous] [-health-every DUR] [-migrate-threshold F]
+              [-placement leastload|rendezvous] [-health-every DUR]
                                                  route tenants across worker daemons
   omflp loadgen [-mode http|tcp] [-addr HOST:PORT] [-targets H:P,...] [-trace FILE]
                 [-dist uniform|zipf|bundled] [-zipf-s S] [-rate N] [-tenants N]
@@ -139,7 +139,7 @@ func usage() {
                 [-bench-out DIR] [-bench-key K] [-http-targets H:P,...]
                                                  drive a serve daemon and measure throughput
   omflp ckpt-bench [-histories N,N] [-seal-every N] [-algos pd,rand] [-out DIR]
-                                                 benchmark v1 vs v2 checkpoint restores
+                                                 benchmark unsealed vs sealed checkpoint restores
   omflp ckpt-inspect FILE                        print a checkpoint's header and per-tenant sizes
   omflp explain -trace FILE                      narrate PD-OMFLP's decisions on a trace
   omflp check -trace FILE                        validate a trace's metric and cost assumptions
@@ -186,9 +186,10 @@ commodity popularity with exponent -zipf-s; bundled demands all of S every
 request) and -rate R sends on an open-loop schedule of R arrivals/s across
 all workers (0 = closed loop). ckpt-bench writes BENCH_checkpoint.json
 (capture/restore time, raw JSON bytes and the bytes WriteFile writes per
-history length, v1 vs v2) and fails if a v2 restore replays more than
--seal-every arrivals, a deep v2 capture loses to v1's full-history marshal,
-or the v2 file is not smaller than v1's raw JSON document.
+history length, unsealed as column v1 vs sealed as v2) and fails if a v2
+restore replays more than -seal-every arrivals, a deep v2 capture loses to
+v1's full-history capture, or the v2 file is not smaller than v1's raw JSON
+document.
 
 Quickstart:
   omflp serve -listen-http 127.0.0.1:8080 -checkpoint-dir /tmp/omflp &
@@ -217,11 +218,10 @@ loadgen run unchanged. The router places each tenant on one worker
 checkpoint, and migrates tenants live: POST /v1/migrate
 {"tenant":"t","target":"host:port"} quiesces the tenant, moves its state,
 replays arrivals buffered during the move, and flips the route — snapshots
-are byte-identical across the move. -migrate-threshold F does this
-automatically when the busiest worker's arrival rate exceeds the idlest's
-F-fold. GET /v1/routes shows placements; GET /v1/metrics merges worker
-metrics (stale scrapes flagged by sequence number, never double-counted).
-Router-only endpoints return 421 for tenants with no route.`)
+are byte-identical across the move. GET /v1/routes shows placements;
+GET /v1/metrics merges worker metrics (stale scrapes flagged by sequence
+number, never double-counted). Router-only endpoints return 421 for
+tenants with no route.`)
 }
 
 func cmdList() error {

@@ -36,8 +36,8 @@ import (
 // With -cluster-router the process hosts no engine at all: it fronts the
 // worker daemons named by -nodes with the same HTTP and TCP surface,
 // placing tenants (-placement), health-checking and re-admitting workers,
-// migrating tenants live (POST /v1/migrate, or automatically past
-// -migrate-threshold), and merging worker metrics into one cluster view.
+// migrating tenants live (POST /v1/migrate), and merging worker metrics
+// into one cluster view.
 // Engine flags (-algo, -seed, -shards, ...) are meaningless in router mode;
 // the cluster's algorithm and seed come from the workers, which must agree.
 func cmdServe(args []string) (retErr error) {
@@ -64,7 +64,6 @@ func cmdServe(args []string) (retErr error) {
 		nodes        = fs.String("nodes", "", "router mode: comma-separated worker HTTP addresses (host:port,...)")
 		placement    = fs.String("placement", "leastload", "router mode: tenant placement policy, leastload or rendezvous")
 		healthEvery  = fs.Duration("health-every", time.Second, "router mode: node health-probe interval")
-		migThreshold = fs.Float64("migrate-threshold", 0, "router mode: auto-migrate when the busiest node's arrival rate exceeds the idlest's by this factor (0 = off)")
 		standbyOf    = fs.String("standby-of", "", "router mode: start passive, following the active router's framed-TCP address and promoting on its failure")
 		replicate    = fs.Bool("replicate", false, "router mode: dual-write every tenant to a follower node so a dead owner fails over without data loss")
 		downAfter    = fs.Int("down-after", 0, "router mode: consecutive probe failures before a node is declared down (0 = 1)")
@@ -127,21 +126,20 @@ func cmdServe(args []string) (retErr error) {
 		// Router mode reuses -checkpoint-dir as the durable route-log
 		// directory: the router's own restart-in-O(1) state.
 		return routerDaemon(cluster.Config{
-			HTTPAddr:         *listenHTTP,
-			TCPAddr:          *listenTCP,
-			Nodes:            strings.Split(*nodes, ","),
-			Placement:        *placement,
-			HealthEvery:      *healthEvery,
-			MigrateThreshold: *migThreshold,
-			TraceSample:      *traceSample,
-			EnablePprof:      *pprofOn,
-			StateDir:         *ckptDir,
-			StandbyOf:        *standbyOf,
-			Replicate:        *replicate,
-			DownAfter:        *downAfter,
-			FailoverAfter:    *failoverAft,
-			Faults:           inj,
-			Logger:           logger,
+			HTTPAddr:      *listenHTTP,
+			TCPAddr:       *listenTCP,
+			Nodes:         strings.Split(*nodes, ","),
+			Placement:     *placement,
+			HealthEvery:   *healthEvery,
+			TraceSample:   *traceSample,
+			EnablePprof:   *pprofOn,
+			StateDir:      *ckptDir,
+			StandbyOf:     *standbyOf,
+			Replicate:     *replicate,
+			DownAfter:     *downAfter,
+			FailoverAfter: *failoverAft,
+			Faults:        inj,
+			Logger:        logger,
 		}, *quiet)
 	}
 

@@ -80,8 +80,9 @@
 // section instead of encoding it, and a restore keeps the section it
 // checked. Duals, ServeLog and CheckScaledDuals decode the records on each
 // call. BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
-// records capture/restore time and raw + on-disk bytes for v1 and v2 at
-// 1e3 and 1e5 arrivals, and gates on v2's replay work staying flat.
+// records capture/restore time and raw + on-disk bytes for an unsealed
+// capture (column v1) and a sealed one (v2) at 1e3 and 1e5 arrivals, and
+// gates on v2's replay work staying flat.
 //
 // On disk a checkpoint is one binary document (engine.ckpt; see
 // internal/engine): a magic and version header, then per tenant its name,
@@ -112,17 +113,16 @@
 // rendezvous placement), forwards arrivals to each tenant's owner, and
 // merges node metrics into one cluster view (a per-node scrape sequence +
 // wall stamp lets the merge drop duplicated scrapes instead of
-// double-counting rates). Tenants migrate live — on POST /v1/migrate or
-// automatically past a -migrate-threshold imbalance — through the router's
-// one move: quiesce the route (arrivals buffer at the exact ledger cut),
-// capture the tenant's state on the source via StateCodec as a one-tenant
-// checkpoint document, install it on the target, drain the buffered
-// arrivals there, and settle by flipping the route; a failed capture or
-// install drains back to the source. Builds before the binary transfer
-// moved JSON instead, so a move between such a build and a later one
-// fails its install, reinjects on the source and aborts (a reseed leaves
-// the route unreplicated). The tenant's snapshot is byte-identical to an
-// unmigrated run. Workers are health-checked; kill -9 a worker, restart
+// double-counting rates). Tenants migrate live on POST /v1/migrate through
+// the router's one move: quiesce the route (arrivals buffer, and the owner
+// is polled until it has admitted the ledger cut), capture the tenant's
+// state on the source via StateCodec as a one-tenant checkpoint document,
+// install it on the target, drain the buffered arrivals there, and settle
+// by flipping the route; a failed capture or install drains back to the
+// source. Builds before the binary transfer moved JSON instead, so a move
+// between such a build and a later one fails its install, reinjects on
+// the source and aborts (a reseed leaves the route unreplicated). The
+// tenant's snapshot is byte-identical to an unmigrated run. Workers are health-checked; kill -9 a worker, restart
 // it on its checkpoint directory, and it rejoins with its routes and
 // ledgers re-synced from its snapshots. Every node must share the algorithm and seed (tenant
 // randomness is seeded by tenant name), which the router verifies at

@@ -27,31 +27,33 @@
 // the write lock is a barrier: once held, no forward is in flight and the
 // ledger exactly names the number of arrivals the owner has admitted for
 // that tenant. Migration's quiesce step is built on this: the coordinator
-// reads the ledger under the write lock and the source node waits until the
-// tenant's served count reaches it before capturing state.
+// reads the ledger under the write lock and polls the owner until it has
+// admitted that many arrivals before capturing state.
 //
 // # Moving tenants
 //
 // Migrate moves one tenant live with no arrival loss and no reordering,
 // and a follower reseed copies one, by the same move: quiesce (mark the
 // route moving, so new arrivals buffer in the router; read the exact
-// ledger cut; flush in-flight frames to the owner and the follower),
-// capture (extract on the source once served equals the cut, then
-// checkpoint the source so a restart does not resurrect the tenant; a
-// reseed exports instead), install (inject on the target and checkpoint
-// it; a reseed first clears any stale replica, then makes the new one the
-// route's follower), drain (wait until the owner and the follower have
-// admitted the ledger — an owner that never does lost arrivals the ledger
-// counted, and its count becomes the ledger — then replay the buffer,
-// each batch to the owner leg, whose admitted count advances the ledger,
-// then to the route's follower, whose failure only drops the follower;
-// both legs go through sendArrivals keyed at the ledger, so a transient
-// failure is retried, never dropped or served twice) and settle (once the
-// buffer is observed empty under the write lock, flip the route or
-// journal the new follower, naming the follower the route holds then).
-// A capture or install failure aborts: the drain goes back to the source,
-// whose state never left. Snapshots on the target are byte-identical to
-// what the source would have produced.
+// ledger cut; flush in-flight frames to the owner and the follower; poll
+// the owner until it has admitted the cut — an owner whose count differs
+// from it either way has drifted from the ledger, so its count becomes
+// the ledger and the cut and the follower is dropped, as is a follower
+// that does not stand at the cut), capture (extract on the source, which
+// takes every arrival it admitted, then checkpoint the source so a
+// restart does not resurrect the tenant; a reseed exports instead),
+// install (inject on the target and checkpoint it; a reseed first clears
+// any stale replica, then makes the new one the route's follower), drain
+// (replay the buffer, each batch to the owner leg, whose admitted count
+// advances the ledger, then to the route's follower, whose failure only
+// drops the follower; both legs go through sendArrivals keyed at the
+// ledger, so a transient failure is retried, never dropped or served
+// twice) and settle (once the buffer is observed empty under the write
+// lock, flip the route or journal the new follower, naming the follower
+// the route holds then). An owner quiesce cannot read, or a capture or
+// install failure, aborts: the drain goes back to the source, whose state
+// never left. Snapshots on the target are byte-identical to what the
+// source would have produced.
 //
 // The captured state travels as a transfer: a one-tenant checkpoint
 // document, in the binary format of a worker's engine.ckpt, that the
@@ -155,11 +157,6 @@ type Config struct {
 	Placement string
 	// HealthEvery is the node health-probe period (default 1s).
 	HealthEvery time.Duration
-	// MigrateThreshold enables automatic rebalancing when > 1: when the
-	// busiest node's arrival rate exceeds the idlest's by this factor
-	// (measured between health probes), the router migrates the busiest
-	// node's hottest tenant to the idlest node. 0 disables.
-	MigrateThreshold float64
 	// TraceSample samples 1-in-N framed arrivals forwarded over TCP for op
 	// tracing: the router stamps a trace id on the upstream frame and the
 	// worker records the op under that id, so a cluster-wide flight dump
@@ -212,8 +209,7 @@ type Router struct {
 	// Config.TraceSample.
 	tracer *obs.Tracer
 
-	// client is used for all node-side HTTP calls. Its timeout must exceed
-	// the node's extract quiesce deadline.
+	// client is used for all node-side HTTP calls.
 	client *http.Client
 
 	// ident is the cluster identity (algorithm, seed) learned from the
@@ -333,9 +329,6 @@ type route struct {
 	// reconciled against the owner. Migration re-syncs a stale route
 	// before quiescing on its ledger. Guarded by Router.mu.
 	synced bool
-	// lastCount is count at the previous rebalance check. Touched only by
-	// the health loop goroutine.
-	lastCount int64
 	// mig is non-nil while the tenant is migrating; arrivals then buffer
 	// in it instead of being forwarded.
 	mig *migration

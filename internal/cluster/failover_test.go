@@ -566,10 +566,10 @@ func TestDrainRetriesTransientFailure(t *testing.T) {
 // TestAbortDrainAfterRefusedTCPArrival: an arrival the owner refuses over
 // the router's TCP wire (a demand outside the tenant's universe) fails
 // that upstream stream, yet the ledger counted it when the router wrote
-// the frame. A move of the tenant that then aborts drains its buffered
-// arrivals back to the owner: the drain finds the owner short of the
-// ledger, adopts the owner's admitted count, admits every buffered arrival
-// and drops the follower, whose stream no longer matches the ledger.
+// the frame. A move of the tenant finds the owner short of the ledger at
+// quiesce, waits for it, adopts the owner's admitted count and drops the
+// follower, whose stream no longer matches the ledger. When the move then
+// aborts, its drain admits every buffered arrival on the owner.
 func TestAbortDrainAfterRefusedTCPArrival(t *testing.T) {
 	const cut, moving = 10, 4
 	nodes := make([]string, 3)
@@ -626,6 +626,138 @@ func TestAbortDrainAfterRefusedTCPArrival(t *testing.T) {
 	if o, f, ledger := route(); o != owner || f != -1 || ledger != cut+moving {
 		t.Errorf("route on %s, follower %d, ledger %d; want %s, -1, %d", o.addr, f, ledger, owner.addr, cut+moving)
 	}
+}
+
+// TestMigrateAfterRefusedTCPArrival: an arrival the owner refuses over the
+// router's TCP wire leaves the ledger one ahead of the owner. The next move
+// finds the owner short of the ledger at quiesce, waits for it, and then
+// moves the tenant at the owner's count: the ledger and the target agree,
+// the follower, whose stream no longer matches, is dropped, and HTTP
+// arrivals keep being admitted.
+func TestMigrateAfterRefusedTCPArrival(t *testing.T) {
+	const seed, cut = 97, 10
+	nodes := make([]string, 3)
+	for i := range nodes {
+		nodes[i] = startWorker(t, seed, "").HTTPAddr()
+	}
+	id := tenantName(0)
+	r := startRouter(t, Config{Nodes: nodes, Replicate: true, TCPAddr: "127.0.0.1:0", HealthEvery: time.Hour})
+	base := "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	route := func() (owner, follower int, ledger int64) {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		rt := r.routes[id]
+		return rt.node, rt.follower, rt.count.Load()
+	}
+	c := dialBinary(t, r.TCPAddr())
+	c.frame(server.AppendWireArrive(nil, c.ref(id), 0, []int{testCreate.Universe}))
+	c.flush()
+	waitFor(t, "the ledger to count the refused arrival", func() bool {
+		_, _, ledger := route()
+		return ledger == cut+1
+	})
+	owner, follower, _ := route()
+	if follower < 0 {
+		t.Fatal("tenant placed without a follower")
+	}
+	target := 3 - owner - follower
+
+	res, err := r.Migrate(id, nodes[target])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != cut {
+		t.Errorf("migration served %d, want the owner's %d", res.Served, cut)
+	}
+	if node, f, ledger := route(); node != target || f != -1 || ledger != cut {
+		t.Errorf("route on node %d, follower %d, ledger %d; want %d, -1, %d", node, f, ledger, target, cut)
+	}
+	httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(cut), http.StatusOK)
+	want := referenceArtifact(t, seed, 1, cut+1)
+	if got := httpJSON(t, "GET", base+"/v1/snapshots", nil, http.StatusOK); !bytes.Equal(got, want) {
+		t.Error("snapshots after the move differ from the single-node artifact")
+	}
+}
+
+// TestMigrateOwnerAheadOfLedger: an arrival posted straight to the owner
+// worker puts the owner one ahead of the ledger. The move adopts the
+// owner's count at quiesce, captures every arrival it admitted and drops
+// the follower, which never saw that arrival.
+func TestMigrateOwnerAheadOfLedger(t *testing.T) {
+	const seed, cut = 99, 10
+	nodes := make([]string, 3)
+	for i := range nodes {
+		nodes[i] = startWorker(t, seed, "").HTTPAddr()
+	}
+	id := tenantName(0)
+	r := startRouter(t, Config{Nodes: nodes, Replicate: true, HealthEvery: time.Hour})
+	base := "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	r.mu.RLock()
+	owner, follower := r.routes[id].node, r.routes[id].follower
+	r.mu.RUnlock()
+	if follower < 0 {
+		t.Fatal("tenant placed without a follower")
+	}
+	httpJSON(t, "POST", "http://"+nodes[owner]+"/v1/tenants/"+id+"/arrive", testArrival(cut), http.StatusOK)
+	target := 3 - owner - follower
+
+	res, err := r.Migrate(id, nodes[target])
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Served != cut+1 {
+		t.Errorf("migration served %d, want the owner's %d", res.Served, cut+1)
+	}
+	r.mu.RLock()
+	node, f, ledger := r.routes[id].node, r.routes[id].follower, r.routes[id].count.Load()
+	r.mu.RUnlock()
+	if node != target || f != -1 || ledger != cut+1 {
+		t.Errorf("route on node %d, follower %d, ledger %d; want %d, -1, %d", node, f, ledger, target, cut+1)
+	}
+	want := referenceArtifact(t, seed, 1, cut+1)
+	if got := httpJSON(t, "GET", base+"/v1/snapshots", nil, http.StatusOK); !bytes.Equal(got, want) {
+		t.Error("snapshots after the move differ from the single-node artifact")
+	}
+}
+
+// TestMigrateOwnerUnreadableAborts: a move whose owner cannot be read at
+// quiesce aborts there. The route stays on the owner, stops moving and
+// keeps its ledger, and the target never hears of the tenant.
+func TestMigrateOwnerUnreadableAborts(t *testing.T) {
+	const cut = 5
+	owner := startWorker(t, 101, "")
+	target := startWorker(t, 101, "")
+	id := tenantName(0)
+	r := startRouter(t, Config{Nodes: []string{owner.HTTPAddr(), target.HTTPAddr()}, HealthEvery: time.Hour})
+	base := "http://" + r.HTTPAddr()
+	httpJSON(t, "POST", base+"/v1/tenants/"+id, testCreate, http.StatusCreated)
+	for i := 0; i < cut; i++ {
+		httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", testArrival(i), http.StatusOK)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	if err := owner.Shutdown(ctx); err != nil {
+		t.Fatal(err)
+	}
+
+	if _, err := r.Migrate(id, target.HTTPAddr()); err == nil || !strings.Contains(err.Error(), "admitted count") {
+		t.Fatalf("Migrate with its owner down: %v, want the owner read failure", err)
+	}
+	r.mu.RLock()
+	node, ledger, moving := r.routes[id].node, r.routes[id].count.Load(), r.routes[id].mig != nil
+	r.mu.RUnlock()
+	if node != 0 || ledger != cut || moving {
+		t.Errorf("route on node %d, ledger %d, moving %v; want 0, %d, false", node, ledger, moving, cut)
+	}
+	httpJSON(t, "GET", "http://"+target.HTTPAddr()+"/v1/tenants/"+id+"/served", nil, http.StatusNotFound)
 }
 
 // TestDrainSkipsRefusedArrival: an arrival the router buffered during a

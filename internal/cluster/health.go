@@ -9,11 +9,11 @@ import (
 )
 
 // healthLoop probes every node each HealthEvery tick, re-syncing routes
-// when a node (re)joins, promoting followers when an owner goes down, and —
-// when MigrateThreshold is set — rebalancing the hottest tenant off the
-// busiest node. A node is declared down only after Config.DownAfter
-// consecutive probe failures; injected probe flaps (Config.Faults) count as
-// failures, which is exactly what DownAfter exists to absorb.
+// when a node (re)joins, promoting followers when an owner goes down, and
+// reseeding one unreplicated route. A node is declared down only after
+// Config.DownAfter consecutive probe failures; injected probe flaps
+// (Config.Faults) count as failures, which is exactly what DownAfter exists
+// to absorb.
 func (r *Router) healthLoop() {
 	defer r.loops.Done()
 	tick := time.NewTicker(r.cfg.HealthEvery)
@@ -27,7 +27,6 @@ func (r *Router) healthLoop() {
 		r.probeAll()
 		r.persistLedgers()
 		r.maybeReseed()
-		r.maybeRebalance()
 	}
 }
 
@@ -190,86 +189,4 @@ func (r *Router) syncNode(n *node) error {
 		}
 	}
 	return nil
-}
-
-// maybeRebalance moves the hottest tenant off the busiest node when the
-// nodes' windowed arrival rates spread past MigrateThreshold. Node load is
-// judged by each node's own windowed serving rate (the same
-// window_arrivals_per_sec /v1/metrics reports) — a rate the node computes
-// over its serving window, robust to probe-interval jitter — rather than
-// by raw served-count deltas between probes. The hottest tenant on the hot
-// node is still picked by route-ledger delta (the router's own
-// observation, no extra round trips).
-func (r *Router) maybeRebalance() {
-	if r.cfg.MigrateThreshold <= 1 {
-		return
-	}
-	cm := r.Metrics()
-	type load struct {
-		n    *node
-		rate float64
-	}
-	var loads []load
-	for i, rep := range cm.PerNode {
-		if !rep.Healthy || rep.Stale || rep.Metrics == nil {
-			continue
-		}
-		loads = append(loads, load{r.nodes[i], rep.Metrics.WindowArrivalsPerSec})
-	}
-	if len(loads) < 2 {
-		return
-	}
-	hot, cold := loads[0], loads[0]
-	for _, l := range loads[1:] {
-		if l.rate > hot.rate {
-			hot = l
-		}
-		if l.rate < cold.rate {
-			cold = l
-		}
-	}
-	// rebalanceFloor keeps window noise from triggering moves.
-	const rebalanceFloor = 64.0
-	if hot.rate < rebalanceFloor || hot.rate < r.cfg.MigrateThreshold*maxF(cold.rate, 1) {
-		return
-	}
-
-	// Hottest tenant on the hot node by ledger delta — and only if the hot
-	// node hosts more than one tenant (moving its only tenant would just
-	// move the hotspot). The cold node must not host the tenant's replica.
-	var tenant string
-	var tenantDelta int64
-	hosted := 0
-	r.mu.RLock()
-	for id, rt := range r.routes {
-		if rt.node != hot.n.idx || rt.mig != nil {
-			continue
-		}
-		hosted++
-		d := rt.count.Load() - rt.lastCount
-		rt.lastCount = rt.count.Load()
-		if rt.follower == cold.n.idx {
-			continue
-		}
-		if tenant == "" || d > tenantDelta {
-			tenant, tenantDelta = id, d
-		}
-	}
-	r.mu.RUnlock()
-	if hosted < 2 || tenant == "" {
-		return
-	}
-	r.logger.Info("rebalancing",
-		"tenant", tenant, "from", hot.n.addr, "hot_rate", hot.rate,
-		"to", cold.n.addr, "cold_rate", cold.rate)
-	if _, err := r.Migrate(tenant, cold.n.addr); err != nil {
-		r.logger.Error("rebalance migration failed", "tenant", tenant, "err", err)
-	}
-}
-
-func maxF(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }

@@ -71,9 +71,9 @@ type MigrateResult struct {
 	Tenant string `json:"tenant"`
 	From   string `json:"from"`
 	To     string `json:"to"`
-	// Served is the arrival ledger at quiesce — the state the transfer
-	// captured; Replayed counts arrivals buffered during the move and
-	// replayed on the target before the route flipped.
+	// Served is the cut quiesce settled with the owner — the state the
+	// transfer captured; Replayed counts arrivals buffered during the move
+	// and replayed on the target before the route flipped.
 	Served   int64 `json:"served"`
 	Replayed int   `json:"replayed"`
 }
@@ -82,8 +82,8 @@ type MigrateResult struct {
 // migration runs at a time; arrivals for the tenant keep being accepted
 // throughout (they buffer in the router between quiesce and flip, so a
 // client sees added latency, never an error). Ordering and state identity
-// are preserved end to end: everything forwarded before quiesce is in the
-// extracted state, everything accepted during the move replays on the
+// are preserved end to end: everything the owner admitted by quiesce is in
+// the extracted state, everything accepted during the move replays on the
 // target in admission order before the route flips.
 func (r *Router) Migrate(tenant, target string) (*MigrateResult, error) {
 	r.migMu.Lock()
@@ -104,8 +104,8 @@ func (r *Router) Migrate(tenant, target string) (*MigrateResult, error) {
 	}
 
 	// A route restored from the route log carries a ledger that may trail
-	// the owner; reconcile it before quiescing on it, or extract?served=N
-	// would wait for a count the node passed long ago.
+	// the owner; reconcile it before quiescing on it, or quiesce would take
+	// the lag for a drift and drop the follower.
 	if err := r.ensureSynced(tenant); err != nil {
 		return nil, err
 	}
@@ -152,12 +152,12 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 		}
 		return nil, cause
 	}
-	// The source waits until the tenant has served exactly `served`
-	// arrivals before capturing.
+	// Quiesce saw the source admit exactly `served` arrivals, and the
+	// capture runs on the tenant's shard after every one of them.
 	var transfer []byte
 	err := r.checkMigFault("extract")
 	if err == nil {
-		err = r.call("POST", src.base+"/v1/tenants/"+tenant+"/extract?served="+fmt.Sprint(served), nil, &transfer)
+		err = r.call("POST", src.base+"/v1/tenants/"+tenant+"/extract", nil, &transfer)
 	}
 	if err != nil {
 		return abort(fmt.Errorf("cluster: extracting %q from %s: %v", tenant, src.addr, err))
@@ -211,13 +211,22 @@ func (r *Router) runMigration(rt *route, mig *migration, tenant string, src, tgt
 	return &MigrateResult{Tenant: tenant, From: src.addr, To: tgt.addr, Served: served, Replayed: replayed}, nil
 }
 
-// quiesce starts a move: under the write lock it marks the tenant's route
-// moving — from here its arrivals buffer in the returned migration — and
-// reads the ledger, which is exact there because no forward is in flight.
-// check runs under the same lock and may refuse the move. Frames the
-// ledger counts may still sit in session write buffers, so every
-// connection to the owner and the follower is flushed before quiesce
-// returns: both can then reach the cut the drain keys its batches at.
+// quiesce starts a move and settles its cut. Under the write lock it marks
+// the tenant's route moving — from here its arrivals buffer in the
+// returned migration — and reads the ledger, which is exact there because
+// no forward is in flight. check runs under the same lock and may refuse
+// the move. Frames the ledger counts may still sit in session write
+// buffers, so every connection to the owner and the follower is flushed,
+// and the owner is then polled until it has admitted the ledger (see
+// admitted). An owner whose count differs from the ledger either way has
+// drifted from it: behind, it lost frames the ledger counted (a frame it
+// refused failed its TCP stream, and the frames behind it on that
+// connection were never served); ahead, a client reached it directly. Its
+// count becomes the ledger and the cut, and the follower, whose stream no
+// longer matches, is dropped. So is a follower that does not stand at the
+// cut exactly. The move captures, installs and drains at the returned cut.
+// An owner that cannot be read aborts the move: its follower is dropped
+// and the drain a failed capture uses runs back to it.
 func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *migration, int64, error) {
 	r.mu.Lock()
 	rt := r.routes[tenant]
@@ -236,9 +245,38 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 	}
 	mig := &migration{}
 	rt.mig = mig
-	cut, owner, follower := rt.count.Load(), rt.node, rt.follower
+	cut, owner, follower := rt.count.Load(), r.nodes[rt.node], rt.follower
 	r.mu.Unlock()
-	r.flushNodeUpstreams(owner, follower)
+	r.flushNodeUpstreams(owner.idx, follower)
+
+	admitted, err := r.admitted(owner, tenant, cut)
+	var ferr error
+	switch {
+	case err != nil:
+		ferr = err
+	case admitted != cut:
+		r.mu.Lock()
+		rt.count.Store(admitted)
+		r.mu.Unlock()
+		r.logger.Warn("ledger re-synced to the owner's admitted count",
+			"tenant", tenant, "node", owner.addr, "ledger", cut, "admitted", admitted)
+		ferr = fmt.Errorf("cluster: owner %s admitted %d arrivals, the ledger counts %d", owner.addr, admitted, cut)
+		cut = admitted
+	case follower >= 0:
+		var fa int64
+		if fa, ferr = r.admitted(r.nodes[follower], tenant, cut); ferr == nil && fa != cut {
+			ferr = fmt.Errorf("cluster: follower admitted %d arrivals, the cut is %d", fa, cut)
+		}
+	}
+	if ferr != nil && follower >= 0 {
+		r.degradeFollower(tenant, follower, ferr)
+	}
+	if err != nil {
+		if _, derr := r.drain(rt, mig, tenant, owner, func() {}); derr != nil {
+			r.logger.Error("aborted move lost buffered arrivals", "tenant", tenant, "err", derr)
+		}
+		return nil, nil, 0, err
+	}
 	return rt, mig, cut, nil
 }
 
@@ -247,9 +285,9 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 // ledger, then to the route's follower, if it has one; a follower-leg
 // failure only drops the follower. Both legs send through sendArrivals,
 // keyed at the ledger — exact while the route moves, because forwards
-// only buffer then, and caught up with both nodes before the first batch
-// (see catchUp) — so a transient failure is retried under the key and
-// can neither drop nor double-serve the batch. The follower is read per
+// only buffer then, and equal to both nodes' admitted counts from quiesce
+// on — so a transient failure is retried under the key and can neither
+// drop nor double-serve the batch. The follower is read per
 // batch, so one a forward degrades mid-drain gets no further batches. Once
 // the buffer is observed empty under the write lock, where no appender can
 // be in flight, the route stops moving and settle runs under that lock.
@@ -263,20 +301,14 @@ func (r *Router) quiesce(tenant string, check func(rt *route) error) (*route, *m
 // failure the follower is dropped too, since the owner's admitted count,
 // and so the follower's match, is no longer known.
 func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, settle func()) (int, error) {
-	replayed, caughtUp := 0, false
+	replayed := 0
 	for {
 		var err error
 		if batch := mig.peek(); len(batch) == 0 {
 			err = r.checkMigFault("flip")
 		} else {
-			if !caughtUp {
-				caughtUp, err = true, r.catchUp(rt, tenant, owner)
-			}
 			start, n := rt.count.Load(), 0
-			if err == nil {
-				err = r.checkMigFault("replay")
-			}
-			if err == nil {
+			if err = r.checkMigFault("replay"); err == nil {
 				n, err = r.sendArrivals(owner, tenant, batch, 0, start)
 			}
 			refused := 0
@@ -316,44 +348,6 @@ func (r *Router) drain(rt *route, mig *migration, tenant string, owner *node, se
 		}
 		return replayed, nil
 	}
-}
-
-// catchUp readies a drain's legs before its first batch. Frames the ledger
-// counts were flushed to the owner and the follower at quiesce but may
-// still be on their way, so each node's admitted count is polled until it
-// reaches the ledger. An owner still short after the retries has lost
-// arrivals the ledger counted — a frame it refused failed its TCP stream,
-// and the frames behind it on that connection were never served — so its
-// admitted count becomes the ledger, and the follower, whose stream no
-// longer matches, is dropped. So is a follower that does not stand at the
-// ledger exactly. It fails only when the owner cannot be read.
-func (r *Router) catchUp(rt *route, tenant string, owner *node) error {
-	ledger := rt.count.Load()
-	admitted, err := r.admitted(owner, tenant, ledger)
-	if err != nil {
-		return err
-	}
-	r.mu.RLock()
-	follower := rt.follower
-	r.mu.RUnlock()
-	var ferr error
-	if admitted < ledger {
-		r.mu.Lock()
-		rt.count.Store(admitted)
-		r.mu.Unlock()
-		r.logger.Warn("ledger re-synced to the owner's admitted count",
-			"tenant", tenant, "node", owner.addr, "ledger", ledger, "admitted", admitted)
-		ferr = fmt.Errorf("cluster: owner %s admitted %d of the %d arrivals the ledger counts", owner.addr, admitted, ledger)
-	} else if follower >= 0 {
-		var fa int64
-		if fa, ferr = r.admitted(r.nodes[follower], tenant, ledger); ferr == nil && fa != ledger {
-			ferr = fmt.Errorf("cluster: follower admitted %d arrivals, the ledger counts %d", fa, ledger)
-		}
-	}
-	if ferr != nil && follower >= 0 {
-		r.degradeFollower(tenant, follower, ferr)
-	}
-	return nil
 }
 
 // dropRoute removes a tenant whose state was lost mid-migration so later

@@ -268,24 +268,32 @@ func (r *Router) resyncRoute(id string) error {
 	return nil
 }
 
-// admitted reads node n's admitted count for tenant, polling under the
-// retry policy while it is below want (want 0 reads once), and returns the
-// last count read. It fails only when the node cannot be read.
+// admitted reads node n's admitted count for tenant and returns it once it
+// reaches want (want 0 reads once), or the last count read once cutWait's
+// budget runs out. A read that still fails after defaultRetry's attempts
+// fails at once.
 func (r *Router) admitted(n *node, tenant string, want int64) (int64, error) {
 	var doc struct {
 		Admitted int64 `json:"admitted"`
 	}
-	var gerr error
-	err := defaultRetry.do(func() error {
-		if gerr = r.call("GET", n.base+"/v1/tenants/"+tenant+"/served", nil, &doc); gerr != nil {
-			return &unavailableError{gerr}
-		}
-		if doc.Admitted < want {
-			return &unavailableError{fmt.Errorf("cluster: node %s has admitted %d of %d arrivals", n.addr, doc.Admitted, want)}
+	err := cutWait.do(func() error {
+		err := defaultRetry.do(func() error {
+			if err := r.call("GET", n.base+"/v1/tenants/"+tenant+"/served", nil, &doc); err != nil {
+				return &unavailableError{err}
+			}
+			return nil
+		}, func(error) { r.retries.Add(1) })
+		switch {
+		case err != nil:
+			// %v, not %w: the read has had its retries, so cutWait must
+			// not take the failure for a retry-safe one.
+			return fmt.Errorf("cluster: reading node %s's admitted count for %q: %v", n.addr, tenant, err)
+		case doc.Admitted < want:
+			return errShort
 		}
 		return nil
-	}, func(error) { r.retries.Add(1) })
-	if gerr != nil {
+	}, nil)
+	if err != nil && !errors.Is(err, errShort) {
 		return 0, err
 	}
 	return doc.Admitted, nil

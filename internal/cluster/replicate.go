@@ -102,9 +102,9 @@ func (r *Router) failoverNode(n *node) {
 
 // reseedFollower brings an unreplicated tenant back to owner+follower with
 // the move a migration makes, export in place of extract: quiesce the
-// route, capture the owner's state at the exact ledger cut, install it on a
-// freshly placed follower node and make it the route's follower, drain the
-// buffered tail to both, and settle by journaling the follower. The
+// route, capture the owner's state at the cut quiesce settled, install it
+// on a freshly placed follower node and make it the route's follower,
+// drain the buffered tail to both, and settle by journaling the follower. The
 // quiesce is what makes the replica's stream gapless — an export taken
 // while forwards kept flowing would miss everything between the cut and
 // the follower's first dual-write. When the capture or install fails the
@@ -136,7 +136,7 @@ func (r *Router) reseedFollower(tenant string) {
 	var transfer []byte
 	err = r.checkMigFault("export")
 	if err == nil {
-		err = r.call("GET", owner.base+"/v1/tenants/"+tenant+"/export?served="+fmt.Sprint(cut), nil, &transfer)
+		err = r.call("GET", owner.base+"/v1/tenants/"+tenant+"/export", nil, &transfer)
 	}
 	if err == nil {
 		// A stale replica from an earlier degrade may still live on the

@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"net"
 	"net/url"
@@ -26,6 +27,14 @@ type retryPolicy struct {
 }
 
 var defaultRetry = retryPolicy{attempts: 4, budget: 8 * time.Second, base: 25 * time.Millisecond, max: 500 * time.Millisecond}
+
+// cutWait bounds how long a move polls an owner whose admitted count is
+// short of the ledger (Router.admitted): flushed frames may still be on
+// their way, but an owner that refused one never catches up.
+var cutWait = retryPolicy{attempts: math.MaxInt, budget: 10 * time.Second, base: 2 * time.Millisecond, max: 100 * time.Millisecond}
+
+// errShort is the retry-safe error cutWait polls on.
+var errShort = &unavailableError{errors.New("cluster: admitted count short of the cut")}
 
 // retryJitter feeds backoff jitter. Package cluster is outside the
 // deterministic-lint set; a shared seeded source keeps tests stable enough
@@ -69,7 +78,7 @@ func (p retryPolicy) do(fn func() error, onRetry func(error)) error {
 
 // unavailableError marks a worker response that is safe to retry: a 5xx
 // from a node that has not admitted the batch, a node marked down, or a
-// node not yet at the admitted count a caller waits for (Router.admitted).
+// node not yet at the admitted count a move waits for (errShort).
 // It wraps the underlying error for classification.
 type unavailableError struct{ err error }
 

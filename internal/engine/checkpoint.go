@@ -12,17 +12,13 @@ import (
 	"repro/internal/par"
 )
 
-// Checkpoint format versions. Version 1 recorded every tenant's full arrival
-// history and restored by replaying all of it — O(history) work and
-// unbounded growth. Version 2 (the format Checkpoint now writes) records,
+// CheckpointVersion is the checkpoint format version. Version 2 records,
 // per tenant, a base snapshot of the algorithm's serialized state plus only
-// the arrival-log segment served since that base, so Restore loads the state
-// and replays O(segment) arrivals. Version 1 checkpoints remain readable:
-// Restore treats them as an empty base with the full history as the tail.
-const (
-	CheckpointVersionV1 = 1
-	CheckpointVersion   = 2
-)
+// the arrival-log segment served since that base, so Restore loads the
+// state and replays O(segment) arrivals. Version 1, which recorded every
+// tenant's full history with no base, is no longer read: a version 2
+// record of a never-sealed tenant is the same full-history record.
+const CheckpointVersion = 2
 
 // Checkpoint is a durable, self-contained record of an engine's state: for
 // every tenant, the substrate it was created on (matrix metric + size cost
@@ -49,8 +45,7 @@ type TenantCheckpoint struct {
 	// BaseState is the tenant algorithm's serialized state at BaseServed
 	// arrivals (online.StateCodec), with the cost accounting frozen at
 	// that moment: opaque bytes whose layout the algorithm owns. Absent
-	// (v1 checkpoints, or never-sealed v2 tenants) the tenant restores
-	// from genesis.
+	// (a never-sealed tenant) the tenant restores from genesis.
 	BaseState []byte `json:"base_state,omitempty"`
 	// BaseServed, BaseConstruction and BaseAssignment are the serve
 	// counters frozen with the base state. Restore checks them against the
@@ -61,8 +56,8 @@ type TenantCheckpoint struct {
 	BaseConstruction float64 `json:"base_construction,omitempty"`
 	BaseAssignment   float64 `json:"base_assignment,omitempty"`
 
-	// Arrivals is the append-only arrival-log segment since the base
-	// (v1: the full history). Restore replays exactly these.
+	// Arrivals is the append-only arrival-log segment since the base (with
+	// no base, the full history). Restore replays exactly these.
 	Arrivals []ArrivalRecord `json:"arrivals"`
 }
 
@@ -138,12 +133,12 @@ func (t *tenant) checkpointOrigin() (*TenantOrigin, error) {
 	return o, nil
 }
 
-// checkpointV2 builds the tenant's v2 record; shard goroutine only. A
+// checkpointRecord builds the tenant's record; shard goroutine only. A
 // non-recording tenant is sealed on every capture (base = now, empty tail);
 // a recording tenant re-bases only when its tail reached SealEvery (the
 // serve path normally keeps that invariant already) and otherwise reuses the
 // cached base bytes.
-func (t *tenant) checkpointV2() (TenantCheckpoint, error) {
+func (t *tenant) checkpointRecord() (TenantCheckpoint, error) {
 	o, err := t.checkpointOrigin()
 	if err != nil {
 		return TenantCheckpoint{}, err
@@ -169,24 +164,6 @@ func (t *tenant) checkpointV2() (TenantCheckpoint, error) {
 	return tc, nil
 }
 
-// checkpointV1 builds the tenant's legacy v1 record: the full arrival
-// history, no base. It errors once any arrivals have been folded into a
-// base (the history is then no longer complete). Shard goroutine only.
-func (t *tenant) checkpointV1() (TenantCheckpoint, error) {
-	if !t.record {
-		return TenantCheckpoint{}, fmt.Errorf("engine: tenant %q: v1 checkpoints require Config.RecordArrivals", t.id)
-	}
-	if t.baseServed > 0 {
-		return TenantCheckpoint{}, fmt.Errorf("engine: tenant %q: %d arrivals already sealed into a base state; v1 checkpoint impossible (set Config.SealEvery < 0 to disable sealing)",
-			t.id, t.baseServed)
-	}
-	o, err := t.checkpointOrigin()
-	if err != nil {
-		return TenantCheckpoint{}, err
-	}
-	return TenantCheckpoint{Tenant: t.id, TenantOrigin: *o, Arrivals: t.tailRecords()}, nil
-}
-
 // tailRecords returns the arrival tail as records whose demand lists are
 // cut, capacity-capped, from one buffer, as ReadCheckpointFile cuts them.
 // Shard goroutine only.
@@ -205,32 +182,17 @@ func (t *tenant) tailRecords() []ArrivalRecord {
 	return recs
 }
 
-// Checkpoint captures a consistent engine checkpoint in format v2: every
-// tenant's record is taken on its shard goroutine, serialized with its
-// arrival stream, so each record is a consistent cut covering everything
-// admitted for the tenant before the call. Tenants are sorted by name,
-// making the artifact deterministic.
+// Checkpoint captures a consistent engine checkpoint: every tenant's
+// record is taken on its shard goroutine, serialized with its arrival
+// stream, so each record is a consistent cut covering everything admitted
+// for the tenant before the call. Tenants are sorted by name, making the
+// artifact deterministic.
 //
 // With Config.RecordArrivals the capture is cheap — cached base bytes plus
 // the bounded arrival tail. Without it, every tenant's algorithm state is
 // marshaled afresh on every call. Tenants whose substrate cannot be
 // serialized error in either mode.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
-	return e.capture(CheckpointVersion, (*tenant).checkpointV2)
-}
-
-// CheckpointV1 captures a checkpoint in the legacy v1 format (full arrival
-// history, no base states) — for migration tests and format benchmarks. It
-// requires Config.RecordArrivals and fails once any tenant has sealed part
-// of its history into a base (disable sealing with Config.SealEvery < 0).
-func (e *Engine) CheckpointV1() (*Checkpoint, error) {
-	if !e.cfg.RecordArrivals {
-		return nil, fmt.Errorf("engine: CheckpointV1 requires Config.RecordArrivals")
-	}
-	return e.capture(CheckpointVersionV1, (*tenant).checkpointV1)
-}
-
-func (e *Engine) capture(version int, record func(*tenant) (TenantCheckpoint, error)) (*Checkpoint, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -257,7 +219,7 @@ func (e *Engine) capture(version int, record func(*tenant) (TenantCheckpoint, er
 			defer wg.Done()
 			s.control(func() {
 				for _, t := range group {
-					tc, err := record(t)
+					tc, err := t.checkpointRecord()
 					rmu.Lock()
 					if err != nil && firstErr == nil {
 						firstErr = err
@@ -274,7 +236,7 @@ func (e *Engine) capture(version int, record func(*tenant) (TenantCheckpoint, er
 	}
 
 	ck := &Checkpoint{
-		Version:   version,
+		Version:   CheckpointVersion,
 		Algorithm: e.cfg.algoName(),
 		Seed:      e.cfg.Seed,
 		Tenants:   make([]TenantCheckpoint, len(tns)),
@@ -315,11 +277,8 @@ type RestoreStats struct {
 // registered.
 func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 	var stats RestoreStats
-	switch ck.Version {
-	case CheckpointVersionV1, CheckpointVersion:
-	default:
-		return stats, fmt.Errorf("engine: checkpoint version %d, want %d or %d",
-			ck.Version, CheckpointVersionV1, CheckpointVersion)
+	if ck.Version != CheckpointVersion {
+		return stats, fmt.Errorf("engine: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
 	}
 	if got, want := e.cfg.algoName(), ck.Algorithm; got != want {
 		return stats, fmt.Errorf("engine: checkpoint was taken with algorithm %q, engine runs %q", want, got)

@@ -201,13 +201,6 @@ func TestCheckpointErrors(t *testing.T) {
 	if _, err := e.Checkpoint(); err == nil {
 		t.Error("Checkpoint on closed engine succeeded")
 	}
-	// The legacy v1 capture does require the recorded history.
-	e2 := New(Config{Shards: 1})
-	if _, err := e2.CheckpointV1(); err == nil {
-		t.Error("CheckpointV1 without RecordArrivals succeeded")
-	}
-	e2.Close()
-
 	// Mismatched restore targets are configuration errors.
 	src := New(Config{Algorithm: "pd", Seed: 1, Shards: 1, RecordArrivals: true})
 	defer src.Close()
@@ -436,42 +429,45 @@ func TestCheckpointWithoutRecordArrivals(t *testing.T) {
 	}
 }
 
-// TestCheckpointV1Migration is the v1 → v2 migration path: a legacy v1
-// checkpoint restores (full replay), the restored engine's next Checkpoint
-// emits v2, and that v2 checkpoint restores with bounded replay onto a
+// TestCheckpointUnsealedToSealedRestore: a checkpoint of a never-sealed
+// engine holds every tenant's full history and no base. It restores by full
+// replay onto a sealing engine, whose next Checkpoint carries bases and
+// short tails, and that checkpoint restores with bounded replay onto a
 // third engine — all three agreeing byte-for-byte.
-func TestCheckpointV1Migration(t *testing.T) {
+func TestCheckpointUnsealedToSealedRestore(t *testing.T) {
 	tr := fixedTrace(14, 100, 6, 12)
 	for _, algo := range []string{"pd", "rand"} {
-		// SealEvery < 0 disables sealing so the full history stays
-		// available for the legacy capture.
-		legacy := New(Config{Algorithm: algo, Shards: 2, Seed: 9, RecordArrivals: true, SealEvery: -1})
-		if _, err := legacy.ReplayTrace(tr, 2); err != nil {
+		unsealed := New(Config{Algorithm: algo, Shards: 2, Seed: 9, RecordArrivals: true, SealEvery: -1})
+		if _, err := unsealed.ReplayTrace(tr, 2); err != nil {
 			t.Fatal(err)
 		}
-		want, err := legacy.SnapshotAll()
+		want, err := unsealed.SnapshotAll()
 		if err != nil {
 			t.Fatal(err)
 		}
-		ckV1, err := legacy.CheckpointV1()
+		full, err := unsealed.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
-		legacy.Close()
-		if ckV1.Version != CheckpointVersionV1 {
-			t.Fatalf("%s: CheckpointV1 emitted version %d", algo, ckV1.Version)
+		unsealed.Close()
+		for _, tc := range full.Tenants {
+			if tc.BaseState != nil || tc.BaseServed != 0 {
+				t.Fatalf("%s: unsealed tenant %q carries a base of %d arrivals", algo, tc.Tenant, tc.BaseServed)
+			}
+		}
+		if full.TailArrivals() != 100 {
+			t.Fatalf("%s: unsealed checkpoint tails hold %d arrivals, want 100", algo, full.TailArrivals())
 		}
 
-		// Migrate: restore v1 (full replay), then capture v2.
 		mid := New(Config{Algorithm: algo, Shards: 3, Seed: 9, RecordArrivals: true, SealEvery: 8})
-		stats, err := mid.Restore(ckV1)
+		stats, err := mid.Restore(full)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if stats.Replayed != 100 || stats.BasesLoaded != 0 {
-			t.Errorf("%s: v1 restore stats %+v, want full replay and no bases", algo, stats)
+			t.Errorf("%s: unsealed restore stats %+v, want full replay and no bases", algo, stats)
 		}
-		ckV2, err := mid.Checkpoint()
+		sealed, err := mid.Checkpoint()
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -480,20 +476,17 @@ func TestCheckpointV1Migration(t *testing.T) {
 			t.Fatal(err)
 		}
 		mid.Close()
-		if ckV2.Version != CheckpointVersion {
-			t.Fatalf("%s: migrated checkpoint version %d, want %d", algo, ckV2.Version, CheckpointVersion)
-		}
-		if ckV2.TailArrivals() >= 2*8 {
-			t.Errorf("%s: migrated checkpoint tail %d, want < tenants×SealEvery", algo, ckV2.TailArrivals())
+		if sealed.TailArrivals() >= 2*8 {
+			t.Errorf("%s: sealed checkpoint tail %d, want < tenants×SealEvery", algo, sealed.TailArrivals())
 		}
 
 		final := New(Config{Algorithm: algo, Shards: 1, Seed: 9, RecordArrivals: true, SealEvery: 8})
-		fstats, err := final.Restore(ckV2)
+		fstats, err := final.Restore(sealed)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if fstats.Replayed != ckV2.TailArrivals() {
-			t.Errorf("%s: v2 restore replayed %d, want %d", algo, fstats.Replayed, ckV2.TailArrivals())
+		if fstats.Replayed != sealed.TailArrivals() {
+			t.Errorf("%s: sealed restore replayed %d, want %d", algo, fstats.Replayed, sealed.TailArrivals())
 		}
 		got, err := final.SnapshotAll()
 		if err != nil {
@@ -501,10 +494,10 @@ func TestCheckpointV1Migration(t *testing.T) {
 		}
 		final.Close()
 		if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, midSnaps)) {
-			t.Errorf("%s: v1 restore diverged from the legacy engine", algo)
+			t.Errorf("%s: unsealed restore diverged from the source engine", algo)
 		}
 		if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, got)) {
-			t.Errorf("%s: v1→v2 migrated restore diverged from the legacy engine", algo)
+			t.Errorf("%s: sealed restore diverged from the source engine", algo)
 		}
 	}
 }
@@ -547,24 +540,6 @@ func TestRestoreLongTail(t *testing.T) {
 	}
 	if !bytes.Equal(marshalSnaps(t, want), marshalSnaps(t, got)) {
 		t.Error("restored snapshots differ from the source engine's")
-	}
-}
-
-// TestCheckpointV1SealedRefused: once part of the history is sealed into a
-// base, the legacy capture must refuse (its history is incomplete) while
-// the v2 capture keeps working.
-func TestCheckpointV1SealedRefused(t *testing.T) {
-	e := New(Config{Algorithm: "pd", Shards: 1, Seed: 1, RecordArrivals: true, SealEvery: 5})
-	defer e.Close()
-	if _, err := e.ReplayTrace(fixedTrace(3, 30, 4, 8), 1); err != nil {
-		t.Fatal(err)
-	}
-	e.Drain()
-	if _, err := e.CheckpointV1(); err == nil {
-		t.Error("CheckpointV1 succeeded on a sealed tenant")
-	}
-	if _, err := e.Checkpoint(); err != nil {
-		t.Errorf("v2 Checkpoint failed on a sealed tenant: %v", err)
 	}
 }
 

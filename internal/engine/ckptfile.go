@@ -168,8 +168,8 @@ func (ck *Checkpoint) encode(level int) ([]byte, error) {
 // back: an unknown version, negative counts, points or commodities,
 // non-finite floats, and non-square distance matrices.
 func (ck *Checkpoint) checkEncodable() error {
-	if ck.Version != CheckpointVersionV1 && ck.Version != CheckpointVersion {
-		return fmt.Errorf("engine: checkpoint version %d, want %d or %d", ck.Version, CheckpointVersionV1, CheckpointVersion)
+	if ck.Version != CheckpointVersion {
+		return fmt.Errorf("engine: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
 	}
 	finite := func(fs ...float64) bool {
 		for _, f := range fs {
@@ -292,8 +292,8 @@ func decodeCheckpoint(what string, data []byte, onBase func(tenant int, z []byte
 	}
 	r := codec.NewReader(what, data[len(checkpointMagic):])
 	ck := &Checkpoint{Version: r.Uint()}
-	if v := ck.Version; v != CheckpointVersionV1 && v != CheckpointVersion && r.Err() == nil {
-		r.Fail("version %d, want %d or %d", v, CheckpointVersionV1, CheckpointVersion)
+	if v := ck.Version; v != CheckpointVersion && r.Err() == nil {
+		r.Fail("version %d, want %d", v, CheckpointVersion)
 	}
 	ck.Algorithm = r.String()
 	ck.Seed = int64(r.Fixed64())

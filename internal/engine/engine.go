@@ -111,10 +111,10 @@ type Config struct {
 	// SealEvery bounds a recording tenant's in-memory arrival tail: once
 	// the tail reaches SealEvery arrivals the tenant re-bases — marshals
 	// its algorithm state as the new checkpoint base and truncates the
-	// tail — so checkpoint restores replay at most SealEvery arrivals
-	// (checkpoint format v2). 0 means the 4096 default; negative disables
-	// sealing entirely (unbounded tails, full-replay restores — the v1
-	// behavior, required to capture v1-format checkpoints).
+	// tail — so checkpoint restores replay at most SealEvery arrivals. 0
+	// means the 4096 default; negative disables sealing entirely: every
+	// checkpoint then holds each tenant's full history and no base, and a
+	// restore replays all of it.
 	SealEvery int
 	// Options is passed through to the core algorithms.
 	Options core.Options
@@ -240,7 +240,7 @@ type tenant struct {
 	history []instance.Request
 	origin  *TenantOrigin
 
-	// Checkpoint v2 base: the algorithm state marshaled at the last seal,
+	// Checkpoint base: the algorithm state marshaled at the last seal,
 	// with the serve counters frozen at that moment. history holds only
 	// the arrivals served since. sealEvery caps the tail (0 = never seal);
 	// sealBroken latches a failed seal so the serve path does not retry

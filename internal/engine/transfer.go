@@ -6,7 +6,7 @@ import (
 )
 
 // TenantTransfer is one tenant's portable state: a checkpoint document of
-// that tenant's v2 record, stamped with the algorithm and engine seed it
+// that tenant's record, stamped with the algorithm and engine seed it
 // was captured under. ExtractTenant or ExportTenant captures it on one
 // engine, EncodeTransfer and DecodeTransfer carry it between nodes, and
 // InjectTenant rebuilds it on another with byte-identical snapshots. The
@@ -36,7 +36,7 @@ func (e *Engine) ExportTenant(id string) (*TenantTransfer, error) {
 }
 
 // captureTenant is the one capture behind extract and export: the tenant's
-// v2 record, taken on its shard goroutine, as a document EncodeTransfer can
+// record, taken on its shard goroutine, as a document EncodeTransfer can
 // write. With remove the tenant is deregistered first and put back if the
 // capture fails, so a failed extract is a clean no-op instead of a loss.
 func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) {
@@ -58,7 +58,7 @@ func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) 
 
 	var tc TenantCheckpoint
 	var err error
-	t.shard.control(func() { tc, err = t.checkpointV2() })
+	t.shard.control(func() { tc, err = t.checkpointRecord() })
 	tr := &TenantTransfer{Version: CheckpointVersion, Algorithm: e.cfg.algoName(), Seed: e.cfg.Seed,
 		Tenants: []TenantCheckpoint{tc}}
 	if err == nil {

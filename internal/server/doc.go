@@ -12,8 +12,8 @@
 //	GET  /v1/metrics                engine-wide metrics (arrivals/s, latency, queues)
 //	GET  /healthz                   liveness + uptime
 //	POST /v1/checkpoint             force a checkpoint now (404 when disabled)
-//	POST /v1/tenants/{id}/extract   remove a tenant; reply: its transfer document (?served=N waits for N served first)
-//	GET  /v1/tenants/{id}/export    the same reply, the tenant kept serving (?served=N as for extract)
+//	POST /v1/tenants/{id}/extract   remove a tenant; reply: its transfer document, every admitted arrival in it
+//	GET  /v1/tenants/{id}/export    the same reply, the tenant kept serving
 //	POST /v1/tenants/{id}/inject    restore a tenant from a transfer document naming {id}; 400 on any other body
 //	GET  /v1/tenants/{id}/served    {"served":n,"admitted":m}: the tenant's settled and admitted counts
 //

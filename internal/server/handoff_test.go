@@ -10,8 +10,8 @@ import (
 )
 
 // TestNodeExtractInjectEndpoints drives the node-side handoff surface the
-// cluster router uses: /v1/node identity, quiesced extract (?served=N),
-// inject on a peer, and the sentinel statuses for the failure cases.
+// cluster router uses: /v1/node identity, extract, inject on a peer, and
+// the sentinel statuses for the failure cases.
 func TestNodeExtractInjectEndpoints(t *testing.T) {
 	cfg := engine.Config{Algorithm: "pd", Shards: 2, Seed: 5}
 	src := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: cfg})
@@ -38,14 +38,16 @@ func TestNodeExtractInjectEndpoints(t *testing.T) {
 	}
 	before := httpJSON(t, "GET", srcBase+"/v1/tenants/a/snapshot", nil, http.StatusOK)
 
-	// Extract failure cases: unknown tenant, and a served watermark the
-	// engine has already passed (the router's ledger can only be behind,
-	// never ahead — ahead means the ledger is corrupt, a hard conflict).
+	// Extract failure cases: unknown tenant, and a served= wait, which
+	// earlier builds took and this one refuses without touching the tenant.
 	httpJSON(t, "POST", srcBase+"/v1/tenants/ghost/extract", nil, http.StatusNotFound)
-	httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=2", nil, http.StatusConflict)
+	httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=3", nil, http.StatusBadRequest)
+	if got := httpJSON(t, "GET", srcBase+"/v1/tenants/a/snapshot", nil, http.StatusOK); string(got) != string(before) {
+		t.Error("snapshot after a refused served= extract differs from the one before it")
+	}
 
-	// Quiesced extract at the true watermark, inject into the peer.
-	wire := httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=3", nil, http.StatusOK)
+	// Extract every admitted arrival, inject into the peer.
+	wire := httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract", nil, http.StatusOK)
 	tf := decodeTransfer(t, wire)
 	// Without RecordArrivals the capture seals everything into the base
 	// state; either way base + tail must account for all three arrivals.
@@ -82,7 +84,7 @@ func TestNodeExtractInjectEndpoints(t *testing.T) {
 	}
 
 	// An export is the same document, and the tenant stays.
-	exported := decodeTransfer(t, httpJSON(t, "GET", dstBase+"/v1/tenants/a/export?served=4", nil, http.StatusOK))
+	exported := decodeTransfer(t, httpJSON(t, "GET", dstBase+"/v1/tenants/a/export", nil, http.StatusOK))
 	if tc := exported.Tenants[0]; tc.Tenant != "a" || tc.BaseServed+len(tc.Arrivals) != 4 {
 		t.Errorf("export %q: base %d + tail %d arrivals, want 4 total", tc.Tenant, tc.BaseServed, len(tc.Arrivals))
 	}
@@ -137,9 +139,9 @@ func TestInjectRefusesTamperedTransfer(t *testing.T) {
 			httpJSON(t, "POST", srcBase+"/v1/tenants/"+id+"/arrive", a, http.StatusOK)
 		}
 	}
-	wire := httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract?served=2", nil, http.StatusOK)
+	wire := httpJSON(t, "POST", srcBase+"/v1/tenants/a/extract", nil, http.StatusOK)
 	tf := decodeTransfer(t, wire)
-	other := decodeTransfer(t, httpJSON(t, "GET", srcBase+"/v1/tenants/b/export?served=2", nil, http.StatusOK))
+	other := decodeTransfer(t, httpJSON(t, "GET", srcBase+"/v1/tenants/b/export", nil, http.StatusOK))
 	if tc := tf.Tenants[0]; tc.BaseServed != 2 || len(tc.BaseState) == 0 {
 		t.Fatalf("transfer carries %d base arrivals and %d state bytes, want a sealed base of 2", tc.BaseServed, len(tc.BaseState))
 	}

@@ -10,7 +10,6 @@ import (
 	"net/http/pprof"
 	"strconv"
 	"sync"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/obs"
@@ -435,27 +434,23 @@ func (s *Server) handleNode(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, s.NodeInfo())
 }
 
-// extractWait bounds how long an extract waits for the served count to
-// reach the router's forwarded count before giving up on quiescence.
-const extractWait = 10 * time.Second
-
 // handleCapture serves extract (capture = Engine.ExtractTenant, which
 // removes the tenant) and export (Engine.ExportTenant, the
 // replication-seeding read that leaves it serving): the reply is the
 // tenant's one-tenant transfer document, engine.EncodeTransfer's bytes.
-// With ?served=N the handler first waits until the tenant has served
-// exactly N arrivals — the router passes the number it has forwarded, so
-// the wait drains anything still queued in shard mailboxes before the
-// state is captured. A count above N means the router's ledger is wrong
-// (some other client reached this tenant directly); the capture is refused
-// rather than silently losing those arrivals from the ledger.
+// The capture runs on the tenant's shard after every arrival admitted
+// before the request, so a caller that has stopped sending and seen the
+// admitted count it expects (GET .../served) captures exactly that
+// prefix; the cluster router waits for that count at quiesce. A served=
+// parameter, with which earlier builds waited here, is a 400, so a caller
+// that relies on that wait cannot capture without it.
 func (s *Server) handleCapture(capture func(id string) (*engine.TenantTransfer, error)) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
-		id := r.PathValue("id")
-		if !s.waitServed(w, r, id) {
+		if r.URL.Query().Has("served") {
+			writeErr(w, http.StatusBadRequest, fmt.Errorf("served= is not supported: wait for the admitted count (GET .../served) before capturing"))
 			return
 		}
-		tr, err := capture(id)
+		tr, err := capture(r.PathValue("id"))
 		if err != nil {
 			writeErr(w, httpStatus(err), err)
 			return
@@ -468,45 +463,6 @@ func (s *Server) handleCapture(capture func(id string) (*engine.TenantTransfer, 
 		}
 		w.Header().Set("Content-Type", "application/octet-stream")
 		w.Write(data) //nolint:errcheck // client gone mid-reply
-	}
-}
-
-// waitServed implements the ?served=N quiesce shared by extract and export:
-// wait until the tenant has served exactly N arrivals, 409 if it has served
-// more (the caller's ledger is wrong), 504 if it does not catch up within
-// extractWait. Reports false after writing an error response; true means
-// the capture may proceed (including when no served= was given).
-func (s *Server) waitServed(w http.ResponseWriter, r *http.Request, id string) bool {
-	v := r.URL.Query().Get("served")
-	if v == "" {
-		return true
-	}
-	want, err := strconv.Atoi(v)
-	if err != nil || want < 0 {
-		writeErr(w, http.StatusBadRequest, fmt.Errorf("served=%q is not a count", v))
-		return false
-	}
-	deadline := time.Now().Add(extractWait)
-	for {
-		n, err := s.eng.ServedCount(id)
-		if err != nil {
-			writeErr(w, httpStatus(err), err)
-			return false
-		}
-		if n == want {
-			return true
-		}
-		if n > want {
-			writeErr(w, http.StatusConflict,
-				fmt.Errorf("tenant %q served %d arrivals, capture expected %d", id, n, want))
-			return false
-		}
-		if time.Now().After(deadline) {
-			writeErr(w, http.StatusGatewayTimeout,
-				fmt.Errorf("tenant %q served %d of %d expected arrivals within %v", id, n, want, extractWait))
-			return false
-		}
-		time.Sleep(2 * time.Millisecond)
 	}
 }
 
