@@ -81,7 +81,7 @@ func (r *Router) flushNodeUpstreams(owner, follower int) {
 	}
 	r.upMu.Unlock()
 	for _, u := range ups {
-		u.flush() //nolint:errcheck // a dead conn fails its own session; quiesce then times out loudly
+		u.flush() //nolint:errcheck // a dead conn fails its own session; quiesce then waits out cutWait and adopts the owner's count
 	}
 }
 
