@@ -90,16 +90,18 @@
 // # Tenant replication
 //
 // With Config.Replicate on, every tenant is placed on an owner and a
-// follower node and created on both. Because tenant state is a pure
-// function of (algorithm, seed, arrival stream), replication is dual-write:
-// the router forwards every arrival to both instances, and an arrival is
-// acked only after both admitted it. The two instances' snapshots are
-// byte-identical. When the owner node dies, the router promotes the route
-// to the follower — epoch++, ledger unchanged — losing at most the
-// in-flight (unacked) window, and reseeds a new follower from the
-// survivor's exported state. Route epochs guard against ghosts: once a
-// route has been promoted, a stale old owner rejoining can never win the
-// route back via snapshot re-sync.
+// follower node: live on the owner, passive on the follower. Because
+// tenant state is a pure function of (algorithm, seed, arrival stream),
+// replication is dual-write: the router forwards every arrival to both
+// copies, and an arrival is acked only after both admitted it. The passive
+// copy records its arrivals without serving them and builds its state from
+// its base and tail only when something needs it; its snapshots are then
+// byte-identical to the owner's. When the owner node dies, the router
+// promotes the route to the follower — epoch++, ledger unchanged, no call
+// to the worker — losing at most the in-flight (unacked) window, and
+// reseeds a new passive follower from the survivor's exported state. Route
+// epochs guard against ghosts: once a route has been promoted, a stale old
+// owner rejoining can never win the route back via re-sync.
 //
 // # Router failover
 //

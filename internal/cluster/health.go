@@ -146,15 +146,22 @@ func (r *Router) probe(n *node) error {
 // rejoining with state that includes arrivals the survivor also has, and
 // adopting it would fork the stream. Ghosts are logged and skipped. A
 // node hosting a route's follower replica is also left alone — the replica
-// is supposed to mirror the owner's counts.
+// is supposed to mirror the owner's counts. The counts come from
+// GET /v1/served, which builds none of the node's passive followers.
 func (r *Router) syncNode(n *node) error {
-	var snaps []*engine.TenantSnapshot
-	if err := r.call("GET", n.base+"/v1/snapshots?compact=true", nil, &snaps); err != nil {
-		return err
+	var counts []engine.TenantServed
+	if err := r.call("GET", n.base+"/v1/served", nil, &counts); err != nil {
+		// A node that cannot answer it, such as a worker from before
+		// GET /v1/served, is read through its compact snapshots: they
+		// carry the same tenant and served fields, and such a worker
+		// hosts no passive tenant for them to build.
+		if err := r.call("GET", n.base+"/v1/snapshots?compact=true", nil, &counts); err != nil {
+			return err
+		}
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	for _, s := range snaps {
+	for _, s := range counts {
 		rt, ok := r.routes[s.Tenant]
 		switch {
 		case !ok:

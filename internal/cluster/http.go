@@ -232,7 +232,9 @@ func (r *Router) handleSnapshot(w http.ResponseWriter, req *http.Request) {
 // newline — so cluster goldens diff against single-node goldens. Each
 // node's list is filtered by the routing table, which drops ghosts (a
 // tenant a node still hosts after its migration away, e.g. because the
-// post-extract checkpoint could not be written before a restart).
+// post-extract checkpoint could not be written before a restart). It reads
+// every copy a node hosts, so it builds every passive follower it reaches:
+// it produces the golden artifact and is not on the serving path.
 func (r *Router) handleSnapshots(w http.ResponseWriter, req *http.Request) {
 	q := ""
 	if v := req.URL.Query().Get("compact"); v != "" {

@@ -83,14 +83,16 @@ func (r *Router) placeRendezvous(tenant string, exclude int) (int, error) {
 }
 
 // createTenant places a tenant and creates it on the chosen node — and,
-// with replication on, on a follower node as well (both instances admit
-// the same arrival stream, so their snapshots are byte-identical). The
-// route is reserved under the write lock before the node calls so two
-// concurrent creates cannot land the tenant on two nodes; a failed owner
-// create rolls the reservation back, while a failed follower create only
-// degrades the tenant to unreplicated. The placement is journaled to the
-// route log. As on a single node, clients must not race arrivals against
-// their own create.
+// with replication on, as a passive copy on a follower node as well: both
+// copies admit the same arrival stream, the follower recording it without
+// serving it, and the follower builds its state only when something needs
+// it, with snapshots byte-identical to the owner's. The route is reserved
+// under the write lock before the node calls so two concurrent creates
+// cannot land the tenant on two nodes; a failed owner create rolls the
+// reservation back, while a failed follower create only degrades the
+// tenant to unreplicated. The placement is journaled to the route log. As
+// on a single node, clients must not race arrivals against their own
+// create.
 func (r *Router) createTenant(id string, universe int, distances [][]float64, costBySize []float64) error {
 	r.mu.Lock()
 	if _, ok := r.routes[id]; ok {
@@ -126,6 +128,9 @@ func (r *Router) createTenant(id string, universe int, distances [][]float64, co
 		return fmt.Errorf("cluster: creating %q on node %s: %v", id, r.nodes[idx].addr, err)
 	}
 	if fidx >= 0 {
+		// A worker from before passive tenants ignores the field and
+		// creates a live follower, which replicates all the same.
+		body["passive"] = true
 		if err := r.call("POST", r.nodes[fidx].base+"/v1/tenants/"+id, body, nil); err != nil {
 			r.logger.Warn("follower create failed, tenant unreplicated",
 				"tenant", id, "follower", r.nodes[fidx].addr, "err", err)

@@ -4,16 +4,21 @@ import (
 	"fmt"
 )
 
-// Tenant replication. A replicated tenant is a live second instance on a
-// follower node fed the identical arrival stream (see forwardArrivalsAt):
-// because tenant state is a pure function of (algorithm, seed, arrivals),
-// the two instances' snapshots are byte-identical at every settled point.
-// There is no follower read path — the replica exists only to be promoted.
+// Tenant replication. A replicated tenant has a passive copy on a follower
+// node fed the identical arrival stream (see forwardArrivalsAt): the copy
+// admits, counts and records each arrival in its tail without serving it,
+// and builds its algorithm instance from its base and tail only when
+// something needs its state (engine.InjectPassive). Because tenant state is
+// a pure function of (algorithm, seed, arrivals), the built copy's
+// snapshots are byte-identical to the owner's at every settled point.
+// There is no follower read path — the replica exists only to be promoted,
+// which needs no call to the worker: a promoted copy goes live at its
+// first snapshot read or when its tail reaches the seal bound.
 //
 // Invariants:
 //
 //   - An arrival is accounted (acked to the client, counted in the ledger's
-//     settled view) only after both instances admitted it. Promotion
+//     settled view) only after both copies admitted it. Promotion
 //     therefore loses at most the in-flight, unacked window — the same
 //     window a single-node crash loses.
 //   - A follower that misses a batch the owner admitted has diverged and is
@@ -27,7 +32,7 @@ import (
 //     replaying stays buffered until the owner's admitted count is in the
 //     ledger, so a keyed retry landing mid-drain is trimmed.
 //   - Promotion bumps the route's epoch. A promoted route never re-adopts
-//     another claimant during snapshot re-sync: the old owner rejoining
+//     another claimant during re-sync: the old owner rejoining
 //     with stale state is a ghost, not a candidate (health.go).
 
 // degradeFollower drops a tenant's follower after a replication failure:
@@ -103,7 +108,8 @@ func (r *Router) failoverNode(n *node) {
 // reseedFollower brings an unreplicated tenant back to owner+follower with
 // the move a migration makes, export in place of extract: quiesce the
 // route, capture the owner's state at the cut quiesce settled, install it
-// on a freshly placed follower node and make it the route's follower,
+// as a passive copy on a freshly placed follower node (inject?passive=1)
+// and make it the route's follower,
 // drain the buffered tail to both, and settle by journaling the follower. The
 // quiesce is what makes the replica's stream gapless — an export taken
 // while forwards kept flowing would miss everything between the cut and
@@ -145,7 +151,7 @@ func (r *Router) reseedFollower(tenant string) {
 		var discard []byte
 		r.call("POST", fnode.base+"/v1/tenants/"+tenant+"/extract", nil, &discard) //nolint:errcheck // 404 = nothing stale
 		if err = r.checkMigFault("inject"); err == nil {
-			err = r.call("POST", fnode.base+"/v1/tenants/"+tenant+"/inject", transfer, nil)
+			err = r.call("POST", fnode.base+"/v1/tenants/"+tenant+"/inject?passive=1", transfer, nil)
 		}
 	}
 	if err == nil {

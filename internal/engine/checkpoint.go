@@ -3,13 +3,14 @@ package engine
 import (
 	"fmt"
 	"math"
-	"sort"
-	"sync"
+	"time"
 
 	"repro/internal/commodity"
 	"repro/internal/cost"
+	"repro/internal/instance"
 	"repro/internal/metric"
 	"repro/internal/par"
+	"repro/internal/workload"
 )
 
 // CheckpointVersion is the checkpoint format version. Version 2 records,
@@ -134,16 +135,20 @@ func (t *tenant) checkpointOrigin() (*TenantOrigin, error) {
 }
 
 // checkpointRecord builds the tenant's record; shard goroutine only. A
-// non-recording tenant is sealed on every capture (base = now, empty tail);
-// a recording tenant re-bases only when its tail reached SealEvery (the
-// serve path normally keeps that invariant already) and otherwise reuses the
-// cached base bytes.
+// non-recording tenant is sealed on every capture (base = now, empty tail),
+// a passive one going live first; a recording tenant re-bases only when its
+// tail reached SealEvery (the serve path normally keeps that invariant
+// already) and otherwise reuses the cached base bytes, so a passive one is
+// captured as its base and tail stand.
 func (t *tenant) checkpointRecord() (TenantCheckpoint, error) {
 	o, err := t.checkpointOrigin()
 	if err != nil {
 		return TenantCheckpoint{}, err
 	}
 	if !t.record {
+		if t.alg == nil {
+			t.goLive()
+		}
 		if err := t.seal(); err != nil {
 			return TenantCheckpoint{}, fmt.Errorf("%v (enable Config.RecordArrivals to checkpoint by arrival replay)", err)
 		}
@@ -193,56 +198,22 @@ func (t *tenant) tailRecords() []ArrivalRecord {
 // marshaled afresh on every call. Tenants whose substrate cannot be
 // serialized error in either mode.
 func (e *Engine) Checkpoint() (*Checkpoint, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return nil, fmt.Errorf("engine: %w", ErrClosed)
+	tns, err := e.sortedTenants()
+	if err != nil {
+		return nil, err
 	}
-	tns := make([]*tenant, 0, len(e.tenants))
-	for _, t := range e.tenants { //omflp:orderinvariant — collected tenants are sorted by their unique id on the next line
-		tns = append(tns, t)
-	}
-	e.mu.Unlock()
-	sort.Slice(tns, func(i, j int) bool { return tns[i].id < tns[j].id })
-
-	byShard := map[*shard][]*tenant{}
-	for _, t := range tns {
-		byShard[t.shard] = append(byShard[t.shard], t)
-	}
-	records := make(map[string]TenantCheckpoint, len(tns))
-	var rmu sync.Mutex
-	var firstErr error
-	var wg sync.WaitGroup
-	for s, group := range byShard { //omflp:orderinvariant — shards run concurrently and merge into a tenant-id-keyed map; iteration order is immaterial
-		wg.Add(1)
-		go func(s *shard, group []*tenant) {
-			defer wg.Done()
-			s.control(func() {
-				for _, t := range group {
-					tc, err := t.checkpointRecord()
-					rmu.Lock()
-					if err != nil && firstErr == nil {
-						firstErr = err
-					}
-					records[t.id] = tc
-					rmu.Unlock()
-				}
-			})
-		}(s, group)
-	}
-	wg.Wait()
-	if firstErr != nil {
-		return nil, firstErr
-	}
-
 	ck := &Checkpoint{
 		Version:   CheckpointVersion,
 		Algorithm: e.cfg.algoName(),
 		Seed:      e.cfg.Seed,
 		Tenants:   make([]TenantCheckpoint, len(tns)),
 	}
-	for i, t := range tns {
-		ck.Tenants[i] = records[t.id]
+	errs := make([]error, len(tns))
+	onShards(tns, func(i int, t *tenant) { ck.Tenants[i], errs[i] = t.checkpointRecord() })
+	for _, err := range errs {
+		if err != nil {
+			return nil, err
+		}
 	}
 	return ck, nil
 }
@@ -276,6 +247,12 @@ type RestoreStats struct {
 // restored state without a Drain. A refused record leaves no tenant
 // registered.
 func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
+	return e.restore(ck, false)
+}
+
+// restore is Restore; with passive set, each tenant whose tail is below its
+// seal bound is registered passive, holding the tail instead of serving it.
+func (e *Engine) restore(ck *Checkpoint, passive bool) (RestoreStats, error) {
 	var stats RestoreStats
 	if ck.Version != CheckpointVersion {
 		return stats, fmt.Errorf("engine: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
@@ -287,7 +264,7 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 		return stats, fmt.Errorf("engine: checkpoint was taken with seed %d, engine runs seed %d", ck.Seed, e.cfg.Seed)
 	}
 	rs, err := par.Map(0, len(ck.Tenants), func(i int) (rebuilt, error) {
-		return e.rebuildTenant(&ck.Tenants[i])
+		return e.rebuildTenant(&ck.Tenants[i], passive)
 	})
 	if err != nil {
 		return stats, err
@@ -300,8 +277,8 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 		return stats, err
 	}
 	for i, r := range rs {
-		// The replay's serve times go to the shard's histogram, as runBatch
-		// records a served arrival, so the served totals count the replay.
+		// The tail's serve times go to the shard's histogram, as runBatch
+		// records a served arrival, so the served totals count the tail.
 		for _, ns := range r.servedNs {
 			r.t.shard.hist.RecordNs(ns)
 		}
@@ -312,36 +289,63 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 		}
 		stats.Tenants++
 		stats.Arrivals += tc.BaseServed + len(tc.Arrivals)
-		stats.Replayed += len(tc.Arrivals)
+		stats.Replayed += r.replayed
 	}
 	return stats, nil
 }
 
 // rebuilt is a tenant rebuilt from its record but not yet registered, with
-// the serve time of each tail arrival it replayed.
+// the serve time of each tail arrival it took and how many it replayed.
 type rebuilt struct {
 	t        *tenant
 	servedNs []int64
+	replayed int
 }
 
-// rebuildTenant is Restore's rebuild step for one record: buildTenant
-// checks the record in full — substrate, base state, serve counters, every
-// tail arrival — and builds the tenant, the calling goroutine serves the
-// tail (it owns the tenant, which is not registered yet), and the admitted
-// count is set to the served one. A refused record builds nothing.
-func (e *Engine) rebuildTenant(tc *TenantCheckpoint) (rebuilt, error) {
+// rebuildTenant is the rebuild step of Restore and of both injects for one
+// record: buildTenant checks the record in full — substrate, base state,
+// serve counters, every tail arrival — and builds the tenant at its base,
+// the calling goroutine (which owns the tenant until it is registered)
+// takes the tail, and the admitted count is set to the served one. A live
+// tenant serves the tail through serveTail, the step a passive tenant goes
+// live by; a passive one, whose tail is below its seal bound, drops the
+// instance its base was checked in and keeps the tail. A refused record
+// builds nothing.
+func (e *Engine) rebuildTenant(tc *TenantCheckpoint, passive bool) (rebuilt, error) {
 	t, err := e.buildTenant(tc)
 	if err != nil {
 		return rebuilt{}, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
 	}
-	servedNs := t.replay(tc.Arrivals)
+	start := time.Now() //omflp:wallclock — feeds the serve-latency histogram only
+	t.history = make([]instance.Request, len(tc.Arrivals))
+	for i, a := range tc.Arrivals {
+		t.history[i] = instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
+	}
+	servedNs := make([]int64, len(t.history))
+	replayed := 0
+	if passive && len(t.history) < t.passiveBound() {
+		t.alg, t.passive = nil, true
+		t.served += len(t.history)
+		// A recorded arrival's histogram entry is its append: here, its
+		// share of the conversion.
+		if n := int64(len(servedNs)); n > 0 {
+			per := int64(time.Since(start)) / n //omflp:wallclock — ditto
+			for i := range servedNs {
+				servedNs[i] = per
+			}
+		}
+	} else {
+		replayed = len(t.history)
+		t.serveTail(servedNs)
+	}
 	t.admitted.Store(int64(t.served))
-	return rebuilt{t: t, servedNs: servedNs}, nil
+	return rebuilt{t: t, servedNs: servedNs, replayed: replayed}, nil
 }
 
 // buildTenant runs every check a record must pass — the cost table, the
 // metric, the base state and its counters, each tail arrival's admission
-// rules — and returns the unregistered tenant.
+// rules — and returns the unregistered tenant with its base state loaded
+// and its tail not yet taken.
 func (e *Engine) buildTenant(tc *TenantCheckpoint) (*tenant, error) {
 	if len(tc.CostBySize) != tc.Universe+1 {
 		return nil, fmt.Errorf("cost table has %d entries for universe %d", len(tc.CostBySize), tc.Universe)
@@ -358,7 +362,15 @@ func (e *Engine) buildTenant(tc *TenantCheckpoint) (*tenant, error) {
 	if err != nil {
 		return nil, err
 	}
-	if err := t.loadBase(tc); err != nil {
+	// A record without a base state restores from genesis, so it may
+	// claim no base arrivals.
+	if len(tc.BaseState) > 0 {
+		t.baseState, t.baseServed = tc.BaseState, tc.BaseServed
+		t.baseConstruction, t.baseAssignment = tc.BaseConstruction, tc.BaseAssignment
+	} else if tc.BaseServed != 0 {
+		return nil, fmt.Errorf("record claims %d base arrivals but carries no base state", tc.BaseServed)
+	}
+	if err := t.loadBase(); err != nil {
 		return nil, err
 	}
 	for i, a := range tc.Arrivals {
@@ -389,45 +401,39 @@ func (t *tenant) validateRecord(a ArrivalRecord) error {
 	return nil
 }
 
-// loadBase installs a record's base state into a tenant that is not yet
-// registered, refusing counters the state contradicts: the served count
-// must equal the state's assignment count, the construction cost must be
-// bitwise the state's facilities priced through the tenant's cost table in
-// opening order (the order serve accumulates them in), and the assignment
-// cost must be finite and non-negative. A record without a base state
-// restores from genesis, so it may claim no base arrivals.
-func (t *tenant) loadBase(tc *TenantCheckpoint) error {
-	if len(tc.BaseState) == 0 {
-		if tc.BaseServed != 0 {
-			return fmt.Errorf("record claims %d base arrivals but carries no base state", tc.BaseServed)
-		}
+// loadBase builds the tenant's algorithm instance, seeded from the engine
+// seed and the tenant name, at the tenant's base state — at genesis when it
+// has none — and sets the serve counters to the base's. It refuses base
+// counters the state contradicts: the served count must equal the state's
+// assignment count, the construction cost must be bitwise the state's
+// facilities priced through the tenant's cost table in opening order (the
+// order serve accumulates them in), and the assignment cost must be finite
+// and non-negative.
+func (t *tenant) loadBase() error {
+	e := t.eng
+	t.alg = e.factory(t.space, t.costs, workload.NamedSeed(e.cfg.Seed, t.id))
+	t.served, t.construction, t.assignment, t.facCursor = t.baseServed, t.baseConstruction, t.baseAssignment, 0
+	if len(t.baseState) == 0 {
 		return nil
 	}
-	if err := t.alg.UnmarshalState(tc.BaseState); err != nil {
+	if err := t.alg.UnmarshalState(t.baseState); err != nil {
 		return err
 	}
 	sol := t.alg.Solution()
-	if tc.BaseServed != len(sol.Assign) {
-		return fmt.Errorf("record claims %d base arrivals, its base state holds %d", tc.BaseServed, len(sol.Assign))
+	if t.baseServed != len(sol.Assign) {
+		return fmt.Errorf("record claims %d base arrivals, its base state holds %d", t.baseServed, len(sol.Assign))
 	}
 	construction := 0.0
 	for _, f := range sol.Facilities {
 		construction += t.costs.Cost(f.Point, f.Config)
 	}
-	if math.Float64bits(construction) != math.Float64bits(tc.BaseConstruction) {
+	if math.Float64bits(construction) != math.Float64bits(t.baseConstruction) {
 		return fmt.Errorf("record claims construction cost %v, its base state's %d facilities cost %v",
-			tc.BaseConstruction, len(sol.Facilities), construction)
+			t.baseConstruction, len(sol.Facilities), construction)
 	}
-	if !(tc.BaseAssignment >= 0) || math.IsInf(tc.BaseAssignment, 0) {
-		return fmt.Errorf("record claims assignment cost %v, want finite and non-negative", tc.BaseAssignment)
+	if !(t.baseAssignment >= 0) || math.IsInf(t.baseAssignment, 0) {
+		return fmt.Errorf("record claims assignment cost %v, want finite and non-negative", t.baseAssignment)
 	}
-	t.served = tc.BaseServed
-	t.construction = tc.BaseConstruction
-	t.assignment = tc.BaseAssignment
 	t.facCursor = len(sol.Facilities)
-	t.baseState = tc.BaseState
-	t.baseServed = tc.BaseServed
-	t.baseConstruction = tc.BaseConstruction
-	t.baseAssignment = tc.BaseAssignment
 	return nil
 }

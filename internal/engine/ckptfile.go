@@ -10,6 +10,7 @@ import (
 	"path/filepath"
 
 	"repro/internal/codec"
+	"repro/internal/par"
 )
 
 // The checkpoint document WriteFile writes and ReadCheckpointFile reads is
@@ -212,34 +213,38 @@ func (ck *Checkpoint) checkEncodable() error {
 	return nil
 }
 
-// deflateBases compresses every tenant's base state at level with one
-// reused flate writer; tenants without a base state get nil.
+// deflateBases compresses every tenant's base state at level on a pool of
+// GOMAXPROCS goroutines (internal/par), each reusing one flate writer;
+// tenants without a base state get nil. Each base is its own flate stream,
+// so the bytes do not depend on the pool.
 func deflateBases(tenants []TenantCheckpoint, level int) ([][]byte, error) {
-	zs := make([][]byte, len(tenants))
-	var zw *flate.Writer
-	for i := range tenants {
+	workers := par.Workers(0, len(tenants))
+	free := make(chan *flate.Writer, workers) // at most one writer per worker
+	return par.Map(workers, len(tenants), func(i int) ([]byte, error) {
 		raw := tenants[i].BaseState
 		if len(raw) == 0 {
-			continue
+			return nil, nil
 		}
 		var buf bytes.Buffer
-		if zw == nil {
+		var zw *flate.Writer
+		select {
+		case zw = <-free:
+			zw.Reset(&buf)
+		default:
 			var err error
 			if zw, err = flate.NewWriter(&buf, level); err != nil {
 				return nil, err
 			}
-		} else {
-			zw.Reset(&buf)
 		}
+		defer func() { free <- zw }()
 		if _, err := zw.Write(raw); err != nil {
 			return nil, err
 		}
 		if err := zw.Close(); err != nil {
 			return nil, err
 		}
-		zs[i] = buf.Bytes()
-	}
-	return zs, nil
+		return buf.Bytes(), nil
+	})
 }
 
 // encodeCheckpoint lays out the document; zs[i] is tenant i's compressed

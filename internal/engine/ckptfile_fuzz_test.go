@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"compress/flate"
+	"encoding/json"
 	"runtime"
 	"testing"
 )
@@ -19,7 +20,9 @@ import (
 // encoding around them; a stream's own bytes are flate's). An accepted
 // input is then restored, as /inject restores a transfer, onto a fresh
 // engine of its algorithm and seed: the rebuild never panics, and it
-// registers every record or, refused, none.
+// registers every record or, refused, none. A one-tenant input is also
+// injected passive and then built by a snapshot: that succeeds exactly
+// when the live inject does, and the two snapshots are equal.
 //
 // The corpus is seeded with the documents of the checkpoint test rigs —
 // sealed and never-sealed tenants, PD and RAND, empty tails, no tenants —
@@ -107,7 +110,8 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
 		}
 
-		e, err := NewChecked(Config{Algorithm: ck.Algorithm, Shards: 1, Seed: ck.Seed, RecordArrivals: true})
+		cfg := Config{Algorithm: ck.Algorithm, Shards: 1, Seed: ck.Seed, RecordArrivals: true}
+		e, err := NewChecked(cfg)
 		if err != nil {
 			return // an algorithm no engine serves
 		}
@@ -118,6 +122,32 @@ func FuzzReadCheckpoint(f *testing.F) {
 		}
 		if got := e.TenantCount(); got != want {
 			t.Fatalf("restore registered %d of %d tenants, want %d", got, len(ck.Tenants), want)
+		}
+		if len(ck.Tenants) != 1 {
+			return
+		}
+		live, passive := New(cfg), New(cfg)
+		defer live.Close()
+		defer passive.Close()
+		lerr, perr := live.InjectTenant(ck), passive.InjectPassive(ck)
+		if (lerr == nil) != (perr == nil) {
+			t.Fatalf("live inject: %v; passive inject: %v", lerr, perr)
+		}
+		if lerr != nil {
+			return
+		}
+		var snaps [2][]byte
+		for i, e := range []*Engine{live, passive} {
+			ss, err := e.SnapshotAll()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if snaps[i], err = json.Marshal(ss); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(snaps[0], snaps[1]) {
+			t.Fatal("a passive inject, built, snapshots differently from the live inject")
 		}
 	})
 }

@@ -54,7 +54,6 @@ import (
 	"repro/internal/metric"
 	"repro/internal/obs"
 	"repro/internal/online"
-	"repro/internal/workload"
 )
 
 // Sentinel errors, wrapped by the engine's error returns so network front
@@ -195,6 +194,7 @@ type Engine struct {
 	mu        sync.Mutex
 	tenants   map[string]*tenant
 	loads     []int // tenants assigned per shard (least-load policy + metrics)
+	passive   int   // registered passive tenants (Metrics.PassiveTenants)
 	closed    bool
 	lastAt    time.Time // previous Metrics call, for windowed rates
 	lastSrvd  []int64   // served per shard at the previous Metrics call
@@ -205,14 +205,24 @@ type Engine struct {
 // mutable state is owned by the goroutine that built it (restore and inject
 // serve its tail there); after, by its shard's goroutine: serve and
 // snapshots both execute there.
+//
+// A passive tenant (a follower copy) has no algorithm instance: alg is nil,
+// and it admits, counts and records each arrival in its tail. The first
+// time something needs its state — a snapshot, its tail reaching the seal
+// bound, a checkpoint that seals it — goLive builds the instance from its
+// base and tail, as a restore would, and it stays live from then on.
 type tenant struct {
 	id       string
+	eng      *Engine
 	shard    *shard
 	shardIdx int // index of shard in Engine.shards (load accounting)
 	space    metric.Space
 	costs    cost.Model
 	universe commodity.Set // Full(|S|), for admission-time demand validation
-	alg      algorithm
+	alg      algorithm     // nil while passive
+	// passive mirrors alg == nil for Metrics.PassiveTenants; guarded by
+	// eng.mu once the tenant is registered.
+	passive bool
 
 	served       int
 	construction float64
@@ -251,8 +261,6 @@ type tenant struct {
 	baseServed       int
 	baseConstruction float64
 	baseAssignment   float64
-
-	logger *slog.Logger
 }
 
 // seal re-bases the tenant: its algorithm state becomes the new checkpoint
@@ -271,12 +279,24 @@ func (t *tenant) seal() error {
 	return nil
 }
 
-// serve processes one arrival and keeps the cost accounting incremental:
-// facilities only open and assignments never change retroactively, so the
-// deltas are exact. rec, when non-nil, gets its serve-stage stamp closed
-// right after the algorithm's Serve call, so post-serve bookkeeping (cost
-// accounting, seal-triggered state marshals) lands in the ack stage.
+// serve processes one arrival: the algorithm step, which a passive tenant
+// skips, then the record step. rec, when non-nil, gets its serve-stage
+// stamp closed right after the algorithm's Serve call, so post-serve
+// bookkeeping (cost accounting, seal-triggered state marshals, a passive
+// tenant's build) lands in the ack stage.
 func (t *tenant) serve(r instance.Request, rec *obs.OpRecord) {
+	if t.alg != nil {
+		t.step(r, rec)
+	} else if rec != nil {
+		rec.MarkServed()
+	}
+	t.recordArrival(r)
+}
+
+// step is the algorithm step. The cost accounting stays incremental:
+// facilities only open and assignments never change retroactively, so the
+// deltas are exact.
+func (t *tenant) step(r instance.Request, rec *obs.OpRecord) {
 	t.alg.Serve(r)
 	if rec != nil {
 		rec.MarkServed()
@@ -289,20 +309,87 @@ func (t *tenant) serve(r instance.Request, rec *obs.OpRecord) {
 	for _, fi := range sol.Assign[len(sol.Assign)-1] {
 		t.assignment += t.space.Distance(r.Point, sol.Facilities[fi].Point)
 	}
+}
+
+// recordArrival is the record step: it counts the arrival and keeps the
+// tail. A passive tenant always appends, since the tail is its state, and
+// goes live once the tail reaches the seal bound; a live tenant appends
+// only when recording, and re-bases at SealEvery.
+func (t *tenant) recordArrival(r instance.Request) {
 	t.served++
-	if t.record {
+	if t.alg == nil {
 		t.history = append(t.history, r)
-		if t.sealEvery > 0 && !t.sealBroken && len(t.history) >= t.sealEvery {
-			// Re-base so the tail never exceeds SealEvery. A failed
-			// marshal (algorithm without state support) latches: the
-			// tail then grows unbounded and checkpoints fall back to
-			// full-replay restores.
-			if err := t.seal(); err != nil {
-				t.sealBroken = true
-				t.logger.Warn("seal failed; tail now unbounded",
-					"tenant", t.id, "served", t.served, "err", err)
-			}
+		if len(t.history) >= t.passiveBound() {
+			t.goLive()
 		}
+		return
+	}
+	if !t.record {
+		return
+	}
+	t.history = append(t.history, r)
+	if t.sealEvery > 0 && !t.sealBroken && len(t.history) >= t.sealEvery {
+		// Re-base so the tail never exceeds SealEvery. A failed
+		// marshal (algorithm without state support) latches: the
+		// tail then grows unbounded and checkpoints fall back to
+		// full-replay restores.
+		if err := t.seal(); err != nil {
+			t.sealBroken = true
+			t.eng.logger.Warn("seal failed; tail now unbounded",
+				"tenant", t.id, "served", t.served, "err", err)
+		}
+	}
+}
+
+// passiveBound is the tail length at which a passive tenant goes live: its
+// seal bound, or DefaultSealEvery on an engine that does not seal.
+func (t *tenant) passiveBound() int {
+	if t.sealEvery > 0 {
+		return t.sealEvery
+	}
+	return DefaultSealEvery
+}
+
+// goLive builds a passive tenant's algorithm instance the way a restore
+// rebuilds a tenant: loadBase installs its base state and serveTail serves
+// its tail again, now with the algorithm step, so a recording tenant seals
+// at the arrival a live twin sealed at. Must run on the goroutine that owns
+// the tenant.
+func (t *tenant) goLive() {
+	if err := t.loadBase(); err != nil {
+		// buildTenant checked this base on its way in, and the state
+		// codecs are deterministic.
+		panic(fmt.Sprintf("engine: tenant %q: checked base state does not load: %v", t.id, err))
+	}
+	t.serveTail(nil)
+	e := t.eng
+	e.mu.Lock()
+	if e.tenants[t.id] == t {
+		e.passive--
+	}
+	t.passive = false
+	e.mu.Unlock()
+}
+
+// serveTail serves the tail through serve on the instance loadBase has
+// just built, so each arrival passes the record step again: a recording
+// tenant keeps its tail and re-bases wherever it reaches SealEvery, a
+// non-recording one drops it. servedNs, when non-nil, gets each arrival's
+// serve time.
+func (t *tenant) serveTail(servedNs []int64) {
+	tail := t.history
+	t.history = tail[:0] // each append overwrites an arrival already served
+	for i, r := range tail {
+		if servedNs == nil {
+			t.serve(r, nil)
+			continue
+		}
+		start := time.Now()
+		t.serve(r, nil)
+		servedNs[i] = int64(time.Since(start))
+	}
+	if !t.record {
+		t.history = nil
 	}
 }
 
@@ -390,21 +477,6 @@ func (s *shard) runBatch(op shardOp, items []BatchItem) {
 	if op.onDone != nil {
 		op.onDone(len(items), servedNs)
 	}
-}
-
-// replay serves a restored tail through serve on the calling goroutine,
-// which owns the tenant until register publishes it, and returns each
-// arrival's serve time, timed as runBatch times it, for the shard's
-// histogram once the tenant has one.
-func (t *tenant) replay(tail []ArrivalRecord) []int64 {
-	servedNs := make([]int64, len(tail))
-	for i, a := range tail {
-		r := instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
-		start := time.Now()
-		t.serve(r, nil)
-		servedNs[i] = int64(time.Since(start))
-	}
-	return servedNs
 }
 
 // New starts an engine with cfg.Shards serving goroutines. New panics on an
@@ -503,22 +575,28 @@ func (e *Engine) shardIndexFor(id string) int {
 // algorithm instance is constructed here with a name-derived seed; arrivals
 // may be served as soon as CreateTenant returns.
 func (e *Engine) CreateTenant(id string, space metric.Space, costs cost.Model) error {
-	return e.createTenant(id, space, costs, nil)
+	return e.createTenant(id, space, costs, nil, false)
 }
 
 // createTenant is CreateTenant with an optional serializable origin (known
-// when the tenant arrives through the op protocol).
-func (e *Engine) createTenant(id string, space metric.Space, costs cost.Model, origin *TenantOrigin) error {
+// when the tenant arrives through the op protocol). A passive tenant gets
+// no algorithm instance until something needs its state.
+func (e *Engine) createTenant(id string, space metric.Space, costs cost.Model, origin *TenantOrigin, passive bool) error {
 	t, err := e.newTenant(id, space, costs, origin)
 	if err != nil {
+		return err
+	}
+	if passive {
+		t.passive = true
+	} else if err := t.loadBase(); err != nil {
 		return err
 	}
 	return e.register(t)
 }
 
-// newTenant constructs a tenant and its algorithm instance, seeded from the
-// engine seed and the name, without registering it: until register
-// publishes it, the caller owns it outright.
+// newTenant constructs a tenant without an algorithm instance (loadBase
+// builds one) and without registering it: until register publishes it, the
+// caller owns it outright.
 func (e *Engine) newTenant(id string, space metric.Space, costs cost.Model, origin *TenantOrigin) (*tenant, error) {
 	if id == "" {
 		return nil, fmt.Errorf("engine: tenant name must be non-empty")
@@ -531,14 +609,13 @@ func (e *Engine) newTenant(id string, space metric.Space, costs cost.Model, orig
 	}
 	return &tenant{
 		id:        id,
+		eng:       e,
 		space:     space,
 		costs:     costs,
 		universe:  commodity.Full(costs.Universe()),
-		alg:       e.factory(space, costs, workload.NamedSeed(e.cfg.Seed, id)),
 		record:    e.cfg.RecordArrivals,
 		sealEvery: e.cfg.SealEvery,
 		origin:    origin,
-		logger:    e.logger,
 	}, nil
 }
 
@@ -555,16 +632,26 @@ func (e *Engine) register(ts ...*tenant) error {
 		if _, dup := e.tenants[t.id]; dup {
 			for _, u := range ts[:i] {
 				delete(e.tenants, u.id)
-				e.loads[u.shardIdx]--
+				e.count(u, -1)
 			}
 			return fmt.Errorf("engine: tenant %q: %w", t.id, ErrDuplicateTenant)
 		}
 		idx := e.shardIndexFor(t.id)
-		e.loads[idx]++
 		t.shard, t.shardIdx = e.shards[idx], idx
+		e.count(t, 1)
 		e.tenants[t.id] = t
 	}
 	return nil
+}
+
+// count adds a tenant entering the tenant map (delta 1) to its shard's load
+// and the passive count, or takes one leaving it (delta -1) out. Must run
+// under e.mu.
+func (e *Engine) count(t *tenant, delta int) {
+	e.loads[t.shardIdx] += delta
+	if t.passive {
+		e.passive += delta
+	}
 }
 
 func (e *Engine) tenant(id string) (*tenant, error) {
@@ -863,6 +950,17 @@ func (e *Engine) SnapshotAllCompact() ([]*TenantSnapshot, error) {
 }
 
 func (e *Engine) snapshotAll(compact bool) ([]*TenantSnapshot, error) {
+	tns, err := e.sortedTenants()
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*TenantSnapshot, len(tns))
+	onShards(tns, func(i int, t *tenant) { out[i] = t.snapshot(compact) })
+	return out, nil
+}
+
+// sortedTenants returns the registered tenants sorted by name.
+func (e *Engine) sortedTenants() ([]*tenant, error) {
 	e.mu.Lock()
 	if e.closed {
 		e.mu.Unlock()
@@ -874,35 +972,52 @@ func (e *Engine) snapshotAll(compact bool) ([]*TenantSnapshot, error) {
 	}
 	e.mu.Unlock()
 	sort.Slice(tns, func(i, j int) bool { return tns[i].id < tns[j].id })
+	return tns, nil
+}
 
-	// Group tenants by shard so each shard executes one control op.
-	byShard := map[*shard][]*tenant{}
-	for _, t := range tns {
-		byShard[t.shard] = append(byShard[t.shard], t)
+// onShards runs fn(i, tns[i]) for every tenant on its shard goroutine,
+// serialized with its arrival stream: one control op per shard, the shards
+// in parallel. fn may write only what index i owns.
+func onShards(tns []*tenant, fn func(i int, t *tenant)) {
+	byShard := map[*shard][]int{}
+	for i, t := range tns {
+		byShard[t.shard] = append(byShard[t.shard], i)
 	}
-	snaps := make(map[string]*TenantSnapshot, len(tns))
-	var smu sync.Mutex
 	var wg sync.WaitGroup
-	for s, group := range byShard {
+	for s, idx := range byShard { //omflp:orderinvariant — shards run concurrently and write disjoint indices; iteration order is immaterial
 		wg.Add(1)
-		go func(s *shard, group []*tenant) {
+		go func(s *shard, idx []int) {
 			defer wg.Done()
 			s.control(func() {
-				for _, t := range group {
-					snap := t.snapshot(compact)
-					smu.Lock()
-					snaps[t.id] = snap
-					smu.Unlock()
+				for _, i := range idx {
+					fn(i, tns[i])
 				}
 			})
-		}(s, group)
+		}(s, idx)
 	}
 	wg.Wait()
+}
 
-	out := make([]*TenantSnapshot, len(tns))
-	for i, t := range tns {
-		out[i] = snaps[t.id]
+// TenantServed is one tenant's stream position: the served and admitted
+// counts ServedCount and AdmittedCount report.
+type TenantServed struct {
+	Tenant   string `json:"tenant"`
+	Served   int    `json:"served"`
+	Admitted int64  `json:"admitted"`
+}
+
+// ServedAll returns every tenant's stream position sorted by tenant name,
+// each read on its shard goroutine as ServedCount reads it, with one control
+// op per shard. Unlike SnapshotAll it builds no passive tenant.
+func (e *Engine) ServedAll() ([]TenantServed, error) {
+	tns, err := e.sortedTenants()
+	if err != nil {
+		return nil, err
 	}
+	out := make([]TenantServed, len(tns))
+	onShards(tns, func(i int, t *tenant) {
+		out[i] = TenantServed{Tenant: t.id, Served: t.served, Admitted: t.admitted.Load()}
+	})
 	return out, nil
 }
 
@@ -936,11 +1051,15 @@ type SnapshotFacility struct {
 	Commodities []int `json:"commodities"`
 }
 
-// snapshot must run on the tenant's shard goroutine. With compact set the
-// per-arrival assignment history is skipped entirely (never copied) and the
-// dual total is read from PD's running sum, so the cost of a compact
-// snapshot is O(facilities) regardless of stream length.
+// snapshot must run on the tenant's shard goroutine. A passive tenant goes
+// live first. With compact set the per-arrival assignment history is
+// skipped entirely (never copied) and the dual total is read from PD's
+// running sum, so the cost of a compact snapshot is O(facilities)
+// regardless of stream length.
 func (t *tenant) snapshot(compact bool) *TenantSnapshot {
+	if t.alg == nil {
+		t.goLive()
+	}
 	sol := t.alg.Solution()
 	snap := &TenantSnapshot{
 		Tenant:           t.id,

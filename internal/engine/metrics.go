@@ -38,8 +38,11 @@ type Metrics struct {
 	Seq          int64 `json:"seq"`
 	WallUnixNano int64 `json:"wall_unix_nano"`
 	Tenants      int   `json:"tenants"`
-	Shards       int   `json:"shards"`
-	Served       int64 `json:"served"`
+	// PassiveTenants counts the tenants that hold a base and a tail but no
+	// algorithm instance yet (follower copies; see Engine.InjectPassive).
+	PassiveTenants int   `json:"passive_tenants"`
+	Shards         int   `json:"shards"`
+	Served         int64 `json:"served"`
 	// UptimeSeconds is the time since New.
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	// ArrivalsPerSec is the lifetime serving rate; WindowArrivalsPerSec
@@ -116,7 +119,7 @@ func (e *Engine) Metrics() Metrics {
 	e.lastAt = now
 	e.scrapeSeq++
 	seq := e.scrapeSeq
-	tenants := len(e.tenants)
+	tenants, passive := len(e.tenants), e.passive
 	loads := append([]int(nil), e.loads...)
 	e.mu.Unlock()
 
@@ -124,6 +127,7 @@ func (e *Engine) Metrics() Metrics {
 		Seq:               seq,
 		WallUnixNano:      now.UnixNano(),
 		Tenants:           tenants,
+		PassiveTenants:    passive,
 		Shards:            len(e.shards),
 		Served:            total,
 		UptimeSeconds:     now.Sub(e.start).Seconds(),

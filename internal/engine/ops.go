@@ -21,7 +21,9 @@ import (
 //
 // "create" registers a tenant on a matrix metric with a size-dependent cost
 // table — the same fields a gentrace file trace carries, so any trace can be
-// rewritten as an op stream; the universe may not exceed MaxUniverse.
+// rewritten as an op stream; the universe may not exceed MaxUniverse. With
+// "passive":true the tenant is a follower copy: it records its arrivals and
+// builds its algorithm instance only when something needs its state.
 // "arrive" serves one request, its demand ids checked by Engine.NewRequest.
 // Lines are processed in order; per-tenant arrival order is serving order.
 type Op struct {
@@ -32,6 +34,7 @@ type Op struct {
 	Universe   int         `json:"universe,omitempty"`
 	Distances  [][]float64 `json:"distances,omitempty"`
 	CostBySize []float64   `json:"cost_by_size,omitempty"`
+	Passive    bool        `json:"passive,omitempty"`
 
 	// arrive
 	Point   int   `json:"point"`
@@ -63,7 +66,7 @@ func (e *Engine) ApplyTraced(op Op, rec *obs.OpRecord) error {
 			Universe:   op.Universe,
 			Distances:  op.Distances,
 			CostBySize: op.CostBySize,
-		})
+		}, op.Passive)
 	case "arrive":
 		if len(op.Demands) == 0 {
 			return fmt.Errorf("engine: arrive for %q demands nothing", op.Tenant)

@@ -52,7 +52,7 @@ func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) 
 	}
 	if remove {
 		delete(e.tenants, id)
-		e.loads[t.shardIdx]--
+		e.count(t, -1)
 	}
 	e.mu.Unlock()
 
@@ -68,7 +68,7 @@ func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) 
 		if remove {
 			e.mu.Lock()
 			e.tenants[id] = t
-			e.loads[t.shardIdx]++
+			e.count(t, 1)
 			e.mu.Unlock()
 		}
 		return nil, err
@@ -81,10 +81,25 @@ func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) 
 // exist. It returns with the tail served: ServedCount, AdmittedCount and
 // snapshots see the whole transfer.
 func (e *Engine) InjectTenant(tr *TenantTransfer) error {
+	return e.inject(tr, false)
+}
+
+// InjectPassive is InjectTenant for a follower copy. The record passes
+// every check InjectTenant makes, its base state loaded into an instance
+// that is then dropped, and the tenant is registered passive: it keeps the
+// tail instead of serving it, and builds its algorithm instance only when
+// something needs its state. ServedCount, AdmittedCount and the served
+// totals count the tail as InjectTenant's do. A tail already at the seal
+// bound is served at once, as InjectTenant serves it.
+func (e *Engine) InjectPassive(tr *TenantTransfer) error {
+	return e.inject(tr, true)
+}
+
+func (e *Engine) inject(tr *TenantTransfer, passive bool) error {
 	if n := len(tr.Tenants); n != 1 {
 		return fmt.Errorf("engine: a transfer holds one tenant, this document holds %d", n)
 	}
-	_, err := e.Restore(tr)
+	_, err := e.restore(tr, passive)
 	return err
 }
 

@@ -5,20 +5,34 @@
 //
 // # Endpoints
 //
-//	POST /v1/tenants/{id}           create a tenant (universe ≤ engine.MaxUniverse, distances, cost_by_size)
+//	POST /v1/tenants/{id}           create a tenant (universe ≤ engine.MaxUniverse, distances, cost_by_size; "passive":true for a follower copy)
 //	POST /v1/tenants/{id}/arrive    serve one arrival or a batch ({"arrivals":[...]})
 //	GET  /v1/tenants/{id}/snapshot  consistent tenant snapshot (?compact=1 drops history)
 //	GET  /v1/snapshots              all tenants, the serve CLI's snapshot artifact
-//	GET  /v1/metrics                engine-wide metrics (arrivals/s, latency, queues)
+//	GET  /v1/metrics                engine-wide metrics (arrivals/s, latency, queues, passive_tenants)
 //	GET  /healthz                   liveness + uptime
 //	POST /v1/checkpoint             force a checkpoint now (404 when disabled)
 //	POST /v1/tenants/{id}/extract   remove a tenant; reply: its transfer document, every admitted arrival in it
 //	GET  /v1/tenants/{id}/export    the same reply, the tenant kept serving
 //	POST /v1/tenants/{id}/inject    restore a tenant from a transfer document naming {id}; 400 on any other body
+//	                                (?passive=1: a follower copy that keeps the tail instead of serving it)
 //	GET  /v1/tenants/{id}/served    {"served":n,"admitted":m}: the tenant's settled and admitted counts
+//	GET  /v1/served                 every tenant's {"tenant","served","admitted"}, sorted by name
 //
 // A transfer document is a one-tenant checkpoint document in engine.ckpt's
 // binary format (engine.EncodeTransfer, engine.DecodeTransfer).
+//
+// A passive tenant — the cluster router creates and reseeds every follower
+// so — admits, counts and records each arrival in its tail but holds no
+// algorithm instance. It is built from its base and tail the first time
+// something needs its state: a snapshot (GET .../snapshot, GET
+// /v1/snapshots), its tail reaching the seal bound, or a capture on a
+// non-recording engine, which seals. Its served counts, checkpoint record
+// and snapshots are byte-identical to a live copy's. GET /v1/served reads
+// counts without building anything; /v1/metrics' passive_tenants (the
+// omflp_passive_tenants gauge on /metrics) counts the tenants not yet
+// built. A worker restarted from its checkpoint restores every tenant live:
+// the document does not carry the role.
 //
 // # Framing
 //

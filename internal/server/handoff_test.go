@@ -214,3 +214,68 @@ func TestTCPResultCodes(t *testing.T) {
 		t.Errorf("duplicate-tenant result %+v, want code %q", res, CodeDuplicateTenant)
 	}
 }
+
+// TestPassiveEndpoints drives the worker surface for follower copies: a
+// create with "passive":true, GET /v1/served, the passive_tenants count in
+// /v1/metrics and /metrics, and inject?passive=1. A passive copy counts its
+// arrivals like a live one, and its snapshot, which builds it, equals the
+// live copy's.
+func TestPassiveEndpoints(t *testing.T) {
+	cfg := engine.Config{Algorithm: "pd", Shards: 2, Seed: 5, RecordArrivals: true}
+	s := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: cfg})
+	peer := startServer(t, Config{HTTPAddr: "127.0.0.1:0", Engine: cfg})
+	base, peerBase := "http://"+s.HTTPAddr(), "http://"+peer.HTTPAddr()
+	create := createBody{Universe: 3, Distances: [][]float64{{0, 1}, {1, 0}}, CostBySize: []float64{0, 1, 1.5, 1.8}}
+	httpJSON(t, "POST", base+"/v1/tenants/live", create, http.StatusCreated)
+	create.Passive = true
+	httpJSON(t, "POST", base+"/v1/tenants/copy", create, http.StatusCreated)
+	for _, id := range []string{"live", "copy"} {
+		for _, a := range []Arrival{{Point: 0, Demands: []int{0, 2}}, {Point: 1, Demands: []int{1}}} {
+			httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", a, http.StatusOK)
+		}
+	}
+	passive := func(base string) int {
+		var m Metrics
+		if err := json.Unmarshal(httpJSON(t, "GET", base+"/v1/metrics", nil, http.StatusOK), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m.PassiveTenants
+	}
+
+	var counts []engine.TenantServed
+	if err := json.Unmarshal(httpJSON(t, "GET", base+"/v1/served", nil, http.StatusOK), &counts); err != nil {
+		t.Fatal(err)
+	}
+	want := []engine.TenantServed{{Tenant: "copy", Served: 2, Admitted: 2}, {Tenant: "live", Served: 2, Admitted: 2}}
+	if len(counts) != 2 || counts[0] != want[0] || counts[1] != want[1] {
+		t.Fatalf("GET /v1/served = %+v, want %+v", counts, want)
+	}
+	if n := passive(base); n != 1 {
+		t.Fatalf("passive_tenants %d, want 1", n)
+	}
+	if prom := string(httpJSON(t, "GET", base+"/metrics", nil, http.StatusOK)); !strings.Contains(prom, "\nomflp_passive_tenants 1\n") {
+		t.Errorf("/metrics lacks omflp_passive_tenants 1:\n%s", prom)
+	}
+
+	// Export the passive copy, which a recording engine captures as its
+	// base and tail stand, and inject it passive on the peer.
+	wire := httpJSON(t, "GET", base+"/v1/tenants/copy/export", nil, http.StatusOK)
+	if n := passive(base); n != 1 {
+		t.Fatalf("passive_tenants %d after an export, want 1", n)
+	}
+	httpJSON(t, "POST", peerBase+"/v1/tenants/copy/inject?passive=maybe", wire, http.StatusBadRequest)
+	httpJSON(t, "POST", peerBase+"/v1/tenants/copy/inject?passive=1", wire, http.StatusOK)
+	if n := passive(peerBase); n != 1 {
+		t.Fatalf("peer passive_tenants %d after inject?passive=1, want 1", n)
+	}
+	live := httpJSON(t, "GET", base+"/v1/tenants/live/snapshot", nil, http.StatusOK)
+	for _, b := range []string{base, peerBase} {
+		got := httpJSON(t, "GET", b+"/v1/tenants/copy/snapshot", nil, http.StatusOK)
+		if strings.Replace(string(got), `"copy"`, `"live"`, 1) != string(live) {
+			t.Errorf("%s: passive copy's snapshot %s differs from the live tenant's %s", b, got, live)
+		}
+		if n := passive(b); n != 0 {
+			t.Errorf("%s: passive_tenants %d after the snapshot, want 0", b, n)
+		}
+	}
+}

@@ -41,11 +41,12 @@ type arriveBody struct {
 }
 
 // createBody is the POST /v1/tenants/{id} document — the substrate fields of
-// the op protocol's create.
+// the op protocol's create, and its passive flag (a follower copy).
 type createBody struct {
 	Universe   int         `json:"universe"`
 	Distances  [][]float64 `json:"distances"`
 	CostBySize []float64   `json:"cost_by_size"`
+	Passive    bool        `json:"passive,omitempty"`
 }
 
 // NewHTTPServer returns an http.Server for h whose Shutdown does not wait
@@ -115,6 +116,7 @@ func (s *Server) handler() http.Handler {
 	mux.HandleFunc("POST /v1/tenants/{id}/extract", s.handleCapture(s.eng.ExtractTenant))
 	mux.HandleFunc("POST /v1/tenants/{id}/inject", s.handleInject)
 	mux.HandleFunc("GET /v1/tenants/{id}/served", s.handleServed)
+	mux.HandleFunc("GET /v1/served", s.handleServedAll)
 	mux.HandleFunc("GET /v1/tenants/{id}/export", s.handleCapture(s.eng.ExportTenant))
 	if s.cfg.EnablePprof {
 		mux.HandleFunc("GET /debug/pprof/", pprof.Index)
@@ -168,6 +170,7 @@ func (s *Server) handleCreate(w http.ResponseWriter, r *http.Request) {
 		Universe:   body.Universe,
 		Distances:  body.Distances,
 		CostBySize: body.CostBySize,
+		Passive:    body.Passive,
 	})
 	if err != nil {
 		writeErr(w, httpStatus(err), err)
@@ -304,23 +307,23 @@ func (s *Server) handleArrive(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]int{"accepted": acc})
 }
 
-// compactParam parses the ?compact= query value: absent/empty means false,
-// anything strconv.ParseBool accepts ("1", "true", "0", ...) means itself,
-// garbage is a client error.
-func compactParam(r *http.Request) (bool, error) {
-	v := r.URL.Query().Get("compact")
+// boolParam parses a boolean query value such as ?compact= or ?passive=:
+// absent/empty means false, anything strconv.ParseBool accepts ("1",
+// "true", "0", ...) means itself, garbage is a client error.
+func boolParam(r *http.Request, name string) (bool, error) {
+	v := r.URL.Query().Get(name)
 	if v == "" {
 		return false, nil
 	}
 	b, err := strconv.ParseBool(v)
 	if err != nil {
-		return false, fmt.Errorf("compact=%q is not a boolean", v)
+		return false, fmt.Errorf("%s=%q is not a boolean", name, v)
 	}
 	return b, nil
 }
 
 func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
-	compact, perr := compactParam(r)
+	compact, perr := boolParam(r, "compact")
 	if perr != nil {
 		writeErr(w, http.StatusBadRequest, perr)
 		return
@@ -343,7 +346,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 // tenants sorted by name, indented JSON, trailing newline — so goldens from
 // the stdin path diff cleanly against the network path.
 func (s *Server) handleSnapshots(w http.ResponseWriter, r *http.Request) {
-	compact, perr := compactParam(r)
+	compact, perr := boolParam(r, "compact")
 	if perr != nil {
 		writeErr(w, http.StatusBadRequest, perr)
 		return
@@ -470,9 +473,14 @@ func (s *Server) handleCapture(capture func(id string) (*engine.TenantTransfer, 
 // body is the transfer document extract and export reply with, read by the
 // decoder behind engine.ReadCheckpointFile; the path id must name its one
 // tenant so a mis-addressed inject fails loudly instead of restoring state
-// under the wrong route.
+// under the wrong route. ?passive=1 injects a follower copy
+// (engine.InjectPassive), which keeps the tail instead of serving it.
 func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
-	data, err := io.ReadAll(r.Body)
+	passive, err := boolParam(r, "passive")
+	var data []byte
+	if err == nil {
+		data, err = io.ReadAll(r.Body)
+	}
 	var tr *engine.TenantTransfer
 	if err == nil {
 		tr, err = engine.DecodeTransfer(data)
@@ -485,7 +493,11 @@ func (s *Server) handleInject(w http.ResponseWriter, r *http.Request) {
 		writeErr(w, http.StatusBadRequest, err)
 		return
 	}
-	if err := s.eng.InjectTenant(tr); err != nil {
+	inject := s.eng.InjectTenant
+	if passive {
+		inject = s.eng.InjectPassive
+	}
+	if err := inject(tr); err != nil {
 		writeErr(w, httpStatus(err), err)
 		return
 	}
@@ -513,6 +525,20 @@ func (s *Server) handleServed(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	writeJSON(w, http.StatusOK, map[string]int64{"served": int64(served), "admitted": admitted})
+}
+
+// handleServedAll reports every tenant's stream position at once, sorted
+// by tenant name: the served and admitted counts GET .../served reports,
+// read with one control op per shard (engine.ServedAll). Unlike
+// GET /v1/snapshots it builds no passive tenant, so a router re-syncing a
+// rejoining node reads it.
+func (s *Server) handleServedAll(w http.ResponseWriter, r *http.Request) {
+	counts, err := s.eng.ServedAll()
+	if err != nil {
+		writeErr(w, httpStatus(err), err)
+		return
+	}
+	writeJSON(w, http.StatusOK, counts)
 }
 
 func (s *Server) handleCheckpoint(w http.ResponseWriter, r *http.Request) {

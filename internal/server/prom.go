@@ -15,6 +15,7 @@ func WriteMetricsProm(p *obs.PromWriter, m *Metrics, labels ...obs.PromLabel) {
 		return append(append([]obs.PromLabel{}, labels...), extra...)
 	}
 	p.Gauge("omflp_tenants", "Tenants hosted.", float64(m.Tenants), labels...)
+	p.Gauge("omflp_passive_tenants", "Tenants hosted passive: a base and a tail, no algorithm instance yet.", float64(m.PassiveTenants), labels...)
 	p.Gauge("omflp_shards", "Serving goroutines.", float64(m.Shards), labels...)
 	p.Counter("omflp_served_total", "Arrivals served since start.", float64(m.Served), labels...)
 	p.Gauge("omflp_uptime_seconds", "Seconds since engine start.", m.UptimeSeconds, labels...)
