@@ -42,8 +42,8 @@ type Metrics struct {
 	WindowArrivalsPerSec float64 `json:"window_arrivals_per_sec"`
 	// Migrations counts completed migrations since the router started.
 	Migrations int64 `json:"migrations"`
-	// ReplicatedTenants counts routes that currently have a live follower
-	// replica; Replicate-mode clusters want this equal to Tenants.
+	// ReplicatedTenants counts routes that currently have a follower
+	// (a passive copy); Replicate-mode clusters want this equal to Tenants.
 	ReplicatedTenants int `json:"replicated_tenants"`
 	// Retries counts forwarding attempts repeated under the retry policy.
 	Retries int64 `json:"retries"`

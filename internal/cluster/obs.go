@@ -29,7 +29,7 @@ func (r *Router) handleProm(w http.ResponseWriter, req *http.Request) {
 	p.Counter("omflp_cluster_served_total", "Arrivals admitted through the cluster (route ledgers).", float64(cm.Served))
 	p.Gauge("omflp_cluster_window_arrivals_per_sec", "Summed fresh-node window rates.", cm.WindowArrivalsPerSec)
 	p.Counter("omflp_cluster_migrations_total", "Migrations completed since router start.", float64(cm.Migrations))
-	p.Gauge("omflp_cluster_replicated_tenants", "Routes with a live follower replica.", float64(cm.ReplicatedTenants))
+	p.Gauge("omflp_cluster_replicated_tenants", "Routes with a follower replica.", float64(cm.ReplicatedTenants))
 	p.Counter("omflp_cluster_retries_total", "Forwarding attempts repeated under the retry policy.", float64(cm.Retries))
 	p.Counter("omflp_cluster_failovers_total", "Node-down events that triggered follower promotion.", float64(cm.Failovers))
 	p.Counter("omflp_cluster_promotions_total", "Tenants promoted onto their follower replica.", float64(cm.Promotions))
