@@ -172,6 +172,28 @@ func TestPassiveTwin(t *testing.T) {
 	}
 }
 
+// TestPassiveUnsealedBound: on an engine that does not seal, a passive
+// tenant goes live when its tail reaches DefaultSealEvery, and still
+// matches its live twin: the whole history in the checkpoint on a
+// recording engine, a seal per capture on a non-recording one.
+func TestPassiveUnsealedBound(t *testing.T) {
+	tr := fixedTrace(35, DefaultSealEvery+40, 4, 8)
+	for _, record := range []bool{true, false} {
+		w := newPassiveTwin(t, Config{Algorithm: "pd", Shards: 1, Seed: 5, RecordArrivals: record, SealEvery: -1}, tr)
+		w.serve(DefaultSealEvery - 1)
+		if got := w.passiveCount(); got != 1 {
+			t.Fatalf("record %v: %d passive tenants below the bound, want 1", record, got)
+		}
+		w.serve(1)
+		if got := w.passiveCount(); got != 0 {
+			t.Fatalf("record %v: %d passive tenants at the bound, want 0", record, got)
+		}
+		w.serve(40)
+		w.docs()
+		w.snapshots()
+	}
+}
+
 // TestPassiveInject: an exported tenant with a base and a tail injected
 // passive registers one passive tenant that has replayed nothing, counts
 // the whole transfer as served and admitted, is captured as its base and
