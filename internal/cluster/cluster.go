@@ -95,7 +95,8 @@
 // replication is dual-write: the router forwards every arrival to both
 // copies, and an arrival is acked only after both admitted it. The passive
 // copy records its arrivals without serving them and builds its state from
-// its base and tail only when something needs it; its snapshots are then
+// its base and tail when a snapshot reads it or its tail reaches the seal
+// bound, after which it serves as a live copy; its snapshots are then
 // byte-identical to the owner's. When the owner node dies, the router
 // promotes the route to the follower — epoch++, ledger unchanged, no call
 // to the worker — losing at most the in-flight (unacked) window, and
@@ -615,7 +616,7 @@ func (r *Router) checkIdentity(info server.NodeInfo) error {
 // out: a *[]byte takes the raw body (a tenant transfer is forwarded
 // verbatim, never re-encoded), nil discards it, anything else is decoded
 // as JSON. body is nil, pre-marshaled JSON bytes, or a value to marshal. A
-// non-2xx status is an error carrying an excerpt of the body.
+// non-2xx status is a *statusError carrying an excerpt of the body.
 func (r *Router) call(method, url string, body, out interface{}) error {
 	data, ok := body.([]byte)
 	if !ok && body != nil {
@@ -637,7 +638,7 @@ func (r *Router) call(method, url string, body, out interface{}) error {
 	}
 	defer closeBody(resp)
 	if resp.StatusCode/100 != 2 {
-		return fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, snippet(resp.Body))
+		return &statusError{resp.StatusCode, fmt.Sprintf("%s %s: %s: %s", method, url, resp.Status, snippet(resp.Body))}
 	}
 	switch o := out.(type) {
 	case nil:
@@ -649,6 +650,14 @@ func (r *Router) call(method, url string, body, out interface{}) error {
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 }
+
+// statusError is a node's non-2xx answer to call.
+type statusError struct {
+	code int
+	msg  string
+}
+
+func (e *statusError) Error() string { return e.msg }
 
 // drainLimit bounds what closeBody reads of a response nobody consumed.
 const drainLimit = 64 << 10

@@ -1,7 +1,9 @@
 package cluster
 
 import (
+	"errors"
 	"fmt"
+	"net/http"
 	"time"
 
 	"repro/internal/engine"
@@ -150,14 +152,19 @@ func (r *Router) probe(n *node) error {
 // GET /v1/served, which builds none of the node's passive followers.
 func (r *Router) syncNode(n *node) error {
 	var counts []engine.TenantServed
-	if err := r.call("GET", n.base+"/v1/served", nil, &counts); err != nil {
-		// A node that cannot answer it, such as a worker from before
-		// GET /v1/served, is read through its compact snapshots: they
-		// carry the same tenant and served fields, and such a worker
-		// hosts no passive tenant for them to build.
-		if err := r.call("GET", n.base+"/v1/snapshots?compact=true", nil, &counts); err != nil {
-			return err
-		}
+	err := r.call("GET", n.base+"/v1/served", nil, &counts)
+	var se *statusError
+	if errors.As(err, &se) && (se.code == http.StatusNotFound || se.code == http.StatusMethodNotAllowed) {
+		// A worker from before GET /v1/served has no such route. It is
+		// read through its compact snapshots, which carry the same
+		// tenant and served fields; such a worker hosts no passive
+		// tenant for them to build. Any other failure fails the probe,
+		// which is retried, so a node that has the route is never read
+		// through its snapshots.
+		err = r.call("GET", n.base+"/v1/snapshots?compact=true", nil, &counts)
+	}
+	if err != nil {
+		return err
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"net/http"
+	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"repro/internal/engine"
 	"repro/internal/server"
 )
 
@@ -139,5 +143,77 @@ func TestPassiveFollowerRejoin(t *testing.T) {
 	}
 	if len(after) != len(before) {
 		t.Errorf("%d routes after the rejoin, want %d", len(after), len(before))
+	}
+}
+
+// TestRejoinServedFallback: a (re)joining node is read through its
+// compact snapshots only when it has no GET /v1/served route, which a
+// worker from before the route answers with 404 (or 405). Any other
+// failure of the call fails the probe without a snapshot read, so a
+// rejoin never builds a node's passive followers; the next probe retries.
+func TestRejoinServedFallback(t *testing.T) {
+	var code, snapReads atomic.Int64 // code: GET /v1/served's status
+	code.Store(http.StatusOK)
+	mux := http.NewServeMux()
+	mux.HandleFunc("GET /v1/node", func(w http.ResponseWriter, req *http.Request) {
+		json.NewEncoder(w).Encode(server.NodeInfo{Algorithm: "pd", Seed: 1})
+	})
+	mux.HandleFunc("GET /v1/served", func(w http.ResponseWriter, req *http.Request) {
+		if c := int(code.Load()); c != http.StatusOK {
+			http.Error(w, "served unavailable", c)
+			return
+		}
+		json.NewEncoder(w).Encode([]engine.TenantServed{{Tenant: "t0", Served: 7, Admitted: 7}})
+	})
+	mux.HandleFunc("GET /v1/snapshots", func(w http.ResponseWriter, req *http.Request) {
+		snapReads.Add(1)
+		json.NewEncoder(w).Encode([]engine.TenantSnapshot{{Tenant: "t0", Algorithm: "pd", Served: 5}})
+	})
+	fake := httptest.NewServer(mux)
+	defer fake.Close()
+	r := startRouter(t, Config{Nodes: []string{strings.TrimPrefix(fake.URL, "http://")}, HealthEvery: time.Hour})
+	n := r.nodes[0]
+	ledger := func() int64 {
+		r.mu.RLock()
+		defer r.mu.RUnlock()
+		return r.routes["t0"].count.Load()
+	}
+	if got := ledger(); got != 7 || snapReads.Load() != 0 {
+		t.Fatalf("join: ledger %d after %d snapshot reads, want 7 from GET /v1/served and none", got, snapReads.Load())
+	}
+	for _, tc := range []struct {
+		code     int
+		fallback bool
+	}{
+		{http.StatusNotFound, true},
+		{http.StatusInternalServerError, false},
+		{http.StatusMethodNotAllowed, true},
+		{http.StatusServiceUnavailable, false},
+		{http.StatusOK, false},
+	} {
+		code.Store(int64(tc.code))
+		n.mu.Lock()
+		n.healthy = false
+		n.mu.Unlock()
+		reads := snapReads.Load()
+		err := r.probe(n)
+		read := snapReads.Load() - reads
+		switch {
+		case tc.fallback:
+			if err != nil || read != 1 || ledger() != 5 {
+				t.Errorf("served %d: probe %v, %d snapshot reads, ledger %d; want a rejoin from one snapshot read, ledger 5",
+					tc.code, err, read, ledger())
+			}
+		case tc.code == http.StatusOK:
+			if err != nil || read != 0 || ledger() != 7 {
+				t.Errorf("served 200: probe %v, %d snapshot reads, ledger %d; want a rejoin from GET /v1/served, ledger 7",
+					err, read, ledger())
+			}
+		default:
+			if err == nil || n.isHealthy() || read != 0 {
+				t.Errorf("served %d: probe %v, healthy %v, %d snapshot reads; want a failed probe, still down, no snapshot read",
+					tc.code, err, n.isHealthy(), read)
+			}
+		}
 	}
 }
