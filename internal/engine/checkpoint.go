@@ -3,7 +3,6 @@ package engine
 import (
 	"fmt"
 	"math"
-	"time"
 
 	"repro/internal/commodity"
 	"repro/internal/cost"
@@ -277,8 +276,9 @@ func (e *Engine) restore(ck *Checkpoint, passive bool) (RestoreStats, error) {
 		return stats, err
 	}
 	for i, r := range rs {
-		// The tail's serve times go to the shard's histogram, as runBatch
-		// records a served arrival, so the served totals count the tail.
+		// The tail's serve times (0 ns for a tail a passive inject kept)
+		// go to the shard's histogram, as runBatch records a served
+		// arrival, so the served totals count the tail.
 		for _, ns := range r.servedNs {
 			r.t.shard.hist.RecordNs(ns)
 		}
@@ -316,7 +316,6 @@ func (e *Engine) rebuildTenant(tc *TenantCheckpoint, passive bool) (rebuilt, err
 	if err != nil {
 		return rebuilt{}, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
 	}
-	start := time.Now() //omflp:wallclock — feeds the serve-latency histogram only
 	t.history = make([]instance.Request, len(tc.Arrivals))
 	for i, a := range tc.Arrivals {
 		t.history[i] = instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
@@ -324,16 +323,10 @@ func (e *Engine) rebuildTenant(tc *TenantCheckpoint, passive bool) (rebuilt, err
 	servedNs := make([]int64, len(t.history))
 	replayed := 0
 	if passive && len(t.history) < t.passiveBound() {
+		// A kept tail is recorded, not served: its histogram entries
+		// stay untimed (0 ns) and only count it in the served totals.
 		t.alg, t.passive = nil, true
 		t.served += len(t.history)
-		// A recorded arrival's histogram entry is its append: here, its
-		// share of the conversion.
-		if n := int64(len(servedNs)); n > 0 {
-			per := int64(time.Since(start)) / n //omflp:wallclock — ditto
-			for i := range servedNs {
-				servedNs[i] = per
-			}
-		}
 	} else {
 		replayed = len(t.history)
 		t.serveTail(servedNs)
