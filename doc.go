@@ -143,13 +143,14 @@
 // listing both routers ("omflp loadgen -retry N -addr r1,r2"). With
 // -replicate, every tenant is created live on an owner and passive on a
 // follower node, and arrivals dual-write to both: the passive copy records
-// them and builds its state from its base and tail only when something
-// needs it — determinism makes it byte-identical to the owner — so a dead
-// worker's tenants promote onto their followers with zero
-// acknowledged-arrival loss, and the health loop reseeds fresh passive
-// followers from the survivors with the same move a migration makes,
-// export in place of extract; a follower that fails its leg of the drain
-// is dropped, never an arrival the owner was due.
+// them and builds its state from its base and tail when read or when its
+// tail reaches the seal bound, serving live from then on — determinism
+// makes it byte-identical to the owner — so a dead worker's tenants
+// promote onto their followers with zero acknowledged-arrival loss, and
+// the health loop reseeds fresh passive followers from the survivors with
+// the same move a migration makes, export in place of extract; a follower
+// that fails its leg of the drain is dropped, never an arrival the owner
+// was due.
 // Forwarded arrivals carry idempotency keys (stream positions) end to
 // end: the router trims already-accounted prefixes against its ledger —
 // during a move, against the ledger plus the arrivals still buffered, a

@@ -85,8 +85,8 @@ func (r *Router) placeRendezvous(tenant string, exclude int) (int, error) {
 // createTenant places a tenant and creates it on the chosen node — and,
 // with replication on, as a passive copy on a follower node as well: both
 // copies admit the same arrival stream, the follower recording it without
-// serving it, and the follower builds its state only when something needs
-// it, with snapshots byte-identical to the owner's. The route is reserved
+// serving it until a snapshot reads it or its tail reaches the seal bound,
+// with snapshots byte-identical to the owner's. The route is reserved
 // under the write lock before the node calls so two concurrent creates
 // cannot land the tenant on two nodes; a failed owner create rolls the
 // reservation back, while a failed follower create only degrades the

@@ -7,13 +7,16 @@ import (
 // Tenant replication. A replicated tenant has a passive copy on a follower
 // node fed the identical arrival stream (see forwardArrivalsAt): the copy
 // admits, counts and records each arrival in its tail without serving it,
-// and builds its algorithm instance from its base and tail only when
-// something needs its state (engine.InjectPassive). Because tenant state is
-// a pure function of (algorithm, seed, arrivals), the built copy's
-// snapshots are byte-identical to the owner's at every settled point.
-// There is no follower read path — the replica exists only to be promoted,
-// which needs no call to the worker: a promoted copy goes live at its
-// first snapshot read or when its tail reaches the seal bound.
+// and builds its algorithm instance from its base and tail when a snapshot
+// reads it or its tail reaches the seal bound (engine.InjectPassive). Built,
+// it stays live and serves every later arrival as the owner does, so the
+// saving lasts only while the copy has recorded fewer than SealEvery
+// arrivals since it was created or reseeded. Because tenant state is a pure
+// function of (algorithm, seed, arrivals), the built copy's snapshots are
+// byte-identical to the owner's at every settled point. There is no
+// follower read path — the replica exists only to be promoted, which needs
+// no call to the worker: a promoted copy goes live at its first snapshot
+// read or when its tail reaches the seal bound.
 //
 // Invariants:
 //

@@ -398,16 +398,11 @@ func TestPassiveConcurrent(t *testing.T) {
 	}
 }
 
-// BenchmarkPassivePromotion measures what a passive follower trades: a
-// `deep`-shaped PD tenant (|S| = 32, 200 points in the unit square,
-// f(k) = 1.5·k^0.6, 1–4 Zipf-popular commodities per arrival) with a
-// 65,536-arrival base and a 4,095-arrival tail, the longest tail SealEvery
-// 4096 leaves, is injected live and passive. It reports inject_ms and the
-// first compact snapshot's first_snapshot_ms: the live inject serves the
-// tail at once, the passive one at its first snapshot, which is what a
-// promoted passive follower's first state read pays.
-func BenchmarkPassivePromotion(b *testing.B) {
-	const u, points, arrivals = 32, 200, 16*4096 + 4095
+// deepStream is a `deep`-shaped PD tenant's create op and its first n
+// arrivals: |S| = 32, 200 points in the unit square, f(k) = 1.5·k^0.6, 1–4
+// Zipf-popular commodities per arrival.
+func deepStream(n int) (Op, []Op) {
+	const u, points = 32, 200
 	rng := rand.New(rand.NewSource(1))
 	xs, ys := make([]float64, points), make([]float64, points)
 	for i := range xs {
@@ -424,21 +419,35 @@ func BenchmarkPassivePromotion(b *testing.B) {
 	for k := 1; k <= u; k++ {
 		bySize[k] = 1.5 * math.Pow(float64(k), 0.6)
 	}
-	cfg := Config{Algorithm: "pd", Shards: 1, Seed: 1, RecordArrivals: true}
-	src := New(cfg)
-	defer src.Close()
-	if err := src.Apply(Op{Op: "create", Tenant: "deep", Universe: u, Distances: d, CostBySize: bySize}); err != nil {
-		b.Fatal(err)
-	}
+	create := Op{Op: "create", Tenant: "deep", Universe: u, Distances: d, CostBySize: bySize}
 	zipf := rand.NewZipf(rng, 1.2, 1, u-1)
-	for i := 0; i < arrivals; i++ {
+	ops := make([]Op, n)
+	for i := range ops {
 		var ids []int
 		for k := 1 + rng.Intn(4); len(ids) < k; {
 			if c := int(zipf.Uint64()); !slices.Contains(ids, c) {
 				ids = append(ids, c)
 			}
 		}
-		if err := src.Apply(Op{Op: "arrive", Tenant: "deep", Point: rng.Intn(points), Demands: ids}); err != nil {
+		ops[i] = Op{Op: "arrive", Tenant: "deep", Point: rng.Intn(points), Demands: ids}
+	}
+	return create, ops
+}
+
+// deepBenchConfig is the recording engine the passive benchmarks run on:
+// one shard, SealEvery at its default of 4096.
+var deepBenchConfig = Config{Algorithm: "pd", Shards: 1, Seed: 1, RecordArrivals: true}
+
+// deepExport serves a deep-shaped tenant's first n arrivals and exports it.
+func deepExport(b *testing.B, create Op, ops []Op) *TenantTransfer {
+	b.Helper()
+	src := New(deepBenchConfig)
+	defer src.Close()
+	if err := src.Apply(create); err != nil {
+		b.Fatal(err)
+	}
+	for _, op := range ops {
+		if err := src.Apply(op); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -446,6 +455,19 @@ func BenchmarkPassivePromotion(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
+	return tf
+}
+
+// BenchmarkPassivePromotion measures what a passive follower trades: a
+// deepStream tenant with a 65,536-arrival base and a 4,095-arrival tail,
+// the longest tail SealEvery 4096 leaves, is injected live and passive. It
+// reports inject_ms and the first compact snapshot's first_snapshot_ms:
+// the live inject serves the tail at once, the passive one at its first
+// snapshot, which is what a promoted passive follower's first state read
+// pays.
+func BenchmarkPassivePromotion(b *testing.B) {
+	create, ops := deepStream(16*4096 + 4095)
+	tf := deepExport(b, create, ops)
 	if tc := tf.Tenants[0]; tc.BaseServed != 16*4096 || len(tc.Arrivals) != 4095 {
 		b.Fatalf("export holds a base of %d arrivals and a tail of %d", tc.BaseServed, len(tc.Arrivals))
 	}
@@ -457,7 +479,7 @@ func BenchmarkPassivePromotion(b *testing.B) {
 		b.Run(name, func(b *testing.B) {
 			var injectNs, snapNs time.Duration
 			for i := 0; i < b.N; i++ {
-				e := New(cfg)
+				e := New(deepBenchConfig)
 				runtime.GC()
 				start := time.Now()
 				if err := e.inject(tf, passive); err != nil {
@@ -475,5 +497,65 @@ func BenchmarkPassivePromotion(b *testing.B) {
 			b.ReportMetric(float64(injectNs.Microseconds())/1e3/float64(b.N), "inject_ms")
 			b.ReportMetric(float64(snapNs.Microseconds())/1e3/float64(b.N), "first_snapshot_ms")
 		})
+	}
+}
+
+// BenchmarkPassiveBound measures the stall a passive copy puts on its
+// shard goroutine when its tail reaches the seal bound: a deepStream
+// tenant holds a 4,095-arrival tail, and bound_arrival_ms times the
+// arrival that makes it 4,096, from Serve to Drain. A live tenant serves
+// that arrival and seals; a passive one goes live first, serving all 4,096
+// arrivals, then seals. Every other tenant on the shard waits behind it.
+// "created" starts the tenant at genesis (a new follower's first 4,096
+// arrivals); "injected" starts it from a 65,536-arrival base (a reseeded
+// follower), so going live also loads the base.
+func BenchmarkPassiveBound(b *testing.B) {
+	const base = 16 * 4096
+	create, ops := deepStream(base + 4096)
+	tf := deepExport(b, create, ops[:base+4095])
+	for _, start := range []string{"created", "injected"} {
+		for _, passive := range []bool{false, true} {
+			name := start + "/live"
+			if passive {
+				name = start + "/passive"
+			}
+			tail, bound := ops[:4095], ops[4095]
+			if start == "injected" {
+				bound = ops[base+4095]
+			}
+			b.Run(name, func(b *testing.B) {
+				var boundNs time.Duration
+				for i := 0; i < b.N; i++ {
+					e := New(deepBenchConfig)
+					if start == "created" {
+						c := create
+						c.Passive = passive
+						if err := e.Apply(c); err != nil {
+							b.Fatal(err)
+						}
+						for _, op := range tail {
+							if err := e.Apply(op); err != nil {
+								b.Fatal(err)
+							}
+						}
+					} else if err := e.inject(tf, passive); err != nil {
+						b.Fatal(err)
+					}
+					e.Drain()
+					runtime.GC()
+					t0 := time.Now()
+					if err := e.Apply(bound); err != nil {
+						b.Fatal(err)
+					}
+					e.Drain()
+					boundNs += time.Since(t0)
+					if m := e.Metrics(); m.PassiveTenants != 0 {
+						b.Fatalf("%d passive tenants after the bound arrival, want 0", m.PassiveTenants)
+					}
+					e.Close()
+				}
+				b.ReportMetric(float64(boundNs.Microseconds())/1e3/float64(b.N), "bound_arrival_ms")
+			})
+		}
 	}
 }

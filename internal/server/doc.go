@@ -27,12 +27,14 @@
 // algorithm instance. It is built from its base and tail the first time
 // something needs its state: a snapshot (GET .../snapshot, GET
 // /v1/snapshots), its tail reaching the seal bound, or a capture on a
-// non-recording engine, which seals. Its served counts, checkpoint record
-// and snapshots are byte-identical to a live copy's. GET /v1/served reads
-// counts without building anything; /v1/metrics' passive_tenants (the
-// omflp_passive_tenants gauge on /metrics) counts the tenants not yet
-// built. A worker restarted from its checkpoint restores every tenant live:
-// the document does not carry the role.
+// non-recording engine, which seals. From then on it is live and serves
+// every arrival. Its served counts, checkpoint record and snapshots are
+// byte-identical to a live copy's; the tail a passive inject keeps counts in
+// the serve-latency histogram with untimed (0 ns) entries. GET /v1/served
+// reads counts without building anything; /v1/metrics' passive_tenants (the
+// omflp_passive_tenants gauge on /metrics) counts the tenants not yet built.
+// A worker restarted from its checkpoint restores every tenant live: the
+// document does not carry the role.
 //
 // # Framing
 //
