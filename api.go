@@ -82,8 +82,10 @@ type (
 	StateCodec = online.StateCodec
 )
 
-// CheckpointVersion is the format version Checkpoint captures and Restore
-// reads: per tenant, a base state and the arrival segment served since.
+// CheckpointVersion is the format version Checkpoint captures when no
+// tenant is passive: per tenant, a base state and the arrival segment
+// served since. A document holding a passive record is version 3, the same
+// layout with each record's role; Restore reads both.
 const CheckpointVersion = engine.CheckpointVersion
 
 // NewEngine starts a streaming serving engine; see EngineConfig. The

@@ -373,8 +373,9 @@ func snapshotBytes(e *engine.Engine) ([]byte, error) {
 
 // cmdCkptInspect prints a checkpoint document's header and, per tenant, the
 // arrivals folded into its base state, the state's raw and compressed
-// bytes, and the tail a restore replays — as indented JSON on stdout. It
-// answers "why is this tenant's state this large?" without a profiler.
+// bytes, the tail, and "passive": true for a record that restores with its
+// tail kept instead of replayed — as indented JSON on stdout. It answers
+// "why is this tenant's state this large?" without a profiler.
 func cmdCkptInspect(args []string) error {
 	if len(args) != 1 {
 		return fmt.Errorf("ckpt-inspect: want exactly one checkpoint file")

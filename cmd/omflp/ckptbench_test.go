@@ -76,8 +76,11 @@ func TestCkptBenchBadFlags(t *testing.T) {
 
 // TestCkptInspect: ckpt-inspect prints a checkpoint document's header and
 // per-tenant sizes as JSON, agreeing with the checkpoint that was written.
+// A passive record reads "passive": true, in a version-3 document, and a
+// live record has no "passive" key.
 func TestCkptInspect(t *testing.T) {
 	e := engine.New(engine.Config{Algorithm: "pd", Shards: 2, Seed: 3, RecordArrivals: true, SealEvery: 5})
+	defer e.Close()
 	f, err := os.Open(smokeTrace)
 	if err != nil {
 		t.Fatal(err)
@@ -91,7 +94,6 @@ func TestCkptInspect(t *testing.T) {
 		t.Fatal(err)
 	}
 	ck, err := e.Checkpoint()
-	e.Close()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -116,6 +118,48 @@ func TestCkptInspect(t *testing.T) {
 				ti, tc.Tenant, tc.BaseServed, len(tc.BaseState), len(tc.Arrivals))
 		}
 	}
+	for _, ti := range info.Tenants {
+		if ti.Passive {
+			t.Errorf("inspect tenant %+v is passive in a document without passive records", ti)
+		}
+	}
+
+	// Take tenant-001 out and put it back as a passive copy.
+	tf, err := e.ExtractTenant("tenant-001")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := e.InjectPassive(tf); err != nil {
+		t.Fatal(err)
+	}
+	if ck, err = e.Checkpoint(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := ck.WriteFile(path); err != nil {
+		t.Fatal(err)
+	}
+	out := captureStdout(t, func() error { return run([]string{"ckpt-inspect", path}) })
+	var roles struct {
+		Version int                          `json:"version"`
+		Tenants []map[string]json.RawMessage `json:"tenants"`
+	}
+	if err := json.Unmarshal(out, &roles); err != nil {
+		t.Fatal(err)
+	}
+	if roles.Version != engine.CheckpointVersionRoles || len(roles.Tenants) != 3 {
+		t.Fatalf("inspect of a document with a passive record: version %d, %d tenants", roles.Version, len(roles.Tenants))
+	}
+	for _, ti := range roles.Tenants {
+		passive, ok := ti["passive"]
+		if name := string(ti["tenant"]); name == `"tenant-001"` {
+			if string(passive) != "true" {
+				t.Errorf("inspect tenant %s: passive %s, want true", name, passive)
+			}
+		} else if ok {
+			t.Errorf("inspect tenant %s: a live record carries passive %s", name, passive)
+		}
+	}
+
 	if err := run([]string{"ckpt-inspect"}); err == nil {
 		t.Error("ckpt-inspect without a file succeeded")
 	}

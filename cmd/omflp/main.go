@@ -175,10 +175,12 @@ with no cost divergence. Checkpoints use format v2: a base snapshot of each
 tenant's serialized algorithm state plus the arrival segment served since —
 -checkpoint-seal-every N re-bases a tenant once its tail exceeds N arrivals
 (default 4096, negative = never), so a restore replays at most N arrivals
-per tenant instead of the full history. The file is a binary document
-(ckpt-inspect FILE prints its header and per-tenant sizes); the JSON
-engine.ckpt.json of earlier builds is refused, and a daemon whose
--checkpoint-dir holds only that file will not start.
+per tenant instead of the full history. A checkpoint holding a passive
+follower copy is v3, v2 plus each tenant's role, and the copy restores
+passive. The file is a binary document (ckpt-inspect FILE prints its
+header and per-tenant sizes and roles); the JSON engine.ckpt.json of
+earlier builds is refused, and a daemon whose -checkpoint-dir holds only
+that file will not start.
 SIGINT/SIGTERM drains, checkpoints and exits.
 
 loadgen's synthetic workload takes -dist uniform|zipf|bundled (zipf skews

@@ -85,18 +85,20 @@
 // gates on v2's replay work staying flat.
 //
 // On disk a checkpoint is one binary document (engine.ckpt; see
-// internal/engine): a magic and version header, then per tenant its name,
-// its substrate as raw float64 bits, its base state flate-compressed with
-// the raw length beside it, and its tail as varints. Tenants share nothing,
-// so Restore rebuilds them on a pool of GOMAXPROCS goroutines, off the
-// shard goroutines: each record is checked, its base state loaded and its
-// tail served before the tenants are registered in checkpoint order.
-// Restore returns with every tail served, and a record whose serve
-// counters contradict its base state refuses the whole checkpoint. A
-// tenant transfer (ExtractTenant, ExportTenant, InjectTenant) is the same
-// document holding one tenant, its base state left uncompressed in flate
-// stored blocks, and InjectTenant is Restore on it. "omflp ckpt-inspect
-// FILE" prints a document's header and per-tenant sizes. The JSON document
+// internal/engine): a magic and version header, then per tenant its name
+// (and, in a version-3 document, its role: live or passive), its substrate
+// as raw float64 bits, its base state flate-compressed with the raw length
+// beside it, and its tail as varints. Tenants share nothing, so Restore
+// rebuilds them on a pool of GOMAXPROCS goroutines, off the shard
+// goroutines: each record is checked, its base state loaded and its tail
+// served — a passive follower copy's kept instead — before the tenants
+// are registered in checkpoint order. Restore returns with that done, and
+// a record whose serve counters contradict its base state refuses the
+// whole checkpoint. A tenant transfer (ExtractTenant, ExportTenant,
+// InjectTenant) is the same document holding one tenant without a role,
+// its base state left uncompressed in flate stored blocks, and
+// InjectTenant is Restore on it. "omflp ckpt-inspect FILE" prints a
+// document's header and per-tenant sizes and roles. The JSON document
 // of earlier builds (engine.ckpt.json, with base_state_z fields under
 // compression: "flate") is refused with an error that names it, and a
 // checkpoint directory that holds only such a file stops the daemon from

@@ -75,6 +75,18 @@ func (w *Writer) Raw(b []byte) {
 	w.buf = append(w.buf, b...)
 }
 
+// Reserve appends n bytes for the caller to fill and returns them; on the
+// sizing pass it only counts them and returns nil.
+func (w *Writer) Reserve(n int) []byte {
+	if w.sizing {
+		w.size += n
+		return nil
+	}
+	at := len(w.buf)
+	w.buf = w.buf[:at+n]
+	return w.buf[at:]
+}
+
 // String writes s's length, then its bytes.
 func (w *Writer) String(s string) {
 	w.Uint(len(s))

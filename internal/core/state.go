@@ -1,7 +1,9 @@
 package core
 
 import (
+	"encoding/binary"
 	"fmt"
+	"math"
 
 	"repro/internal/codec"
 	"repro/internal/instance"
@@ -89,9 +91,13 @@ func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 		w.Uint(pd.demanded)
 		w.Uint(pd.linked)
 		w.Raw(pd.recs)
-		for _, credits := range pd.creditSmall {
-			for _, cr := range credits {
-				w.Float(cr.credit)
+		// One small credit per demanded commodity, e by e.
+		if sec := w.Reserve(8 * pd.demanded); sec != nil {
+			for _, credits := range pd.creditSmall {
+				for _, cr := range credits {
+					binary.LittleEndian.PutUint64(sec, math.Float64bits(cr.credit))
+					sec = sec[8:]
+				}
 			}
 		}
 		w.Floats(pd.bidLarge)

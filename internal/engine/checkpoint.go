@@ -12,13 +12,20 @@ import (
 	"repro/internal/workload"
 )
 
-// CheckpointVersion is the checkpoint format version. Version 2 records,
-// per tenant, a base snapshot of the algorithm's serialized state plus only
-// the arrival-log segment served since that base, so Restore loads the
-// state and replays O(segment) arrivals. Version 1, which recorded every
-// tenant's full history with no base, is no longer read: a version 2
-// record of a never-sealed tenant is the same full-history record.
-const CheckpointVersion = 2
+// CheckpointVersion is the version of a checkpoint document whose every
+// record is live. It records, per tenant, a base snapshot of the
+// algorithm's serialized state plus only the arrival-log segment served
+// since that base, so Restore loads the state and replays O(segment)
+// arrivals; a never-sealed tenant's record is its full history.
+// CheckpointVersionRoles is the same document with each record's role,
+// live or passive, after its name. Checkpoint stamps it only when some
+// record is passive, so the document of an engine without passive tenants
+// is the version-2 document byte for byte. Restore reads both; a version-2
+// record restores live.
+const (
+	CheckpointVersion      = 2
+	CheckpointVersionRoles = 3
+)
 
 // Checkpoint is a durable, self-contained record of an engine's state: for
 // every tenant, the substrate it was created on (matrix metric + size cost
@@ -57,8 +64,15 @@ type TenantCheckpoint struct {
 	BaseAssignment   float64 `json:"base_assignment,omitempty"`
 
 	// Arrivals is the append-only arrival-log segment since the base (with
-	// no base, the full history). Restore replays exactly these.
+	// no base, the full history). Restore replays exactly these, unless the
+	// record is passive.
 	Arrivals []ArrivalRecord `json:"arrivals"`
+
+	// Passive marks a tenant captured without an algorithm instance (a
+	// follower copy; CheckpointVersionRoles only). Restore registers it
+	// passive, keeping its tail instead of serving it, while the tail is
+	// below its seal bound.
+	Passive bool `json:"passive,omitempty"`
 }
 
 // TenantOrigin is the serializable description of a tenant's substrate.
@@ -138,7 +152,7 @@ func (t *tenant) checkpointOrigin() (*TenantOrigin, error) {
 // a passive one going live first; a recording tenant re-bases only when its
 // tail reached SealEvery (the serve path normally keeps that invariant
 // already) and otherwise reuses the cached base bytes, so a passive one is
-// captured as its base and tail stand.
+// captured as its base and tail stand, and its record says so.
 func (t *tenant) checkpointRecord() (TenantCheckpoint, error) {
 	o, err := t.checkpointOrigin()
 	if err != nil {
@@ -164,6 +178,7 @@ func (t *tenant) checkpointRecord() (TenantCheckpoint, error) {
 		BaseConstruction: t.baseConstruction,
 		BaseAssignment:   t.baseAssignment,
 		Arrivals:         t.tailRecords(),
+		Passive:          t.alg == nil,
 	}
 	return tc, nil
 }
@@ -190,7 +205,8 @@ func (t *tenant) tailRecords() []ArrivalRecord {
 // record is taken on its shard goroutine, serialized with its arrival
 // stream, so each record is a consistent cut covering everything admitted
 // for the tenant before the call. Tenants are sorted by name, making the
-// artifact deterministic.
+// artifact deterministic. The document is CheckpointVersionRoles when some
+// record is passive and CheckpointVersion otherwise.
 //
 // With Config.RecordArrivals the capture is cheap — cached base bytes plus
 // the bounded arrival tail. Without it, every tenant's algorithm state is
@@ -209,9 +225,12 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 	}
 	errs := make([]error, len(tns))
 	onShards(tns, func(i int, t *tenant) { ck.Tenants[i], errs[i] = t.checkpointRecord() })
-	for _, err := range errs {
+	for i, err := range errs {
 		if err != nil {
 			return nil, err
+		}
+		if ck.Tenants[i].Passive {
+			ck.Version = CheckpointVersionRoles
 		}
 	}
 	return ck, nil
@@ -219,8 +238,9 @@ func (e *Engine) Checkpoint() (*Checkpoint, error) {
 
 // RestoreStats reports what a Restore did: how many tenants were rebuilt,
 // the total arrivals the checkpoint represents, how many of those were
-// actually replayed through the serve path (the tail segments — the rest
-// were loaded as serialized state), and the base-state volume loaded.
+// actually replayed through the serve path (the live records' tail
+// segments — passive records keep theirs, and the rest were loaded as
+// serialized state), and the base-state volume loaded.
 type RestoreStats struct {
 	Tenants     int   `json:"tenants"`
 	Arrivals    int   `json:"arrivals"`
@@ -241,20 +261,16 @@ type RestoreStats struct {
 // Tenants share nothing, so each record is rebuilt by rebuildTenant on a
 // pool of GOMAXPROCS goroutines (internal/par), off the shard goroutines.
 // The tenants are then registered in checkpoint order, so shard placement
-// is the one creating them in that order gives. Restore returns with every
-// tail served: snapshots, ServedCount and the served totals see the
-// restored state without a Drain. A refused record leaves no tenant
-// registered.
+// is the one creating them in that order gives. Each record comes back in
+// its role: a passive record whose tail is below its seal bound is
+// registered passive, holding the tail, and every other tail is served.
+// Restore returns with that done: snapshots, ServedCount and the served
+// totals see the restored state without a Drain. A refused record leaves
+// no tenant registered.
 func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
-	return e.restore(ck, false)
-}
-
-// restore is Restore; with passive set, each tenant whose tail is below its
-// seal bound is registered passive, holding the tail instead of serving it.
-func (e *Engine) restore(ck *Checkpoint, passive bool) (RestoreStats, error) {
 	var stats RestoreStats
-	if ck.Version != CheckpointVersion {
-		return stats, fmt.Errorf("engine: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+	if err := ck.checkVersion(); err != nil {
+		return stats, err
 	}
 	if got, want := e.cfg.algoName(), ck.Algorithm; got != want {
 		return stats, fmt.Errorf("engine: checkpoint was taken with algorithm %q, engine runs %q", want, got)
@@ -263,7 +279,7 @@ func (e *Engine) restore(ck *Checkpoint, passive bool) (RestoreStats, error) {
 		return stats, fmt.Errorf("engine: checkpoint was taken with seed %d, engine runs seed %d", ck.Seed, e.cfg.Seed)
 	}
 	rs, err := par.Map(0, len(ck.Tenants), func(i int) (rebuilt, error) {
-		return e.rebuildTenant(&ck.Tenants[i], passive)
+		return e.rebuildTenant(&ck.Tenants[i])
 	})
 	if err != nil {
 		return stats, err
@@ -276,7 +292,7 @@ func (e *Engine) restore(ck *Checkpoint, passive bool) (RestoreStats, error) {
 		return stats, err
 	}
 	for i, r := range rs {
-		// The tail's serve times (0 ns for a tail a passive inject kept)
+		// The tail's serve times (0 ns for a tail a passive record kept)
 		// go to the shard's histogram, as runBatch records a served
 		// arrival, so the served totals count the tail.
 		for _, ns := range r.servedNs {
@@ -304,14 +320,13 @@ type rebuilt struct {
 
 // rebuildTenant is the rebuild step of Restore and of both injects for one
 // record: buildTenant checks the record in full — substrate, base state,
-// serve counters, every tail arrival — and builds the tenant at its base,
-// the calling goroutine (which owns the tenant until it is registered)
-// takes the tail, and the admitted count is set to the served one. A live
-// tenant serves the tail through serveTail, the step a passive tenant goes
-// live by; a passive one, whose tail is below its seal bound, drops the
-// instance its base was checked in and keeps the tail. A refused record
+// serve counters, every tail arrival — and builds the tenant at its base in
+// the record's role, the calling goroutine (which owns the tenant until it
+// is registered) takes the tail, and the admitted count is set to the
+// served one. A live tenant serves the tail through serveTail, the step a
+// passive tenant goes live by; a passive one keeps it. A refused record
 // builds nothing.
-func (e *Engine) rebuildTenant(tc *TenantCheckpoint, passive bool) (rebuilt, error) {
+func (e *Engine) rebuildTenant(tc *TenantCheckpoint) (rebuilt, error) {
 	t, err := e.buildTenant(tc)
 	if err != nil {
 		return rebuilt{}, fmt.Errorf("engine: restore %q: %v", tc.Tenant, err)
@@ -322,10 +337,9 @@ func (e *Engine) rebuildTenant(tc *TenantCheckpoint, passive bool) (rebuilt, err
 	}
 	servedNs := make([]int64, len(t.history))
 	replayed := 0
-	if passive && len(t.history) < t.passiveBound() {
+	if t.passive {
 		// A kept tail is recorded, not served: its histogram entries
 		// stay untimed (0 ns) and only count it in the served totals.
-		t.alg, t.passive = nil, true
 		t.served += len(t.history)
 	} else {
 		replayed = len(t.history)
@@ -337,8 +351,11 @@ func (e *Engine) rebuildTenant(tc *TenantCheckpoint, passive bool) (rebuilt, err
 
 // buildTenant runs every check a record must pass — the cost table, the
 // metric, the base state and its counters, each tail arrival's admission
-// rules — and returns the unregistered tenant with its base state loaded
-// and its tail not yet taken.
+// rules — and returns the unregistered tenant at its base, its tail not yet
+// taken. A passive record whose tail is below the seal bound comes back
+// passive, without an instance: its base state, if any, is checked by
+// loading it into one that is then dropped, and without a base none is
+// built. Every other record comes back live, its base state loaded.
 func (e *Engine) buildTenant(tc *TenantCheckpoint) (*tenant, error) {
 	if len(tc.CostBySize) != tc.Universe+1 {
 		return nil, fmt.Errorf("cost table has %d entries for universe %d", len(tc.CostBySize), tc.Universe)
@@ -363,13 +380,19 @@ func (e *Engine) buildTenant(tc *TenantCheckpoint) (*tenant, error) {
 	} else if tc.BaseServed != 0 {
 		return nil, fmt.Errorf("record claims %d base arrivals but carries no base state", tc.BaseServed)
 	}
-	if err := t.loadBase(); err != nil {
-		return nil, err
+	t.passive = tc.Passive && len(tc.Arrivals) < t.passiveBound()
+	if !t.passive || len(t.baseState) > 0 {
+		if err := t.loadBase(); err != nil {
+			return nil, err
+		}
 	}
 	for i, a := range tc.Arrivals {
 		if err := t.validateRecord(a); err != nil {
 			return nil, fmt.Errorf("tail arrival %d: %v", i, err)
 		}
+	}
+	if t.passive {
+		t.alg = nil
 	}
 	return t, nil
 }

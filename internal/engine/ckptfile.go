@@ -18,11 +18,13 @@ import (
 // count, index and point; float64s as raw little-endian bits):
 //
 //	magic        8 bytes, checkpointMagic
-//	version      the Checkpoint's Version (1 or 2)
+//	version      the Checkpoint's Version: 2 (CheckpointVersion), or 3
+//	             (CheckpointVersionRoles) when some record is passive
 //	algorithm    length, then bytes
 //	seed         8 bytes, the int64's two's-complement bits
 //	tenants      count, then per tenant:
 //	  name              length, then bytes
+//	  role              version 3 only: 0 live, 1 passive
 //	  universe          |S|
 //	  points n          then n×n f64 distances, row by row
 //	  cost table        entry count, then f64 each
@@ -111,14 +113,16 @@ type CheckpointInfo struct {
 }
 
 // TenantInfo is one tenant's line of a CheckpointInfo: arrivals folded into
-// its base state, the state's raw and compressed bytes, and the arrivals a
-// restore replays.
+// its base state, the state's raw and compressed bytes, the arrivals in its
+// tail, and whether the record is passive, restoring with its tail kept
+// instead of replayed.
 type TenantInfo struct {
 	Tenant     string `json:"tenant"`
 	BaseServed int    `json:"base_served"`
 	BaseBytes  int    `json:"base_bytes"`
 	BaseBytesZ int    `json:"base_bytes_z"`
 	Tail       int    `json:"tail"`
+	Passive    bool   `json:"passive,omitempty"`
 }
 
 // InspectCheckpointFile reads and checks a checkpoint document like
@@ -137,7 +141,7 @@ func InspectCheckpointFile(path string) (*CheckpointInfo, error) {
 		Bytes: len(data), Tenants: make([]TenantInfo, len(ck.Tenants))}
 	for i, tc := range ck.Tenants {
 		info.Tenants[i] = TenantInfo{Tenant: tc.Tenant, BaseServed: tc.BaseServed,
-			BaseBytes: len(tc.BaseState), BaseBytesZ: zLen[i], Tail: len(tc.Arrivals)}
+			BaseBytes: len(tc.BaseState), BaseBytesZ: zLen[i], Tail: len(tc.Arrivals), Passive: tc.Passive}
 	}
 	return info, nil
 }
@@ -165,12 +169,21 @@ func (ck *Checkpoint) encode(level int) ([]byte, error) {
 	return data, nil
 }
 
+// checkVersion refuses a version this build does not read.
+func (ck *Checkpoint) checkVersion() error {
+	if v := ck.Version; v != CheckpointVersion && v != CheckpointVersionRoles {
+		return fmt.Errorf("engine: checkpoint version %d, want %d or %d", v, CheckpointVersion, CheckpointVersionRoles)
+	}
+	return nil
+}
+
 // checkEncodable refuses what the document cannot hold or would not read
-// back: an unknown version, negative counts, points or commodities,
-// non-finite floats, and non-square distance matrices.
+// back: an unknown version, a passive record in a version-2 document,
+// negative counts, points or commodities, non-finite floats, and
+// non-square distance matrices.
 func (ck *Checkpoint) checkEncodable() error {
-	if ck.Version != CheckpointVersion {
-		return fmt.Errorf("engine: checkpoint version %d, want %d", ck.Version, CheckpointVersion)
+	if err := ck.checkVersion(); err != nil {
+		return err
 	}
 	finite := func(fs ...float64) bool {
 		for _, f := range fs {
@@ -184,6 +197,9 @@ func (ck *Checkpoint) checkEncodable() error {
 		tc := &ck.Tenants[i]
 		bad := func(format string, args ...interface{}) error {
 			return fmt.Errorf("engine: checkpoint tenant %q: "+format, append([]interface{}{tc.Tenant}, args...)...)
+		}
+		if tc.Passive && ck.Version != CheckpointVersionRoles {
+			return bad("passive record in a version-%d document", ck.Version)
 		}
 		if tc.Universe < 0 || tc.BaseServed < 0 {
 			return bad("negative universe %d or base_served %d", tc.Universe, tc.BaseServed)
@@ -259,6 +275,13 @@ func encodeCheckpoint(ck *Checkpoint, zs [][]byte) []byte {
 		for i := range ck.Tenants {
 			tc := &ck.Tenants[i]
 			w.String(tc.Tenant)
+			if ck.Version == CheckpointVersionRoles {
+				role := 0
+				if tc.Passive {
+					role = 1
+				}
+				w.Uint(role)
+			}
 			w.Uint(tc.Universe)
 			w.Uint(len(tc.Distances))
 			for _, row := range tc.Distances {
@@ -297,8 +320,8 @@ func decodeCheckpoint(what string, data []byte, onBase func(tenant int, z []byte
 	}
 	r := codec.NewReader(what, data[len(checkpointMagic):])
 	ck := &Checkpoint{Version: r.Uint()}
-	if v := ck.Version; v != CheckpointVersion && r.Err() == nil {
-		r.Fail("version %d, want %d", v, CheckpointVersion)
+	if v := ck.Version; v != CheckpointVersion && v != CheckpointVersionRoles && r.Err() == nil {
+		r.Fail("version %d, want %d or %d", v, CheckpointVersion, CheckpointVersionRoles)
 	}
 	ck.Algorithm = r.String()
 	ck.Seed = int64(r.Fixed64())
@@ -307,7 +330,7 @@ func decodeCheckpoint(what string, data []byte, onBase func(tenant int, z []byte
 		return nil, err
 	}
 	ck.Tenants = make([]TenantCheckpoint, n)
-	d := &docReader{r: r, budget: maxInflate * len(data)}
+	d := &docReader{r: r, budget: maxInflate * len(data), roles: ck.Version == CheckpointVersionRoles}
 	for i := range ck.Tenants {
 		z := d.tenant(&ck.Tenants[i])
 		if err := r.Err(); err != nil {
@@ -324,10 +347,12 @@ func decodeCheckpoint(what string, data []byte, onBase func(tenant int, z []byte
 }
 
 // docReader decodes a document's tenant records with one reused flate
-// reader. budget is what base states may still inflate to.
+// reader. budget is what base states may still inflate to; roles is set
+// for a version-3 document, whose records carry their role.
 type docReader struct {
 	r      *codec.Reader
 	budget int
+	roles  bool
 	src    bytes.Reader
 	zr     io.ReadCloser
 }
@@ -337,6 +362,15 @@ type docReader struct {
 func (d *docReader) tenant(tc *TenantCheckpoint) []byte {
 	r := d.r
 	tc.Tenant = r.String()
+	if d.roles {
+		switch role := r.Uint(); role {
+		case 0:
+		case 1:
+			tc.Passive = true
+		default:
+			r.Fail("role %d, want 0 (live) or 1 (passive)", role)
+		}
+	}
 	tc.Universe = r.Uint()
 	n := r.Uint()
 	if r.Err() == nil && n > 0 && n > r.Len()/8/n {

@@ -6,6 +6,8 @@ import (
 	"encoding/json"
 	"runtime"
 	"testing"
+
+	"repro/internal/codec"
 )
 
 // FuzzReadCheckpoint feeds arbitrary bytes to the checkpoint document
@@ -17,17 +19,21 @@ import (
 // maxInflate times its size, so a small flate bomb cannot allocate
 // gigabytes; and an accepted input re-encodes byte-identically, each base
 // state through the flate stream it was read from (the document has one
-// encoding around them; a stream's own bytes are flate's). An accepted
-// input is then restored, as /inject restores a transfer, onto a fresh
-// engine of its algorithm and seed: the rebuild never panics, and it
-// registers every record or, refused, none. A one-tenant input is also
-// injected passive and then built by a snapshot: that succeeds exactly
-// when the live inject does, and the two snapshots are equal.
+// encoding around them; a stream's own bytes are flate's), so a version-3
+// document re-encodes as version 3 with its roles. An accepted input is
+// then restored, as a restart restores engine.ckpt, onto a fresh engine of
+// its algorithm and seed: the rebuild never panics, it registers every
+// record or, refused, none, and the passive records below the seal bound
+// are the passive tenants. A one-tenant input is also injected live and
+// passive, as /inject does whatever role the record carries, and the
+// passive copy is then built by a snapshot: that succeeds exactly when the
+// live inject does, and the two snapshots are equal.
 //
 // The corpus is seeded with the documents of the checkpoint test rigs —
 // sealed and never-sealed tenants, PD and RAND, empty tails, no tenants —
-// and with one-tenant transfer documents in stored flate blocks, plus
-// truncated copies of each.
+// with one-tenant transfer documents in stored flate blocks, and with a
+// version-3 document holding a passive and a live record and its copy
+// whose first role is 2, plus truncated copies of each.
 func FuzzReadCheckpoint(f *testing.F) {
 	rigs := []struct {
 		cfg     Config
@@ -83,6 +89,11 @@ func FuzzReadCheckpoint(f *testing.F) {
 			f.Add(doc[:len(doc)-1])
 		}
 	}
+	for _, doc := range rolesDocs(f) {
+		f.Add(doc)
+		f.Add(doc[:len(doc)/2])
+		f.Add(doc[:len(doc)-1])
+	}
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var before, after runtime.MemStats
 		runtime.ReadMemStats(&before)
@@ -116,12 +127,20 @@ func FuzzReadCheckpoint(f *testing.F) {
 			return // an algorithm no engine serves
 		}
 		defer e.Close()
-		want := len(ck.Tenants)
+		want, wantPassive := len(ck.Tenants), 0
+		for _, tc := range ck.Tenants {
+			if tc.Passive && len(tc.Arrivals) < DefaultSealEvery {
+				wantPassive++
+			}
+		}
 		if _, err := e.Restore(ck); err != nil {
-			want = 0
+			want, wantPassive = 0, 0
 		}
 		if got := e.TenantCount(); got != want {
 			t.Fatalf("restore registered %d of %d tenants, want %d", got, len(ck.Tenants), want)
+		}
+		if got := e.Metrics().PassiveTenants; got != wantPassive {
+			t.Fatalf("restore registered %d passive tenants, want %d", got, wantPassive)
 		}
 		if len(ck.Tenants) != 1 {
 			return
@@ -150,4 +169,55 @@ func FuzzReadCheckpoint(f *testing.F) {
 			t.Fatal("a passive inject, built, snapshots differently from the live inject")
 		}
 	})
+}
+
+// rolesDocs returns a version-3 document holding a passive record (an
+// unbuilt follower with a base and a tail) and a live one, and the same
+// document with the passive record's role byte set to 2.
+func rolesDocs(f *testing.F) [][]byte {
+	cfg := Config{Algorithm: "pd", Shards: 1, Seed: 11, RecordArrivals: true, SealEvery: 8}
+	src := New(cfg)
+	defer src.Close()
+	tr := fixedTrace(50, 20, 4, 6)
+	if _, err := src.ReplayTrace(tr, 2); err != nil {
+		f.Fatal(err)
+	}
+	tf, err := src.ExtractTenant(tenantName(0))
+	if err != nil {
+		f.Fatal(err)
+	}
+	if err := src.InjectPassive(tf); err != nil {
+		f.Fatal(err)
+	}
+	ck, err := src.Checkpoint()
+	if err != nil {
+		f.Fatal(err)
+	}
+	if ck.Version != CheckpointVersionRoles || !ck.Tenants[0].Passive || ck.Tenants[1].Passive || ck.Tenants[0].BaseServed == 0 {
+		f.Fatalf("roles rig: version %d, records %+v", ck.Version, ck.Tenants)
+	}
+	doc, err := ck.encode(flate.DefaultCompression)
+	if err != nil {
+		f.Fatal(err)
+	}
+	at := roleAt(ck)
+	if doc[at] != 1 {
+		f.Fatalf("roles rig: byte %d is %d, want the passive role 1", at, doc[at])
+	}
+	bad := bytes.Clone(doc)
+	bad[at] = 2
+	return [][]byte{doc, bad}
+}
+
+// roleAt is the offset of the first record's role byte in ck's version-3
+// document: it follows the header and the record's name.
+func roleAt(ck *Checkpoint) int {
+	return len(codec.Encode(func(w *codec.Writer) {
+		w.Raw([]byte(checkpointMagic))
+		w.Uint(ck.Version)
+		w.String(ck.Algorithm)
+		w.Fixed64(uint64(ck.Seed))
+		w.Uint(len(ck.Tenants))
+		w.String(ck.Tenants[0].Tenant)
+	}))
 }

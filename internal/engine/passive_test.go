@@ -9,25 +9,33 @@ import (
 	"math/rand"
 	"runtime"
 	"slices"
+	"strings"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/cost"
+	"repro/internal/metric"
 	"repro/internal/workload"
 )
 
 // passiveTwin is one engine configuration holding tenant "t" twice over:
-// live on one engine and passive on the other, fed one stream.
+// live on one engine and passive on the other, fed one stream. Once the
+// passive twin has written a document holding a passive record, a third
+// engine restored from it joins them as restarted, fed and compared like
+// the twins.
 type passiveTwin struct {
 	t             *testing.T
+	cfg           Config
 	live, passive *Engine
+	restarted     *Engine
 	tr            *workload.Trace
 	next          int // requests of tr served so far
 }
 
 func newPassiveTwin(t *testing.T, cfg Config, tr *workload.Trace) *passiveTwin {
 	t.Helper()
-	w := &passiveTwin{t: t, live: New(cfg), passive: New(cfg), tr: tr}
+	w := &passiveTwin{t: t, cfg: cfg, live: New(cfg), passive: New(cfg), tr: tr}
 	t.Cleanup(w.live.Close)
 	t.Cleanup(w.passive.Close)
 	in := tr.Instance
@@ -40,8 +48,18 @@ func newPassiveTwin(t *testing.T, cfg Config, tr *workload.Trace) *passiveTwin {
 	return w
 }
 
-// serve sends the next n requests to both engines as one batch each, then
-// checks that both report the same served and admitted counts.
+// engines is the live twin, the passive twin and, once there, the
+// restarted engine.
+func (w *passiveTwin) engines() []*Engine {
+	es := []*Engine{w.live, w.passive}
+	if w.restarted != nil {
+		es = append(es, w.restarted)
+	}
+	return es
+}
+
+// serve sends the next n requests to every engine as one batch each, then
+// checks that all report the same served and admitted counts.
 func (w *passiveTwin) serve(n int) {
 	w.t.Helper()
 	items := make([]BatchItem, n)
@@ -49,13 +67,12 @@ func (w *passiveTwin) serve(n int) {
 		items[i].Req = w.tr.Instance.Requests[w.next+i]
 	}
 	w.next += n
-	for _, e := range []*Engine{w.live, w.passive} {
+	for _, e := range w.engines() {
 		if _, err := e.ServeBatch("t", items, false, nil); err != nil {
 			w.t.Fatal(err)
 		}
 	}
-	var counts [2][2]int64
-	for i, e := range []*Engine{w.live, w.passive} {
+	for i, e := range w.engines() {
 		served, err := e.ServedCount("t")
 		if err != nil {
 			w.t.Fatal(err)
@@ -64,62 +81,118 @@ func (w *passiveTwin) serve(n int) {
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		counts[i] = [2]int64{int64(served), admitted}
-	}
-	if counts[0] != counts[1] || counts[0][0] != int64(w.next) {
-		w.t.Fatalf("after %d arrivals: live served/admitted %v, passive %v", w.next, counts[0], counts[1])
+		if served != w.next || admitted != int64(w.next) {
+			w.t.Fatalf("after %d arrivals: engine %d served %d, admitted %d", w.next, i, served, admitted)
+		}
 	}
 }
 
-// docs checks that both engines' checkpoint documents have one sha256.
+// docs checks that every engine's checkpoint document has one sha256 once
+// the role is set aside, and checks the role: a record is passive exactly
+// while its tenant is unbuilt, and only a document holding a passive record
+// is version 3. The first passive record the
+// passive twin writes is read back and restored onto the restarted engine,
+// which must register it passive without replaying its tail.
 func (w *passiveTwin) docs() {
 	w.t.Helper()
-	var sums [2][32]byte
-	for i, e := range []*Engine{w.live, w.passive} {
+	var sums [][32]byte
+	for i, e := range w.engines() {
 		ck, err := e.Checkpoint()
 		if err != nil {
 			w.t.Fatal(err)
+		}
+		unbuilt := e.Metrics().PassiveTenants == 1
+		if passive := ck.Tenants[0].Passive; passive != unbuilt {
+			w.t.Fatalf("after %d arrivals: engine %d's record passive %v, tenant unbuilt %v", w.next, i, passive, unbuilt)
+		}
+		want := CheckpointVersion
+		if unbuilt {
+			want = CheckpointVersionRoles
+		}
+		if ck.Version != want {
+			w.t.Fatalf("after %d arrivals: engine %d wrote version %d, want %d", w.next, i, ck.Version, want)
 		}
 		doc, err := ck.encode(flate.DefaultCompression)
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		sums[i] = sha256.Sum256(doc)
+		if i == 1 && unbuilt && w.restarted == nil {
+			w.restart(doc)
+		}
+		ck.Version, ck.Tenants[0].Passive = CheckpointVersion, false
+		if doc, err = ck.encode(flate.DefaultCompression); err != nil {
+			w.t.Fatal(err)
+		}
+		sums = append(sums, sha256.Sum256(doc))
 	}
-	if sums[0] != sums[1] {
-		w.t.Fatalf("after %d arrivals: checkpoint documents differ (live %x, passive %x)", w.next, sums[0][:6], sums[1][:6])
+	for i := range sums {
+		if sums[i] != sums[0] {
+			w.t.Fatalf("after %d arrivals: checkpoint documents differ (live %x, engine %d %x)", w.next, sums[0][:6], i, sums[i][:6])
+		}
 	}
 }
 
-// snapshots checks that both engines' snapshot JSON is byte-identical.
+// restart restores the passive twin's document onto the restarted engine.
+func (w *passiveTwin) restart(doc []byte) {
+	w.t.Helper()
+	ck, err := decodeCheckpoint("passive twin", doc, nil)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	w.restarted = New(w.cfg)
+	w.t.Cleanup(w.restarted.Close)
+	stats, err := w.restarted.Restore(ck)
+	if err != nil {
+		w.t.Fatal(err)
+	}
+	if n := w.restarted.Metrics().PassiveTenants; n != 1 || stats.Replayed != 0 {
+		w.t.Fatalf("after %d arrivals: restored %d passive tenants, replayed %d, want 1 and 0", w.next, n, stats.Replayed)
+	}
+}
+
+// snapshots checks that every engine's snapshot JSON is byte-identical.
 func (w *passiveTwin) snapshots() {
 	w.t.Helper()
-	var got [2][]byte
-	for i, e := range []*Engine{w.live, w.passive} {
+	var got [][]byte
+	for _, e := range w.engines() {
 		snaps, err := e.SnapshotAll()
 		if err != nil {
 			w.t.Fatal(err)
 		}
-		got[i] = marshalSnaps(w.t, snaps)
+		got = append(got, marshalSnaps(w.t, snaps))
 	}
-	if !bytes.Equal(got[0], got[1]) {
-		w.t.Fatalf("after %d arrivals: snapshots differ", w.next)
+	for i := range got {
+		if !bytes.Equal(got[i], got[0]) {
+			w.t.Fatalf("after %d arrivals: engine %d's snapshots differ from the live twin's", w.next, i)
+		}
 	}
 }
 
-// passiveCount is the passive engine's Metrics.PassiveTenants.
-func (w *passiveTwin) passiveCount() int { return w.passive.Metrics().PassiveTenants }
+// passiveCount is the passive engine's Metrics.PassiveTenants, which the
+// restarted engine must share.
+func (w *passiveTwin) passiveCount() int {
+	w.t.Helper()
+	n := w.passive.Metrics().PassiveTenants
+	if w.restarted != nil {
+		if m := w.restarted.Metrics().PassiveTenants; m != n {
+			w.t.Fatalf("after %d arrivals: restarted engine has %d passive tenants, passive twin %d", w.next, m, n)
+		}
+	}
+	return n
+}
 
 // TestPassiveTwin: a passive tenant and a live twin fed one stream in
 // batches of 3 report equal served and admitted counts after every batch,
-// write byte-identical checkpoint documents and snapshots, and still do after
-// arrivals that follow the snapshot — for PD and RAND, SealEvery 8 and 50,
-// on recording and non-recording engines. On a recording engine the
-// documents are compared after every batch, so before and after every seal;
-// the passive tenant stays passive until its tail reaches SealEvery and is
-// live from the seal on. On a non-recording engine it goes live at the same
-// bound without sealing, and a checkpoint, which seals every tenant, builds
-// it earlier.
+// write checkpoint documents that are byte-identical but for the role, and
+// byte-identical snapshots, and still do after arrivals that follow the
+// snapshot — for PD and RAND, SealEvery 8 and 50, on recording and
+// non-recording engines. On a recording engine the documents are compared
+// after every batch, so before and after every seal; the passive tenant
+// stays passive until its tail reaches SealEvery and is live from the seal
+// on. Its first document, written passive, restores passive without a
+// replay, and the restarted copy matches both twins from then on. On a
+// non-recording engine it goes live at the same bound without sealing, and
+// a checkpoint, which seals every tenant, builds it earlier.
 func TestPassiveTwin(t *testing.T) {
 	tr := fixedTrace(33, 240, 6, 12)
 	for _, algo := range []string{"pd", "rand"} {
@@ -150,6 +223,9 @@ func TestPassiveTwin(t *testing.T) {
 					w.snapshots()
 
 					if record {
+						if w.restarted == nil {
+							t.Fatal("the passive twin never wrote a passive record")
+						}
 						return
 					}
 					// A checkpoint seals a non-recording tenant, so it
@@ -175,7 +251,9 @@ func TestPassiveTwin(t *testing.T) {
 // TestPassiveUnsealedBound: on an engine that does not seal, a passive
 // tenant goes live when its tail reaches DefaultSealEvery, and still
 // matches its live twin: the whole history in the checkpoint on a
-// recording engine, a seal per capture on a non-recording one.
+// recording engine, a seal per capture on a non-recording one. On a
+// recording engine its document one arrival below the bound restores
+// passive, and the restored copy goes live at the bound too.
 func TestPassiveUnsealedBound(t *testing.T) {
 	tr := fixedTrace(35, DefaultSealEvery+40, 4, 8)
 	for _, record := range []bool{true, false} {
@@ -183,6 +261,9 @@ func TestPassiveUnsealedBound(t *testing.T) {
 		w.serve(DefaultSealEvery - 1)
 		if got := w.passiveCount(); got != 1 {
 			t.Fatalf("record %v: %d passive tenants below the bound, want 1", record, got)
+		}
+		if record {
+			w.docs()
 		}
 		w.serve(1)
 		if got := w.passiveCount(); got != 0 {
@@ -282,6 +363,120 @@ func TestPassiveInject(t *testing.T) {
 				t.Errorf("%s: refused inject (passive %v) left %d tenants, %d passive", name, passive, n, m)
 			}
 		}
+	}
+}
+
+// TestRestoreRoles: a version-3 document restores each record in its role.
+// A passive record whose tail is below the seal bound comes back passive,
+// its tail kept: with a base, it builds an instance only to check the base;
+// without one, it builds none. A live record, and a passive one whose tail
+// has reached the bound, come back live with the tail replayed. Built, the
+// passive tenants snapshot like the source. The records cleared of their
+// roles restore live, no version-2 document holds a passive record, and a
+// role other than 0 and 1 is refused.
+func TestRestoreRoles(t *testing.T) {
+	tr := fixedTrace(61, 40, 5, 9)
+	in := tr.Instance
+	cfg := Config{Algorithm: "pd", Shards: 2, Seed: 4, RecordArrivals: true, SealEvery: 8}
+	src := mustEngine(t, cfg)
+	// "based" seals at 8 and keeps a tail of 5; "fresh" and "live" hold
+	// tails of 5 and no base.
+	served := map[string]int{"based": 13, "fresh": 5, "live": 5}
+	next := 0
+	for _, id := range []string{"based", "fresh", "live"} {
+		if err := src.CreateTenant(id, in.Space, in.Costs); err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < served[id]; i++ {
+			if err := src.Serve(id, in.Requests[next]); err != nil {
+				t.Fatal(err)
+			}
+			next++
+		}
+	}
+	ck, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := src.SnapshotAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Version = CheckpointVersionRoles
+	ck.Tenants[0].Passive, ck.Tenants[1].Passive = true, true
+	doc, err := ck.encode(flate.DefaultCompression)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(doc)
+	bad[roleAt(ck)] = 2
+	if _, err := decodeCheckpoint("roles", bad, nil); err == nil || !strings.Contains(err.Error(), "role 2") {
+		t.Errorf("a record with role 2: err = %v", err)
+	}
+	if ck, err = decodeCheckpoint("roles", doc, nil); err != nil {
+		t.Fatal(err)
+	}
+	if !ck.Tenants[0].Passive || !ck.Tenants[1].Passive || ck.Tenants[2].Passive {
+		t.Fatalf("roles read back as %v, %v, %v", ck.Tenants[0].Passive, ck.Tenants[1].Passive, ck.Tenants[2].Passive)
+	}
+
+	// restore counts the instances built per tenant, told apart by their
+	// name-derived seeds.
+	names := map[int64]string{}
+	for id := range served {
+		names[workload.NamedSeed(cfg.Seed, id)] = id
+	}
+	restore := func(cfg Config, ck *Checkpoint) (*Engine, RestoreStats, map[string]int) {
+		t.Helper()
+		e := mustEngine(t, cfg)
+		var mu sync.Mutex
+		built := map[string]int{}
+		newAlg := e.factory
+		e.factory = func(space metric.Space, costs cost.Model, seed int64) algorithm {
+			mu.Lock()
+			built[names[seed]]++
+			mu.Unlock()
+			return newAlg(space, costs, seed)
+		}
+		stats, err := e.Restore(ck)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return e, stats, built
+	}
+	e, stats, built := restore(cfg, ck)
+	if n := e.Metrics().PassiveTenants; n != 2 || stats.Replayed != 5 {
+		t.Errorf("restored %d passive tenants and replayed %d arrivals, want 2 and 5", n, stats.Replayed)
+	}
+	if built["based"] != 1 || built["fresh"] != 0 || built["live"] != 1 {
+		t.Errorf("restore built instances %v, want based 1 (its base check), fresh 0, live 1", built)
+	}
+	got, err := e.SnapshotAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(marshalSnaps(t, got), marshalSnaps(t, want)) {
+		t.Error("passive records, built, snapshot differently from the source")
+	}
+
+	// A seal bound of 4 puts every tail of 5 past it.
+	low := cfg
+	low.SealEvery = 4
+	if e, stats, _ := restore(low, ck); e.Metrics().PassiveTenants != 0 || stats.Replayed != 15 {
+		t.Errorf("tails past the bound: %d passive tenants, %d replayed, want 0 and 15", e.Metrics().PassiveTenants, stats.Replayed)
+	}
+
+	v2 := *ck
+	v2.Version = CheckpointVersion
+	if _, err := v2.encode(flate.DefaultCompression); err == nil {
+		t.Error("a version-2 document was written with a passive record")
+	}
+	v2.Tenants = slices.Clone(ck.Tenants)
+	for i := range v2.Tenants {
+		v2.Tenants[i].Passive = false
+	}
+	if e, stats, _ := restore(cfg, &v2); e.Metrics().PassiveTenants != 0 || stats.Replayed != 15 {
+		t.Errorf("roles cleared: %d passive tenants, %d replayed, want 0 and 15", e.Metrics().PassiveTenants, stats.Replayed)
 	}
 }
 

@@ -36,9 +36,10 @@ func (e *Engine) ExportTenant(id string) (*TenantTransfer, error) {
 }
 
 // captureTenant is the one capture behind extract and export: the tenant's
-// record, taken on its shard goroutine, as a document EncodeTransfer can
-// write. With remove the tenant is deregistered first and put back if the
-// capture fails, so a failed extract is a clean no-op instead of a loss.
+// record, taken on its shard goroutine, as a version-2 document
+// EncodeTransfer can write. With remove the tenant is deregistered first
+// and put back if the capture fails, so a failed extract is a clean no-op
+// instead of a loss.
 func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) {
 	e.mu.Lock()
 	if e.closed {
@@ -59,6 +60,8 @@ func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) 
 	var tc TenantCheckpoint
 	var err error
 	t.shard.control(func() { tc, err = t.checkpointRecord() })
+	// A transfer carries no role: whoever injects it chooses the copy's.
+	tc.Passive = false
 	tr := &TenantTransfer{Version: CheckpointVersion, Algorithm: e.cfg.algoName(), Seed: e.cfg.Seed,
 		Tenants: []TenantCheckpoint{tc}}
 	if err == nil {
@@ -76,8 +79,8 @@ func (e *Engine) captureTenant(id string, remove bool) (*TenantTransfer, error) 
 	return tr, nil
 }
 
-// InjectTenant restores an extracted or exported tenant: it is Restore on
-// a document that must hold exactly one tenant, which must not already
+// InjectTenant restores an extracted or exported tenant live: it is Restore
+// on a document that must hold exactly one tenant, which must not already
 // exist. It returns with the tail served: ServedCount, AdmittedCount and
 // snapshots see the whole transfer.
 func (e *Engine) InjectTenant(tr *TenantTransfer) error {
@@ -95,11 +98,16 @@ func (e *Engine) InjectPassive(tr *TenantTransfer) error {
 	return e.inject(tr, true)
 }
 
+// inject restores tr's one record in the role passive chooses, whatever
+// role the record carries.
 func (e *Engine) inject(tr *TenantTransfer, passive bool) error {
 	if n := len(tr.Tenants); n != 1 {
 		return fmt.Errorf("engine: a transfer holds one tenant, this document holds %d", n)
 	}
-	_, err := e.restore(tr, passive)
+	doc := *tr
+	doc.Tenants = []TenantCheckpoint{tr.Tenants[0]}
+	doc.Tenants[0].Passive = passive
+	_, err := e.Restore(&doc)
 	return err
 }
 

@@ -33,8 +33,10 @@
 // the serve-latency histogram with untimed (0 ns) entries. GET /v1/served
 // reads counts without building anything; /v1/metrics' passive_tenants (the
 // omflp_passive_tenants gauge on /metrics) counts the tenants not yet built.
-// A worker restarted from its checkpoint restores every tenant live: the
-// document does not carry the role.
+// The checkpoint records each tenant's role, so a worker restarted from it
+// brings every unbuilt copy back passive, its tail kept and not replayed
+// (checkpoint.restored_replayed counts the live tenants' tails only). A
+// transfer document carries no role: inject's ?passive chooses it.
 //
 // # Framing
 //

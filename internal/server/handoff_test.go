@@ -5,6 +5,7 @@ import (
 	"net/http"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/engine"
 )
@@ -277,5 +278,50 @@ func TestPassiveEndpoints(t *testing.T) {
 		if n := passive(b); n != 0 {
 			t.Errorf("%s: passive_tenants %d after the snapshot, want 0", b, n)
 		}
+	}
+}
+
+// TestPassiveRestart: a worker restarted from its checkpoint brings a
+// passive copy back passive. A passive tenant and a live one on one
+// substrate get the same three arrivals, POST /v1/checkpoint writes the
+// document, and a second server.New on the same dir reads passive_tenants
+// 1 and replays only the live tenant's tail. The copy's first snapshot,
+// which builds it, equals the live tenant's byte for byte.
+func TestPassiveRestart(t *testing.T) {
+	cfg := Config{HTTPAddr: "127.0.0.1:0", CheckpointDir: t.TempDir(), CheckpointEvery: time.Hour,
+		Engine: engine.Config{Algorithm: "pd", Shards: 2, Seed: 5}}
+	s := startServer(t, cfg)
+	base := "http://" + s.HTTPAddr()
+	create := createBody{Universe: 3, Distances: [][]float64{{0, 1}, {1, 0}}, CostBySize: []float64{0, 1, 1.5, 1.8}}
+	httpJSON(t, "POST", base+"/v1/tenants/live", create, http.StatusCreated)
+	create.Passive = true
+	httpJSON(t, "POST", base+"/v1/tenants/copy", create, http.StatusCreated)
+	for _, a := range []Arrival{{Point: 0, Demands: []int{0, 2}}, {Point: 1, Demands: []int{1}}, {Point: 1, Demands: []int{0, 1, 2}}} {
+		for _, id := range []string{"live", "copy"} {
+			httpJSON(t, "POST", base+"/v1/tenants/"+id+"/arrive", a, http.StatusOK)
+		}
+	}
+	httpJSON(t, "POST", base+"/v1/checkpoint", nil, http.StatusOK)
+
+	restarted := startServer(t, cfg)
+	base = "http://" + restarted.HTTPAddr()
+	metrics := func() Metrics {
+		var m Metrics
+		if err := json.Unmarshal(httpJSON(t, "GET", base+"/v1/metrics", nil, http.StatusOK), &m); err != nil {
+			t.Fatal(err)
+		}
+		return m
+	}
+	if m := metrics(); m.PassiveTenants != 1 || m.Checkpoint.RestoredArrivals != 6 || m.Checkpoint.RestoredReplayed != 3 {
+		t.Fatalf("restarted worker: passive_tenants %d, restored %d arrivals, replayed %d; want 1, 6 and 3",
+			m.PassiveTenants, m.Checkpoint.RestoredArrivals, m.Checkpoint.RestoredReplayed)
+	}
+	live := httpJSON(t, "GET", base+"/v1/tenants/live/snapshot", nil, http.StatusOK)
+	got := httpJSON(t, "GET", base+"/v1/tenants/copy/snapshot", nil, http.StatusOK)
+	if strings.Replace(string(got), `"copy"`, `"live"`, 1) != string(live) {
+		t.Errorf("restored passive copy's snapshot %s differs from the live tenant's %s", got, live)
+	}
+	if n := metrics().PassiveTenants; n != 0 {
+		t.Errorf("passive_tenants %d after the snapshot, want 0", n)
 	}
 }

@@ -162,8 +162,8 @@ func (s *Server) restore() error {
 	if err != nil {
 		return fmt.Errorf("server: restoring %s: %v", path, err)
 	}
-	// Restore returns with every tail served, so the time below covers
-	// the replay.
+	// Restore returns with every live tenant's tail served and every
+	// passive one's kept, so the time below covers the replay.
 	s.restored = stats
 	s.restoreMs = float64(time.Since(start).Microseconds()) / 1e3
 	s.logger.Info("checkpoint restored",
@@ -327,8 +327,9 @@ type CheckpointMetrics struct {
 	LastDurationMs float64 `json:"last_duration_ms,omitempty"`
 	LastUnix       int64   `json:"last_unix,omitempty"`
 	// LastArrivals is the arrival count the latest checkpoint represents;
-	// LastTailArrivals how many of those a restore would replay (the rest
-	// load as serialized base state).
+	// LastTailArrivals how many of those sit in tails (the rest load as
+	// serialized base state): a restore replays the live records' tails
+	// and keeps the passive ones'.
 	LastArrivals     int `json:"last_arrivals,omitempty"`
 	LastTailArrivals int `json:"last_tail_arrivals,omitempty"`
 	// Restore describes the checkpoint restore at startup, if any.
