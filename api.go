@@ -130,7 +130,7 @@ type (
 	// Router is the cluster front; see internal/cluster.
 	Router = cluster.Router
 	// RouterConfig selects the router's listen addresses, the worker node
-	// list, the placement policy and the health-probe cadence.
+	// list and the health-probe cadence. Placement is least-load only.
 	RouterConfig = cluster.Config
 	// ClusterMetrics is the merged cluster view GET /v1/metrics serves
 	// from a router: per-node reports plus aggregation-safe totals.

@@ -13,8 +13,7 @@
 //	            [-checkpoint-dir DIR] [-checkpoint-every DUR]
 //	            [-checkpoint-seal-every N] [-shard-policy hash|leastload]
 //	omflp serve -cluster-router -nodes H:P,H:P,... -listen-http ADDR
-//	            [-listen-tcp ADDR] [-placement leastload|rendezvous]
-//	            [-health-every DUR]
+//	            [-listen-tcp ADDR] [-health-every DUR]
 //	omflp loadgen [-mode http|tcp] [-addr HOST:PORT] [-targets H:P,...] [-trace FILE]
 //	              [-dist uniform|zipf|bundled] [-rate N] [-ops-out FILE]
 //	              [-tenants N] [-arrivals N] [-conc N] [-bench-out DIR] [-bench-key K]
@@ -131,7 +130,7 @@ func usage() {
               [-checkpoint-dir DIR] [-checkpoint-every DUR] [-checkpoint-seal-every N]
                                                  stream arrivals through a serving engine
   omflp serve -cluster-router -nodes H:P,H:P,... -listen-http ADDR [-listen-tcp ADDR]
-              [-placement leastload|rendezvous] [-health-every DUR]
+              [-health-every DUR]
                                                  route tenants across worker daemons
   omflp loadgen [-mode http|tcp] [-addr HOST:PORT] [-targets H:P,...] [-trace FILE]
                 [-dist uniform|zipf|bundled] [-zipf-s S] [-rate N] [-tenants N]
@@ -214,10 +213,10 @@ serve stdin, loadgen -trace, and the TCP protocol alike.
 Cluster mode: omflp serve -cluster-router -nodes A,B -listen-http ADDR
 fronts worker daemons (started with their own -listen-http/-listen-tcp and
 identical -algo/-seed) with the same HTTP API and TCP framing — clients and
-loadgen run unchanged. The router places each tenant on one worker
-(-placement leastload|rendezvous), health-checks workers every
--health-every, re-admits and re-syncs a worker that restarts from its
-checkpoint, and migrates tenants live: POST /v1/migrate
+loadgen run unchanged. The router places each tenant on the worker hosting
+the fewest tenants, health-checks workers every -health-every, re-admits a
+worker that restarts from its checkpoint and re-syncs its routes from the
+worker's GET /v1/served, and migrates tenants live: POST /v1/migrate
 {"tenant":"t","target":"host:port"} quiesces the tenant, moves its state,
 replays arrivals buffered during the move, and flips the route — snapshots
 are byte-identical across the move. GET /v1/routes shows placements;

@@ -35,9 +35,9 @@ import (
 //
 // With -cluster-router the process hosts no engine at all: it fronts the
 // worker daemons named by -nodes with the same HTTP and TCP surface,
-// placing tenants (-placement), health-checking and re-admitting workers,
-// migrating tenants live (POST /v1/migrate), and merging worker metrics
-// into one cluster view.
+// placing each tenant on the least-loaded worker, health-checking and
+// re-admitting workers, migrating tenants live (POST /v1/migrate), and
+// merging worker metrics into one cluster view.
 // Engine flags (-algo, -seed, -shards, ...) are meaningless in router mode;
 // the cluster's algorithm and seed come from the workers, which must agree.
 func cmdServe(args []string) (retErr error) {
@@ -62,7 +62,6 @@ func cmdServe(args []string) (retErr error) {
 		sealEvery    = fs.Int("checkpoint-seal-every", 0, "re-base a tenant's checkpoint once its arrival tail exceeds N (0 = 4096 default, negative = never seal: full-replay restores)")
 		routerMode   = fs.Bool("cluster-router", false, "run as a cluster router in front of -nodes instead of hosting an engine")
 		nodes        = fs.String("nodes", "", "router mode: comma-separated worker HTTP addresses (host:port,...)")
-		placement    = fs.String("placement", "leastload", "router mode: tenant placement policy, leastload or rendezvous")
 		healthEvery  = fs.Duration("health-every", time.Second, "router mode: node health-probe interval")
 		standbyOf    = fs.String("standby-of", "", "router mode: start passive, following the active router's framed-TCP address and promoting on its failure")
 		replicate    = fs.Bool("replicate", false, "router mode: dual-write every tenant to a follower node so a dead owner fails over without data loss")
@@ -129,7 +128,6 @@ func cmdServe(args []string) (retErr error) {
 			HTTPAddr:      *listenHTTP,
 			TCPAddr:       *listenTCP,
 			Nodes:         strings.Split(*nodes, ","),
-			Placement:     *placement,
 			HealthEvery:   *healthEvery,
 			TraceSample:   *traceSample,
 			EnablePprof:   *pprofOn,

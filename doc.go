@@ -78,8 +78,9 @@
 // large credit) in one byte buffer, and rewrites a record's credit slot in
 // place when a new large facility lowers it, so a seal copies the record
 // section instead of encoding it, and a restore keeps the section it
-// checked. Duals, ServeLog and CheckScaledDuals decode the records on each
-// call. BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
+// checked. Duals and ServeLog decode the records on each call; the
+// analysis checks of Lemma 14 and Corollary 17 read a finished run through
+// Duals in internal/sim, so no serving package carries them. BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
 // records capture/restore time and raw + on-disk bytes for an unsealed
 // capture (column v1) and a sealed one (v2) at 1e3 and 1e5 arrivals, and
 // gates on v2's replay work staying flat.
@@ -111,8 +112,8 @@
 // also runs as a multi-node cluster (see internal/cluster): worker nodes
 // are ordinary daemons, and "omflp serve -cluster-router -nodes a,b,..."
 // fronts them with the same HTTP API and TCP framing — clients and loadgen
-// run unchanged. The router owns the tenant→node map (least-loaded or
-// rendezvous placement), forwards arrivals to each tenant's owner, and
+// run unchanged. The router owns the tenant→node map (each tenant placed
+// on the node hosting the fewest), forwards arrivals to each tenant's owner, and
 // merges node metrics into one cluster view (a per-node scrape sequence +
 // wall stamp lets the merge drop duplicated scrapes instead of
 // double-counting rates). Tenants migrate live on POST /v1/migrate through
@@ -126,7 +127,7 @@
 // the source and aborts (a reseed leaves the route unreplicated). The
 // tenant's snapshot is byte-identical to an unmigrated run. Workers are health-checked; kill -9 a worker, restart
 // it on its checkpoint directory, and it rejoins with its routes and
-// ledgers re-synced from its snapshots. Every node must share the algorithm and seed (tenant
+// ledgers re-synced from its GET /v1/served counts. Every node must share the algorithm and seed (tenant
 // randomness is seeded by tenant name), which the router verifies at
 // admission — that invariant is what makes cluster output golden-diffable
 // against a single node, and CI does exactly that (cluster-smoke).

@@ -7,8 +7,8 @@
 // # Topology and routing
 //
 // Each tenant lives on exactly one node; the router owns the tenant→node
-// map. Creates place the tenant (least-loaded by default, rendezvous
-// hashing optionally) and arrivals are forwarded to the owner two ways:
+// map. Creates place the tenant on the healthy node hosting the fewest
+// tenants, and arrivals are forwarded to the owner two ways:
 // framed-TCP arrivals, binary or JSON, travel as binary frames over the
 // session's own TCP connection to the node (routeBinary; a JSON arrive is
 // re-encoded first), and HTTP arrivals as one keyed, retried JSON POST per
@@ -68,9 +68,11 @@
 // probe failures, so one flapped probe does not trigger failover. With
 // Config.Replicate off, a worker that dies takes its un-checkpointed tail
 // with it — the same contract as a single node — and arrivals routed to it
-// fail until it returns. When a restarted worker (restored from its v2
+// fail until it returns. When a restarted worker (restored from its
 // checkpoint) rejoins, the router re-syncs the routes and ledgers for its
-// tenants from the node's snapshots and traffic resumes.
+// tenants from the node's GET /v1/served, which builds none of its passive
+// copies, and traffic resumes. A failed read fails the probe; a worker
+// without that route does not rejoin.
 //
 // # Durable routes
 //
@@ -81,7 +83,7 @@
 // are folded in compactly on every health tick rather than per arrival. A
 // restarted router loads the base, replays the journal (a torn final line
 // is the expected kill -9 artifact and is ignored), and is routing again in
-// O(1) — it does not rescan node snapshots. Restored ledgers may trail the
+// O(1) — it does not re-read the nodes. Restored ledgers may trail the
 // truth by at most one health tick; each route is marked unsynced and
 // lazily reconciled against its owner before any operation that needs the
 // exact ledger (migration quiesce). Only the active router writes the
@@ -154,9 +156,8 @@ type Config struct {
 	TCPAddr string
 	// Nodes lists worker HTTP addresses ("host:port"). At least one.
 	Nodes []string
-	// Placement picks the tenant-placement policy: "leastload" (default)
-	// places on the node hosting the fewest tenants, "rendezvous" by
-	// highest rendezvous hash (stable as nodes come and go).
+	// Placement names the tenant-placement policy. "leastload", the only
+	// one, places on the node hosting the fewest tenants; "" means it.
 	Placement string
 	// HealthEvery is the node health-probe period (default 1s).
 	HealthEvery time.Duration
@@ -173,7 +174,7 @@ type Config struct {
 	// StateDir is the router's durable-state directory. When set, the
 	// routing table and per-route ledgers are persisted as a base snapshot
 	// plus an append-only journal, and a restarted router restores them in
-	// O(1) instead of rescanning node snapshots. "" keeps routes in memory
+	// O(1) instead of re-reading the nodes. "" keeps routes in memory
 	// only (the pre-durability behavior).
 	StateDir string
 	// StandbyOf names the primary router's framed-op TCP address. When set,
@@ -294,7 +295,7 @@ type node struct {
 	fails int
 	// everUp records that this router process has probed the node healthy
 	// at least once. The first successful probe after a clean route-log
-	// restore skips the snapshot re-sync (restart is O(1)); later
+	// restore skips the re-sync (restart is O(1)); later
 	// transitions (a node rejoining after downtime) still re-sync.
 	everUp bool
 }
@@ -319,7 +320,7 @@ type route struct {
 	// a replication error). Guarded by Router.mu like node.
 	follower int
 	// epoch counts ownership changes (promotions). A route with epoch > 0
-	// has been failed over at least once; snapshot re-sync then refuses to
+	// has been failed over at least once; the re-sync then refuses to
 	// re-adopt any other claimant — a rejoining stale owner is a ghost.
 	epoch int64
 	// count is the arrival ledger: lifetime arrivals the routed node has
@@ -346,7 +347,7 @@ func New(cfg Config) (*Router, error) {
 		return nil, fmt.Errorf("cluster: config needs at least one node")
 	}
 	switch cfg.Placement {
-	case "", "leastload", "rendezvous":
+	case "", "leastload":
 	default:
 		return nil, fmt.Errorf("cluster: unknown placement policy %q", cfg.Placement)
 	}
@@ -410,7 +411,7 @@ func New(cfg Config) (*Router, error) {
 // are keyed by node address, so the router must be configured with the
 // same node set; a record naming an address not in the config is dropped
 // with a warning (the operator reshaped the cluster — those tenants will be
-// re-adopted by snapshot re-sync when their node is probed). Loaded routes
+// re-adopted by the re-sync when their node is probed). Loaded routes
 // are unsynced: the log's ledgers may trail the truth by up to one health
 // tick. It returns the number of routes loaded.
 func (r *Router) loadRoutes(tenants ...string) int {
@@ -455,11 +456,11 @@ func (r *Router) loadRoutes(tenants ...string) int {
 }
 
 // Start probes every node once (admitting the reachable ones and
-// bootstrapping routes from their snapshots), then opens the listeners and
-// begins the health loop. At least one node must be reachable. A standby
-// router (Config.StandbyOf) skips the probes and the health loop: it binds
-// its listeners passive and follows the primary's route journal until
-// promotion.
+// bootstrapping routes from their served counts), then opens the listeners
+// and begins the health loop. At least one node must be reachable. A
+// standby router (Config.StandbyOf) skips the probes and the health loop:
+// it binds its listeners passive and follows the primary's route journal
+// until promotion.
 func (r *Router) Start() error {
 	if r.cfg.StandbyOf != "" {
 		r.standby.Store(true)
@@ -616,7 +617,7 @@ func (r *Router) checkIdentity(info server.NodeInfo) error {
 // out: a *[]byte takes the raw body (a tenant transfer is forwarded
 // verbatim, never re-encoded), nil discards it, anything else is decoded
 // as JSON. body is nil, pre-marshaled JSON bytes, or a value to marshal. A
-// non-2xx status is a *statusError carrying an excerpt of the body.
+// non-2xx status is an error carrying an excerpt of the body.
 func (r *Router) call(method, url string, body, out interface{}) error {
 	data, ok := body.([]byte)
 	if !ok && body != nil {
@@ -638,7 +639,7 @@ func (r *Router) call(method, url string, body, out interface{}) error {
 	}
 	defer closeBody(resp)
 	if resp.StatusCode/100 != 2 {
-		return &statusError{resp.StatusCode, fmt.Sprintf("%s %s: %s: %s", method, url, resp.Status, snippet(resp.Body))}
+		return fmt.Errorf("%s %s: %s: %s", method, url, resp.Status, snippet(resp.Body))
 	}
 	switch o := out.(type) {
 	case nil:
@@ -650,14 +651,6 @@ func (r *Router) call(method, url string, body, out interface{}) error {
 		return json.NewDecoder(resp.Body).Decode(out)
 	}
 }
-
-// statusError is a node's non-2xx answer to call.
-type statusError struct {
-	code int
-	msg  string
-}
-
-func (e *statusError) Error() string { return e.msg }
 
 // drainLimit bounds what closeBody reads of a response nobody consumed.
 const drainLimit = 64 << 10

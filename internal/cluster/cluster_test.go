@@ -488,8 +488,8 @@ func TestStaleScrapeExcluded(t *testing.T) {
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, req *http.Request) {
 		json.NewEncoder(w).Encode(fixed)
 	})
-	mux.HandleFunc("GET /v1/snapshots", func(w http.ResponseWriter, req *http.Request) {
-		json.NewEncoder(w).Encode([]engine.TenantSnapshot{})
+	mux.HandleFunc("GET /v1/served", func(w http.ResponseWriter, req *http.Request) {
+		json.NewEncoder(w).Encode([]engine.TenantServed{})
 	})
 	fake := httptest.NewServer(mux)
 	defer fake.Close()
@@ -537,6 +537,9 @@ func TestRouterReusesNodeConnections(t *testing.T) {
 		mux.HandleFunc("GET /v1/node", func(w http.ResponseWriter, req *http.Request) {
 			json.NewEncoder(w).Encode(server.NodeInfo{Algorithm: "pd", Seed: 1})
 		})
+		mux.HandleFunc("GET /v1/served", func(w http.ResponseWriter, req *http.Request) {
+			json.NewEncoder(w).Encode([]engine.TenantServed{})
+		})
 		mux.HandleFunc("GET /v1/snapshots", func(w http.ResponseWriter, req *http.Request) {
 			// The chunked body's terminator trails the value, as it may
 			// over a network: the decoder stops at the value.
@@ -583,44 +586,14 @@ func TestRouterReusesNodeConnections(t *testing.T) {
 	}
 }
 
-// TestRendezvousPlacementStable: rendezvous placement is a pure function of
-// (tenant, node set) — the same tenant lands on the same node across calls
-// and across router instances.
-func TestRendezvousPlacementStable(t *testing.T) {
-	nodes := []string{"10.0.0.1:9000", "10.0.0.2:9000", "10.0.0.3:9000"}
-	mk := func() *Router {
-		r, err := New(Config{HTTPAddr: "127.0.0.1:0", Nodes: nodes, Placement: "rendezvous"})
-		if err != nil {
-			t.Fatal(err)
+// TestNewRejectsBadConfig: New refuses a placement policy other than
+// leastload, an empty node list and a node listed twice.
+func TestNewRejectsBadConfig(t *testing.T) {
+	nodes := []string{"10.0.0.1:9000", "10.0.0.2:9000"}
+	for _, policy := range []string{"rendezvous", "roulette"} {
+		if _, err := New(Config{HTTPAddr: ":0", Nodes: nodes, Placement: policy}); err == nil {
+			t.Errorf("placement policy %q accepted", policy)
 		}
-		for _, n := range r.nodes {
-			n.healthy = true
-		}
-		return r
-	}
-	a, b := mk(), mk()
-	seen := map[int]bool{}
-	for i := 0; i < 20; i++ {
-		id := tenantName(i)
-		pa, err := a.placeRendezvous(id, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		pb, err := b.placeRendezvous(id, -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if pa != pb {
-			t.Fatalf("%s: placement %d vs %d across identical routers", id, pa, pb)
-		}
-		seen[pa] = true
-	}
-	if len(seen) < 2 {
-		t.Error("rendezvous placed 20 tenants on a single node")
-	}
-
-	if _, err := New(Config{HTTPAddr: ":0", Nodes: nodes, Placement: "roulette"}); err == nil {
-		t.Error("unknown placement policy accepted")
 	}
 	if _, err := New(Config{HTTPAddr: ":0"}); err == nil {
 		t.Error("router with no nodes accepted")

@@ -1,9 +1,7 @@
 package cluster
 
 import (
-	"errors"
 	"fmt"
-	"net/http"
 	"time"
 
 	"repro/internal/engine"
@@ -149,21 +147,11 @@ func (r *Router) probe(n *node) error {
 // adopting it would fork the stream. Ghosts are logged and skipped. A
 // node hosting a route's follower replica is also left alone — the replica
 // is supposed to mirror the owner's counts. The counts come from
-// GET /v1/served, which builds none of the node's passive followers.
+// GET /v1/served, which builds none of the node's passive followers; a
+// failed read fails the probe, which is retried.
 func (r *Router) syncNode(n *node) error {
 	var counts []engine.TenantServed
-	err := r.call("GET", n.base+"/v1/served", nil, &counts)
-	var se *statusError
-	if errors.As(err, &se) && (se.code == http.StatusNotFound || se.code == http.StatusMethodNotAllowed) {
-		// A worker from before GET /v1/served has no such route. It is
-		// read through its compact snapshots, which carry the same
-		// tenant and served fields; such a worker hosts no passive
-		// tenant for them to build. Any other failure fails the probe,
-		// which is retried, so a node that has the route is never read
-		// through its snapshots.
-		err = r.call("GET", n.base+"/v1/snapshots?compact=true", nil, &counts)
-	}
-	if err != nil {
+	if err := r.call("GET", n.base+"/v1/served", nil, &counts); err != nil {
 		return err
 	}
 	r.mu.Lock()

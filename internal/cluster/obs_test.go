@@ -266,8 +266,8 @@ func TestClusterPromStaleExcluded(t *testing.T) {
 	mux.HandleFunc("GET /v1/metrics", func(w http.ResponseWriter, req *http.Request) {
 		json.NewEncoder(w).Encode(fixed)
 	})
-	mux.HandleFunc("GET /v1/snapshots", func(w http.ResponseWriter, req *http.Request) {
-		json.NewEncoder(w).Encode([]engine.TenantSnapshot{})
+	mux.HandleFunc("GET /v1/served", func(w http.ResponseWriter, req *http.Request) {
+		json.NewEncoder(w).Encode([]engine.TenantServed{})
 	})
 	fake := httptest.NewServer(mux)
 	defer fake.Close()

@@ -146,11 +146,10 @@ func TestPassiveFollowerRejoin(t *testing.T) {
 	}
 }
 
-// TestRejoinServedFallback: a (re)joining node is read through its
-// compact snapshots only when it has no GET /v1/served route, which a
-// worker from before the route answers with 404 (or 405). Any other
-// failure of the call fails the probe without a snapshot read, so a
-// rejoin never builds a node's passive followers; the next probe retries.
+// TestRejoinServedFallback: a (re)joining node is read through
+// GET /v1/served only. Any failure of the call, a 404 or 405 from a worker
+// without the route included, fails the probe without a snapshot read, so
+// a rejoin never builds a node's passive followers; the next probe retries.
 func TestRejoinServedFallback(t *testing.T) {
 	var code, snapReads atomic.Int64 // code: GET /v1/served's status
 	code.Store(http.StatusOK)
@@ -181,39 +180,26 @@ func TestRejoinServedFallback(t *testing.T) {
 	if got := ledger(); got != 7 || snapReads.Load() != 0 {
 		t.Fatalf("join: ledger %d after %d snapshot reads, want 7 from GET /v1/served and none", got, snapReads.Load())
 	}
-	for _, tc := range []struct {
-		code     int
-		fallback bool
-	}{
-		{http.StatusNotFound, true},
-		{http.StatusInternalServerError, false},
-		{http.StatusMethodNotAllowed, true},
-		{http.StatusServiceUnavailable, false},
-		{http.StatusOK, false},
+	for _, c := range []int{
+		http.StatusNotFound,
+		http.StatusInternalServerError,
+		http.StatusMethodNotAllowed,
+		http.StatusServiceUnavailable,
+		http.StatusOK,
 	} {
-		code.Store(int64(tc.code))
+		code.Store(int64(c))
 		n.mu.Lock()
 		n.healthy = false
 		n.mu.Unlock()
-		reads := snapReads.Load()
 		err := r.probe(n)
-		read := snapReads.Load() - reads
-		switch {
-		case tc.fallback:
-			if err != nil || read != 1 || ledger() != 5 {
-				t.Errorf("served %d: probe %v, %d snapshot reads, ledger %d; want a rejoin from one snapshot read, ledger 5",
-					tc.code, err, read, ledger())
-			}
-		case tc.code == http.StatusOK:
-			if err != nil || read != 0 || ledger() != 7 {
+		if c == http.StatusOK {
+			if err != nil || snapReads.Load() != 0 || ledger() != 7 {
 				t.Errorf("served 200: probe %v, %d snapshot reads, ledger %d; want a rejoin from GET /v1/served, ledger 7",
-					err, read, ledger())
+					err, snapReads.Load(), ledger())
 			}
-		default:
-			if err == nil || n.isHealthy() || read != 0 {
-				t.Errorf("served %d: probe %v, healthy %v, %d snapshot reads; want a failed probe, still down, no snapshot read",
-					tc.code, err, n.isHealthy(), read)
-			}
+		} else if err == nil || n.isHealthy() || snapReads.Load() != 0 {
+			t.Errorf("served %d: probe %v, healthy %v, %d snapshot reads; want a failed probe, still down, no snapshot read",
+				c, err, n.isHealthy(), snapReads.Load())
 		}
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/fnv"
 	"net/http"
 	"slices"
 	"strconv"
@@ -15,24 +14,14 @@ import (
 	"repro/internal/server"
 )
 
-// place picks the node for a new tenant (or, with exclude >= 0, for its
-// follower replica — the owner's node is never a candidate). Callers hold
-// Router.mu (write). Only healthy nodes are candidates; both policies are
-// deterministic given the same routing table and health state.
-func (r *Router) place(tenant string, exclude int) (int, error) {
-	switch r.cfg.Placement {
-	case "rendezvous":
-		return r.placeRendezvous(tenant, exclude)
-	default:
-		return r.placeLeastLoad(exclude)
-	}
-}
-
-// placeLeastLoad picks the healthy node hosting the fewest tenants (by the
+// placeLeastLoad picks the node for a new tenant, its follower replica or
+// a migration target: the healthy node hosting the fewest tenants (by the
 // routing table, which includes in-flight reservations), lowest index on
 // ties — the cluster analogue of the engine's PolicyLeastLoad shard
 // pinning. Follower placements count toward load too: a replica serves
-// every arrival its tenant does. The excluded nodes are never candidates.
+// every arrival its tenant does. The excluded nodes (the owner's, for a
+// follower) are never candidates. Callers hold Router.mu (write); the
+// choice is deterministic given the routing table and health state.
 func (r *Router) placeLeastLoad(exclude ...int) (int, error) {
 	hosted := make([]int, len(r.nodes))
 	for _, rt := range r.routes {
@@ -48,32 +37,6 @@ func (r *Router) placeLeastLoad(exclude ...int) (int, error) {
 		}
 		if best == -1 || hosted[n.idx] < bestLoad {
 			best, bestLoad = n.idx, hosted[n.idx]
-		}
-	}
-	if best == -1 {
-		return 0, fmt.Errorf("cluster: no healthy node to place on")
-	}
-	return best, nil
-}
-
-// placeRendezvous picks the healthy node with the highest rendezvous hash
-// of (tenant, node address): each tenant has its own preference order over
-// nodes, so load spreads without a shared counter and placements stay
-// stable when unrelated nodes join or leave. With exclude >= 0 the
-// excluded node is skipped, so a tenant's follower lands on its
-// second-preference node.
-func (r *Router) placeRendezvous(tenant string, exclude int) (int, error) {
-	best, bestScore := -1, uint64(0)
-	for _, n := range r.nodes {
-		if n.idx == exclude || !n.isHealthy() {
-			continue
-		}
-		h := fnv.New64a()
-		h.Write([]byte(tenant))
-		h.Write([]byte{0})
-		h.Write([]byte(n.addr))
-		if s := h.Sum64(); best == -1 || s > bestScore {
-			best, bestScore = n.idx, s
 		}
 	}
 	if best == -1 {
@@ -99,14 +62,14 @@ func (r *Router) createTenant(id string, universe int, distances [][]float64, co
 		r.mu.Unlock()
 		return fmt.Errorf("cluster: tenant %q: %w", id, engine.ErrDuplicateTenant)
 	}
-	idx, err := r.place(id, -1)
+	idx, err := r.placeLeastLoad()
 	if err != nil {
 		r.mu.Unlock()
 		return err
 	}
 	fidx := -1
 	if r.cfg.Replicate {
-		if f, ferr := r.place(id, idx); ferr != nil {
+		if f, ferr := r.placeLeastLoad(idx); ferr != nil {
 			r.logger.Warn("no follower placement, tenant unreplicated", "tenant", id, "err", ferr)
 		} else {
 			fidx = f

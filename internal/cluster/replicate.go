@@ -132,7 +132,7 @@ func (r *Router) reseedFollower(tenant string) {
 		if rt.follower >= 0 || !rt.synced {
 			return fmt.Errorf("cluster: tenant %q needs no reseed", tenant)
 		}
-		fidx, err := r.place(tenant, rt.node)
+		fidx, err := r.placeLeastLoad(rt.node)
 		if err != nil {
 			return err // no second healthy node; stay unreplicated
 		}

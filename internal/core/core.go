@@ -1,8 +1,9 @@
 // Package core implements the two online algorithms contributed by the
 // paper: the deterministic primal-dual PD-OMFLP (Algorithm 1, Theorem 4,
 // O(√|S|·log n)-competitive) and the randomized RAND-OMFLP (Algorithm 2,
-// Theorem 19, O(√|S|·log n/log log n)-competitive), plus the dual-solution
-// machinery used to validate Corollary 17 empirically.
+// Theorem 19, O(√|S|·log n/log log n)-competitive). PD-OMFLP also exposes
+// its dual solution (Duals, DualTotal); the experiments in internal/sim check
+// Lemma 14 and Corollary 17 against it.
 //
 // Both algorithms follow the structural insight of Section 2: they only ever
 // open "small" facilities offering a single commodity and "large" facilities
@@ -35,11 +36,6 @@ type Options struct {
 	// two connection modes (all-small vs one-large, Figure 3). Never
 	// worse; kept as an ablation.
 	OptimalReassign bool
-	// TraceAnalysis, for PD-OMFLP only: record the per-commodity arrival
-	// history needed to reconstruct the Lemma 14 c-ordered covering
-	// instances (see PDOMFLP.CoveringInstance). Costs O(n²) memory per
-	// commodity; off by default.
-	TraceAnalysis bool
 }
 
 func (o Options) candidates(space metric.Space) []int {

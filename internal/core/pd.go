@@ -44,7 +44,7 @@ type PDOMFLP struct {
 	space metric.Space //omflp:nostate — constructor parameter; the restore contract requires an identically constructed instance
 	costs cost.Model   //omflp:nostate — constructor parameter, ditto
 	u     int
-	opts  Options
+	opts  Options //omflp:nostate — constructor parameter, ditto
 	fx    *facilityIndex
 	ct    *costTable
 
@@ -98,8 +98,6 @@ type PDOMFLP struct {
 	// refresh and on UnmarshalState.
 	boundSmall []pdBound
 	boundLarge pdBound
-	// distHistory backs the Lemma 14 analysis extraction (TraceAnalysis).
-	distHistory map[int][]analysisRecord //omflp:nostate — diagnostic only; MarshalState refuses TraceAnalysis instances
 	// dualSum is DualTotal's running Σ a_re, added row by row in arrival
 	// order by Serve and recomputed the same way on
 	// UnmarshalState, so it is bit-identical to summing the rows afresh.
@@ -263,11 +261,6 @@ func (pd *PDOMFLP) Serve(r instance.Request) {
 	k := len(ids)
 	cands := pd.ct.cands
 	facsBefore := len(pd.fx.sol.Facilities)
-
-	var analysisSnaps map[int][]float64
-	if pd.opts.TraceAnalysis {
-		analysisSnaps = pd.snapshotAnalysis(ids)
-	}
 
 	// Static per-arrival quantities: distances to nearest facilities and
 	// the earlier requests' bid sums toward each candidate point. No real
@@ -508,10 +501,6 @@ func (pd *PDOMFLP) Serve(r instance.Request) {
 	}
 	pd.fx.sol.Assign = append(pd.fx.sol.Assign, links)
 	s.temps = temps[:0]
-
-	if pd.opts.TraceAnalysis {
-		pd.recordAnalysis(ids, a, p, analysisSnaps)
-	}
 
 	// Record this request's own credits against the updated facility sets.
 	for i, e := range ids {

@@ -301,31 +301,6 @@ func TestPDDualBoundsCost(t *testing.T) {
 	}
 }
 
-func TestPDScaledDualFeasibility(t *testing.T) {
-	// Corollary 17: duals scaled by γ = 1/(5√|S|·H_n) are dual-feasible.
-	rng := rand.New(rand.NewSource(17))
-	for trial := 0; trial < 6; trial++ {
-		u := 2 + rng.Intn(4)
-		space := metric.RandomLine(rng, 5, 12)
-		costs := cost.PowerLaw(u, 1, 1)
-		pd := NewPDOMFLP(space, costs, Options{})
-		n := 10
-		for i := 0; i < n; i++ {
-			pd.Serve(instance.Request{
-				Point:   rng.Intn(space.Len()),
-				Demands: commodity.RandomSubset(rng, u, 1+rng.Intn(u)),
-			})
-		}
-		rep := pd.CheckScaledDuals(Gamma(u, n), 8, 0, nil)
-		if rep.MaxViolation > 1e-9 {
-			t.Errorf("trial %d: scaled duals infeasible, max violation %g", trial, rep.MaxViolation)
-		}
-		if rep.Checked == 0 {
-			t.Error("no constraints checked")
-		}
-	}
-}
-
 func TestPDCandidateRestriction(t *testing.T) {
 	// Only point 1 may host facilities.
 	space := metric.NewLine([]float64{0, 3, 50})

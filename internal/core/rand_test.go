@@ -1,7 +1,6 @@
 package core
 
 import (
-	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -234,17 +233,6 @@ func TestBuildTauClasses(t *testing.T) {
 		}
 	}()
 	buildTauClasses([]int{0}, func(int) float64 { return 0 })
-}
-
-func TestGamma(t *testing.T) {
-	// γ = 1/(5·√|S|·H_n).
-	got := Gamma(16, 1)
-	if want := 1.0 / (5 * 4 * 1); math.Abs(got-want) > 1e-12 {
-		t.Errorf("Gamma(16,1) = %g, want %g", got, want)
-	}
-	if Gamma(4, 0) != 1 {
-		t.Errorf("Gamma(_, 0) = %g, want 1", Gamma(4, 0))
-	}
 }
 
 func BenchmarkRandServe(b *testing.B) {

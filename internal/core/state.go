@@ -58,9 +58,7 @@ func readHeader(r *codec.Reader, universe, cands int) {
 	}
 }
 
-// MarshalState implements online.StateCodec. It refuses instances running
-// with TraceAnalysis: the Lemma 14 analysis history is diagnostic-only and
-// deliberately outside the serving-state contract.
+// MarshalState implements online.StateCodec.
 //
 // Layout after the schema byte, universe and candidate count (uvarints
 // unless marked f64):
@@ -79,9 +77,6 @@ func readHeader(r *codec.Reader, universe, cands int) {
 // Credit points are not stored: credit j of a ledger belongs to the j-th
 // arrival that recorded into it.
 func (pd *PDOMFLP) MarshalState() ([]byte, error) {
-	if pd.opts.TraceAnalysis {
-		return nil, fmt.Errorf("core: PD-OMFLP state marshal does not support TraceAnalysis")
-	}
 	return codec.Encode(func(w *codec.Writer) {
 		w.Uint(stateSchema)
 		w.Uint(pd.u)
@@ -116,9 +111,6 @@ func (pd *PDOMFLP) MarshalState() ([]byte, error) {
 // points, commodities and facility indices are range-checked. The receiver
 // keeps a copy of the record section it checked as its records.
 func (pd *PDOMFLP) UnmarshalState(data []byte) error {
-	if pd.opts.TraceAnalysis {
-		return fmt.Errorf("core: PD-OMFLP state restore does not support TraceAnalysis")
-	}
 	if len(pd.recEnd) != 0 || len(pd.fx.sol.Facilities) != 0 {
 		return fmt.Errorf("core: PD-OMFLP state restore needs a fresh instance")
 	}

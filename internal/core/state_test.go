@@ -178,14 +178,6 @@ func TestStateRestoreErrors(t *testing.T) {
 	if err := fresh.UnmarshalState([]byte("{")); err == nil {
 		t.Error("restore of corrupt bytes succeeded")
 	}
-	// TraceAnalysis instances are outside the contract, both directions.
-	ta := NewPDOMFLP(rig.space, rig.costs, Options{TraceAnalysis: true})
-	if _, err := ta.MarshalState(); err == nil {
-		t.Error("marshal with TraceAnalysis succeeded")
-	}
-	if err := ta.UnmarshalState(blob); err == nil {
-		t.Error("restore into a TraceAnalysis instance succeeded")
-	}
 
 	// RAND: wrong candidate count and non-fresh instance.
 	ra := NewRandOMFLP(rig.space, rig.costs, Options{}, rand.New(rand.NewSource(1)))

@@ -292,13 +292,8 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 		return stats, err
 	}
 	for i, r := range rs {
-		// The tail's serve times (0 ns for a tail a passive record kept)
-		// go to the shard's histogram, as runBatch records a served
-		// arrival, so the served totals count the tail.
-		for _, ns := range r.servedNs {
-			r.t.shard.hist.RecordNs(ns)
-		}
 		tc := &ck.Tenants[i]
+		r.t.shard.served.Add(int64(len(tc.Arrivals)))
 		if len(tc.BaseState) > 0 {
 			stats.BasesLoaded++
 			stats.StateBytes += int64(len(tc.BaseState))
@@ -311,10 +306,9 @@ func (e *Engine) Restore(ck *Checkpoint) (RestoreStats, error) {
 }
 
 // rebuilt is a tenant rebuilt from its record but not yet registered, with
-// the serve time of each tail arrival it took and how many it replayed.
+// how many tail arrivals it replayed.
 type rebuilt struct {
 	t        *tenant
-	servedNs []int64
 	replayed int
 }
 
@@ -335,18 +329,16 @@ func (e *Engine) rebuildTenant(tc *TenantCheckpoint) (rebuilt, error) {
 	for i, a := range tc.Arrivals {
 		t.history[i] = instance.Request{Point: a.Point, Demands: commodity.New(a.Demands...)}
 	}
-	servedNs := make([]int64, len(t.history))
 	replayed := 0
 	if t.passive {
-		// A kept tail is recorded, not served: its histogram entries
-		// stay untimed (0 ns) and only count it in the served totals.
+		// A kept tail is recorded, not served.
 		t.served += len(t.history)
 	} else {
 		replayed = len(t.history)
-		t.serveTail(servedNs)
+		t.serveTail()
 	}
 	t.admitted.Store(int64(t.served))
-	return rebuilt{t: t, servedNs: servedNs, replayed: replayed}, nil
+	return rebuilt{t: t, replayed: replayed}, nil
 }
 
 // buildTenant runs every check a record must pass — the cost table, the

@@ -262,7 +262,7 @@ func TestDrainOnClose(t *testing.T) {
 		t.Fatal(err)
 	}
 	e.Close() // no explicit Drain: Close itself is the barrier
-	if _, total, _ := mergedHist(e.shards); total != int64(n) {
+	if total := e.ServedTotal(); total != int64(n) {
 		t.Errorf("served %d of %d admitted arrivals after Close", total, n)
 	}
 	depth := 0
@@ -360,7 +360,7 @@ func TestLatencyHistQuantiles(t *testing.T) {
 		s.hist.Record(100 * time.Nanosecond) // bucket [64,128)
 	}
 	s.hist.Record(time.Millisecond) // the single p100 outlier
-	sum, total, _ := mergedHist([]*shard{s})
+	sum, total := mergedHist([]*shard{s})
 	if total != 100 {
 		t.Fatalf("total = %d, want 100", total)
 	}

@@ -12,15 +12,22 @@ import (
 // bucket-boundary contract). One writer (the shard goroutine) and any
 // number of readers (Metrics) touch each histogram concurrently.
 
-// mergedHist sums per-shard histograms into one bucket vector plus a total,
-// and also returns each shard's own served count (its histogram total).
-func mergedHist(shards []*shard) (sum [obs.HistBuckets]int64, total int64, perShard []int64) {
+// mergedHist sums per-shard histograms into one bucket vector plus a total.
+func mergedHist(shards []*shard) (sum [obs.HistBuckets]int64, total int64) {
+	for _, s := range shards {
+		total += s.hist.AddTo(&sum)
+	}
+	return sum, total
+}
+
+// servedCounts reads each shard's served counter and their sum.
+func servedCounts(shards []*shard) (perShard []int64, total int64) {
 	perShard = make([]int64, len(shards))
 	for i, s := range shards {
-		perShard[i] = s.hist.AddTo(&sum)
+		perShard[i] = s.served.Load()
 		total += perShard[i]
 	}
-	return sum, total, perShard
+	return perShard, total
 }
 
 // Metrics is an engine-wide health report. Rates and latencies are
@@ -54,7 +61,9 @@ type Metrics struct {
 	QueueDepth int `json:"queue_depth"`
 	// Serve latency quantiles from the merged per-shard histograms
 	// (geometric bucket midpoints — within sqrt(2) of the true order
-	// statistic; see obs.Hist).
+	// statistic; see obs.Hist). They time the arrivals the shards served
+	// from their mailboxes; a tail taken by Restore or an inject is
+	// counted in Served but not timed.
 	LatencyP50Micros  float64 `json:"serve_latency_p50_us"`
 	LatencyP99Micros  float64 `json:"serve_latency_p99_us"`
 	LatencyP999Micros float64 `json:"serve_latency_p999_us"`
@@ -89,7 +98,7 @@ type ShardMetrics struct {
 // health probes and placement polls can read it at any frequency without
 // distorting windowed rates for real metrics consumers.
 func (e *Engine) ServedTotal() int64 {
-	_, total, _ := mergedHist(e.shards)
+	_, total := servedCounts(e.shards)
 	return total
 }
 
@@ -103,13 +112,13 @@ func (e *Engine) Metrics() Metrics {
 		depth += depths[i]
 	}
 
-	// The histogram read happens under the mutex so concurrent Metrics
+	// The counter read happens under the mutex so concurrent Metrics
 	// calls serialize: the served totals are monotone, so each caller's
 	// read is ≥ the lastSrvd recorded by the previous one and the window
 	// counts can never go negative.
 	e.mu.Lock()
 	now := time.Now()
-	sum, total, perShard := mergedHist(e.shards)
+	perShard, total := servedCounts(e.shards)
 	window := now.Sub(e.lastAt).Seconds()
 	windowShard := make([]int64, len(perShard))
 	for i, c := range perShard {
@@ -123,6 +132,7 @@ func (e *Engine) Metrics() Metrics {
 	loads := append([]int(nil), e.loads...)
 	e.mu.Unlock()
 
+	sum, timed := mergedHist(e.shards)
 	m := Metrics{
 		Seq:               seq,
 		WallUnixNano:      now.UnixNano(),
@@ -132,9 +142,9 @@ func (e *Engine) Metrics() Metrics {
 		Served:            total,
 		UptimeSeconds:     now.Sub(e.start).Seconds(),
 		QueueDepth:        depth,
-		LatencyP50Micros:  obs.Quantile(sum, total, 0.50) / 1e3,
-		LatencyP99Micros:  obs.Quantile(sum, total, 0.99) / 1e3,
-		LatencyP999Micros: obs.Quantile(sum, total, 0.999) / 1e3,
+		LatencyP50Micros:  obs.Quantile(sum, timed, 0.50) / 1e3,
+		LatencyP99Micros:  obs.Quantile(sum, timed, 0.99) / 1e3,
+		LatencyP999Micros: obs.Quantile(sum, timed, 0.999) / 1e3,
 		ServeLatency:      obs.Summarize(sum),
 		Stages:            e.stageBreakdown(),
 		PerShard:          make([]ShardMetrics, len(e.shards)),

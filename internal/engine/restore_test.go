@@ -199,3 +199,76 @@ func TestInjectReturnsServed(t *testing.T) {
 		t.Error("injected snapshot differs from the source's")
 	}
 }
+
+// TestRestoredTailsCountedNotTimed: the tails Restore and both injects
+// take, kept by a passive record or replayed by a live one, count in the
+// served totals, per shard too, but the latency histogram times only what
+// the shards serve from their mailboxes, so a restore adds no entry to it.
+func TestRestoredTailsCountedNotTimed(t *testing.T) {
+	tr := fixedTrace(61, 12, 5, 9)
+	in := tr.Instance
+	cfg := Config{Algorithm: "pd", Shards: 2, Seed: 4, RecordArrivals: true, SealEvery: 8}
+	src := mustEngine(t, cfg)
+	for i, id := range []string{"kept", "replayed"} {
+		if err := src.CreateTenant(id, in.Space, in.Costs); err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range in.Requests[6*i : 6*i+5] {
+			if err := src.Serve(id, r); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	ck, err := src.Checkpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	ck.Version = CheckpointVersionRoles
+	ck.Tenants[0].Passive = true
+	kept, err := src.ExportTenant("kept")
+	if err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := src.ExportTenant("replayed")
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	check := func(how string, e *Engine, served int64, timed int64) {
+		t.Helper()
+		m := e.Metrics()
+		var perShard int64
+		for _, sm := range m.PerShard {
+			perShard += sm.Served
+		}
+		if m.Served != served || perShard != served || e.ServedTotal() != served {
+			t.Errorf("%s: served %d, per shard %d, ServedTotal %d; want %d", how, m.Served, perShard, e.ServedTotal(), served)
+		}
+		if m.ServeLatency.Count != timed {
+			t.Errorf("%s: %d arrivals timed, want %d", how, m.ServeLatency.Count, timed)
+		}
+	}
+	restored := mustEngine(t, cfg)
+	if _, err := restored.Restore(ck); err != nil {
+		t.Fatal(err)
+	}
+	if restored.Metrics().PassiveTenants != 1 {
+		t.Fatal("the passive record did not restore passive")
+	}
+	check("restore", restored, 10, 0)
+	injected := mustEngine(t, cfg)
+	if err := injected.InjectPassive(kept); err != nil {
+		t.Fatal(err)
+	}
+	if err := injected.InjectTenant(replayed); err != nil {
+		t.Fatal(err)
+	}
+	check("inject", injected, 10, 0)
+	for _, id := range []string{"kept", "replayed"} {
+		if err := restored.Serve(id, in.Requests[11]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	restored.Drain()
+	check("restore, then serve", restored, 12, 2)
+}

@@ -14,6 +14,7 @@ import (
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
+	"repro/internal/sim"
 )
 
 func tinyInstance(rng *rand.Rand) *instance.Instance {
@@ -106,7 +107,7 @@ func TestPDGammaScaledDualsAreLPFeasible(t *testing.T) {
 			pd.Serve(r)
 		}
 		ids, duals, points := pd.Duals()
-		gamma := core.Gamma(in.Universe(), len(in.Requests))
+		gamma := sim.Gamma(in.Universe(), len(in.Requests))
 		scaled := make([][]float64, len(duals))
 		for i := range duals {
 			scaled[i] = make([]float64, len(duals[i]))

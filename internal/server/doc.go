@@ -30,9 +30,11 @@
 // non-recording engine, which seals. From then on it is live and serves
 // every arrival. Its served counts, checkpoint record and snapshots are
 // byte-identical to a live copy's; the tail a passive inject keeps counts in
-// the serve-latency histogram with untimed (0 ns) entries. GET /v1/served
-// reads counts without building anything; /v1/metrics' passive_tenants (the
-// omflp_passive_tenants gauge on /metrics) counts the tenants not yet built.
+// the served totals, and the serve-latency histogram times only arrivals
+// served from a shard's mailbox, not a restored or injected tail.
+// GET /v1/served reads counts without building anything; /v1/metrics'
+// passive_tenants (the omflp_passive_tenants gauge on /metrics) counts the
+// tenants not yet built.
 // The checkpoint records each tenant's role, so a worker restarted from it
 // brings every unbuilt copy back passive, its tail kept and not replayed
 // (checkpoint.restored_replayed counts the live tenants' tails only). A

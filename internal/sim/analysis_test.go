@@ -1,11 +1,13 @@
-package core
+package sim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 	"testing/quick"
 
 	"repro/internal/commodity"
+	"repro/internal/core"
 	"repro/internal/cost"
 	"repro/internal/instance"
 	"repro/internal/metric"
@@ -21,17 +23,17 @@ func TestCoveringInstanceFromExecution(t *testing.T) {
 		u := 2 + rng.Intn(3)
 		space := metric.RandomLine(rng, 4, 10)
 		costs := cost.PowerLaw(u, 1, 1+rng.Float64())
-		pd := NewPDOMFLP(space, costs, Options{TraceAnalysis: true})
+		run := newLem14Run(space, costs)
 		n := 8 + rng.Intn(8)
 		for i := 0; i < n; i++ {
-			pd.Serve(instance.Request{
+			run.serve(instance.Request{
 				Point:   rng.Intn(space.Len()),
 				Demands: commodity.RandomSubset(rng, u, 1+rng.Intn(u)),
 			})
 		}
 		for e := 0; e < u; e++ {
 			for m := 0; m < space.Len(); m++ {
-				inst, ok := pd.CoveringInstance(e, m)
+				inst, ok := run.coveringInstance(e, m)
 				if !ok {
 					continue
 				}
@@ -50,6 +52,15 @@ func TestCoveringInstanceFromExecution(t *testing.T) {
 			}
 		}
 	}
+	// A commodity no request demanded has no instance.
+	run := newLem14Run(metric.SinglePoint(), cost.PowerLaw(2, 1, 1))
+	run.serve(instance.Request{Point: 0, Demands: commodity.New(0)})
+	if _, ok := run.coveringInstance(1, 0); ok {
+		t.Error("covering instance for an unrequested commodity")
+	}
+	if _, ok := run.coveringInstance(0, 0); !ok {
+		t.Error("no covering instance for a requested commodity")
+	}
 }
 
 // Property: for arbitrary seeds, extracted B sets are monotone (the
@@ -59,15 +70,15 @@ func TestQuickExecutionBSetsMonotone(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		u := 2 + rng.Intn(3)
 		space := metric.RandomLine(rng, 3, 8)
-		pd := NewPDOMFLP(space, cost.PowerLaw(u, 1, 1), Options{TraceAnalysis: true})
+		run := newLem14Run(space, cost.PowerLaw(u, 1, 1))
 		for i := 0; i < 10; i++ {
-			pd.Serve(instance.Request{
+			run.serve(instance.Request{
 				Point:   rng.Intn(space.Len()),
 				Demands: commodity.RandomSubset(rng, u, 1+rng.Intn(u)),
 			})
 		}
 		for e := 0; e < u; e++ {
-			inst, ok := pd.CoveringInstance(e, 0)
+			inst, ok := run.coveringInstance(e, 0)
 			if !ok {
 				continue
 			}
@@ -82,20 +93,38 @@ func TestQuickExecutionBSetsMonotone(t *testing.T) {
 	}
 }
 
-func TestCoveringInstanceRequiresTracing(t *testing.T) {
-	space := metric.SinglePoint()
-	pd := NewPDOMFLP(space, cost.PowerLaw(2, 1, 1), Options{})
-	pd.Serve(instance.Request{Point: 0, Demands: commodity.New(0)})
-	if _, ok := pd.CoveringInstance(0, 0); ok {
-		t.Error("CoveringInstance available without TraceAnalysis")
+func TestPDScaledDualFeasibility(t *testing.T) {
+	// Corollary 17: duals scaled by γ = 1/(5√|S|·H_n) are dual-feasible.
+	rng := rand.New(rand.NewSource(17))
+	for trial := 0; trial < 6; trial++ {
+		u := 2 + rng.Intn(4)
+		space := metric.RandomLine(rng, 5, 12)
+		costs := cost.PowerLaw(u, 1, 1)
+		pd := core.NewPDOMFLP(space, costs, core.Options{})
+		n := 10
+		for i := 0; i < n; i++ {
+			pd.Serve(instance.Request{
+				Point:   rng.Intn(space.Len()),
+				Demands: commodity.RandomSubset(rng, u, 1+rng.Intn(u)),
+			})
+		}
+		rep := checkScaledDuals(pd, space, costs, Gamma(u, n), 8, 0, nil)
+		if rep.MaxViolation > 1e-9 {
+			t.Errorf("trial %d: scaled duals infeasible, max violation %g", trial, rep.MaxViolation)
+		}
+		if rep.Checked == 0 {
+			t.Error("no constraints checked")
+		}
 	}
-	// With tracing but no request for the commodity: not available either.
-	pd2 := NewPDOMFLP(space, cost.PowerLaw(2, 1, 1), Options{TraceAnalysis: true})
-	pd2.Serve(instance.Request{Point: 0, Demands: commodity.New(0)})
-	if _, ok := pd2.CoveringInstance(1, 0); ok {
-		t.Error("CoveringInstance for an unrequested commodity")
+}
+
+func TestGamma(t *testing.T) {
+	// γ = 1/(5·√|S|·H_n).
+	got := Gamma(16, 1)
+	if want := 1.0 / (5 * 4 * 1); math.Abs(got-want) > 1e-12 {
+		t.Errorf("Gamma(16,1) = %g, want %g", got, want)
 	}
-	if _, ok := pd2.CoveringInstance(0, 0); !ok {
-		t.Error("CoveringInstance unavailable despite tracing")
+	if Gamma(4, 0) != 1 {
+		t.Errorf("Gamma(_, 0) = %g, want 1", Gamma(4, 0))
 	}
 }

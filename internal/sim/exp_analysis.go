@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/commodity"
@@ -11,6 +12,7 @@ import (
 	"repro/internal/metric"
 	"repro/internal/par"
 	"repro/internal/report"
+	"repro/internal/stats"
 	"repro/internal/workload"
 )
 
@@ -133,9 +135,9 @@ func runDual(cfg Config) (*Result, error) {
 		if err := sol.Verify(in); err != nil {
 			return dualRow{}, err
 		}
-		gamma := core.Gamma(in.Universe(), len(in.Requests))
+		gamma := Gamma(in.Universe(), len(in.Requests))
 		sampler := rand.New(rand.NewSource(cfg.Seed + int64(wi)*104729))
-		rep := pd.CheckScaledDuals(gamma, 8, pickInt(cfg, 20, 100), sampler)
+		rep := checkScaledDuals(pd, in.Space, in.Costs, gamma, 8, pickInt(cfg, 20, 100), sampler)
 		return dualRow{
 			algCost:      sol.Cost(in),
 			dual:         pd.DualTotal(),
@@ -167,11 +169,77 @@ func runDual(cfg Config) (*Result, error) {
 	for _, r := range tiny.Requests {
 		pd.Serve(r)
 	}
-	gamma := core.Gamma(3, 3)
+	gamma := Gamma(3, 3)
 	sand := report.NewTable("dual: weak-duality sandwich on a tiny exact instance",
 		"gamma*dual (≤ OPT)", "exact OPT", "cost(ALG)", "ratio")
 	// Local import cycle avoidance: exact solver lives in baseline.
 	exact := exactTinyOPT(tiny)
 	sand.AddRow(gamma*pd.DualTotal(), exact, pd.Solution().Cost(tiny), pd.Solution().Cost(tiny)/exact)
 	return &Result{Tables: []*report.Table{tab, sand}}, nil
+}
+
+// Gamma returns the paper's scaling factor γ = 1/(5√|S|·H_n).
+func Gamma(u, n int) float64 {
+	if n == 0 {
+		return 1
+	}
+	return 1 / (5 * math.Sqrt(float64(u)) * stats.Harmonic(n))
+}
+
+// dualReport summarizes a scaled-dual feasibility check (Corollary 17): the
+// dual variables a_re produced by PD-OMFLP, scaled by γ, must satisfy every
+// dual constraint
+//
+//	Σ_r ( Σ_{e∈s_r∩σ} γ·a_re − d(m, r) )_+ ≤ f_m^σ
+//
+// for every candidate point m and configuration σ ⊆ S.
+type dualReport struct {
+	Checked      int     // number of (m, σ) constraints evaluated
+	MaxViolation float64 // max LHS − RHS over checked constraints (≤ 0 is feasible)
+}
+
+// checkScaledDuals evaluates the Corollary 17 constraints for the duals a
+// PD-OMFLP run on space and costs has produced, every point a candidate.
+// For universes of at most maxExhaustive commodities every σ ⊆ S is
+// checked; otherwise `trials` random configurations are sampled (rng
+// required), always including all singletons and the full set, which the
+// analysis treats as the extreme cases (Lemmas 14 and 16).
+func checkScaledDuals(pd *core.PDOMFLP, space metric.Space, costs cost.Model, gamma float64, maxExhaustive, trials int, rng *rand.Rand) dualReport {
+	rep := dualReport{MaxViolation: math.Inf(-1)}
+	u := costs.Universe()
+	var configs []commodity.Set
+	if u <= maxExhaustive {
+		configs = commodity.AllSubsets(u)
+	} else {
+		for e := 0; e < u; e++ {
+			configs = append(configs, commodity.New(e))
+		}
+		configs = append(configs, commodity.Full(u))
+		for t := 0; t < trials; t++ {
+			configs = append(configs, commodity.RandomSubset(rng, u, 1+rng.Intn(u)))
+		}
+	}
+
+	demandIDs, duals, points := pd.Duals()
+	for m := 0; m < space.Len(); m++ {
+		for _, sigma := range configs {
+			var lhs float64
+			for ri, ids := range demandIDs {
+				var scaled float64
+				for i, e := range ids {
+					if sigma.Contains(e) {
+						scaled += gamma * duals[ri][i]
+					}
+				}
+				if v := scaled - space.Distance(m, points[ri]); v > 0 {
+					lhs += v
+				}
+			}
+			rep.Checked++
+			if viol := lhs - costs.Cost(m, sigma); viol > rep.MaxViolation {
+				rep.MaxViolation = viol
+			}
+		}
+	}
+	return rep
 }

@@ -78,7 +78,7 @@ func runLPGap(cfg Config) (*Result, error) {
 			gap:       lp.IntegralityGap(exact.Cost, relax.Value),
 			pdCost:    pdCost,
 			cert:      pdCost / relax.Value,
-			gammaDual: core.Gamma(u, n) * pd.DualTotal(),
+			gammaDual: Gamma(u, n) * pd.DualTotal(),
 		}, nil
 	})
 	if err != nil {
