@@ -419,10 +419,11 @@ type shard struct {
 	idx  int
 	ops  chan shardOp
 	done chan struct{}
+	hist obs.Hist // times the items runBatch serves
 	// served counts the arrivals of the shard's tenants: the items runBatch
-	// served and the tails Restore took. hist times the runBatch items.
+	// served and the tails Restore took. It sits after hist, off the cache
+	// line of ops, which every admission reads.
 	served atomic.Int64
-	hist   obs.Hist
 	// rec aggregates traced ops (stage histograms + flight ring); nil when
 	// tracing is off, in which case every item's Rec is nil too.
 	rec *obs.Recorder
