@@ -80,7 +80,8 @@
 // section instead of encoding it, and a restore keeps the section it
 // checked. Duals and ServeLog decode the records on each call; the
 // analysis checks of Lemma 14 and Corollary 17 read a finished run through
-// Duals in internal/sim, so no serving package carries them. BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
+// Duals in internal/sim, so no serving package carries them.
+// BENCH_checkpoint.json, regenerated by "omflp ckpt-bench",
 // records capture/restore time and raw + on-disk bytes for an unsealed
 // capture (column v1) and a sealed one (v2) at 1e3 and 1e5 arrivals, and
 // gates on v2's replay work staying flat.
@@ -113,9 +114,9 @@
 // are ordinary daemons, and "omflp serve -cluster-router -nodes a,b,..."
 // fronts them with the same HTTP API and TCP framing — clients and loadgen
 // run unchanged. The router owns the tenant→node map (each tenant placed
-// on the node hosting the fewest), forwards arrivals to each tenant's owner, and
-// merges node metrics into one cluster view (a per-node scrape sequence +
-// wall stamp lets the merge drop duplicated scrapes instead of
+// on the node hosting the fewest), forwards arrivals to each tenant's
+// owner, and merges node metrics into one cluster view (a per-node scrape
+// sequence + wall stamp lets the merge drop duplicated scrapes instead of
 // double-counting rates). Tenants migrate live on POST /v1/migrate through
 // the router's one move: quiesce the route (arrivals buffer, and the owner
 // is polled until it has admitted the ledger cut), capture the tenant's

@@ -234,7 +234,7 @@ func TestRestoredTailsCountedNotTimed(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	check := func(how string, e *Engine, served int64, timed int64) {
+	check := func(how string, e *Engine, served, timed int64) {
 		t.Helper()
 		m := e.Metrics()
 		var perShard int64
